@@ -137,6 +137,7 @@ fn main() {
         .param("threads", threads)
         .param("admm_schedule", format!("{schedule:?}"))
         .param("gram_kernel", uoi_linalg::gram::KERNEL_VARIANT)
+        .param("admm_path", uoi_solvers::PATH_VARIANT)
         .with_summary(report.run_summary());
     if let Some(health) = numerical_out.lock().unwrap().take() {
         rr = rr.with_numerical(health);

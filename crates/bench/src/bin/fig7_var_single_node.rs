@@ -74,6 +74,7 @@ fn main() {
         .param("exec_p", p)
         .param("threads", threads)
         .param("gram_kernel", uoi_linalg::gram::KERNEL_VARIANT)
+        .param("admm_path", uoi_solvers::PATH_VARIANT)
         .with_summary(out.report.run_summary());
     if let Some(health) = out.numerical.take() {
         rr = rr.with_numerical(health);

@@ -200,6 +200,7 @@ impl UoiLassoConfig {
             // clean path is bit-identical, but a checkpoint cannot know
             // the input was clean), so arming resilience invalidates.
             self.numerical.enabled as u64,
+            path_variant_word(),
             x.rows() as u64,
             x.cols() as u64,
         ];
@@ -210,6 +211,13 @@ impl UoiLassoConfig {
                 .chain(data_words(y)),
         )
     }
+}
+
+/// Checkpoint-fingerprint word of the solver's lambda-path algorithm
+/// ([`uoi_solvers::PATH_VARIANT`]): checkpoints written by another path
+/// algorithm miss instead of mixing solver generations in one fit.
+pub(crate) fn path_variant_word() -> u64 {
+    fingerprint(uoi_solvers::PATH_VARIANT.bytes().map(u64::from))
 }
 
 /// Chainable builder for [`UoiLassoConfig`]; `build()` validates.

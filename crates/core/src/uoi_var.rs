@@ -800,6 +800,7 @@ pub(crate) fn fit_inner(series: &Matrix, cfg: &UoiVarConfig) -> Result<UoiVarFit
                 base.admm.max_iter as u64,
                 base.admm.abstol.to_bits(),
                 base.admm.reltol.to_bits(),
+                crate::uoi_lasso::path_variant_word(),
                 d as u64,
                 block_len as u64,
                 series.rows() as u64,

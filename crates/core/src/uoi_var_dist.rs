@@ -27,7 +27,9 @@ use uoi_data::bootstrap::{block_bootstrap, default_block_len, resample_weights};
 use uoi_data::rng::substream;
 use uoi_linalg::{gemv_t_weighted_multi, syrk_t_upper, syrk_t_weighted_upper, Matrix};
 use uoi_mpisim::{Comm, Phase, RankCtx, Window};
-use uoi_solvers::{admm_iter_flops, geometric_grid, ols_on_support_gram, support_of, LassoAdmm};
+use uoi_solvers::{
+    admm_active_iter_flops, geometric_grid, ols_on_support_gram, support_of, LassoAdmm,
+};
 use uoi_telemetry::TraceEvent;
 use uoi_tieredio::distribution::{block_owner, block_range};
 
@@ -558,18 +560,20 @@ fn dist_lasso_path(
 
     let mut out = Vec::with_capacity(lambdas.len());
     let mut path_stats = Vec::with_capacity(lambdas.len());
-    // Warm-start z across the path, fresh duals per lambda.
+    // One screened Sequential path per owned column, driven exactly as
+    // the serial `solve_path_with_rhs` drives it — per-lambda transition,
+    // then at most `max_iter` steps — so every column is bit-identical
+    // to the serial fit's.
     let mut states: Vec<uoi_solvers::AdmmState> =
         my_cols.clone().map(|_| solver.init_state()).collect();
     // `admm`-tagged span: the profiler splits its charges into
     // admm_local (compute) vs admm_consensus (allreduce) by ledger.
     let sp_admm = ctx.span_enter("admm.path");
     for &lam in lambdas {
-        for st in &mut states {
-            st.converged = false;
-            st.u.iter_mut().for_each(|v| *v = 0.0);
-            st.iterations = 0;
+        for (st, xty) in states.iter_mut().zip(&rhs) {
+            solver.begin_lambda(xty, lam, st);
         }
+        charge_sub_factors(ctx, &mut states);
         let mut full = vec![0.0; total];
         let mut rounds = 0usize;
         let mut lam_converged = false;
@@ -578,15 +582,24 @@ fn dist_lasso_path(
         let mut payload = vec![0.0; total + 1];
         for _round in 0..base.admm.max_iter {
             rounds += 1;
-            // One lockstep round over the owned columns: the per-column
-            // triangular solves fuse into a single multi-RHS substitution
-            // (`step_many`), and the modeled charge is `ceil(active /
-            // threads)` per-column iterations — with one thread that is
-            // exactly the historical one-charge-per-active-column
-            // accounting, so single-thread timelines are unchanged.
+            // One lockstep round over the owned columns, each a screened
+            // step on its own active set. Each active column is charged
+            // one iteration on its `|S|`-sized sub-factor, scaled by
+            // `ceil(active / threads) / active` lockstep slots (exactly
+            // one charge per active column with one thread); KKT
+            // re-entries that refactor are charged their sub-factor.
             let active = states.iter().filter(|st| !st.converged).count();
             let mut unconverged = 0usize;
             if active > 0 {
+                let slots = uoi_solvers::lockstep_round_charges(active, base.admm.threads);
+                let scale = slots as f64 / active as f64;
+                for st in states.iter().filter(|st| !st.converged) {
+                    let m = st.active_len();
+                    ctx.compute_flops(
+                        admm_active_iter_flops(m) * scale,
+                        ((m * m + 2 * m) * 8) as f64,
+                    );
+                }
                 let mut tasks: Vec<uoi_solvers::StepTask<'_>> = states
                     .iter_mut()
                     .zip(rhs.iter())
@@ -597,12 +610,7 @@ fn dist_lasso_path(
                     })
                     .collect();
                 solver.step_many(&mut tasks);
-                for _ in 0..uoi_solvers::lockstep_round_charges(active, base.admm.threads) {
-                    ctx.compute_flops(
-                        admm_iter_flops(n, dp),
-                        ((dp.min(n) * dp.min(n) + n * dp) * 8) as f64,
-                    );
-                }
+                charge_sub_factors(ctx, &mut states);
                 unconverged = states.iter().filter(|st| !st.converged).count();
             }
             // Allreduce the full estimate + convergence counter — the
@@ -625,6 +633,19 @@ fn dist_lasso_path(
     }
     ctx.span_exit(sp_admm);
     (out, path_stats)
+}
+
+/// Charge the active-set factorisations the columns performed since the
+/// last charge (per-lambda transitions and KKT re-entries), each against
+/// its `|S| x |S|` working set.
+fn charge_sub_factors(ctx: &mut RankCtx, states: &mut [uoi_solvers::AdmmState]) {
+    for st in states {
+        let flops = st.take_factor_flops();
+        if flops > 0.0 {
+            let m = st.active_len();
+            ctx.compute_flops(flops, (m * m * 8) as f64);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -733,6 +754,51 @@ mod tests {
         assert_eq!(flat.supports_per_lambda, nested.supports_per_lambda);
         for (a, b) in flat.vec_beta.iter().zip(&nested.vec_beta) {
             assert!((a - b).abs() < 5e-3, "{a} vs {b}");
+        }
+    }
+
+    /// The lockstep path and the serial per-column screened path drive the
+    /// same per-lambda transition, so every column's selection solution is
+    /// bit-identical to the serial one, whichever way the columns split
+    /// across ranks.
+    #[test]
+    fn lockstep_path_bit_identical_to_serial_columns() {
+        let reg = VarRegression::build(&series(), 1);
+        let (n, p, dp) = (reg.samples(), reg.dim(), reg.x.cols());
+        let w: Vec<f64> = (0..n).map(|i| ((i * 7) % 3) as f64).collect();
+        let base = cfg().var.base;
+        let ys: Vec<Vec<f64>> = (0..p).map(|i| reg.y.col(i)).collect();
+        let yrefs: Vec<&[f64]> = ys.iter().map(|v| v.as_slice()).collect();
+        let xtys = gemv_t_weighted_multi(&reg.x, &w, &yrefs);
+        let lmax = xtys.iter().flatten().fold(0.0_f64, |m, v| m.max(v.abs()));
+        let lambdas = geometric_grid(lmax, 1e-2 * lmax, 8);
+        let solver = LassoAdmm::from_gram(
+            syrk_t_weighted_upper(&reg.x, &w).into_upper(),
+            base.admm.clone(),
+        );
+        let serial: Vec<Vec<uoi_solvers::AdmmSolution>> = xtys
+            .iter()
+            .map(|xty| solver.solve_path_with_rhs(xty, &lambdas))
+            .collect();
+        for ranks in [1, 3] {
+            let (reg, w) = (reg.clone(), w.clone());
+            let (lambdas, base) = (lambdas.clone(), base.clone());
+            let cluster = Cluster::new(ranks, MachineModel::deterministic());
+            let report = cluster.run(move |ctx, world| {
+                let cols = block_range(p, ranks, world.rank());
+                dist_lasso_path(ctx, world, &reg, &w, n, &cols, &lambdas, &base).0
+            });
+            for (j, full) in report.results[0].iter().enumerate() {
+                for (i, path) in serial.iter().enumerate() {
+                    for (a, b) in full[i * dp..(i + 1) * dp].iter().zip(&path[j].beta) {
+                        assert_eq!(
+                            a.to_bits(),
+                            b.to_bits(),
+                            "{ranks} ranks, lambda {j}, column {i}"
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -254,6 +254,77 @@ impl Cholesky {
     }
 }
 
+/// A Cholesky factor in packed lower-triangular storage (row `i` holds
+/// `L[i][0..=i]` at offset `i (i + 1) / 2`), refactored in place: the
+/// reusable factor of a system that changes shape inside a hot loop, such
+/// as an ADMM active-set sub-problem. Half the memory of a square factor,
+/// and once its storage has held an order-`m` factor, refactoring at
+/// order `<= m` and solving never allocate. Both the factorisation and
+/// the triangular solves stream contiguous rows (the back substitution
+/// in `axpy` form).
+#[derive(Debug, Clone, Default)]
+pub struct PackedCholesky {
+    order: usize,
+    l: Vec<f64>,
+}
+
+impl PackedCholesky {
+    /// An order-0 factor.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Order of the factored matrix.
+    pub fn order(&self) -> usize {
+        self.order
+    }
+
+    /// Factor the order-`m` SPD matrix whose lower triangle is
+    /// `entry(i, j)` (`j <= i`), replacing the current factor. On error
+    /// the factor is left in an unspecified state.
+    pub fn refactor_with(
+        &mut self,
+        m: usize,
+        mut entry: impl FnMut(usize, usize) -> f64,
+    ) -> Result<(), NotPositiveDefinite> {
+        self.order = m;
+        self.l.clear();
+        self.l.resize(m * (m + 1) / 2, 0.0);
+        for i in 0..m {
+            let (done, rest) = self.l.split_at_mut(i * (i + 1) / 2);
+            let row_i = &mut rest[..=i];
+            for j in 0..i {
+                let row_j = &done[j * (j + 1) / 2..][..=j];
+                let s = entry(i, j) - crate::kernels::dot(&row_i[..j], &row_j[..j]);
+                row_i[j] = s / row_j[j];
+            }
+            let d = entry(i, i) - crate::kernels::dot(&row_i[..i], &row_i[..i]);
+            if d <= 0.0 || !d.is_finite() {
+                return Err(NotPositiveDefinite { pivot: i, value: d });
+            }
+            row_i[i] = d.sqrt();
+        }
+        Ok(())
+    }
+
+    /// Solve `A x = b` in place: forward substitution, then the
+    /// transposed back substitution as row-wise `axpy` updates.
+    pub fn solve_in_place(&self, b: &mut [f64]) {
+        let m = self.order;
+        assert_eq!(b.len(), m, "PackedCholesky::solve: rhs length mismatch");
+        for i in 0..m {
+            let row = &self.l[i * (i + 1) / 2..][..=i];
+            b[i] = (b[i] - crate::kernels::dot(&row[..i], &b[..i])) / row[i];
+        }
+        for i in (0..m).rev() {
+            let row = &self.l[i * (i + 1) / 2..][..=i];
+            b[i] /= row[i];
+            let xi = b[i];
+            crate::kernels::axpy(-xi, &row[..i], &mut b[..i]);
+        }
+    }
+}
+
 /// Solve `L y = b` in place for lower-triangular `L`.
 pub fn forward_substitute(l: &Matrix, b: &mut [f64]) {
     let n = l.rows();
@@ -456,6 +527,27 @@ mod tests {
         {
             assert_eq!(g.to_bits(), w.to_bits());
         }
+    }
+
+    #[test]
+    fn packed_matches_dense_factor_and_reuses_storage() {
+        let mut packed = PackedCholesky::new();
+        for n in [0, 1, 5, 33, 140, 7] {
+            let a = spd_test_matrix(n);
+            packed.refactor_with(n, |i, j| a[(i, j)]).unwrap();
+            assert_eq!(packed.order(), n);
+            let dense = Cholesky::factor(&a).unwrap();
+            let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).sin()).collect();
+            let mut x = b.clone();
+            packed.solve_in_place(&mut x);
+            let want = dense.solve(&b);
+            for (g, w) in x.iter().zip(&want) {
+                assert!((g - w).abs() < 1e-10 * (1.0 + w.abs()), "{g} vs {w}");
+            }
+        }
+        let not_spd = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 1.0]]);
+        let err = packed.refactor_with(2, |i, j| not_spd[(i, j)]).unwrap_err();
+        assert_eq!(err.pivot, 1);
     }
 
     #[test]

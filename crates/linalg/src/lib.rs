@@ -42,7 +42,7 @@ pub use blas::{
     norm2, norm2_diff, norm2_scaled, norm2_scaled_diff, norm_inf, r_squared, r_squared_into,
     syrk_t, syrk_t_weighted, weighted_sumsq,
 };
-pub use chol::{solve_normal_equations, solve_spd, Cholesky, NotPositiveDefinite};
+pub use chol::{solve_normal_equations, solve_spd, Cholesky, NotPositiveDefinite, PackedCholesky};
 pub use dense::Matrix;
 pub use eig::{companion_matrix, spectral_radius, var_is_stable};
 pub use gram::{

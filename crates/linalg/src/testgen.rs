@@ -150,6 +150,37 @@ pub fn matched_response(seed: u64, x: &Matrix) -> Vec<f64> {
         .collect()
 }
 
+/// A design and response on which the sequential strong rule discards a
+/// feature that the LASSO then needs (`n >= 2`, `p >= 2`). With `u ⟂ v`
+/// unit vectors and `y ≈ 10 u`, column 0 is `u + v` (the first to enter,
+/// at `λ_max = ||X^T y||_inf ≈ 10`) and column 1 is `5 (0.1 u - v)`: its
+/// correlation with the residual starts at `0.5 λ_max` but rises 2.25
+/// times as fast as λ falls, entering near `0.846 λ_max`. On the path
+/// `[0.97, 0.9, 0.84] * λ_max` the strong rule at `0.84` keeps only
+/// column 0, so column 1 must come back through the KKT check. Columns
+/// `2..p` are small noise.
+pub fn strong_rule_trap(seed: u64, n: usize, p: usize) -> (Matrix, Vec<f64>) {
+    assert!(n >= 2 && p >= 2);
+    let mut s = seed ^ 0x7a9b_5c3d_1e2f_4061;
+    let normalize = |w: &mut [f64]| {
+        let norm = w.iter().map(|v| v * v).sum::<f64>().sqrt();
+        w.iter_mut().for_each(|v| *v /= norm);
+    };
+    let mut u: Vec<f64> = (0..n).map(|_| unit(&mut s)).collect();
+    normalize(&mut u);
+    let mut v: Vec<f64> = (0..n).map(|_| unit(&mut s)).collect();
+    let proj: f64 = u.iter().zip(&v).map(|(a, b)| a * b).sum();
+    v.iter_mut().zip(&u).for_each(|(b, a)| *b -= proj * a);
+    normalize(&mut v);
+    let mut x = Matrix::from_fn(n, p, |_, _| 0.05 * unit(&mut s));
+    for i in 0..n {
+        x[(i, 0)] = u[i] + v[i];
+        x[(i, 1)] = 5.0 * (0.1 * u[i] - v[i]);
+    }
+    let y = u.iter().map(|a| 10.0 * a + 0.01 * unit(&mut s)).collect();
+    (x, y)
+}
+
 /// Inject `count` non-finite values (alternating NaN / +Inf / -Inf) at
 /// deterministic positions of a copy of `x`.
 pub fn inject_non_finite(seed: u64, x: &Matrix, count: usize) -> Matrix {

@@ -6,21 +6,29 @@
 //! only by the per-resample output buffers — it must not re-pack or
 //! re-stage anything `B` times.
 //!
-//! This file holds exactly one `#[test]` because the counting allocator is
-//! process-global: a second test running on a sibling harness thread would
-//! pollute the counts.
+//! Allocations are counted per thread, on the thread that runs the test
+//! (the offline `rayon` stand-in executes the batch there): the harness
+//! allocates on its own threads while a test runs, and a process-global
+//! counter would charge those allocations to the test.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use uoi_linalg::{gram, syrk_t_weighted_batch, Matrix};
 
 struct CountingAllocator;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        // `try_with`: the slot is gone while a thread tears down its locals.
+        let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -56,17 +64,17 @@ fn batch_path_packs_once_and_allocates_per_output_only() {
     let _ = syrk_t_weighted_batch(&a, &one);
 
     let packs0 = gram::pack_count();
-    let allocs0 = ALLOCS.load(Ordering::Relaxed);
+    let allocs0 = allocs();
     let g1 = syrk_t_weighted_batch(&a, &one);
     let packs_b1 = gram::pack_count() - packs0;
-    let allocs_b1 = ALLOCS.load(Ordering::Relaxed) - allocs0;
+    let allocs_b1 = allocs() - allocs0;
     drop(g1);
 
     let packs0 = gram::pack_count();
-    let allocs0 = ALLOCS.load(Ordering::Relaxed);
+    let allocs0 = allocs();
     let g8 = syrk_t_weighted_batch(&a, &eight);
     let packs_b8 = gram::pack_count() - packs0;
-    let allocs_b8 = ALLOCS.load(Ordering::Relaxed) - allocs0;
+    let allocs_b8 = allocs() - allocs0;
     drop(g8);
 
     // One pack per (band, panel) cell of the grid — independent of B.

@@ -18,15 +18,31 @@
 //! bootstrap resamples of high-dimensional problems. Setting `lambda = 0`
 //! turns the z-update into the identity and the iteration converges to
 //! OLS, exactly how the paper implements model estimation (§II-C).
+//!
+//! Sequential lambda paths are *screened*: each lambda solves the problem
+//! restricted to a sequential-strong-rule active set (Tibshirani et al.
+//! 2012) against a factor of the `|S| x |S|` sub-system, with a KKT check
+//! over the remaining features re-admitting any violator, so the result
+//! is the full problem's solution at the solver's tolerance while each
+//! iteration costs `O(|S|^2)` instead of `O(p^2)`. The full factor above
+//! is then only built for Fused paths and single-lambda solves. See
+//! [`LassoAdmm::begin_lambda`] and DESIGN.md §3.
 
 use crate::prox::soft_threshold_vec;
 use crate::resilience::FactorHealth;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use uoi_linalg::{
     factor_upper_jittered, gemv, gemv_into, gemv_t, gemv_t_into, kernels, norm2, norm2_diff,
     norm2_scaled, norm2_scaled_diff, Cholesky, FactorBreakdown, JitterLadder, Matrix,
+    PackedCholesky,
 };
 use uoi_telemetry::MetricsRegistry;
+
+/// Identifies the Sequential lambda-path algorithm — strong-rule
+/// screened active-set solves with KKT re-entry — for checkpoint
+/// fingerprints and run reports: results from another path algorithm must
+/// not mix with this one's.
+pub const PATH_VARIANT: &str = "strong-rule-active-set-v1";
 
 /// A configuration value failed validation (builder `build()` or a
 /// `validate()` call). Carries a human-readable description of the
@@ -384,23 +400,62 @@ pub struct AdmmStatus {
     pub converged: bool,
 }
 
-/// Explicit per-problem iteration state for [`LassoAdmm::step`].
+/// Per-problem state of a screened Sequential λ path, advanced by
+/// [`LassoAdmm::begin_lambda`] (the per-λ transition) and
+/// [`LassoAdmm::step`] / [`LassoAdmm::step_many`] (one iteration each).
+///
+/// The ADMM iterates live on the strong-rule active set `S` as compact
+/// `|S|`-vectors against a factor of `G_SS + rho I`; `z` mirrors them in
+/// full `p` coordinates (zero off `S`) after every step. All buffers —
+/// index sets, compact iterates, gradient, sub-factor — are reused, so
+/// once warm a path performs no heap allocation. A state belongs to the
+/// solver that created it ([`LassoAdmm::init_state`]).
 #[derive(Debug, Clone)]
 pub struct AdmmState {
-    /// Consensus iterate (the sparse solution once converged).
+    /// Consensus iterate over all `p` coefficients (the sparse solution
+    /// once converged); zero off the active set.
     pub z: Vec<f64>,
-    /// Scaled dual variable.
-    pub u: Vec<f64>,
-    /// Set once both residuals meet tolerance; further steps are no-ops.
+    /// Set once the active-set solve met tolerance and the KKT check
+    /// found no violator; further steps at the same λ are no-ops.
     pub converged: bool,
-    /// Steps taken.
+    /// Iterations taken at the current λ, KKT re-solves included.
     pub iterations: usize,
     /// Latest primal residual.
     pub primal_residual: f64,
     /// Latest dual residual.
     pub dual_residual: f64,
+    /// The λ the in-flight solve targets; NaN before the first transition.
+    lambda: f64,
+    /// `X^T y - G z`, valid for the current `z` when `grad_fresh`.
+    grad: Vec<f64>,
+    grad_fresh: bool,
+    /// The active set `S`, sorted, and its membership mask.
+    active: Vec<usize>,
+    in_active: Vec<bool>,
+    /// Compact iterates `z_S` and scaled dual `u_S`.
+    zs: Vec<f64>,
+    us: Vec<f64>,
+    /// Cholesky factor of `G_SS + rho I` and the set it was built for.
+    factor: PackedCholesky,
+    factored: Vec<usize>,
+    /// Modeled flops of the sub-factorisations performed since the last
+    /// [`AdmmState::take_factor_flops`].
+    factor_flops: f64,
     /// Scratch reused across steps so stepping never allocates.
     scratch: AdmmWorkspace,
+}
+
+impl AdmmState {
+    /// Size of the active set the in-flight solve iterates on.
+    pub fn active_len(&self) -> usize {
+        self.active.len()
+    }
+
+    /// Flops of the active-set factorisations since the last call
+    /// (`m^3 / 3` per factor of order `m`), for virtual-time charging.
+    pub fn take_factor_flops(&mut self) -> f64 {
+        std::mem::take(&mut self.factor_flops)
+    }
 }
 
 /// One column of a lockstep [`LassoAdmm::step_many`] round: a per-column
@@ -414,151 +469,189 @@ pub struct StepTask<'a> {
     pub state: &'a mut AdmmState,
 }
 
-/// How the solver holds its problem: a dense design matrix, or just the
-/// dimensions when built from a precomputed Gram system
-/// ([`LassoAdmm::from_gram`] — the zero-copy bootstrap path, where the
-/// resample is only ever materialised as weighted Gram/rhs products).
-enum DesignStore {
-    Dense(Matrix),
-    Gram { p: usize },
+/// One cold, unscreened column of the [`PathSchedule::Fused`] lockstep:
+/// full-length iterates against the shared full factor.
+struct FusedColumn {
+    lambda: f64,
+    z: Vec<f64>,
+    u: Vec<f64>,
+    converged: bool,
+    tripped: bool,
+    iterations: usize,
+    primal_residual: f64,
+    dual_residual: f64,
+    ws: AdmmWorkspace,
 }
 
-/// A LASSO-ADMM solver with cached factorisation for a fixed design.
+/// How the solver holds its problem.
+enum DesignStore {
+    /// The pristine upper-stored Gram `X^T X` — from
+    /// [`LassoAdmm::from_gram`] (the zero-copy bootstrap path, where the
+    /// resample is only ever materialised as weighted Gram/rhs products)
+    /// or formed by [`LassoAdmm::new`] for a `p <= n` design, which is
+    /// then kept for the response entry points.
+    Gram { gram: Matrix, x: Option<Matrix> },
+    /// A wide dense design (`p > n`): the full factor takes the Woodbury
+    /// form and active-set Grams are formed from the design's columns.
+    Wide(Matrix),
+}
+
+/// A LASSO-ADMM solver for a fixed design. Sequential λ paths solve
+/// screened active-set sub-problems (see [`LassoAdmm::begin_lambda`]);
+/// the full x-update factor is built lazily, on the first Fused-schedule
+/// or single-λ solve, and cached.
 pub struct LassoAdmm {
     design: DesignStore,
-    factor: Factorization,
+    full: OnceLock<Factorization>,
     cfg: AdmmConfig,
     /// Effective penalty: `cfg.rho` scaled by the mean Gram diagonal
-    /// ([`effective_rho`]), fixed at construction alongside the factorisation.
+    /// ([`effective_rho`]) of the full problem, fixed at construction and
+    /// shared by every active-set sub-problem.
     rho: f64,
     metrics: Option<Arc<MetricsRegistry>>,
 }
 
 impl LassoAdmm {
-    /// Build the solver, factoring the x-update system once. The
-    /// effective penalty is `cfg.rho` times the mean Gram diagonal
-    /// ([`effective_rho`]), so convergence behaviour is invariant to the
-    /// overall scale of the design.
+    /// Build the solver. The effective penalty is `cfg.rho` times the
+    /// mean Gram diagonal ([`effective_rho`]), so convergence behaviour is
+    /// invariant to the overall scale of the design. For `p <= n` the
+    /// upper Gram is formed here; no factorisation happens until a solve
+    /// needs one.
     pub fn new(x: Matrix, cfg: AdmmConfig) -> Self {
-        Self::try_new(x, cfg)
-            .map(|(solver, _)| solver)
-            .expect("ADMM system must factor (is the design non-finite?)")
-    }
-
-    /// Fallible [`LassoAdmm::new`]: rank-deficient systems climb the
-    /// deterministic jitter ladder instead of panicking, and the
-    /// consumed attempts/jitter are reported. Clean designs take the
-    /// plain factorisation and are bit-identical to the historical
-    /// constructor (`attempts == 0`).
-    pub fn try_new(x: Matrix, cfg: AdmmConfig) -> Result<(Self, FactorHealth), FactorBreakdown> {
         assert!(cfg.rho > 0.0, "rho must be positive");
         let (n, p) = x.shape();
-        let (rho, factor, health) = if p <= n {
-            // Form the Gram here (rather than inside `factorize`) so its
-            // diagonal sets the penalty before the ridge is added — the
-            // exact sequence `from_gram(syrk_t(&x), cfg)` performs, which
-            // keeps the two constructors bit-identical for p <= n. The
-            // upper-stored form suffices: both the ridge and the
-            // factorisation touch only the upper triangle.
-            let mut gram = uoi_linalg::syrk_t_upper(&x).into_upper();
-            let diag_sum: f64 = (0..p).map(|i| gram[(i, i)]).sum();
-            let rho = effective_rho(cfg.rho, diag_sum, p);
-            for i in 0..p {
-                gram[(i, i)] += rho;
+        if p <= n {
+            // The exact Gram `from_gram(syrk_t(&x), cfg)` receives, which
+            // keeps the two constructors bit-identical for p <= n.
+            let gram = uoi_linalg::syrk_t_upper(&x).into_upper();
+            let mut solver = Self::from_gram(gram, cfg);
+            if let DesignStore::Gram { x: slot, .. } = &mut solver.design {
+                *slot = Some(x);
             }
-            let ladder = JitterLadder::for_matrix(&gram);
-            let jf = factor_upper_jittered(&gram, &ladder)?;
-            let health = FactorHealth {
-                attempts: jf.attempts,
-                jitter: jf.jitter,
-                condest: None,
-            };
-            (rho, Factorization::Primal(jf.chol), health)
+            solver
         } else {
             // Woodbury path never forms the p x p Gram; its diagonal is
             // the per-column sum of squares, i.e. the sum over every entry.
             let diag_sum: f64 = x.as_slice().iter().map(|v| v * v).sum();
-            let rho = effective_rho(cfg.rho, diag_sum, p);
-            let (factor, health) = try_factorize(&x, rho)?;
-            (rho, factor, health)
-        };
-        Ok((
             Self {
-                design: DesignStore::Dense(x),
-                factor,
+                rho: effective_rho(cfg.rho, diag_sum, p),
+                design: DesignStore::Wide(x),
+                full: OnceLock::new(),
                 cfg,
-                rho,
                 metrics: None,
-            },
-            health,
-        ))
+            }
+        }
     }
 
-    /// Build the solver from a precomputed Gram matrix `X^T X` (consumed;
-    /// the effective penalty is added to its diagonal in place before
-    /// factoring).
+    /// Fallible [`LassoAdmm::new`] that factors the full x-update system
+    /// eagerly: rank-deficient systems climb the deterministic jitter
+    /// ladder instead of panicking, and the consumed attempts/jitter are
+    /// reported (`attempts == 0` on clean designs).
+    pub fn try_new(x: Matrix, cfg: AdmmConfig) -> Result<(Self, FactorHealth), FactorBreakdown> {
+        let solver = Self::new(x, cfg);
+        let health = solver.try_full_factor()?;
+        Ok((solver, health))
+    }
+
+    /// Build the solver from a precomputed Gram matrix `X^T X` (consumed
+    /// and kept pristine; active-set sub-Grams are gathered from it).
     ///
     /// Solves must then go through the `*_with_rhs` / [`Self::solve_warm_with`]
     /// entry points with a caller-supplied `X^T y`. For `p <= n` designs,
     /// `from_gram(syrk_t(&x), cfg)` is bit-identical to `new(x, cfg)`: the
-    /// same Gram is formed, the same penalty derived from its diagonal,
-    /// and the same factorisation path taken.
+    /// same Gram is kept, the same penalty derived from its diagonal, and
+    /// the same factorisations taken.
     ///
     /// Only the **upper** triangle (and the diagonal) of `gram` is read,
     /// so upper-stored matrices from the batched Gram engine
     /// (`uoi_linalg::gram`) can be passed directly, mirror skipped; a full
     /// symmetric matrix gives the same bits.
     pub fn from_gram(gram: Matrix, cfg: AdmmConfig) -> Self {
-        Self::try_from_gram(gram, cfg)
-            .map(|(solver, _)| solver)
-            .expect("ADMM system must factor (is the Gram non-finite?)")
-    }
-
-    /// Fallible [`LassoAdmm::from_gram`]: singular Grams climb the
-    /// deterministic jitter ladder instead of panicking. Clean Grams
-    /// take the plain factorisation first and are bit-identical to the
-    /// historical constructor (`attempts == 0`).
-    pub fn try_from_gram(
-        mut gram: Matrix,
-        cfg: AdmmConfig,
-    ) -> Result<(Self, FactorHealth), FactorBreakdown> {
         assert!(cfg.rho > 0.0, "rho must be positive");
         let p = gram.rows();
         assert_eq!(p, gram.cols(), "from_gram: Gram matrix must be square");
         let diag_sum: f64 = (0..p).map(|i| gram[(i, i)]).sum();
-        let rho = effective_rho(cfg.rho, diag_sum, p);
-        for i in 0..p {
-            gram[(i, i)] += rho;
+        Self {
+            rho: effective_rho(cfg.rho, diag_sum, p),
+            design: DesignStore::Gram { gram, x: None },
+            full: OnceLock::new(),
+            cfg,
+            metrics: None,
         }
-        let ladder = JitterLadder::for_matrix(&gram);
-        let jf = factor_upper_jittered(&gram, &ladder)?;
-        Ok((
-            Self {
-                design: DesignStore::Gram { p },
-                factor: Factorization::Primal(jf.chol),
-                cfg,
-                rho,
-                metrics: None,
-            },
-            FactorHealth {
-                attempts: jf.attempts,
-                jitter: jf.jitter,
-                condest: None,
-            },
-        ))
     }
 
-    /// Rebuild a Gram-backed solver from an already-factored system —
-    /// the rho-restart path of the resilient wrapper, which keeps the
-    /// pristine Gram and refactors with an escalated penalty.
-    pub(crate) fn from_factor(p: usize, chol: Cholesky, cfg: AdmmConfig, rho: f64) -> Self {
+    /// Fallible [`LassoAdmm::from_gram`] that factors the full system
+    /// eagerly: singular Grams climb the deterministic jitter ladder
+    /// instead of panicking. Clean Grams take the plain factorisation
+    /// first (`attempts == 0`).
+    pub fn try_from_gram(
+        gram: Matrix,
+        cfg: AdmmConfig,
+    ) -> Result<(Self, FactorHealth), FactorBreakdown> {
+        let solver = Self::from_gram(gram, cfg);
+        let health = solver.try_full_factor()?;
+        Ok((solver, health))
+    }
+
+    /// Rebuild a Gram-backed solver around an already-factored full
+    /// system — the resilient wrapper factors eagerly (to report its
+    /// health) and for rho restarts under an escalated penalty.
+    pub(crate) fn from_factor(gram: Matrix, chol: Cholesky, cfg: AdmmConfig, rho: f64) -> Self {
         Self {
-            design: DesignStore::Gram { p },
-            factor: Factorization::Primal(chol),
+            design: DesignStore::Gram { gram, x: None },
+            full: OnceLock::from(Factorization::Primal(chol)),
             cfg,
             rho,
             metrics: None,
         }
+    }
+
+    /// The pristine Gram of a Gram-backed solver.
+    pub(crate) fn gram(&self) -> &Matrix {
+        match &self.design {
+            DesignStore::Gram { gram, .. } => gram,
+            DesignStore::Wide(_) => panic!("this solver holds a wide design, not a Gram"),
+        }
+    }
+
+    /// Factor the full x-update system `X^T X + rho I` (Woodbury form for
+    /// wide designs) through the jitter ladder.
+    fn build_full_factor(&self) -> Result<(Factorization, FactorHealth), FactorBreakdown> {
+        match &self.design {
+            DesignStore::Gram { gram, .. } => {
+                let mut ridged = gram.clone();
+                for i in 0..ridged.rows() {
+                    ridged[(i, i)] += self.rho;
+                }
+                let ladder = JitterLadder::for_matrix(&ridged);
+                let jf = factor_upper_jittered(&ridged, &ladder)?;
+                Ok((
+                    Factorization::Primal(jf.chol),
+                    FactorHealth {
+                        attempts: jf.attempts,
+                        jitter: jf.jitter,
+                        condest: None,
+                    },
+                ))
+            }
+            DesignStore::Wide(x) => try_factorize(x, self.rho),
+        }
+    }
+
+    /// Factor the full system now and cache it, reporting its health.
+    fn try_full_factor(&self) -> Result<FactorHealth, FactorBreakdown> {
+        let (factor, health) = self.build_full_factor()?;
+        let _ = self.full.set(factor);
+        Ok(health)
+    }
+
+    /// The full factor, built on first use.
+    fn full_factor(&self) -> &Factorization {
+        self.full.get_or_init(|| {
+            self.build_full_factor()
+                .map(|(f, _)| f)
+                .expect("ADMM system must factor (is the design non-finite?)")
+        })
     }
 
     /// The effective (data-scaled) penalty in force; see [`effective_rho`].
@@ -596,6 +689,14 @@ impl LassoAdmm {
         }
     }
 
+    /// Per-iteration residual-curve samples (metrics only).
+    fn note_iteration(&self, r_norm: f64, s_norm: f64) {
+        if let Some(m) = &self.metrics {
+            m.observe("admm.residual_curve.primal", r_norm);
+            m.observe("admm.residual_curve.dual", s_norm);
+        }
+    }
+
     /// Take the captured residual curve out of a workspace, decimated;
     /// empty when capture is off.
     fn take_curve(&self, ws: &mut AdmmWorkspace) -> Vec<f64> {
@@ -616,8 +717,8 @@ impl LassoAdmm {
 
     fn dense(&self) -> &Matrix {
         match &self.design {
-            DesignStore::Dense(x) => x,
-            DesignStore::Gram { .. } => {
+            DesignStore::Gram { x: Some(x), .. } | DesignStore::Wide(x) => x,
+            DesignStore::Gram { x: None, .. } => {
                 panic!("this solver was built from a Gram matrix and holds no design")
             }
         }
@@ -626,8 +727,8 @@ impl LassoAdmm {
     /// Number of coefficients.
     pub fn n_coefficients(&self) -> usize {
         match &self.design {
-            DesignStore::Dense(x) => x.cols(),
-            DesignStore::Gram { p } => *p,
+            DesignStore::Gram { gram, .. } => gram.rows(),
+            DesignStore::Wide(x) => x.cols(),
         }
     }
 
@@ -636,11 +737,12 @@ impl LassoAdmm {
         &self.cfg
     }
 
-    /// One ADMM iteration (x-, z-, u-updates and residual norms) operating
-    /// entirely in caller/workspace buffers. Returns
-    /// `(r_norm, s_norm, converged_now)`. Every arithmetic operation matches
-    /// the historical allocating implementation in order and association, so
-    /// iterates and convergence decisions are bit-identical to it.
+    /// One full-problem ADMM iteration (x-, z-, u-updates and residual
+    /// norms) operating entirely in caller/workspace buffers. Returns
+    /// `(r_norm, s_norm, converged_now)`. Every arithmetic operation
+    /// matches the historical allocating implementation in order and
+    /// association, so iterates and convergence decisions are
+    /// bit-identical to it.
     fn iterate(
         &self,
         xty: &[f64],
@@ -672,7 +774,7 @@ impl LassoAdmm {
         let AdmmWorkspace {
             rhs, x_var, wn, wt, ..
         } = ws;
-        match &self.factor {
+        match self.full_factor() {
             Factorization::Primal(ch) => {
                 x_var.clear();
                 x_var.extend_from_slice(rhs);
@@ -692,7 +794,9 @@ impl LassoAdmm {
     /// Iteration stage 3: z-/u-updates, residual norms (Boyd §3.3.1, fused
     /// — no r/s/rho_u temporaries), and the convergence decision, given a
     /// fresh `ws.x_var`. The vectorised prox is bit-identical to the
-    /// historical scalar z-update loop (see `uoi_linalg::kernels`).
+    /// historical scalar z-update loop (see `uoi_linalg::kernels`). On an
+    /// active-set sub-problem the vectors are `|S|`-long, so the absolute
+    /// tolerance scales with `sqrt(|S|)`.
     fn finish_iterate(
         &self,
         kappa: f64,
@@ -737,9 +841,10 @@ impl LassoAdmm {
         (r_norm, s_norm, r_norm <= eps_pri && s_norm <= eps_dual)
     }
 
-    /// In-place warm solve against a precomputed `X^T y`: iterates in the
-    /// caller's `z`/`u` buffers (the solution is left in `z`) using `ws`
-    /// scratch, performing zero heap allocations once the workspace is warm.
+    /// In-place warm solve of the full problem against a precomputed
+    /// `X^T y`: iterates in the caller's `z`/`u` buffers (the solution is
+    /// left in `z`) using `ws` scratch, performing zero heap allocations
+    /// once the workspace (and the lazily built full factor) is warm.
     pub fn solve_warm_with(
         &self,
         xty: &[f64],
@@ -794,19 +899,14 @@ impl LassoAdmm {
             let (r, s, conv) = self.iterate(xty, lambda, z, u, ws);
             r_norm = r;
             s_norm = s;
-            if let Some(m) = &self.metrics {
-                m.observe("admm.residual_curve.primal", r_norm);
-                m.observe("admm.residual_curve.dual", s_norm);
-            }
+            self.note_iteration(r_norm, s_norm);
             if conv {
                 converged = true;
                 break;
             }
-            if let Some(cap) = guard {
-                if !r_norm.is_finite() || !s_norm.is_finite() || r_norm > cap || s_norm > cap {
-                    diverged = true;
-                    break;
-                }
+            if guard.is_some_and(|cap| tripped(r_norm, s_norm, cap)) {
+                diverged = true;
+                break;
             }
         }
         self.note_solve(iterations, converged, r_norm, s_norm);
@@ -846,7 +946,7 @@ impl LassoAdmm {
         }
     }
 
-    /// Solve with warm-started `z` and `u` (the lambda-path accelerator).
+    /// Solve with warm-started `z` and `u`.
     pub fn solve_warm(
         &self,
         y: &[f64],
@@ -881,144 +981,319 @@ impl LassoAdmm {
         AdmmWorkspace::new()
     }
 
-    /// Fresh iteration state for [`LassoAdmm::step`].
+    /// Fresh screened-path state for [`LassoAdmm::begin_lambda`] /
+    /// [`LassoAdmm::step`], starting from `z = 0`.
     pub fn init_state(&self) -> AdmmState {
         let p = self.n_coefficients();
         AdmmState {
             z: vec![0.0; p],
-            u: vec![0.0; p],
             converged: false,
             iterations: 0,
             primal_residual: f64::INFINITY,
             dual_residual: f64::INFINITY,
+            lambda: f64::NAN,
+            grad: vec![0.0; p],
+            grad_fresh: false,
+            active: Vec::with_capacity(p),
+            in_active: vec![false; p],
+            zs: Vec::with_capacity(p),
+            us: Vec::with_capacity(p),
+            factor: PackedCholesky::new(),
+            factored: Vec::with_capacity(p),
+            factor_flops: 0.0,
             scratch: AdmmWorkspace::new(),
         }
     }
 
-    /// One explicit ADMM iteration (x-, z-, u-updates plus convergence
-    /// check), for callers that interleave iterations with communication
-    /// — the distributed `UoI_VAR` solver steps many per-column problems
-    /// in lockstep and allreduces between rounds. No-op once converged;
-    /// allocation-free after the first step (scratch lives in the state).
+    /// The per-λ transition of a screened Sequential path (sequential
+    /// strong rule, Tibshirani et al. 2012). With `β` the state's current
+    /// `z` (the previous λ's solution) and `c = X^T y - G β`, the active
+    /// set becomes
+    ///
+    /// ```text
+    /// S = supp(β) ∪ { j : |c_j| >= 2 λ - λ_prev }
+    /// ```
+    ///
+    /// where `λ_prev` is the previous λ (`||X^T y||_inf` on a fresh state).
+    /// `G_SS + rho I` is factored (reused when `S` is unchanged) and the
+    /// compact iterates restart from `z_S = β_S`, `u_S = 0`. Steps then
+    /// iterate on `S`; once the sub-problem meets tolerance, features off
+    /// `S` that violate KKT (`|c_j| > λ`) join it and the solve continues
+    /// — see [`LassoAdmm::step`].
+    pub fn begin_lambda(&self, xty: &[f64], lambda: f64, st: &mut AdmmState) {
+        let p = self.n_coefficients();
+        assert_eq!(xty.len(), p, "rhs length mismatch");
+        assert!(lambda >= 0.0);
+        if !st.grad_fresh {
+            self.refresh_gradient(xty, st);
+        }
+        let prev = if st.lambda.is_nan() {
+            xty.iter().fold(0.0_f64, |m, v| m.max(v.abs()))
+        } else {
+            st.lambda
+        };
+        let cut = 2.0 * lambda - prev;
+        {
+            let AdmmState {
+                z,
+                grad,
+                active,
+                in_active,
+                zs,
+                us,
+                ..
+            } = st;
+            active.clear();
+            for (j, member) in in_active.iter_mut().enumerate() {
+                // Non-finite gradients are kept, so corrupted inputs still
+                // reach the iteration and its divergence tripwire.
+                *member = z[j] != 0.0 || grad[j].is_nan() || grad[j].abs() >= cut;
+                if *member {
+                    active.push(j);
+                }
+            }
+            zs.clear();
+            zs.extend(active.iter().map(|&j| z[j]));
+            us.clear();
+            us.resize(active.len(), 0.0);
+        }
+        self.factor_active(st);
+        st.lambda = lambda;
+        st.converged = false;
+        st.iterations = 0;
+        st.primal_residual = f64::INFINITY;
+        st.dual_residual = f64::INFINITY;
+        st.scratch.curve.clear();
+    }
+
+    /// One screened ADMM iteration (x-, z-, u-updates plus convergence
+    /// check) on the state's active set, for callers that interleave
+    /// iterations with communication — the distributed `UoI_VAR` solver
+    /// steps many per-column problems in lockstep and allreduces between
+    /// rounds. A `lambda` other than the state's current one first runs
+    /// the [`LassoAdmm::begin_lambda`] transition. When the sub-problem
+    /// meets tolerance, the KKT conditions are checked over the
+    /// complement of the active set: violators join it (the factor is
+    /// rebuilt; continuing members keep their duals, newcomers start at
+    /// zero) and stepping continues; otherwise the state is converged. Callers cap the
+    /// steps per λ at `max_iter`, re-solves included. No-op once
+    /// converged; allocation-free once the state is warm.
     pub fn step(&self, xty: &[f64], lambda: f64, st: &mut AdmmState) {
+        if st.lambda.to_bits() != lambda.to_bits() {
+            self.begin_lambda(xty, lambda, st);
+        }
         if st.converged {
             return;
         }
         st.iterations += 1;
-        let (r_norm, s_norm, conv) = {
-            let AdmmState { z, u, scratch, .. } = st;
-            self.iterate(xty, lambda, z, u, scratch)
-        };
+        let (r_norm, s_norm, conv) = self.iterate_active(xty, lambda, st);
         st.primal_residual = r_norm;
         st.dual_residual = s_norm;
-        if conv {
+        if conv && !self.admit_violators(xty, lambda, st) {
             st.converged = true;
-            self.note_solve(st.iterations, true, st.primal_residual, st.dual_residual);
+            self.note_solve(st.iterations, true, r_norm, s_norm);
         }
     }
 
-    /// Run one per-task iteration stage, splitting across rayon workers
-    /// when more than one in-rank thread is configured. Tasks touch
-    /// disjoint state and each column's arithmetic is self-contained, so
-    /// the results are bit-identical regardless of execution order (and of
-    /// `threads`).
-    fn for_each_task<F>(&self, tasks: &mut [StepTask<'_>], f: F)
+    /// Advance every unconverged task one screened iteration
+    /// ([`LassoAdmm::step`]), splitting the columns across rayon workers
+    /// when more than one in-rank thread is configured. Each column owns
+    /// its active set and sub-factor, so its arithmetic is self-contained
+    /// and bit-identical to stepping it alone, for any `threads`.
+    pub fn step_many(&self, tasks: &mut [StepTask<'_>]) {
+        self.for_each(tasks, |t| self.step(t.xty, t.lambda, t.state));
+    }
+
+    /// Apply `f` to every item, across rayon workers when more than one
+    /// in-rank thread is configured. Items touch disjoint state, so the
+    /// results never depend on execution order (or on `threads`).
+    fn for_each<T: Send, F>(&self, items: &mut [T], f: F)
     where
-        F: Fn(&mut StepTask<'_>) + Sync,
+        F: Fn(&mut T) + Sync,
     {
         if self.cfg.threads > 1 {
             use rayon::prelude::*;
-            tasks.par_iter_mut().for_each(&f);
+            items.par_iter_mut().for_each(&f);
         } else {
-            tasks.iter_mut().for_each(f);
+            items.iter_mut().for_each(f);
         }
     }
 
-    /// Advance every unconverged task one ADMM iteration in lockstep,
-    /// fusing the round's triangular solves into a single multi-RHS
-    /// substitution over the shared Cholesky factor (the factorisation is
-    /// streamed through the cache once per round instead of once per
-    /// column).
-    ///
-    /// Per column the arithmetic matches [`LassoAdmm::step`] in order and
-    /// association, so iterates, residuals, and convergence decisions are
-    /// bit-identical to stepping each task individually — only the memory
-    /// schedule (and hence the constant factor) changes. See DESIGN.md §3.
-    pub fn step_many(&self, tasks: &mut [StepTask<'_>]) {
-        // Stage 1: rhs builds, per column.
-        self.for_each_task(tasks, |t| {
-            if t.state.converged {
-                return;
-            }
-            t.state.iterations += 1;
-            let AdmmState { z, u, scratch, .. } = &mut *t.state;
-            self.build_rhs(t.xty, z, u, scratch);
-        });
+    /// One iteration of the active-set sub-problem; `z` is refreshed in
+    /// full coordinates afterwards.
+    fn iterate_active(&self, xty: &[f64], lambda: f64, st: &mut AdmmState) -> (f64, f64, bool) {
+        let rho = self.rho;
+        let AdmmState {
+            z,
+            active,
+            zs,
+            us,
+            factor,
+            scratch,
+            grad_fresh,
+            ..
+        } = st;
+        let x_var = &mut scratch.x_var;
+        x_var.clear();
+        x_var.extend(active.iter().map(|&j| xty[j]));
+        for ((r, zi), ui) in x_var.iter_mut().zip(&*zs).zip(&*us) {
+            *r += rho * (zi - ui);
+        }
+        factor.solve_in_place(x_var);
+        let out = self.finish_iterate(lambda / rho, zs, us, scratch);
+        for (&j, &v) in active.iter().zip(&*zs) {
+            z[j] = v;
+        }
+        *grad_fresh = false;
+        out
+    }
 
-        // Stage 2: fused x-update across the active columns.
-        match &self.factor {
-            Factorization::Primal(ch) => {
-                self.for_each_task(tasks, |t| {
-                    if t.state.converged {
-                        return;
+    /// `grad = X^T y - G z` in full coordinates, touching only the
+    /// columns of `G` where `z` is non-zero.
+    fn refresh_gradient(&self, xty: &[f64], st: &mut AdmmState) {
+        let AdmmState {
+            z, grad, scratch, ..
+        } = st;
+        grad.clear();
+        grad.extend_from_slice(xty);
+        match &self.design {
+            DesignStore::Gram { gram, .. } => {
+                for (s, &b) in z.iter().enumerate() {
+                    if b == 0.0 {
+                        continue;
                     }
-                    let AdmmWorkspace { rhs, x_var, .. } = &mut t.state.scratch;
-                    x_var.clear();
-                    x_var.extend_from_slice(rhs);
-                });
-                let mut cols: Vec<&mut [f64]> = tasks
-                    .iter_mut()
-                    .filter(|t| !t.state.converged)
-                    .map(|t| t.state.scratch.x_var.as_mut_slice())
-                    .collect();
-                ch.solve_multi_in_place(&mut cols);
+                    // Upper storage: column s above the diagonal, then
+                    // row s from the diagonal on.
+                    for (i, g) in grad[..s].iter_mut().enumerate() {
+                        *g -= gram[(i, s)] * b;
+                    }
+                    for (g, &v) in grad[s..].iter_mut().zip(&gram.row(s)[s..]) {
+                        *g -= v * b;
+                    }
+                }
             }
-            Factorization::Woodbury(ch) => {
-                self.for_each_task(tasks, |t| {
-                    if t.state.converged {
-                        return;
-                    }
-                    let AdmmWorkspace { rhs, wn, .. } = &mut t.state.scratch;
-                    gemv_into(self.dense(), rhs, wn);
-                });
-                let mut cols: Vec<&mut [f64]> = tasks
-                    .iter_mut()
-                    .filter(|t| !t.state.converged)
-                    .map(|t| t.state.scratch.wn.as_mut_slice())
-                    .collect();
-                ch.solve_multi_in_place(&mut cols);
-                let rho = self.rho;
-                self.for_each_task(tasks, |t| {
-                    if t.state.converged {
-                        return;
-                    }
-                    let AdmmWorkspace {
-                        rhs, x_var, wn, wt, ..
-                    } = &mut t.state.scratch;
-                    gemv_t_into(self.dense(), wn, wt);
-                    x_var.clear();
-                    x_var.extend(rhs.iter().zip(&*wt).map(|(vi, wi)| (vi - wi) / rho));
-                });
+            DesignStore::Wide(x) => {
+                let xz = &mut scratch.wn;
+                xz.clear();
+                xz.extend((0..x.rows()).map(|r| {
+                    let row = x.row(r);
+                    z.iter()
+                        .zip(row)
+                        .filter(|(b, _)| **b != 0.0)
+                        .fold(0.0, |acc, (b, v)| acc + v * b)
+                }));
+                gemv_t_into(x, xz, &mut scratch.wt);
+                for (g, v) in grad.iter_mut().zip(&scratch.wt) {
+                    *g -= v;
+                }
             }
         }
+        st.grad_fresh = true;
+    }
 
-        // Stage 3: z-/u-updates, residuals, convergence — per column.
-        self.for_each_task(tasks, |t| {
-            if t.state.converged {
-                return;
+    /// Entry `(i, j)`, `j <= i`, of the active-set Gram `G_SS` (upper
+    /// storage: `S` is sorted, so `S_j <= S_i`).
+    fn active_gram_entry(&self, active: &[usize], i: usize, j: usize) -> f64 {
+        let (a, b) = (active[j], active[i]);
+        match &self.design {
+            DesignStore::Gram { gram, .. } => gram[(a, b)],
+            DesignStore::Wide(x) => (0..x.rows()).fold(0.0, |acc, r| acc + x[(r, a)] * x[(r, b)]),
+        }
+    }
+
+    /// Factor `G_SS + rho I` for the state's active set into its reusable
+    /// factor buffer, unless it already holds that set's factor. A
+    /// breakdown (possible only when the ridge is negligible against the
+    /// Gram's scale) walks the deterministic jitter ladder.
+    fn factor_active(&self, st: &mut AdmmState) {
+        if st.factored == st.active {
+            return;
+        }
+        let rho = self.rho;
+        let AdmmState {
+            active,
+            factor,
+            factored,
+            factor_flops,
+            ..
+        } = st;
+        let m = active.len();
+        let entry = |i: usize, j: usize, tau: f64| {
+            let g = self.active_gram_entry(active, i, j);
+            if i == j {
+                g + rho + tau
+            } else {
+                g
             }
-            let kappa = t.lambda / self.rho;
-            let (r_norm, s_norm, conv) = {
-                let AdmmState { z, u, scratch, .. } = &mut *t.state;
-                self.finish_iterate(kappa, z, u, scratch)
-            };
-            t.state.primal_residual = r_norm;
-            t.state.dual_residual = s_norm;
-            if conv {
-                t.state.converged = true;
-                self.note_solve(t.state.iterations, true, r_norm, s_norm);
+        };
+        if factor.refactor_with(m, |i, j| entry(i, j, 0.0)).is_err() {
+            let trace: f64 = (0..m).map(|i| entry(i, i, 0.0)).sum();
+            let ladder = JitterLadder::for_gram(trace, m);
+            let recovered = (1..=ladder.max_attempts).any(|k| {
+                let tau = ladder.jitter_at(k);
+                factor.refactor_with(m, |i, j| entry(i, j, tau)).is_ok()
+            });
+            assert!(
+                recovered,
+                "ADMM active-set system must factor (is the Gram non-finite?)"
+            );
+        }
+        factored.clear();
+        factored.extend_from_slice(active);
+        *factor_flops += admm_sub_factor_flops(m);
+    }
+
+    /// KKT check over the complement of the active set, run when the
+    /// sub-problem meets tolerance: every `j` off `S` with `|c_j| > λ`
+    /// joins it. Returns whether `S` grew; if so the compact iterates are
+    /// re-gathered over the enlarged (still sorted) set — continuing
+    /// members keep their `z`/`u`, newcomers start at zero — and the
+    /// factor is rebuilt. Leaves `grad` fresh for the next transition.
+    fn admit_violators(&self, xty: &[f64], lambda: f64, st: &mut AdmmState) -> bool {
+        self.refresh_gradient(xty, st);
+        let AdmmState {
+            grad,
+            active,
+            in_active,
+            zs,
+            us,
+            ..
+        } = st;
+        let mut added = 0;
+        for (member, g) in in_active.iter_mut().zip(&*grad) {
+            // Non-finite gradients count as violators (see begin_lambda).
+            if !*member && (g.is_nan() || g.abs() > lambda) {
+                *member = true;
+                added += 1;
             }
-        });
+        }
+        if added == 0 {
+            return false;
+        }
+        // Merge from the back, in place: the new set is a superset, so
+        // each write lands at or after the old entry it may displace.
+        let mut old = active.len();
+        let mut k = old + added;
+        active.resize(k, 0);
+        zs.resize(k, 0.0);
+        us.resize(k, 0.0);
+        for j in (0..in_active.len()).rev().filter(|&j| in_active[j]) {
+            k -= 1;
+            if old > 0 && active[old - 1] == j {
+                old -= 1;
+                zs[k] = zs[old];
+                us[k] = us[old];
+            } else {
+                zs[k] = 0.0;
+                us[k] = 0.0;
+            }
+            active[k] = j;
+        }
+        self.factor_active(st);
+        if let Some(m) = &self.metrics {
+            m.incr("admm.kkt_reentries", 1);
+        }
+        true
     }
 
     /// Solve with residual-balancing adaptive `rho` (Boyd §3.4.1):
@@ -1119,7 +1394,7 @@ impl LassoAdmm {
     /// With metrics attached, each path step records
     /// `admm.path.iterations`; a step counts as a *warm-start hit*
     /// (`admm.path.warm_hits`) when it converges in no more iterations
-    /// than the cold first step did.
+    /// than the first step did.
     pub fn solve_path(&self, y: &[f64], lambdas: &[f64]) -> Vec<AdmmSolution> {
         // X^T y is shared by the whole path: compute it once per
         // (design, response), not once per lambda.
@@ -1130,26 +1405,53 @@ impl LassoAdmm {
     /// [`LassoAdmm::solve_path`] against a precomputed `X^T y` — the entry
     /// point for solvers built with [`LassoAdmm::from_gram`], where the rhs
     /// comes from a weighted `gemv_t` over the unsampled design.
+    ///
+    /// On the Sequential schedule each λ is a screened active-set solve
+    /// ([`LassoAdmm::begin_lambda`] then [`LassoAdmm::step`] up to
+    /// `max_iter` times), warm-started from the previous λ's solution; on
+    /// the Fused schedule see [`LassoAdmm::solve_path_fused_with_rhs`].
     pub fn solve_path_with_rhs(&self, xty: &[f64], lambdas: &[f64]) -> Vec<AdmmSolution> {
+        self.solve_path_guarded(xty, lambdas, None).0
+    }
+
+    /// The Sequential (screened) or Fused path, with the divergence
+    /// tripwire armed when `guard` is set.
+    fn solve_path_guarded(
+        &self,
+        xty: &[f64],
+        lambdas: &[f64],
+        guard: Option<f64>,
+    ) -> (Vec<AdmmSolution>, Vec<usize>) {
         if self.cfg.schedule == PathSchedule::Fused {
-            return self.solve_path_fused_with_rhs(xty, lambdas);
+            return self.solve_path_fused(xty, lambdas, guard);
         }
-        let p = self.n_coefficients();
-        let mut z = vec![0.0; p];
-        let mut u = vec![0.0; p];
-        let mut ws = AdmmWorkspace::new();
+        let mut st = self.init_state();
         let mut out = Vec::with_capacity(lambdas.len());
-        let mut cold_iters = None;
-        for &lam in lambdas {
-            // Warm start keeps z from the previous lambda; the dual restarts
-            // from zero each step (cheap effective warm start).
-            u.iter_mut().for_each(|v| *v = 0.0);
-            let st = self.solve_warm_with(xty, lam, &mut z, &mut u, &mut ws);
+        let mut diverged_idx = Vec::new();
+        let mut first_iters = None;
+        for (idx, &lam) in lambdas.iter().enumerate() {
+            self.begin_lambda(xty, lam, &mut st);
+            let mut trip = false;
+            for _ in 0..self.cfg.max_iter {
+                self.step(xty, lam, &mut st);
+                self.note_iteration(st.primal_residual, st.dual_residual);
+                if st.converged {
+                    break;
+                }
+                if guard.is_some_and(|cap| tripped(st.primal_residual, st.dual_residual, cap)) {
+                    trip = true;
+                    break;
+                }
+            }
+            if !st.converged {
+                // Converged solves were noted by `step`.
+                self.note_solve(st.iterations, false, st.primal_residual, st.dual_residual);
+            }
             if let Some(m) = &self.metrics {
                 m.incr("admm.path.solves", 1);
                 m.observe("admm.path.iterations", st.iterations as f64);
-                match cold_iters {
-                    None => cold_iters = Some(st.iterations),
+                match first_iters {
+                    None => first_iters = Some(st.iterations),
                     Some(baseline) if st.converged && st.iterations <= baseline => {
                         m.incr("admm.path.warm_hits", 1);
                     }
@@ -1157,22 +1459,30 @@ impl LassoAdmm {
                 }
             }
             out.push(AdmmSolution {
-                beta: z.clone(),
+                beta: st.z.clone(),
                 iterations: st.iterations,
                 primal_residual: st.primal_residual,
                 dual_residual: st.dual_residual,
                 converged: st.converged,
-                curve: self.take_curve(&mut ws),
+                curve: self.take_curve(&mut st.scratch),
             });
+            if trip {
+                // Restart the next λ from a defined state instead of the
+                // diverged garbage.
+                diverged_idx.push(idx);
+                st.z.iter_mut().for_each(|v| *v = 0.0);
+                st.grad_fresh = false;
+            }
         }
-        out
+        (out, diverged_idx)
     }
 
     /// Solve the whole lambda path in lockstep from cold starts
     /// ([`PathSchedule::Fused`]): every still-active lambda advances one
     /// iteration per round, and each round's triangular solves collapse
-    /// into a single multi-RHS substitution over the shared Cholesky
-    /// factor via [`LassoAdmm::step_many`].
+    /// into a single multi-RHS substitution over the shared full factor.
+    /// Fused solves are not screened: the lockstep λs start cold and have
+    /// no predecessor solution for the strong rule to start from.
     ///
     /// Per lambda the returned solution is bit-identical (supports and
     /// `f64::to_bits` coefficients) to a cold [`LassoAdmm::solve_with_rhs`]
@@ -1180,53 +1490,7 @@ impl LassoAdmm {
     /// path order. With metrics attached, records `admm.path.solves`,
     /// `admm.path.iterations`, and `admm.path.fused_rounds`.
     pub fn solve_path_fused_with_rhs(&self, xty: &[f64], lambdas: &[f64]) -> Vec<AdmmSolution> {
-        let p = self.n_coefficients();
-        assert_eq!(xty.len(), p, "rhs length mismatch");
-        for &lam in lambdas {
-            assert!(lam >= 0.0);
-        }
-        let mut states: Vec<AdmmState> = lambdas.iter().map(|_| self.init_state()).collect();
-        let mut rounds = 0usize;
-        for _ in 0..self.cfg.max_iter {
-            if states.iter().all(|s| s.converged) {
-                break;
-            }
-            rounds += 1;
-            let mut tasks: Vec<StepTask<'_>> = states
-                .iter_mut()
-                .zip(lambdas)
-                .map(|(state, &lambda)| StepTask { xty, lambda, state })
-                .collect();
-            self.step_many(&mut tasks);
-        }
-        if let Some(m) = &self.metrics {
-            m.observe("admm.path.fused_rounds", rounds as f64);
-        }
-        let mut out = Vec::with_capacity(lambdas.len());
-        for st in states {
-            if !st.converged {
-                // Converged columns were already noted by `step_many`.
-                self.note_solve(st.iterations, false, st.primal_residual, st.dual_residual);
-            }
-            if let Some(m) = &self.metrics {
-                m.incr("admm.path.solves", 1);
-                m.observe("admm.path.iterations", st.iterations as f64);
-            }
-            let curve = if self.cfg.capture_curve {
-                decimate_curve(&st.scratch.curve, CURVE_MAX_POINTS)
-            } else {
-                Vec::new()
-            };
-            out.push(AdmmSolution {
-                beta: st.z,
-                iterations: st.iterations,
-                primal_residual: st.primal_residual,
-                dual_residual: st.dual_residual,
-                converged: st.converged,
-                curve,
-            });
-        }
-        out
+        self.solve_path_fused(xty, lambdas, None).0
     }
 
     /// OLS through the same machinery (`lambda = 0`), as the paper's
@@ -1244,53 +1508,16 @@ impl LassoAdmm {
     /// On the sequential schedule the consensus iterate is reset to zero
     /// after a trip, so the next lambda warm-starts from a defined state
     /// instead of the diverged garbage — keeping the remainder of the
-    /// path deterministic. Solves that never trip are bit-identical to
-    /// the unguarded path.
+    /// path deterministic. On the fused schedule a tripped column is
+    /// frozen. Solves that never trip are bit-identical to the unguarded
+    /// path.
     pub fn solve_path_guarded_with_rhs(
         &self,
         xty: &[f64],
         lambdas: &[f64],
         cap: f64,
     ) -> (Vec<AdmmSolution>, Vec<usize>) {
-        if self.cfg.schedule == PathSchedule::Fused {
-            return self.solve_path_fused_guarded_with_rhs(xty, lambdas, cap);
-        }
-        let p = self.n_coefficients();
-        let mut z = vec![0.0; p];
-        let mut u = vec![0.0; p];
-        let mut ws = AdmmWorkspace::new();
-        let mut out = Vec::with_capacity(lambdas.len());
-        let mut diverged_idx = Vec::new();
-        let mut cold_iters = None;
-        for (idx, &lam) in lambdas.iter().enumerate() {
-            u.iter_mut().for_each(|v| *v = 0.0);
-            let (st, tripped) =
-                self.solve_warm_guarded(xty, lam, &mut z, &mut u, &mut ws, Some(cap));
-            if let Some(m) = &self.metrics {
-                m.incr("admm.path.solves", 1);
-                m.observe("admm.path.iterations", st.iterations as f64);
-                match cold_iters {
-                    None => cold_iters = Some(st.iterations),
-                    Some(baseline) if st.converged && st.iterations <= baseline => {
-                        m.incr("admm.path.warm_hits", 1);
-                    }
-                    Some(_) => {}
-                }
-            }
-            out.push(AdmmSolution {
-                beta: z.clone(),
-                iterations: st.iterations,
-                primal_residual: st.primal_residual,
-                dual_residual: st.dual_residual,
-                converged: st.converged,
-                curve: self.take_curve(&mut ws),
-            });
-            if tripped {
-                diverged_idx.push(idx);
-                z.iter_mut().for_each(|v| *v = 0.0);
-            }
-        }
-        (out, diverged_idx)
+        self.solve_path_guarded(xty, lambdas, Some(cap))
     }
 
     /// [`LassoAdmm::solve_path_fused_with_rhs`] with the divergence
@@ -1305,35 +1532,44 @@ impl LassoAdmm {
         lambdas: &[f64],
         cap: f64,
     ) -> (Vec<AdmmSolution>, Vec<usize>) {
+        self.solve_path_fused(xty, lambdas, Some(cap))
+    }
+
+    fn solve_path_fused(
+        &self,
+        xty: &[f64],
+        lambdas: &[f64],
+        guard: Option<f64>,
+    ) -> (Vec<AdmmSolution>, Vec<usize>) {
         let p = self.n_coefficients();
         assert_eq!(xty.len(), p, "rhs length mismatch");
         for &lam in lambdas {
             assert!(lam >= 0.0);
         }
-        let mut states: Vec<AdmmState> = lambdas.iter().map(|_| self.init_state()).collect();
-        let mut tripped = vec![false; lambdas.len()];
+        let mut cols: Vec<FusedColumn> = lambdas
+            .iter()
+            .map(|&lambda| FusedColumn {
+                lambda,
+                z: vec![0.0; p],
+                u: vec![0.0; p],
+                converged: false,
+                tripped: false,
+                iterations: 0,
+                primal_residual: f64::INFINITY,
+                dual_residual: f64::INFINITY,
+                ws: AdmmWorkspace::new(),
+            })
+            .collect();
         let mut rounds = 0usize;
         for _ in 0..self.cfg.max_iter {
-            if states.iter().all(|s| s.converged) {
+            if cols.iter().all(|c| c.converged || c.tripped) {
                 break;
             }
             rounds += 1;
-            let mut tasks: Vec<StepTask<'_>> = states
-                .iter_mut()
-                .zip(lambdas)
-                .map(|(state, &lambda)| StepTask { xty, lambda, state })
-                .collect();
-            self.step_many(&mut tasks);
-            for (flag, st) in tripped.iter_mut().zip(states.iter_mut()) {
-                if st.converged || *flag {
-                    continue;
-                }
-                let (r, s) = (st.primal_residual, st.dual_residual);
-                if !r.is_finite() || !s.is_finite() || r > cap || s > cap {
-                    *flag = true;
-                    // Freeze the column so later rounds skip it; the
-                    // collection below reports it as non-converged.
-                    st.converged = true;
+            self.fused_round(xty, &mut cols);
+            if let Some(cap) = guard {
+                for c in cols.iter_mut().filter(|c| !c.converged) {
+                    c.tripped |= tripped(c.primal_residual, c.dual_residual, cap);
                 }
             }
         }
@@ -1342,36 +1578,117 @@ impl LassoAdmm {
         }
         let mut out = Vec::with_capacity(lambdas.len());
         let mut diverged_idx = Vec::new();
-        for (i, st) in states.into_iter().enumerate() {
-            let converged = st.converged && !tripped[i];
-            if !converged {
-                // Genuinely converged columns were noted by `step_many`;
-                // frozen and capped-out ones are noted here.
-                self.note_solve(st.iterations, false, st.primal_residual, st.dual_residual);
+        for (i, c) in cols.into_iter().enumerate() {
+            if !c.converged {
+                // Converged columns were noted by `fused_round`; frozen
+                // and capped-out ones are noted here.
+                self.note_solve(c.iterations, false, c.primal_residual, c.dual_residual);
             }
             if let Some(m) = &self.metrics {
                 m.incr("admm.path.solves", 1);
-                m.observe("admm.path.iterations", st.iterations as f64);
+                m.observe("admm.path.iterations", c.iterations as f64);
+            }
+            if c.tripped {
+                diverged_idx.push(i);
             }
             let curve = if self.cfg.capture_curve {
-                decimate_curve(&st.scratch.curve, CURVE_MAX_POINTS)
+                decimate_curve(&c.ws.curve, CURVE_MAX_POINTS)
             } else {
                 Vec::new()
             };
-            if tripped[i] {
-                diverged_idx.push(i);
-            }
             out.push(AdmmSolution {
-                beta: st.z,
-                iterations: st.iterations,
-                primal_residual: st.primal_residual,
-                dual_residual: st.dual_residual,
-                converged,
+                beta: c.z,
+                iterations: c.iterations,
+                primal_residual: c.primal_residual,
+                dual_residual: c.dual_residual,
+                converged: c.converged,
                 curve,
             });
         }
         (out, diverged_idx)
     }
+
+    /// Advance every live fused column one full-problem iteration in
+    /// lockstep, fusing the round's triangular solves into a single
+    /// multi-RHS substitution over the shared full factor (streamed
+    /// through the cache once per round instead of once per column).
+    /// Per column the arithmetic matches a cold single-λ solve in order
+    /// and association, so iterates, residuals, and convergence decisions
+    /// are bit-identical to it. See DESIGN.md §3.
+    fn fused_round(&self, xty: &[f64], cols: &mut [FusedColumn]) {
+        let live = |c: &FusedColumn| !(c.converged || c.tripped);
+        // Stage 1: rhs builds, per column.
+        self.for_each(cols, |c| {
+            if live(c) {
+                c.iterations += 1;
+                self.build_rhs(xty, &c.z, &c.u, &mut c.ws);
+            }
+        });
+
+        // Stage 2: fused x-update across the live columns.
+        match self.full_factor() {
+            Factorization::Primal(ch) => {
+                self.for_each(cols, |c| {
+                    if live(c) {
+                        let AdmmWorkspace { rhs, x_var, .. } = &mut c.ws;
+                        x_var.clear();
+                        x_var.extend_from_slice(rhs);
+                    }
+                });
+                let mut bufs: Vec<&mut [f64]> = cols
+                    .iter_mut()
+                    .filter(|c| live(c))
+                    .map(|c| c.ws.x_var.as_mut_slice())
+                    .collect();
+                ch.solve_multi_in_place(&mut bufs);
+            }
+            Factorization::Woodbury(ch) => {
+                self.for_each(cols, |c| {
+                    if live(c) {
+                        let AdmmWorkspace { rhs, wn, .. } = &mut c.ws;
+                        gemv_into(self.dense(), rhs, wn);
+                    }
+                });
+                let mut bufs: Vec<&mut [f64]> = cols
+                    .iter_mut()
+                    .filter(|c| live(c))
+                    .map(|c| c.ws.wn.as_mut_slice())
+                    .collect();
+                ch.solve_multi_in_place(&mut bufs);
+                let rho = self.rho;
+                self.for_each(cols, |c| {
+                    if live(c) {
+                        let AdmmWorkspace {
+                            rhs, x_var, wn, wt, ..
+                        } = &mut c.ws;
+                        gemv_t_into(self.dense(), wn, wt);
+                        x_var.clear();
+                        x_var.extend(rhs.iter().zip(&*wt).map(|(vi, wi)| (vi - wi) / rho));
+                    }
+                });
+            }
+        }
+
+        // Stage 3: z-/u-updates, residuals, convergence — per column.
+        self.for_each(cols, |c| {
+            if live(c) {
+                let (r_norm, s_norm, conv) =
+                    self.finish_iterate(c.lambda / self.rho, &mut c.z, &mut c.u, &mut c.ws);
+                c.primal_residual = r_norm;
+                c.dual_residual = s_norm;
+                if conv {
+                    c.converged = true;
+                    self.note_solve(c.iterations, true, r_norm, s_norm);
+                }
+            }
+        });
+    }
+}
+
+/// The divergence tripwire: a non-finite residual, or either residual
+/// above `cap`.
+fn tripped(r_norm: f64, s_norm: f64, cap: f64) -> bool {
+    !r_norm.is_finite() || !s_norm.is_finite() || r_norm > cap || s_norm > cap
 }
 
 /// Approximate flop count of one ADMM iteration for a dense `n x p`
@@ -1394,6 +1711,19 @@ pub fn admm_iter_flops(n: usize, p: usize) -> f64 {
 /// reproduce today's modeled timelines bit for bit.
 pub fn lockstep_round_charges(active: usize, threads: usize) -> usize {
     active.div_ceil(threads.max(1))
+}
+
+/// Approximate flop count of one screened iteration on an `m`-feature
+/// active set: the primal-form iteration of an `m`-coefficient problem.
+pub fn admm_active_iter_flops(m: usize) -> f64 {
+    admm_iter_flops(m, m)
+}
+
+/// Approximate flop count of factoring an order-`m` active-set system
+/// (Cholesky, `m^3 / 3`); the gather and the KKT check are lower order.
+pub fn admm_sub_factor_flops(m: usize) -> f64 {
+    let m = m as f64;
+    m * m * m / 3.0
 }
 
 /// Approximate flop count of the one-time factorisation.
@@ -1449,7 +1779,7 @@ mod tests {
             for ((r, zi), ui) in rhs.iter_mut().zip(&z).zip(&u) {
                 *r += rho * (zi - ui);
             }
-            x_var = apply_inverse(x, &solver.factor, rho, &rhs);
+            x_var = apply_inverse(x, solver.full_factor(), rho, &rhs);
             z_old.copy_from_slice(&z);
             let xu: Vec<f64> = x_var.iter().zip(&u).map(|(a, b)| a + b).collect();
             if kappa > 0.0 {
@@ -2028,7 +2358,7 @@ mod tests {
             for (va, vb) in a.z.iter().zip(&b.z) {
                 assert_eq!(va.to_bits(), vb.to_bits());
             }
-            for (va, vb) in a.u.iter().zip(&b.u) {
+            for (va, vb) in a.us.iter().zip(&b.us) {
                 assert_eq!(va.to_bits(), vb.to_bits());
             }
         }

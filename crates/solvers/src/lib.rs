@@ -3,9 +3,10 @@
 //! The constrained-convex-optimisation layer of the UoI workspace
 //! (paper §II-C):
 //!
-//! * [`admm::LassoAdmm`] — serial LASSO-ADMM with cached Cholesky /
-//!   Woodbury factorisation, warm-started lambda paths, and OLS via
-//!   `lambda = 0`;
+//! * [`admm::LassoAdmm`] — serial LASSO-ADMM with warm-started,
+//!   strong-rule screened lambda paths on active-set factors, a lazily
+//!   cached full Cholesky / Woodbury factorisation for single-lambda and
+//!   fused solves, and OLS via `lambda = 0`;
 //! * [`admm_dist::DistLassoAdmm`] — consensus ADMM with row-wise sample
 //!   splitting over a simulated communicator (the paper's
 //!   `MPI_Allreduce`-dominated solver);
@@ -28,9 +29,9 @@ pub mod prox;
 pub mod resilience;
 
 pub use admm::{
-    admm_factor_flops, admm_iter_flops, lockstep_round_charges, AdmmConfig, AdmmConfigBuilder,
-    AdmmSolution, AdmmState, AdmmStatus, AdmmWorkspace, InvalidConfig, LassoAdmm, PathSchedule,
-    StepTask,
+    admm_active_iter_flops, admm_factor_flops, admm_iter_flops, admm_sub_factor_flops,
+    lockstep_round_charges, AdmmConfig, AdmmConfigBuilder, AdmmSolution, AdmmState, AdmmStatus,
+    AdmmWorkspace, InvalidConfig, LassoAdmm, PathSchedule, StepTask, PATH_VARIANT,
 };
 pub use admm_dist::DistLassoAdmm;
 pub use cd::{lasso_cd, lasso_cd_warm, mcp_cd, ridge, scad_cd, CdConfig};

@@ -187,13 +187,15 @@ impl PathHealth {
 /// ladder: jitter-defended factorisation, per-solve divergence
 /// tripwires, and bounded rho restarts for diverged lambdas.
 ///
-/// Keeps the pristine (un-ridged) Gram — an O(p²) clone against the
-/// O(p³) factorisation — so restart factors can be rebuilt under an
-/// escalated or relaxed penalty without access to the design.
+/// Factors the full system eagerly, so breakdown and conditioning are
+/// known (and reported) at construction; clean paths then run the same
+/// screened Sequential solves as [`LassoAdmm`]. The wrapped solver keeps
+/// the pristine (un-ridged) Gram, so restart factors can be rebuilt
+/// under an escalated or relaxed penalty without access to the design.
 pub struct ResilientLasso {
+    /// The wrapped solver; it keeps the un-ridged Gram, which restart
+    /// refactorisations read.
     inner: LassoAdmm,
-    /// The un-ridged Gram, for restart refactorisation.
-    gram: Matrix,
     cfg: AdmmConfig,
     res: ResilienceConfig,
     factor_health: FactorHealth,
@@ -207,7 +209,7 @@ pub struct ResilientLasso {
 impl ResilientLasso {
     /// Build from a precomputed Gram (consumed). Equivalent to
     /// [`LassoAdmm::from_gram`] on the clean path: same penalty, same
-    /// ridge, same factorisation, same bits.
+    /// factorisations, same bits.
     pub fn from_gram(
         gram: Matrix,
         cfg: AdmmConfig,
@@ -236,10 +238,9 @@ impl ResilientLasso {
             jitter: jf.jitter,
             condest,
         };
-        let inner = LassoAdmm::from_factor(p, jf.chol, cfg.clone(), base_rho);
+        let inner = LassoAdmm::from_factor(gram, jf.chol, cfg.clone(), base_rho);
         Ok(Self {
             inner,
-            gram,
             cfg,
             res,
             factor_health,
@@ -291,14 +292,14 @@ impl ResilientLasso {
             } else {
                 self.base_rho / scale
             };
-            let p = self.gram.rows();
-            let mut ridged = self.gram.clone();
-            for i in 0..p {
+            let gram = self.inner.gram().clone();
+            let mut ridged = gram.clone();
+            for i in 0..ridged.rows() {
                 ridged[(i, i)] += rho;
             }
             let ladder = JitterLadder::for_matrix(&ridged);
             let jf = factor_upper_jittered(&ridged, &ladder).ok()?;
-            let solver = LassoAdmm::from_factor(p, jf.chol, self.cfg.clone(), rho);
+            let solver = LassoAdmm::from_factor(gram, jf.chol, self.cfg.clone(), rho);
             self.restarts.insert((increase, rung), solver);
         }
         self.restarts.get(&(increase, rung))

@@ -1,31 +1,53 @@
-//! Enforces the tentpole allocation contract: once the caller's buffers
-//! and [`AdmmWorkspace`] are warm, `LassoAdmm::solve_warm_with` performs
-//! zero heap allocations per solve. A counting global allocator makes the
-//! claim falsifiable rather than aspirational.
+//! Enforces the allocation contract of the ADMM inner loops: once the
+//! caller's buffers and [`AdmmWorkspace`] are warm, `LassoAdmm::solve_warm_with`
+//! performs zero heap allocations per solve, and once an [`AdmmState`] is
+//! warm, a whole screened λ path driven through `begin_lambda`/`step` —
+//! active-set gathers, sub-factorisations and KKT re-entries included —
+//! performs none either. A counting global allocator makes the claim
+//! falsifiable rather than aspirational.
+//!
+//! Allocations are counted per thread: the harness runs tests on sibling
+//! threads, and a process-global counter would charge one test for
+//! another's allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
+use std::sync::Arc;
 
 use uoi_linalg::Matrix;
-use uoi_solvers::{AdmmConfig, AdmmWorkspace, LassoAdmm, ResilienceConfig, ResilientLasso};
+use uoi_solvers::{
+    AdmmConfig, AdmmState, AdmmWorkspace, LassoAdmm, ResilienceConfig, ResilientLasso,
+};
+use uoi_telemetry::MetricsRegistry;
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn bump() {
+    // `try_with`: the slot is gone while a thread tears down its locals.
+    let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+}
+
+fn allocations() -> usize {
+    ALLOCATIONS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
-        System.alloc(layout)
+        bump();
+        unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
+        unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
-        System.realloc(ptr, layout, new_size)
+        bump();
+        unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
 
@@ -44,16 +66,17 @@ fn warm_then_count(solver: &LassoAdmm, xty: &[f64], p: usize) -> usize {
     let mut z = vec![0.0; p];
     let mut u = vec![0.0; p];
 
-    // First solve grows the workspace buffers to their steady-state size.
+    // First solve grows the workspace buffers to their steady-state size
+    // (and builds the lazily factored full system).
     let warm = solver.solve_warm_with(xty, 0.1, &mut z, &mut u, &mut ws);
     assert!(warm.iterations > 0);
 
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     for lambda in [0.3, 0.1, 0.05, 0.01, 0.0] {
         let status = solver.solve_warm_with(xty, lambda, &mut z, &mut u, &mut ws);
         assert!(status.iterations > 0);
     }
-    ALLOCATIONS.load(Ordering::SeqCst) - before
+    allocations() - before
 }
 
 #[test]
@@ -110,13 +133,13 @@ fn clean_guarded_path_allocates_no_more_than_unguarded() {
     let _ = plain.solve_path_with_rhs(&xty, &lambdas);
     let _ = guarded.solve_path_with_rhs(&xty, &lambdas);
 
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     let base = plain.solve_path_with_rhs(&xty, &lambdas);
-    let plain_allocs = ALLOCATIONS.load(Ordering::SeqCst) - before;
+    let plain_allocs = allocations() - before;
 
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     let (sols, health) = guarded.solve_path_with_rhs(&xty, &lambdas);
-    let guarded_allocs = ALLOCATIONS.load(Ordering::SeqCst) - before;
+    let guarded_allocs = allocations() - before;
 
     assert!(health.is_clean());
     assert_eq!(base.len(), sols.len());
@@ -139,5 +162,89 @@ fn warm_solve_is_allocation_free_woodbury() {
     assert_eq!(
         allocs, 0,
         "woodbury solve_warm_with allocated on the warm path"
+    );
+}
+
+/// Drive a screened path through the per-λ transition and single steps,
+/// as `solve_path_with_rhs` does; returns the iterations summed over λ.
+fn drive_path(solver: &LassoAdmm, xty: &[f64], lambdas: &[f64], st: &mut AdmmState) -> usize {
+    let mut iterations = 0;
+    for &lam in lambdas {
+        solver.begin_lambda(xty, lam, st);
+        for _ in 0..solver.config().max_iter {
+            solver.step(xty, lam, st);
+            if st.converged {
+                break;
+            }
+        }
+        iterations += st.iterations;
+    }
+    iterations
+}
+
+/// The strong-rule trap (see `uoi_linalg::testgen::strong_rule_trap`)
+/// on its tripping grid, then down to λ = 0 so every buffer reaches its
+/// full size.
+fn reentry_problem() -> (Matrix, Vec<f64>, Vec<f64>) {
+    let (x, y) = uoi_linalg::testgen::strong_rule_trap(7, 40, 16);
+    let gram = uoi_linalg::syrk_t(&x);
+    let xty = uoi_linalg::gemv_t(&x, &y);
+    let lmax = xty.iter().fold(0.0_f64, |m, v| m.max(v.abs()));
+    let lambdas: Vec<f64> = [0.97, 0.9, 0.84, 0.5, 0.2, 0.0]
+        .iter()
+        .map(|r| r * lmax)
+        .collect();
+    (gram, xty, lambdas)
+}
+
+#[test]
+fn warm_screened_path_is_allocation_free_across_kkt_reentry() {
+    let (gram, xty, lambdas) = reentry_problem();
+    let cfg = AdmmConfig {
+        max_iter: 5000,
+        ..AdmmConfig::default()
+    };
+    let solver = LassoAdmm::from_gram(gram.clone(), cfg.clone());
+
+    // The driven path is the public path solve.
+    let reference = solver.solve_path_with_rhs(&xty, &lambdas);
+    let mut warm = solver.init_state();
+    let mut driven = Vec::new();
+    for &lam in &lambdas {
+        drive_path(&solver, &xty, &[lam], &mut warm);
+        driven.push(warm.z.clone());
+    }
+    for (a, b) in reference.iter().zip(&driven) {
+        for (va, vb) in a.beta.iter().zip(b) {
+            assert_eq!(va.to_bits(), vb.to_bits());
+        }
+    }
+
+    // Warm-up pass: λ = 0 makes the active set all of p, so every
+    // buffer reaches its steady-state size. Measured pass: the same path
+    // again, from the warm state.
+    let mut st = solver.init_state();
+    drive_path(&solver, &xty, &lambdas, &mut st);
+    let before = allocations();
+    let iterations = drive_path(&solver, &xty, &lambdas, &mut st);
+    let allocs = allocations() - before;
+    assert!(iterations > 0);
+    assert_eq!(allocs, 0, "warm screened path allocated");
+
+    // The same two passes on a twin that counts re-entries (metrics only
+    // observe; the iterates are identical): the measured pass re-enters.
+    let metrics = Arc::new(MetricsRegistry::new());
+    let twin = LassoAdmm::from_gram(gram, cfg).with_metrics(metrics.clone());
+    let mut st = twin.init_state();
+    drive_path(&twin, &xty, &lambdas, &mut st);
+    let warm_reentries = metrics.counter("admm.kkt_reentries");
+    assert!(
+        warm_reentries > 0,
+        "the design must exercise a KKT re-entry"
+    );
+    drive_path(&twin, &xty, &lambdas, &mut st);
+    assert!(
+        metrics.counter("admm.kkt_reentries") > warm_reentries,
+        "the measured pass must re-enter too"
     );
 }
