@@ -1,12 +1,15 @@
 //! Distributed `UoI_LASSO` (paper Algorithm 1 + §III): the full
 //! Map-Solve-Reduce pipeline over the simulated cluster.
 //!
-//! * **Map** — each ADMM rank keeps a resident Tier-1 row block; every
-//!   bootstrap resample is materialised by a Tier-2 one-sided shuffle
-//!   ([`uoi_tieredio::tier2_shuffle`], Fig 1a/1c).
+//! * **Map** — each ADMM rank keeps a resident Tier-1 row block and owns a
+//!   block-striped share of every bootstrap resample. Per stage, the
+//!   distinct rows of all its shares arrive by ONE Tier-2 one-sided
+//!   shuffle ([`uoi_tieredio::tier2_shuffle`], Fig 1a/1c), and one
+//!   batched weighted-Gram pass ([`uoi_linalg::gram_rhs_batch`], the
+//!   serial fit's kernel) builds every share's local Gram and rhs.
 //! * **Solve** — consensus LASSO-ADMM across the ADMM communicator
-//!   ([`uoi_solvers::DistLassoAdmm`]); OLS is the same solver at
-//!   `lambda = 0`.
+//!   ([`uoi_solvers::DistLassoAdmm`], built from the local Gram); OLS is
+//!   the same solver at `lambda = 0`.
 //! * **Reduce** — support intersection (eq. 3) through a single world
 //!   `Allreduce` of per-lambda selection-count indicators; estimate
 //!   averaging (eq. 4) through a world `Allreduce` of the winning OLS
@@ -146,36 +149,39 @@ pub fn fit_uoi_lasso_dist(
     };
 
     // --- Model selection ---
+    // Map: one pull of the rank's bootstrap shares, then one batched
+    // Gram pass ([`selection_map`]). A share is a multiset of pulled
+    // rows, so its local system is the multiplicity-weighted Gram — the
+    // serial fit's zero-copy contract, restricted to the rank's share.
     // votes[j*p + f] = number of bootstraps whose lambda_j support
     // contains f (group leaders contribute; one vote per (k, j)).
     let sel_span = ctx.span_enter("uoi.selection");
     let mut votes = vec![0.0; cfg.q * p];
-    for &k in &layout.bootstraps_for(comms.b_group, cfg.b1) {
-        if plan.is_some_and(|pl| pl.selection_failed(k)) {
-            continue;
-        }
-        let mut rng = substream(cfg.seed, k as u64);
-        let idx = row_bootstrap(&mut rng, n, n);
-        let my_slice = &idx[block_range(n, c, admm_rank)];
-        let (data, _t) = tier2_shuffle(ctx, &comms.admm_comm, resident.clone(), n, my_slice);
-        let (xb, yb) = split_block(&data, p);
-        // Residual-curve capture is symmetric across ranks (it never
-        // touches a collective), and only group leaders emit the record.
-        let mut admm = cfg.admm.clone();
-        admm.capture_curve = ctx.telemetry().tracing_enabled();
-        let my_lambda_ids = layout.lambdas_for(comms.l_group, cfg.q);
-        let my_lambdas: Vec<f64> = my_lambda_ids.iter().map(|&j| lambdas[j]).collect();
+    let my_lambda_ids = layout.lambdas_for(comms.l_group, cfg.q);
+    let my_lambdas: Vec<f64> = my_lambda_ids.iter().map(|&j| lambdas[j]).collect();
+    let my_boots: Vec<usize> = layout
+        .bootstraps_for(comms.b_group, cfg.b1)
+        .into_iter()
+        .filter(|&k| !plan.is_some_and(|pl| pl.selection_failed(k)))
+        .collect();
+    let systems = selection_map(ctx, &comms.admm_comm, &resident, n, cfg.seed, &my_boots);
+    // Residual-curve capture is symmetric across ranks (it never touches
+    // a collective), and only group leaders emit the record.
+    let mut admm = cfg.admm.clone();
+    admm.capture_curve = ctx.telemetry().tracing_enabled();
+    for (&k, sys) in my_boots.iter().zip(&systems) {
         let sols = if !guarded {
-            let solver = DistLassoAdmm::new(ctx, &comms.admm_comm, xb, admm);
-            solver.solve_path(ctx, &comms.admm_comm, &yb, &my_lambdas)
+            sys.try_solver(ctx, &comms.admm_comm, admm.clone())
+                .expect("local ADMM system must factor (is the design non-finite?)")
+                .solve_path_with_rhs(ctx, &comms.admm_comm, &sys.xty, &my_lambdas)
         } else {
-            // Guarded construction. `try_new`'s only collective (the
+            // Guarded construction. The solver's only collective (the
             // penalty allreduce) runs before any rank can fail, so all
             // ranks reach the agreement allreduce below regardless of
             // who broke: [breakdowns, jitter attempts, jitter] summed
             // across the ADMM communicator gives every rank the same
             // verdict and the same (deterministic) health numbers.
-            let attempt = DistLassoAdmm::try_new(ctx, &comms.admm_comm, xb.clone(), admm.clone());
+            let attempt = sys.try_solver(ctx, &comms.admm_comm, admm.clone());
             let mut stats = match &attempt {
                 Ok(s) => {
                     let fh = s.factor_health();
@@ -211,12 +217,11 @@ pub fn fit_uoi_lasso_dist(
                 );
             }
             let solver = attempt.expect("no rank reported a factor breakdown");
-            let mut sols = solver.solve_path(ctx, &comms.admm_comm, &yb, &my_lambdas);
+            let mut sols = solver.solve_path_with_rhs(ctx, &comms.admm_comm, &sys.xty, &my_lambdas);
             recover_diverged_dist(
                 ctx,
                 &comms.admm_comm,
-                &xb,
-                &yb,
+                sys,
                 &admm,
                 cfg,
                 &lambdas,
@@ -268,9 +273,14 @@ pub fn fit_uoi_lasso_dist(
     ctx.span_exit(sel_span);
 
     // --- Model estimation ---
-    // Estimation bootstraps are spread over all (b, lambda) groups. Each
-    // bootstrap builds one local Gram over the family's column union;
-    // every support's distributed OLS then factors an |S|x|S| sub-Gram
+    // Estimation bootstraps are spread over all (b, lambda) groups. The
+    // candidate family only references its column union, so the resident
+    // block is projected onto the union plus the response *before* the
+    // pull (rows travel u+1 wide, not p+1). One pull fetches the distinct
+    // train and eval rows of every resample the rank serves; one batched
+    // pass builds each resample's union Gram from its train
+    // multiplicities; eval rows are scored in place in the pulled block.
+    // Every support's distributed OLS then factors an |S|x|S| sub-Gram
     // instead of re-gathering and re-factoring the shuffled design.
     let est_span = ctx.span_enter("uoi.estimation");
     let mut union: Vec<usize> = support_family.iter().flatten().copied().collect();
@@ -282,42 +292,50 @@ pub fn fit_uoi_lasso_dist(
     }
     let groups = layout.p_b * layout.p_lambda;
     let my_group = comms.b_group * layout.p_lambda + comms.l_group;
+    let my_est: Vec<usize> = (0..cfg.b2)
+        .filter(|&k| k % groups == my_group)
+        .filter(|&k| !plan.is_some_and(|pl| pl.estimation_failed(k)))
+        .collect();
+    // This rank's share of each resample's train and eval row lists.
+    let splits: Vec<(Vec<usize>, Vec<usize>)> = my_est
+        .iter()
+        .map(|&k| {
+            let mut rng = substream(cfg.seed, 10_000 + k as u64);
+            let (train_idx, eval_idx) = bootstrap_with_oob(&mut rng, n);
+            (
+                my_share(&train_idx, c, admm_rank),
+                my_share(&eval_idx, c, admm_rank),
+            )
+        })
+        .collect();
+    let pull = {
+        let mut keep = union.clone();
+        keep.push(p);
+        let projected = resident.gather_cols(&keep);
+        ctx.compute_membound((projected.len() * 8) as f64);
+        StagePull::new(
+            ctx,
+            &comms.admm_comm,
+            projected,
+            n,
+            splits
+                .iter()
+                .flat_map(|(train, eval)| [train.as_slice(), eval.as_slice()]),
+        )
+    };
+    let sp_gram = ctx.span_enter("gram_build.union");
+    let est_systems = {
+        let weights: Vec<Vec<f64>> = splits
+            .iter()
+            .map(|(train, _)| pull.weights(train))
+            .collect();
+        pull.gram_rhs(ctx, &weights)
+    };
+    ctx.span_exit(sp_gram);
+    let u = union.len();
     let mut est_sum = vec![0.0; p];
-    let mut pred: Vec<f64> = Vec::new();
-    for k in 0..cfg.b2 {
-        if k % groups != my_group {
-            continue;
-        }
-        if plan.is_some_and(|pl| pl.estimation_failed(k)) {
-            continue;
-        }
-        let mut rng = substream(cfg.seed, 10_000 + k as u64);
-        let (train_idx, eval_idx) = bootstrap_with_oob(&mut rng, n);
-        // Shuffle this rank's share of both resamples.
-        let my_train = my_share(&train_idx, c, admm_rank);
-        let (train, _) = tier2_shuffle(ctx, &comms.admm_comm, resident.clone(), n, &my_train);
-        let my_eval = my_share(&eval_idx, c, admm_rank);
-        let (eval, _) = tier2_shuffle(ctx, &comms.admm_comm, resident.clone(), n, &my_eval);
-        let (xt, yt) = split_block(&train, p);
-        let (xe, ye) = split_block(&eval, p);
-
-        // Per-bootstrap local union-Gram cache. Upper-stored: every
-        // consumer below reads canonical (min, max) coordinates, so the
-        // O(u^2) mirror pass is skipped. Charged as one streaming read of
-        // the projected design plus cache-resident tiled flops (the
-        // batched kernel's panel working set).
-        let sp_gram = ctx.span_enter("gram_build.union");
-        let xt_u = xt.gather_cols(&union);
-        let gram_u = uoi_linalg::syrk_t_upper(&xt_u).into_upper();
-        let xty_u = uoi_linalg::gemv_t(&xt_u, &yt);
-        ctx.compute_membound((xt_u.len() * 8) as f64);
-        ctx.compute_flops(
-            (xt_u.rows() * union.len() * (union.len() + 2)) as f64,
-            uoi_linalg::gram::gram_kernel_ws(union.len()),
-        );
-        ctx.span_exit(sp_gram);
-        let xe_u = xe.gather_cols(&union);
-
+    for ((&k, (train, eval)), (gram_u, xty_u)) in my_est.iter().zip(&splits).zip(est_systems) {
+        let eval_rows: Vec<usize> = eval.iter().map(|&r| pull.pos[r]).collect();
         let mut best: Option<(f64, Vec<f64>)> = None;
         // Worst-case OLS solver outcome across the candidate family —
         // the estimation task's convergence record.
@@ -336,32 +354,30 @@ pub fn fit_uoi_lasso_dist(
             });
             let rhs: Vec<f64> = support.iter().map(|&f| xty_u[union_pos[f]]).collect();
             let solver =
-                DistLassoAdmm::from_gram(ctx, &comms.admm_comm, sub, xt.rows(), cfg.admm.clone());
+                DistLassoAdmm::from_gram(ctx, &comms.admm_comm, sub, train.len(), cfg.admm.clone());
             let sol = solver.solve_ols_with_rhs(ctx, &comms.admm_comm, &rhs);
             est_iters = est_iters.max(sol.iterations);
             est_conv &= sol.converged;
             // Embed into full coordinates, plus union coordinates for the
             // evaluation pass.
             let mut beta = vec![0.0; p];
-            let mut beta_u = vec![0.0; union.len()];
+            let mut beta_u = vec![0.0; u];
             for (&f, &b) in support.iter().zip(&sol.beta) {
                 beta[f] = b;
                 beta_u[union_pos[f]] = b;
             }
             // Distributed evaluation loss: local SSE, allreduce 2 scalars.
             let sp_score = ctx.span_enter("scoring.eval");
-            uoi_linalg::gemv_into(&xe_u, &beta_u, &mut pred);
+            let mut sse = 0.0;
+            for &e in &eval_rows {
+                let d = uoi_linalg::dot(pull.x.row(e), &beta_u) - pull.y[e];
+                sse += d * d;
+            }
             ctx.compute_flops(
-                2.0 * (xe_u.rows() * union.len()) as f64,
-                (xe_u.len() * 8) as f64,
+                2.0 * (eval_rows.len() * u) as f64,
+                (eval_rows.len() * u * 8) as f64,
             );
-            let mut stats = vec![
-                pred.iter()
-                    .zip(&ye)
-                    .map(|(a, b)| (a - b) * (a - b))
-                    .sum::<f64>(),
-                ye.len() as f64,
-            ];
+            let mut stats = vec![sse, eval_rows.len() as f64];
             comms.admm_comm.allreduce_sum(ctx, &mut stats);
             ctx.span_exit(sp_score);
             let loss = stats[0] / stats[1].max(1.0);
@@ -430,9 +446,9 @@ pub fn fit_uoi_lasso_dist(
 /// The residuals in `sols` are consensus (allreduced) quantities, so
 /// every rank detects the same divergences and walks the same restart
 /// rungs — control flow stays collectively aligned. Each rung rebuilds
-/// the consensus solver at a Boyd-balanced escalated (or relaxed)
-/// penalty and cold-solves just the diverged lambda, mirroring the
-/// serial [`uoi_solvers::ResilientLasso`] recovery. A lambda that
+/// the consensus solver from the same local system at a Boyd-balanced
+/// escalated (or relaxed) penalty and cold-solves just the diverged
+/// lambda, mirroring the serial [`uoi_solvers::ResilientLasso`] recovery. A lambda that
 /// exhausts the budget degrades to the zero iterate — it then
 /// contributes no selection votes — and is recorded as a dropped
 /// divergence.
@@ -440,8 +456,7 @@ pub fn fit_uoi_lasso_dist(
 fn recover_diverged_dist(
     ctx: &mut RankCtx,
     comm: &Comm,
-    xb: &Matrix,
-    yb: &[f64],
+    sys: &LocalSystem,
     admm: &uoi_solvers::AdmmConfig,
     cfg: &UoiLassoConfig,
     lambdas: &[f64],
@@ -483,14 +498,14 @@ fn recover_diverged_dist(
             };
             // Same agreement protocol as construction: the restarted
             // factorisation may itself break on some rank.
-            let attempt = DistLassoAdmm::try_new(ctx, comm, xb.clone(), admm_r);
+            let attempt = sys.try_solver(ctx, comm, admm_r);
             let mut broke = vec![if attempt.is_err() { 1.0 } else { 0.0 }];
             comm.allreduce_sum(ctx, &mut broke);
             if broke[0] > 0.0 {
                 continue;
             }
             let solver = attempt.expect("no rank reported a factor breakdown");
-            let redo = solver.solve_path(ctx, comm, yb, &[lambdas[j]]);
+            let redo = solver.solve_path_with_rhs(ctx, comm, &sys.xty, &[lambdas[j]]);
             let sol = redo.into_iter().next().expect("one lambda was solved");
             if !tripped(&sol) {
                 sols[i] = sol;
@@ -509,12 +524,172 @@ fn recover_diverged_dist(
     ledger.note_path(num_tel, "selection", k, &health);
 }
 
-/// Split a `(rows x (p+1))` shuffled block into design and response.
-fn split_block(block: &Matrix, p: usize) -> (Matrix, Vec<f64>) {
-    let cols: Vec<usize> = (0..p).collect();
-    let x = block.gather_cols(&cols);
-    let y = block.col(p);
-    (x, y)
+/// One stage's Tier-2 pull: the sorted distinct global rows of every
+/// share a rank serves, fetched by a single one-sided shuffle and split
+/// into design and response (the block's last column).
+struct StagePull {
+    x: Matrix,
+    y: Vec<f64>,
+    /// Global row id -> its row in `x` (`usize::MAX` when not pulled).
+    pos: Vec<usize>,
+}
+
+impl StagePull {
+    /// Collective over `comm`: every rank pulls exactly once per stage,
+    /// even with no shares to serve.
+    fn new<'a>(
+        ctx: &mut RankCtx,
+        comm: &Comm,
+        resident: Matrix,
+        n: usize,
+        shares: impl IntoIterator<Item = &'a [usize]>,
+    ) -> Self {
+        let mut rows: Vec<usize> = shares.into_iter().flatten().copied().collect();
+        rows.sort_unstable();
+        rows.dedup();
+        let (block, _) = tier2_shuffle(ctx, comm, resident, n, &rows);
+        let w = block.cols() - 1;
+        let x = block.gather_cols(&(0..w).collect::<Vec<_>>());
+        let y = block.col(w);
+        let mut pos = vec![usize::MAX; n];
+        for (i, &r) in rows.iter().enumerate() {
+            pos[r] = i;
+        }
+        Self { x, y, pos }
+    }
+
+    /// Multiplicity of every pulled row in `share`.
+    fn weights(&self, share: &[usize]) -> Vec<f64> {
+        let mut w = vec![0.0; self.x.rows()];
+        for &r in share {
+            w[self.pos[r]] += 1.0;
+        }
+        w
+    }
+
+    /// Upper-stored weighted Gram and rhs of every weight vector in one
+    /// batched pass over the pulled block — the serial fit's kernel and
+    /// contract. Charged as one streaming read of the block plus
+    /// cache-resident tiled flops over each vector's nonzero-weight rows.
+    fn gram_rhs(&self, ctx: &mut RankCtx, weights: &[Vec<f64>]) -> Vec<(Matrix, Vec<f64>)> {
+        let u = self.x.cols();
+        let wrefs: Vec<&[f64]> = weights.iter().map(Vec::as_slice).collect();
+        let systems = uoi_linalg::gram_rhs_batch(&self.x, &self.y, &wrefs);
+        let nnz: usize = weights
+            .iter()
+            .map(|w| w.iter().filter(|v| **v != 0.0).count())
+            .sum();
+        ctx.compute_membound((self.x.len() * 8) as f64);
+        ctx.compute_flops(
+            (nnz * u * (u + 2)) as f64,
+            uoi_linalg::gram::gram_kernel_ws(u),
+        );
+        systems
+            .into_iter()
+            .map(|(g, xty)| (g.into_upper(), xty))
+            .collect()
+    }
+
+    /// `share`'s rows in order, duplicates included.
+    fn gather(&self, share: &[usize]) -> (Matrix, Vec<f64>) {
+        let at: Vec<usize> = share.iter().map(|&r| self.pos[r]).collect();
+        (
+            self.x.gather_rows(&at),
+            at.iter().map(|&i| self.y[i]).collect(),
+        )
+    }
+}
+
+/// One selection bootstrap's rank-local consensus system.
+struct LocalSystem {
+    source: LocalSource,
+    /// The share's local `X_i^T y_i`.
+    xty: Vec<f64>,
+}
+
+enum LocalSource {
+    /// Upper-stored local Gram and the share's row count.
+    Gram(Matrix, usize),
+    /// The gathered share itself: fewer rows than features, so the
+    /// solver keeps the design for its Woodbury x-update.
+    Dense(Matrix),
+}
+
+impl LocalSystem {
+    /// Build the consensus solver (collective: penalty allreduce). Also
+    /// the rebuild path of the rho restarts, so the system is borrowed.
+    fn try_solver(
+        &self,
+        ctx: &mut RankCtx,
+        comm: &Comm,
+        admm: uoi_solvers::AdmmConfig,
+    ) -> Result<DistLassoAdmm, uoi_linalg::FactorBreakdown> {
+        match &self.source {
+            LocalSource::Gram(gram, n_rows) => {
+                DistLassoAdmm::try_from_gram(ctx, comm, gram.clone(), *n_rows, admm)
+            }
+            LocalSource::Dense(x) => DistLassoAdmm::try_new(ctx, comm, x.clone(), admm),
+        }
+    }
+}
+
+/// The selection Map: this rank's block-striped share of every bootstrap
+/// in `boots`, the distinct rows of all shares fetched by ONE pull, and each share's
+/// local system. Shares with at least as many rows as features get their
+/// Gram and rhs from one batched pass over the pulled block; shorter
+/// shares (the Woodbury regime) are gathered for the dense solver. Every
+/// share has the rank's block length, so one route serves the stage.
+fn selection_map(
+    ctx: &mut RankCtx,
+    comm: &Comm,
+    resident: &Matrix,
+    n: usize,
+    seed: u64,
+    boots: &[usize],
+) -> Vec<LocalSystem> {
+    let my_range = block_range(n, comm.size(), comm.rank());
+    let shares: Vec<Vec<usize>> = boots
+        .iter()
+        .map(|&k| {
+            let mut rng = substream(seed, k as u64);
+            row_bootstrap(&mut rng, n, n)[my_range.clone()].to_vec()
+        })
+        .collect();
+    let pull = StagePull::new(
+        ctx,
+        comm,
+        resident.clone(),
+        n,
+        shares.iter().map(Vec::as_slice),
+    );
+    if my_range.len() < pull.x.cols() {
+        return shares
+            .iter()
+            .map(|share| {
+                let (x, y) = pull.gather(share);
+                let xty = uoi_linalg::gemv_t(&x, &y);
+                ctx.compute_membound((x.len() * 8) as f64);
+                ctx.compute_flops(2.0 * x.len() as f64, (x.len() * 8) as f64);
+                LocalSystem {
+                    source: LocalSource::Dense(x),
+                    xty,
+                }
+            })
+            .collect();
+    }
+    let sp = ctx.span_enter("gram_build.batch");
+    let weights: Vec<Vec<f64>> = shares.iter().map(|s| pull.weights(s)).collect();
+    let systems = pull
+        .gram_rhs(ctx, &weights)
+        .into_iter()
+        .zip(&shares)
+        .map(|((gram, xty), share)| LocalSystem {
+            source: LocalSource::Gram(gram, share.len()),
+            xty,
+        })
+        .collect();
+    ctx.span_exit(sp);
+    systems
 }
 
 /// This rank's block-striped share of a resample index list (the global
@@ -636,6 +811,206 @@ mod tests {
         for (a, b) in flat.beta.iter().zip(&nested.beta) {
             assert!((a - b).abs() < 0.05, "{a} vs {b}");
         }
+    }
+
+    /// The resident block of `range`: centred rows plus the response.
+    fn resident_of(xc: &Matrix, yc: &[f64], range: std::ops::Range<usize>) -> Matrix {
+        let p = xc.cols();
+        let mut block = Matrix::zeros(range.len(), p + 1);
+        for (dst, src) in range.enumerate() {
+            block.row_mut(dst)[..p].copy_from_slice(xc.row(src));
+            block.row_mut(dst)[p] = yc[src];
+        }
+        block
+    }
+
+    #[test]
+    fn union_pull_partitions_the_serial_selection_gram() {
+        let (n, b1, seed) = (90, 5, 7);
+        let ds = LinearConfig {
+            n_samples: n,
+            n_features: 12,
+            n_nonzero: 3,
+            seed: 4,
+            ..Default::default()
+        }
+        .generate();
+        let (xc, yc, _, _) = crate::uoi_lasso::centre_data(&ds.x, &ds.y);
+        let nested = ParallelLayout {
+            p_b: 2,
+            p_lambda: 2,
+        };
+        // Three-rank ADMM communicators: the whole world under admm_only,
+        // each of the four (b, lambda) groups under the nested layout.
+        for (world, layout) in [(3, ParallelLayout::admm_only()), (12, nested)] {
+            let (xr, yr) = (xc.clone(), yc.clone());
+            let report = Cluster::new(world, MachineModel::deterministic()).run(move |ctx, w| {
+                let comms = layout.split(ctx, w);
+                let (c, r) = (comms.admm_comm.size(), comms.admm_comm.rank());
+                let resident = resident_of(&xr, &yr, block_range(n, c, r));
+                let boots = layout.bootstraps_for(comms.b_group, b1);
+                let systems = selection_map(ctx, &comms.admm_comm, &resident, n, seed, &boots);
+                let rows = block_range(n, c, r).len();
+                let out: Vec<(usize, Matrix, Vec<f64>, usize)> = boots
+                    .iter()
+                    .zip(systems)
+                    .map(|(&k, sys)| match sys.source {
+                        LocalSource::Gram(gram, n_rows) => (k, gram, sys.xty, n_rows),
+                        LocalSource::Dense(_) => {
+                            panic!("a {rows}-row share must take the Gram route")
+                        }
+                    })
+                    .collect();
+                (comms.l_group, c, rows, out)
+            });
+            // Sum every (lambda group, bootstrap) over its ADMM ranks.
+            let mut sums: std::collections::BTreeMap<(usize, usize), (Matrix, Vec<f64>, usize)> =
+                Default::default();
+            for (l_group, c, rows, out) in report.results {
+                assert_eq!(c, 3, "three-rank ADMM communicator");
+                for (k, gram, xty, n_rows) in out {
+                    assert_eq!(n_rows, rows, "n_rows must be the rank's block length");
+                    let e = sums
+                        .entry((l_group, k))
+                        .or_insert_with(|| (Matrix::zeros(12, 12), vec![0.0; 12], 0));
+                    for (a, b) in e.0.as_mut_slice().iter_mut().zip(gram.as_slice()) {
+                        *a += b;
+                    }
+                    for (a, b) in e.1.iter_mut().zip(&xty) {
+                        *a += b;
+                    }
+                    e.2 += 1;
+                }
+            }
+            assert_eq!(sums.len(), b1 * layout.p_lambda, "every bootstrap served");
+            for ((_, k), (gram, xty, ranks)) in &sums {
+                assert_eq!(*ranks, 3, "bootstrap {k}: one share per ADMM rank");
+                let w = crate::uoi_lasso::selection_weights(n, seed, *k);
+                let (want_g, want_r) = uoi_linalg::gram_rhs_batch(&xc, &yc, &[&w])
+                    .pop()
+                    .expect("batch of one");
+                let want_g = want_g.into_upper();
+                let scale = want_g
+                    .as_slice()
+                    .iter()
+                    .fold(0.0_f64, |m, v| m.max(v.abs()));
+                for i in 0..12 {
+                    for j in i..12 {
+                        let d = (gram[(i, j)] - want_g[(i, j)]).abs();
+                        assert!(
+                            d <= 1e-10 * scale,
+                            "bootstrap {k}: Gram ({i},{j}) off by {d}"
+                        );
+                    }
+                }
+                let rscale = want_r.iter().fold(0.0_f64, |m, v| m.max(v.abs()));
+                for (a, b) in xty.iter().zip(&want_r) {
+                    assert!(
+                        (a - b).abs() <= 1e-10 * rscale,
+                        "bootstrap {k}: rhs {a} vs {b}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn short_shares_take_the_dense_route_and_match_serial() {
+        // 64 rows over 4 ranks: every 16-row share is shorter than p = 40,
+        // the Woodbury regime of fig3's small blocks.
+        let (n, p) = (64, 40);
+        let ds = LinearConfig {
+            n_samples: n,
+            n_features: p,
+            n_nonzero: 4,
+            snr: 10.0,
+            seed: 12,
+            ..Default::default()
+        }
+        .generate();
+        let (xc, yc, _, _) = crate::uoi_lasso::centre_data(&ds.x, &ds.y);
+        let routes = Cluster::new(4, MachineModel::deterministic()).run(move |ctx, w| {
+            let resident = resident_of(&xc, &yc, block_range(n, 4, w.rank()));
+            selection_map(ctx, w, &resident, n, 7, &[0, 1, 2])
+                .iter()
+                .all(|s| matches!(&s.source, LocalSource::Dense(x) if x.rows() == 16))
+        });
+        assert!(
+            routes.results.iter().all(|&dense| dense),
+            "short shares stay dense"
+        );
+
+        let serial = fit_uoi_lasso(&ds.x, &ds.y, &cfg());
+        let (x, y) = (ds.x.clone(), ds.y);
+        let report = Cluster::new(4, MachineModel::deterministic()).run(move |ctx, world| {
+            let fit = fit_uoi_lasso_dist(ctx, world, &x, &y, &cfg(), ParallelLayout::admm_only());
+            (fit.beta, fit.supports_per_lambda)
+        });
+        for r in 1..4 {
+            assert_eq!(report.results[0], report.results[r], "rank {r} disagrees");
+        }
+        assert_eq!(report.results[0].1, serial.supports_per_lambda);
+    }
+
+    #[test]
+    fn one_tier2_pull_per_stage_per_rank() {
+        use std::collections::HashMap;
+        use std::sync::Arc;
+        use uoi_telemetry::MemorySink;
+        let ds = LinearConfig {
+            n_samples: 64,
+            n_features: 12,
+            n_nonzero: 3,
+            seed: 9,
+            ..Default::default()
+        }
+        .generate();
+        let sink = Arc::new(MemorySink::new());
+        let (x, y) = (ds.x.clone(), ds.y);
+        Cluster::new(2, MachineModel::deterministic())
+            .with_telemetry(Telemetry::with_sink(sink.clone()))
+            .run(move |ctx, world| {
+                fit_uoi_lasso_dist(ctx, world, &x, &y, &cfg(), ParallelLayout::admm_only())
+            });
+        let mut spans: HashMap<u64, (String, Option<u64>, usize)> = HashMap::new();
+        for e in sink.snapshot() {
+            if let TraceEvent::SpanStart {
+                id,
+                parent,
+                name,
+                rank,
+                ..
+            } = e
+            {
+                spans.insert(id, (name, parent, rank));
+            }
+        }
+        // Attribute every pull to its enclosing stage span.
+        let mut pulls: HashMap<(usize, String), usize> = HashMap::new();
+        for (name, parent, rank) in spans.values() {
+            if name != "shuffle_t2.window" {
+                continue;
+            }
+            let mut up = *parent;
+            while let Some(id) = up {
+                let (pname, pparent, _) = &spans[&id];
+                if pname.starts_with("uoi.") {
+                    *pulls.entry((*rank, pname.clone())).or_default() += 1;
+                    break;
+                }
+                up = *pparent;
+            }
+        }
+        for rank in 0..2 {
+            for stage in ["uoi.selection", "uoi.estimation"] {
+                assert_eq!(
+                    pulls.get(&(rank, stage.to_string())),
+                    Some(&1),
+                    "rank {rank}: one pull in {stage}"
+                );
+            }
+        }
+        assert_eq!(pulls.values().sum::<usize>(), 4, "no pull outside a stage");
     }
 
     #[test]

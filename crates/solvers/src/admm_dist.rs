@@ -448,11 +448,9 @@ impl DistLassoAdmm {
         sol
     }
 
-    /// Solve a whole lambda path. With the default
-    /// [`PathSchedule::Sequential`], solves largest-first with warm starts;
-    /// with [`PathSchedule::Fused`], delegates to
-    /// [`DistLassoAdmm::solve_path_fused`]. `X_i^T y_i` is computed once
-    /// for the whole path, not once per lambda.
+    /// Solve a whole lambda path from a local response:
+    /// [`DistLassoAdmm::prepare_local_rhs`] once for the whole path, then
+    /// [`DistLassoAdmm::solve_path_with_rhs`].
     pub fn solve_path(
         &self,
         ctx: &mut RankCtx,
@@ -460,31 +458,34 @@ impl DistLassoAdmm {
         y_local: &[f64],
         lambdas: &[f64],
     ) -> Vec<AdmmSolution> {
+        let xty = self.prepare_local_rhs(ctx, y_local);
+        self.solve_path_with_rhs(ctx, comm, &xty, lambdas)
+    }
+
+    /// Solve a whole lambda path against a precomputed local
+    /// `X_i^T y_i` — the one path entry point for dense and Gram-built
+    /// solvers. With the default [`PathSchedule::Sequential`], solves
+    /// largest-first with warm starts; with [`PathSchedule::Fused`],
+    /// delegates to [`DistLassoAdmm::solve_path_fused_with_rhs`].
+    pub fn solve_path_with_rhs(
+        &self,
+        ctx: &mut RankCtx,
+        comm: &Comm,
+        xty: &[f64],
+        lambdas: &[f64],
+    ) -> Vec<AdmmSolution> {
         if self.cfg.schedule == PathSchedule::Fused {
-            return self.solve_path_fused(ctx, comm, y_local, lambdas);
+            return self.solve_path_fused_with_rhs(ctx, comm, xty, lambdas);
         }
         let p = self.local_shape().1;
-        let xty = self.prepare_local_rhs(ctx, y_local);
         let mut z = vec![0.0; p];
         let mut out = Vec::with_capacity(lambdas.len());
         for &lam in lambdas {
-            let sol = self.solve_warm_with_rhs(ctx, comm, &xty, lam, z.clone(), vec![0.0; p]);
+            let sol = self.solve_warm_with_rhs(ctx, comm, xty, lam, z.clone(), vec![0.0; p]);
             z.clone_from(&sol.beta);
             out.push(sol);
         }
         out
-    }
-
-    /// [`DistLassoAdmm::solve_path_fused_with_rhs`] from a local response.
-    pub fn solve_path_fused(
-        &self,
-        ctx: &mut RankCtx,
-        comm: &Comm,
-        y_local: &[f64],
-        lambdas: &[f64],
-    ) -> Vec<AdmmSolution> {
-        let xty = self.prepare_local_rhs(ctx, y_local);
-        self.solve_path_fused_with_rhs(ctx, comm, &xty, lambdas)
     }
 
     /// Solve every lambda of the path in lockstep from cold starts
@@ -888,6 +889,59 @@ mod tests {
         });
         for (a, b) in &report.results {
             assert_eq!(a, b, "Gram-built solve must be bit-identical to dense");
+        }
+    }
+
+    #[test]
+    fn gram_built_path_bit_identical_to_dense_path() {
+        // p <= n_local: the dense solver factors the same upper Gram, so
+        // the Gram-built path must reproduce it bit for bit on both
+        // schedules.
+        let (x, y) = problem(48, 6);
+        let lambdas = [3.0, 1.0, 0.3, 0.0];
+        for schedule in [PathSchedule::Sequential, PathSchedule::Fused] {
+            let (x_ref, y_ref) = (x.clone(), y.clone());
+            let report = Cluster::new(4, MachineModel::deterministic()).run(move |ctx, comm| {
+                let r = comm.rank();
+                let x_local = x_ref.rows_range(r * 12, (r + 1) * 12);
+                let y_local = y_ref[r * 12..(r + 1) * 12].to_vec();
+                let cfg = || AdmmConfig {
+                    max_iter: 4000,
+                    abstol: 1e-10,
+                    reltol: 1e-9,
+                    schedule,
+                    ..Default::default()
+                };
+                let dense = DistLassoAdmm::new(ctx, comm, x_local.clone(), cfg())
+                    .solve_path(ctx, comm, &y_local, &lambdas);
+                let gram = DistLassoAdmm::from_gram(
+                    ctx,
+                    comm,
+                    uoi_linalg::syrk_t_upper(&x_local).into_upper(),
+                    x_local.rows(),
+                    cfg(),
+                )
+                .solve_path_with_rhs(
+                    ctx,
+                    comm,
+                    &gemv_t(&x_local, &y_local),
+                    &lambdas,
+                );
+                dense.iter().zip(&gram).all(|(d, g)| {
+                    d.iterations == g.iterations
+                        && d.beta.len() == g.beta.len()
+                        && d.beta
+                            .iter()
+                            .zip(&g.beta)
+                            .all(|(a, b)| a.to_bits() == b.to_bits())
+                })
+            });
+            for (r, &same) in report.results.iter().enumerate() {
+                assert!(
+                    same,
+                    "{schedule:?}: rank {r} Gram-built path differs from dense"
+                );
+            }
         }
     }
 
