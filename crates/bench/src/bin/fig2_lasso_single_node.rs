@@ -136,7 +136,7 @@ fn main() {
         .param("modeled_cores", point.cores)
         .param("threads", threads)
         .param("admm_schedule", format!("{schedule:?}"))
-        .param("gram_kernel", uoi_linalg::gram::KERNEL_VARIANT)
+        .param("gram_kernel", uoi_linalg::gram::kernel_variant())
         .param("admm_path", uoi_solvers::PATH_VARIANT)
         .with_summary(report.run_summary());
     if let Some(health) = numerical_out.lock().unwrap().take() {

@@ -73,7 +73,7 @@ fn main() {
         .run_report("fig7_var_single_node")
         .param("exec_p", p)
         .param("threads", threads)
-        .param("gram_kernel", uoi_linalg::gram::KERNEL_VARIANT)
+        .param("gram_kernel", uoi_linalg::gram::kernel_variant())
         .param("admm_path", uoi_solvers::PATH_VARIANT)
         .with_summary(out.report.run_summary());
     if let Some(health) = out.numerical.take() {

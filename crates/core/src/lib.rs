@@ -5,6 +5,7 @@
 //! inference (`UoI_VAR`, Algorithm 2), in shared-memory (rayon) and
 //! distributed (simulated-MPI) forms.
 
+#![forbid(unsafe_code)]
 #![allow(clippy::needless_range_loop)]
 
 pub mod degraded;

@@ -17,6 +17,8 @@
 //! * [`rng`] — seeded deterministic generators, Gaussian and Poisson
 //!   sampling.
 
+#![forbid(unsafe_code)]
+
 pub mod bootstrap;
 pub mod finance;
 pub mod linear;

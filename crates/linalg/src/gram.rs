@@ -16,12 +16,27 @@
 //! *bands* of [`GRAM_BAND`] rows. One parallel task owns band `j0..j1` of
 //! **all** `B` outputs. Within a task, the rows of `X` are consumed in
 //! *panels* of [`GRAM_PANEL_ROWS`]; the panel's column suffix `[j0..p)` is
-//! copied into a contiguous packed buffer (stride `p - j0`), and a 4×4
-//! register-tiled micro-kernel (the same lane width as [`crate::kernels`])
-//! then sweeps the band's tiles once per resample, reading only the packed
-//! copy. For the fig2 shape (`p = 512`) a packed panel is
-//! `64 × 512 × 8 B = 256 KiB` — inside L2 — so the `B - 1` extra sweeps
-//! hit cache instead of DRAM.
+//! copied into a contiguous packed buffer (stride `p - j0`), and a
+//! register-tiled micro-kernel then sweeps the band's tiles once per
+//! resample, reading only the packed copy. For the fig2 shape (`p = 512`)
+//! a packed panel is `64 × 512 × 8 B = 256 KiB` — inside L2 — so the
+//! `B - 1` extra sweeps hit cache instead of DRAM.
+//!
+//! ## Vector width
+//!
+//! The micro-kernel is one generic sweep over a `TR × TC` register tile,
+//! instantiated three times; each batch runs the widest one the CPU
+//! reports at run time (`is_x86_feature_detected!`):
+//!
+//! | variant | tile | compiled for |
+//! |---|---|---|
+//! | `avx512f` | 8×8 | AVX-512F (x86-64) |
+//! | `avx2` | 4×8 | AVX2 (x86-64) |
+//! | `portable` | 4×4 | the baseline ISA; every other CPU and target |
+//!
+//! Column tiles start on multiples of `TC`, so only the right edge at `p`
+//! (and the bottom edge, when `p` is not a multiple of `TR`) takes the
+//! ragged path. [`kernel_variant`] names the variant this process runs.
 //!
 //! ## Determinism
 //!
@@ -33,11 +48,19 @@
 //! depend on the rayon thread count, on which other resamples share the
 //! batch, or on whether the serial fallback ran. `batch([w])` is
 //! bit-identical to the same `w` inside a larger batch.
+//!
+//! Nor does it depend on the variant. Every element gets a fresh
+//! accumulator per `(panel, tile)`, the panel's nonzero rows summed in
+//! ascending order — each term a separate multiply and add, never a fused
+//! multiply-add (rustc does not contract floating-point expressions) — and
+//! one final add into the output. Tile shape and vector width only change
+//! how many elements advance side by side, so every variant matches the
+//! portable kernel bit for bit.
 
 use crate::dense::Matrix;
 use crate::kernels;
 use rayon::prelude::*;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 /// Height (in rows of `X`) of one packed panel.
 ///
@@ -49,13 +72,6 @@ pub const GRAM_PANEL_ROWS: usize = 64;
 /// Width (in Gram rows) of one band; a band is the unit of parallelism.
 pub const GRAM_BAND: usize = 64;
 
-/// Register tile edge — matches the 4-lane unroll of [`crate::kernels`].
-const TILE: usize = 4;
-
-/// Kernel identifier recorded in run reports so a benchmark snapshot is
-/// self-describing about which Gram engine produced it.
-pub const KERNEL_VARIANT: &str = "gram-batched-tiled-v1";
-
 /// Modeled working set of the tiled kernel: one packed panel. Used by the
 /// pipeline charge sites; the 2.2x cache-resident discount of the machine
 /// model only applies while a panel actually fits (`p <~ 1024`).
@@ -63,15 +79,70 @@ pub fn gram_kernel_ws(p: usize) -> f64 {
     (GRAM_PANEL_ROWS * p * 8) as f64
 }
 
-static PACKS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static PACKS: Cell<u64> = const { Cell::new(0) };
+}
 
-/// Number of panel-pack operations performed since process start.
+/// Number of panel-pack operations performed on the calling thread since
+/// it started.
 ///
 /// Test hook for the batch amortization contract: a batch of `B`
 /// resamples packs each `(band, panel)` exactly once, so the count is
-/// independent of `B`.
+/// independent of `B`. The count is per thread so that concurrent tests
+/// cannot bump it; a band that runs on another thread counts there.
 pub fn pack_count() -> u64 {
-    PACKS.load(Ordering::Relaxed)
+    PACKS.with(Cell::get)
+}
+
+/// Identifier recorded in run reports, so a benchmark snapshot states
+/// which Gram engine — and which vector ISA — produced it, e.g.
+/// `"gram-batched-tiled-v2+avx512f"`.
+pub fn kernel_variant() -> &'static str {
+    match Kernel::detect() {
+        Kernel::Portable => "gram-batched-tiled-v2+portable",
+        #[cfg(target_arch = "x86_64")]
+        Kernel::Avx2 => "gram-batched-tiled-v2+avx2",
+        #[cfg(target_arch = "x86_64")]
+        Kernel::Avx512 => "gram-batched-tiled-v2+avx512f",
+    }
+}
+
+/// One instantiation of the micro-kernel: a register-tile shape and the
+/// vector ISA it is compiled for. All variants are bit-identical.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Kernel {
+    /// 4×4 tile for the baseline ISA; runs on every CPU.
+    Portable,
+    /// 4×8 tile compiled with AVX2.
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+    /// 8×8 tile compiled with AVX-512F.
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
+}
+
+impl Kernel {
+    /// Whether this CPU can run the variant.
+    fn supported(self) -> bool {
+        match self {
+            Kernel::Portable => true,
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Avx2 => is_x86_feature_detected!("avx2"),
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Avx512 => is_x86_feature_detected!("avx512f"),
+        }
+    }
+
+    /// The widest variant this CPU supports.
+    fn detect() -> Kernel {
+        #[cfg(target_arch = "x86_64")]
+        for k in [Kernel::Avx512, Kernel::Avx2] {
+            if k.supported() {
+                return k;
+            }
+        }
+        Kernel::Portable
+    }
 }
 
 /// A Gram matrix with only its upper triangle populated (strict lower is
@@ -137,9 +208,72 @@ struct BandTask<'a> {
 /// Weight view for one resample: `None` means unit weights (plain SYRK).
 type WeightOpt<'a> = Option<&'a [f64]>;
 
+/// Compute band `j0..j1` of every resample's Gram (and rhs segment) with
+/// the given micro-kernel variant.
+fn band_body(
+    kernel: Kernel,
+    a: &Matrix,
+    weights: &[WeightOpt<'_>],
+    y: Option<&[f64]>,
+    task: &mut BandTask<'_>,
+) {
+    assert!(
+        kernel.supported(),
+        "{kernel:?} Gram kernel on a CPU without its features"
+    );
+    match kernel {
+        Kernel::Portable => band_body_tiled::<4, 4>(a, weights, y, task),
+        // SAFETY: `kernel.supported()` above checked with
+        // `is_x86_feature_detected!("avx2")` that this CPU has AVX2, the
+        // only feature `band_body_avx2` enables.
+        #[cfg(target_arch = "x86_64")]
+        Kernel::Avx2 => unsafe { band_body_avx2(a, weights, y, task) },
+        // SAFETY: `kernel.supported()` above checked with
+        // `is_x86_feature_detected!("avx512f")` that this CPU has
+        // AVX-512F, the only feature `band_body_avx512` enables.
+        #[cfg(target_arch = "x86_64")]
+        Kernel::Avx512 => unsafe { band_body_avx512(a, weights, y, task) },
+    }
+}
+
+/// [`band_body_tiled`] with a 4×8 tile, compiled for AVX2: a tile row is
+/// two 256-bit registers.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn band_body_avx2(
+    a: &Matrix,
+    weights: &[WeightOpt<'_>],
+    y: Option<&[f64]>,
+    task: &mut BandTask<'_>,
+) {
+    band_body_tiled::<4, 8>(a, weights, y, task)
+}
+
+/// [`band_body_tiled`] with an 8×8 tile, compiled for AVX-512F: a tile row
+/// is one 512-bit register, the tile eight of the thirty-two.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn band_body_avx512(
+    a: &Matrix,
+    weights: &[WeightOpt<'_>],
+    y: Option<&[f64]>,
+    task: &mut BandTask<'_>,
+) {
+    band_body_tiled::<8, 8>(a, weights, y, task)
+}
+
 /// Compute band `j0..j1` of every resample's Gram (and rhs segment) by
 /// packing each row panel once and sweeping it `B` times from cache.
-fn band_body(a: &Matrix, weights: &[WeightOpt<'_>], y: Option<&[f64]>, task: &mut BandTask<'_>) {
+///
+/// Always inlined, so that each variant's body — the sweep and the rhs
+/// `axpy` — is compiled for that variant's target features.
+#[inline(always)]
+fn band_body_tiled<const TR: usize, const TC: usize>(
+    a: &Matrix,
+    weights: &[WeightOpt<'_>],
+    y: Option<&[f64]>,
+    task: &mut BandTask<'_>,
+) {
     let (n, p) = a.shape();
     let (j0, j1) = (task.j0, task.j1);
     let stride = p - j0;
@@ -155,7 +289,7 @@ fn band_body(a: &Matrix, weights: &[WeightOpt<'_>], y: Option<&[f64]>, task: &mu
         for r in 0..rows {
             packed[r * stride..(r + 1) * stride].copy_from_slice(&a.row(i0 + r)[j0..]);
         }
-        PACKS.fetch_add(1, Ordering::Relaxed);
+        PACKS.with(|c| c.set(c.get() + 1));
         for (k, w) in weights.iter().enumerate() {
             nz[k].clear();
             match w {
@@ -174,7 +308,7 @@ fn band_body(a: &Matrix, weights: &[WeightOpt<'_>], y: Option<&[f64]>, task: &mu
             if nz[k].is_empty() {
                 continue;
             }
-            tile_sweep(&packed, stride, &nz[k], j0, j1, p, task.blocks[k]);
+            tile_sweep::<TR, TC>(&packed, stride, &nz[k], j0, j1, p, task.blocks[k]);
             if let Some(y) = y {
                 let seg = &mut *task.rhs[k];
                 for &(r, wv) in &nz[k] {
@@ -190,9 +324,10 @@ fn band_body(a: &Matrix, weights: &[WeightOpt<'_>], y: Option<&[f64]>, task: &mu
     }
 }
 
-/// 4×4 register-tiled sweep of one packed panel over the band's upper
-/// triangle tiles for a single resample.
-fn tile_sweep(
+/// `TR × TC` register-tiled sweep of one packed panel over the band's
+/// upper-triangle tiles for a single resample.
+#[inline(always)]
+fn tile_sweep<const TR: usize, const TC: usize>(
     packed: &[f64],
     stride: usize,
     nz: &[(u32, f64)],
@@ -203,47 +338,35 @@ fn tile_sweep(
 ) {
     let mut jt = j0;
     while jt < j1 {
-        let jh = (jt + TILE).min(j1);
+        let jh = (jt + TR).min(j1);
         let mh = jh - jt;
-        let mut ct = jt;
+        // `j0` is a multiple of GRAM_BAND, hence of TC: `ct >= j0`.
+        let mut ct = jt - jt % TC;
         while ct < p {
-            let ch = (ct + TILE).min(p);
+            let ch = (ct + TC).min(p);
             let nw = ch - ct;
-            if mh == TILE && nw == TILE {
-                // Full tile: 16 register accumulators, unrolled lanes.
-                let mut acc = [[0.0f64; TILE]; TILE];
+            if mh == TR && nw == TC {
+                // Full tile: TR × TC register accumulators, unrolled lanes.
+                let mut acc = [[0.0f64; TC]; TR];
                 for &(r, wv) in nz {
                     let base = r as usize * stride;
-                    let lj = &packed[base + (jt - j0)..base + (jt - j0) + TILE];
-                    let lc = &packed[base + (ct - j0)..base + (ct - j0) + TILE];
-                    for rr in 0..TILE {
+                    let lj: &[f64; TR] = packed[base + (jt - j0)..][..TR]
+                        .try_into()
+                        .expect("row-tile slice has TR elements");
+                    let lc: &[f64; TC] = packed[base + (ct - j0)..][..TC]
+                        .try_into()
+                        .expect("column-tile slice has TC elements");
+                    for rr in 0..TR {
                         let s = wv * lj[rr];
-                        acc[rr][0] += s * lc[0];
-                        acc[rr][1] += s * lc[1];
-                        acc[rr][2] += s * lc[2];
-                        acc[rr][3] += s * lc[3];
-                    }
-                }
-                for rr in 0..TILE {
-                    let j = jt + rr;
-                    let row = &mut block[(j - j0) * p..(j - j0) * p + p];
-                    if ct >= j {
-                        row[ct] += acc[rr][0];
-                        row[ct + 1] += acc[rr][1];
-                        row[ct + 2] += acc[rr][2];
-                        row[ct + 3] += acc[rr][3];
-                    } else {
-                        // Diagonal tile: keep only the upper part.
-                        for cc in 0..TILE {
-                            if ct + cc >= j {
-                                row[ct + cc] += acc[rr][cc];
-                            }
+                        for cc in 0..TC {
+                            acc[rr][cc] += s * lc[cc];
                         }
                     }
                 }
+                add_tile(&acc, TR, TC, jt, ct, p, &mut block[(jt - j0) * p..]);
             } else {
                 // Ragged edge tile: same bracketing, generic bounds.
-                let mut acc = [[0.0f64; TILE]; TILE];
+                let mut acc = [[0.0f64; TC]; TR];
                 for &(r, wv) in nz {
                     let base = r as usize * stride;
                     for rr in 0..mh {
@@ -253,19 +376,37 @@ fn tile_sweep(
                         }
                     }
                 }
-                for rr in 0..mh {
-                    let j = jt + rr;
-                    let row = &mut block[(j - j0) * p..(j - j0) * p + p];
-                    for cc in 0..nw {
-                        if ct + cc >= j {
-                            row[ct + cc] += acc[rr][cc];
-                        }
-                    }
-                }
+                add_tile(&acc, mh, nw, jt, ct, p, &mut block[(jt - j0) * p..]);
             }
             ct = ch;
         }
         jt = jh;
+    }
+}
+
+/// Add the leading `mh × nw` block of a tile's accumulators into the
+/// output rows `jt..jt + mh` (`rows` starts at row `jt`), keeping only
+/// the upper triangle. Separate from the sweeps so that a full tile's
+/// accumulators are indexed by constants only and stay in registers.
+#[inline(always)]
+fn add_tile<const TR: usize, const TC: usize>(
+    acc: &[[f64; TC]; TR],
+    mh: usize,
+    nw: usize,
+    jt: usize,
+    ct: usize,
+    p: usize,
+    rows: &mut [f64],
+) {
+    for rr in 0..mh {
+        let j = jt + rr;
+        let row = &mut rows[rr * p..(rr + 1) * p];
+        for cc in 0..nw {
+            // Diagonal tiles straddle `j`: keep only the upper part.
+            if ct + cc >= j {
+                row[ct + cc] += acc[rr][cc];
+            }
+        }
     }
 }
 
@@ -276,7 +417,7 @@ fn batch_core(
     weights: &[WeightOpt<'_>],
     y: Option<&[f64]>,
 ) -> (Vec<UpperGram>, Vec<Vec<f64>>) {
-    batch_core_scheduled(a, weights, y, None)
+    batch_core_scheduled(Kernel::detect(), a, weights, y, None)
 }
 
 /// Like [`batch_core`], but with an optional explicit band execution
@@ -284,6 +425,7 @@ fn batch_core(
 /// owning task, any schedule — any thread count, any completion order —
 /// must produce bit-identical results.
 fn batch_core_scheduled(
+    kernel: Kernel,
     a: &Matrix,
     weights: &[WeightOpt<'_>],
     y: Option<&[f64]>,
@@ -331,15 +473,15 @@ fn batch_core_scheduled(
         if let Some(order) = order {
             debug_assert_eq!(order.len(), tasks.len());
             for &ti in order {
-                band_body(a, weights, y, &mut tasks[ti]);
+                band_body(kernel, a, weights, y, &mut tasks[ti]);
             }
         } else if flops >= 1 << 18 && tasks.len() > 1 {
             tasks
                 .par_iter_mut()
-                .for_each(|t| band_body(a, weights, y, t));
+                .for_each(|t| band_body(kernel, a, weights, y, t));
         } else {
             for t in tasks.iter_mut() {
-                band_body(a, weights, y, t);
+                band_body(kernel, a, weights, y, t);
             }
         }
     }
@@ -563,7 +705,7 @@ mod tests {
         let y: Vec<f64> = (0..300).map(|i| (i as f64 * 0.07).sin()).collect();
         let n_bands = 160usize.div_ceil(GRAM_BAND);
         assert!(n_bands >= 3, "test shape must span several bands");
-        let reference = batch_core_scheduled(&a, &opts, Some(&y), None);
+        let reference = batch_core_scheduled(Kernel::detect(), &a, &opts, Some(&y), None);
         let want: Vec<(Vec<f64>, Vec<f64>)> = reference
             .0
             .into_iter()
@@ -578,7 +720,7 @@ mod tests {
             for t in 0..threads {
                 order.extend((t..n_bands).step_by(threads));
             }
-            let got = batch_core_scheduled(&a, &opts, Some(&y), Some(&order));
+            let got = batch_core_scheduled(Kernel::detect(), &a, &opts, Some(&y), Some(&order));
             let got: Vec<(Vec<f64>, Vec<f64>)> = got
                 .0
                 .into_iter()
@@ -609,5 +751,96 @@ mod tests {
         let bands = 96usize.div_ceil(GRAM_BAND);
         let panels = 200usize.div_ceil(GRAM_PANEL_ROWS);
         assert_eq!(solo_packs, (bands * panels) as u64);
+    }
+
+    /// Every variant this CPU can run, the portable reference first.
+    fn supported_kernels() -> Vec<Kernel> {
+        let mut all = vec![Kernel::Portable];
+        #[cfg(target_arch = "x86_64")]
+        all.extend([Kernel::Avx2, Kernel::Avx512]);
+        all.retain(|k| k.supported());
+        all
+    }
+
+    /// Weight patterns: 0 dense integer multiplicities, 1 sparse (about
+    /// one row in eight kept, fractional), 2 all zero, 3 unweighted.
+    fn weight_pattern(n: usize, seed: u64, mode: u8) -> Option<Vec<f64>> {
+        match mode {
+            0 => Some(demo_weights(n, seed)),
+            1 => Some(
+                demo_weights(n, seed)
+                    .iter()
+                    .zip(demo_weights(n, seed + 1))
+                    .map(|(&w, v)| if v == 0.0 { w * 0.75 } else { 0.0 })
+                    .collect(),
+            ),
+            2 => Some(vec![0.0; n]),
+            _ => None,
+        }
+    }
+
+    /// Gram and rhs bits of every supported variant must equal the
+    /// portable kernel's.
+    fn variants_match_portable(n: usize, p: usize, seed: u64) -> Result<(), String> {
+        let a = demo_matrix(n, p, seed);
+        let y: Vec<f64> = (0..n)
+            .map(|i| (i as f64 * 0.13 + seed as f64).sin())
+            .collect();
+        let ws: Vec<Option<Vec<f64>>> = (0..4u8)
+            .map(|mode| weight_pattern(n, seed + 100, mode))
+            .collect();
+        let opts: Vec<WeightOpt<'_>> = ws.iter().map(|w| w.as_deref()).collect();
+        let bits = |kernel: Kernel| {
+            let (grams, rhs) = batch_core_scheduled(kernel, &a, &opts, Some(&y), None);
+            let grams: Vec<Vec<u64>> = grams
+                .into_iter()
+                .map(|g| {
+                    g.into_upper()
+                        .into_vec()
+                        .iter()
+                        .map(|v| v.to_bits())
+                        .collect()
+                })
+                .collect();
+            let rhs: Vec<Vec<u64>> = rhs
+                .iter()
+                .map(|r| r.iter().map(|v| v.to_bits()).collect())
+                .collect();
+            (grams, rhs)
+        };
+        let want = bits(Kernel::Portable);
+        for kernel in supported_kernels() {
+            if bits(kernel) != want {
+                return Err(format!("{kernel:?} differs from Portable at n={n}, p={p}"));
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn every_supported_variant_bit_identical_to_portable() {
+        let shapes = [
+            (37, 3),    // p below every tile edge, n < GRAM_PANEL_ROWS
+            (50, 13),   // p not a multiple of 8
+            (130, 30),  // p not a multiple of 16, n not a multiple of 64
+            (64, 64),   // one full band, one full panel
+            (200, 150), // three bands, the last one ragged
+            (97, 203),  // four bands; p not a multiple of 8
+        ];
+        for (i, &(n, p)) in shapes.iter().enumerate() {
+            variants_match_portable(n, p, 7 + i as u64).unwrap_or_else(|e| panic!("{e}"));
+        }
+        // Name the variants, so a CPU without AVX-512 or AVX2 shows which
+        // ones it could not check.
+        println!("Gram kernel variants checked: {:?}", supported_kernels());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn variants_bit_identical_on_random_shapes(n in 1usize..180, p in 1usize..210, seed in 0u64..1000) {
+            proptest::prop_assert_eq!(variants_match_portable(n, p, seed), Ok(()));
+        }
     }
 }

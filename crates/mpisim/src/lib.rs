@@ -30,6 +30,7 @@
 //!   collectives carry an epoch watchdog so a dead rank surfaces as
 //!   [`fault::MpiError::RankFailed`] instead of a condvar deadlock.
 
+#![forbid(unsafe_code)]
 #![allow(clippy::needless_range_loop)]
 
 pub mod cluster;

@@ -40,6 +40,8 @@
 //!   through it is a branch on a `None` and nothing more, so
 //!   uninstrumented runs pay near-zero overhead.
 
+#![forbid(unsafe_code)]
+
 pub mod analysis;
 pub mod chrome;
 pub mod convergence;

@@ -11,6 +11,8 @@
 //! re-striping after a communicator shrink (failed ranks' shards re-read
 //! from storage through the same retrying hyperslab path).
 
+#![forbid(unsafe_code)]
+
 pub mod distribution;
 pub mod recovery;
 pub mod retry;

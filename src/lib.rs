@@ -62,6 +62,8 @@
 //! assert!(report.phase_max().comm > 0.0); // costed at 17,408 ranks
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use uoi_core as core;
 pub use uoi_data as data;
 pub use uoi_linalg as linalg;
