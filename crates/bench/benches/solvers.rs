@@ -1,13 +1,18 @@
 //! Criterion microbenchmarks of the optimisation layer: soft threshold,
-//! serial LASSO-ADMM (cold / warm / OLS), coordinate descent, and the
-//! bootstrap samplers feeding the UoI maps.
+//! serial LASSO-ADMM (cold / warm / OLS), the consensus λ path (screened
+//! Sequential vs Fused), coordinate descent, and the bootstrap samplers
+//! feeding the UoI maps.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use uoi_data::bootstrap::{block_bootstrap, row_bootstrap};
 use uoi_data::rng::seeded;
-use uoi_linalg::Matrix;
-use uoi_solvers::{lasso_cd, soft_threshold_vec, AdmmConfig, CdConfig, LassoAdmm};
+use uoi_linalg::{gemv_t, syrk_t_upper, testgen, Matrix};
+use uoi_mpisim::{Cluster, MachineModel};
+use uoi_solvers::{
+    geometric_grid, lasso_cd, soft_threshold_vec, AdmmConfig, CdConfig, DistLassoAdmm, LassoAdmm,
+    PathSchedule,
+};
 
 fn problem(n: usize, p: usize) -> (Matrix, Vec<f64>) {
     let x = Matrix::from_fn(n, p, |i, j| {
@@ -53,6 +58,57 @@ fn bench_admm(c: &mut Criterion) {
     g.finish();
 }
 
+/// The consensus λ path at the `lasso_dist` benchmark's shape (n = 4096,
+/// p = 256, 20 true features, q = 8 λs down to 5e-2 λ_max, `max_iter`
+/// 150) on 1 and 2 ranks: the screened Sequential path against the
+/// unscreened Fused one. Each rank's Gram and rhs are built outside the
+/// timed loop; a timed run spawns the cluster, factors each rank's full
+/// local system (both schedules pay this) and solves the path.
+fn bench_consensus_path(c: &mut Criterion) {
+    let (n, p) = (4096, 256);
+    let x = testgen::random_design(2, n, p);
+    let y: Vec<f64> = (0..n)
+        .map(|i| {
+            (0..20)
+                .map(|j| x[(i, j)] * (1.0 + 0.1 * j as f64))
+                .sum::<f64>()
+        })
+        .collect();
+    let lmax = uoi_solvers::lambda_max(&x, &y);
+    let lambdas = geometric_grid(lmax, 0.05 * lmax, 8);
+    let mut g = c.benchmark_group("consensus_path");
+    for ranks in [1usize, 2] {
+        let rows = n / ranks;
+        let systems: Vec<(Matrix, Vec<f64>)> = (0..ranks)
+            .map(|r| {
+                let xl = x.rows_range(r * rows, (r + 1) * rows);
+                let xty = gemv_t(&xl, &y[r * rows..(r + 1) * rows]);
+                (syrk_t_upper(&xl).into_upper(), xty)
+            })
+            .collect();
+        for (name, schedule) in [
+            ("sequential", PathSchedule::Sequential),
+            ("fused", PathSchedule::Fused),
+        ] {
+            let cfg = AdmmConfig {
+                max_iter: 150,
+                schedule,
+                ..AdmmConfig::default()
+            };
+            g.bench_with_input(BenchmarkId::new(name, ranks), &ranks, |b, &ranks| {
+                b.iter(|| {
+                    Cluster::new(ranks, MachineModel::deterministic()).run(|ctx, comm| {
+                        let (gram, xty) = &systems[comm.rank()];
+                        DistLassoAdmm::from_gram(ctx, comm, gram.clone(), rows, cfg.clone())
+                            .solve_path_with_rhs(ctx, comm, black_box(xty), &lambdas)
+                    })
+                })
+            });
+        }
+    }
+    g.finish();
+}
+
 fn bench_cd(c: &mut Criterion) {
     let (x, y) = problem(200, 50);
     let lam = uoi_solvers::lambda_max(&x, &y) * 0.1;
@@ -77,6 +133,6 @@ fn bench_bootstrap(c: &mut Criterion) {
 criterion_group! {
     name = solvers;
     config = Criterion::default().sample_size(20);
-    targets = bench_prox, bench_admm, bench_cd, bench_bootstrap
+    targets = bench_prox, bench_admm, bench_consensus_path, bench_cd, bench_bootstrap
 }
 criterion_main!(solvers);

@@ -300,6 +300,13 @@ impl RankCtx {
         });
     }
 
+    /// Collective ops this rank has entered so far — the step counter
+    /// fault plans key crashes on. Ranks running one collective schedule
+    /// agree on it at every point of the program.
+    pub fn collective_steps(&self) -> u64 {
+        self.coll_step
+    }
+
     /// Count one fault-eligible collective op; panics with an injected
     /// crash if the fault plan scheduled one at this step. Called at the
     /// entry of every collective so a crashed rank never contributes,

@@ -33,7 +33,7 @@ use crate::resilience::FactorHealth;
 use std::sync::{Arc, OnceLock};
 use uoi_linalg::{
     factor_upper_jittered, gemv, gemv_into, gemv_t, gemv_t_into, kernels, norm2, norm2_diff,
-    norm2_scaled, norm2_scaled_diff, Cholesky, FactorBreakdown, JitterLadder, Matrix,
+    norm2_scaled, norm2_scaled_diff, norm_inf, Cholesky, FactorBreakdown, JitterLadder, Matrix,
     PackedCholesky,
 };
 use uoi_telemetry::MetricsRegistry;
@@ -308,37 +308,58 @@ pub(crate) fn try_factorize(
         // Upper-stored Gram straight from the batched engine; the mirror
         // pass is skipped because the factorisation reads only the upper
         // triangle.
-        let mut gram = uoi_linalg::syrk_t_upper(x).into_upper();
-        for i in 0..p {
-            gram[(i, i)] += rho;
-        }
-        let ladder = JitterLadder::for_matrix(&gram);
-        let jf = factor_upper_jittered(&gram, &ladder)?;
-        Ok((
-            Factorization::Primal(jf.chol),
-            FactorHealth {
-                attempts: jf.attempts,
-                jitter: jf.jitter,
-                condest: None,
-            },
-        ))
+        let gram = uoi_linalg::syrk_t_upper(x).into_upper();
+        let (chol, health) = factor_ridged(gram, rho)?;
+        Ok((Factorization::Primal(chol), health))
     } else {
-        let xt = x.transpose();
-        let mut small = uoi_linalg::syrk_t_upper(&xt).into_upper();
-        for i in 0..n {
-            small[(i, i)] += rho;
-        }
-        let ladder = JitterLadder::for_matrix(&small);
-        let jf = factor_upper_jittered(&small, &ladder)?;
-        Ok((
-            Factorization::Woodbury(jf.chol),
-            FactorHealth {
-                attempts: jf.attempts,
-                jitter: jf.jitter,
-                condest: None,
-            },
-        ))
+        let small = uoi_linalg::syrk_t_upper(&x.transpose()).into_upper();
+        let (chol, health) = factor_ridged(small, rho)?;
+        Ok((Factorization::Woodbury(chol), health))
     }
+}
+
+/// Factor `gram + rho I` (upper triangle read) through the deterministic
+/// jitter ladder; the ridge goes onto the consumed `gram`.
+pub(crate) fn factor_ridged(
+    mut gram: Matrix,
+    rho: f64,
+) -> Result<(Cholesky, FactorHealth), FactorBreakdown> {
+    for i in 0..gram.rows() {
+        gram[(i, i)] += rho;
+    }
+    factor_jittered(&gram)
+}
+
+/// [`factor_ridged`] for a Gram the caller keeps: the ridge goes onto the
+/// diagonal in place for the factorisation and the saved diagonal is
+/// written back, so the Gram stays pristine without a copy.
+pub(crate) fn factor_ridged_pristine(
+    gram: &mut Matrix,
+    rho: f64,
+) -> Result<(Cholesky, FactorHealth), FactorBreakdown> {
+    let diag: Vec<f64> = (0..gram.rows()).map(|i| gram[(i, i)]).collect();
+    for (i, d) in diag.iter().enumerate() {
+        gram[(i, i)] = d + rho;
+    }
+    let factored = factor_jittered(gram);
+    for (i, d) in diag.into_iter().enumerate() {
+        gram[(i, i)] = d;
+    }
+    factored
+}
+
+/// Factor an already-ridged upper-stored system through the jitter ladder.
+fn factor_jittered(ridged: &Matrix) -> Result<(Cholesky, FactorHealth), FactorBreakdown> {
+    let ladder = JitterLadder::for_matrix(ridged);
+    let jf = factor_upper_jittered(ridged, &ladder)?;
+    Ok((
+        jf.chol,
+        FactorHealth {
+            attempts: jf.attempts,
+            jitter: jf.jitter,
+            condest: None,
+        },
+    ))
 }
 
 /// Apply `(X^T X + rho I)^{-1}` to `v` through a cached factorisation.
@@ -409,7 +430,9 @@ pub struct AdmmStatus {
 /// full `p` coordinates (zero off `S`) after every step. All buffers —
 /// index sets, compact iterates, gradient, sub-factor — are reused, so
 /// once warm a path performs no heap allocation. A state belongs to the
-/// solver that created it ([`LassoAdmm::init_state`]).
+/// solver that created it ([`LassoAdmm::init_state`]). The consensus
+/// solver keeps one per rank and runs the same transition on the
+/// allreduced gradient (`DistLassoAdmm::solve_path_with_rhs`).
 #[derive(Debug, Clone)]
 pub struct AdmmState {
     /// Consensus iterate over all `p` coefficients (the sparse solution
@@ -446,6 +469,28 @@ pub struct AdmmState {
 }
 
 impl AdmmState {
+    /// A fresh state over `p` coefficients, starting from `z = 0`.
+    pub(crate) fn new(p: usize) -> Self {
+        AdmmState {
+            z: vec![0.0; p],
+            converged: false,
+            iterations: 0,
+            primal_residual: f64::INFINITY,
+            dual_residual: f64::INFINITY,
+            lambda: f64::NAN,
+            grad: vec![0.0; p],
+            grad_fresh: false,
+            active: Vec::with_capacity(p),
+            in_active: vec![false; p],
+            zs: Vec::with_capacity(p),
+            us: Vec::with_capacity(p),
+            factor: PackedCholesky::new(),
+            factored: Vec::with_capacity(p),
+            factor_flops: 0.0,
+            scratch: AdmmWorkspace::new(),
+        }
+    }
+
     /// Size of the active set the in-flight solve iterates on.
     pub fn active_len(&self) -> usize {
         self.active.len()
@@ -455,6 +500,241 @@ impl AdmmState {
     /// (`m^3 / 3` per factor of order `m`), for virtual-time charging.
     pub fn take_factor_flops(&mut self) -> f64 {
         std::mem::take(&mut self.factor_flops)
+    }
+
+    /// The λ of the previous transition; `None` on a fresh state, where
+    /// the strong rule takes `λ_prev = ||X^T y||_inf`, the gradient's
+    /// ∞-norm at `z = 0`.
+    pub(crate) fn previous_lambda(&self) -> Option<f64> {
+        (!self.lambda.is_nan()).then_some(self.lambda)
+    }
+
+    /// The gradient the rule and the KKT check read, and whether it is
+    /// still valid for `z` (no step has moved `z` since its refresh).
+    pub(crate) fn gradient(&self) -> (&[f64], bool) {
+        (&self.grad, self.grad_fresh)
+    }
+
+    /// The x-update right-hand side of the active-set sub-problem,
+    /// `xty_S + rho (z_S - u_S)`, into `out`.
+    pub(crate) fn active_rhs(&self, xty: &[f64], rho: f64, out: &mut Vec<f64>) {
+        gather_active_rhs(&self.active, xty, &self.zs, &self.us, rho, out);
+    }
+
+    /// Apply `(G_SS + rho I)^{-1}` to `v` in place through the active-set
+    /// factor.
+    pub(crate) fn solve_active(&self, v: &mut [f64]) {
+        self.factor.solve_in_place(v);
+    }
+
+    /// The compact iterates `(z_S, u_S)` for a step's z/u-updates, which
+    /// [`AdmmState::commit_step`] then publishes.
+    pub(crate) fn compact_mut(&mut self) -> (&mut [f64], &mut [f64]) {
+        (&mut self.zs, &mut self.us)
+    }
+
+    /// Record a finished iteration: `z_S` is scattered into `z` (so the
+    /// gradient goes stale) and the iteration's residuals are kept.
+    pub(crate) fn commit_step(&mut self, r_norm: f64, s_norm: f64) {
+        for (&j, &v) in self.active.iter().zip(&self.zs) {
+            self.z[j] = v;
+        }
+        self.grad_fresh = false;
+        self.iterations += 1;
+        self.primal_residual = r_norm;
+        self.dual_residual = s_norm;
+    }
+
+    /// The rule half of the per-λ transition, on the gradient in `grad`
+    /// (fresh for `z`; the allreduced one in a consensus solve, so every
+    /// rank selects the same set):
+    /// `S = supp(z) ∪ { j : |c_j| >= 2 λ - λ_prev }`. Gathers `z_S`,
+    /// zeroes `u_S` and resets the per-λ counters; the caller factors
+    /// `G_SS + rho I` ([`AdmmState::factor_active`]).
+    pub(crate) fn screen(&mut self, lambda: f64, prev: f64) {
+        let cut = 2.0 * lambda - prev;
+        let AdmmState {
+            z,
+            grad,
+            active,
+            in_active,
+            zs,
+            us,
+            ..
+        } = self;
+        active.clear();
+        for (j, member) in in_active.iter_mut().enumerate() {
+            // Non-finite gradients are kept, so corrupted inputs still
+            // reach the iteration and its divergence tripwire.
+            *member = z[j] != 0.0 || grad[j].is_nan() || grad[j].abs() >= cut;
+            if *member {
+                active.push(j);
+            }
+        }
+        zs.clear();
+        zs.extend(active.iter().map(|&j| z[j]));
+        us.clear();
+        us.resize(active.len(), 0.0);
+        self.lambda = lambda;
+        self.converged = false;
+        self.iterations = 0;
+        self.primal_residual = f64::INFINITY;
+        self.dual_residual = f64::INFINITY;
+        self.scratch.curve.clear();
+    }
+
+    /// The merge half of the KKT re-entry, on the gradient in `grad`
+    /// (fresh for `z`): every `j` off `S` with `|c_j| > λ` joins it.
+    /// Returns whether `S` grew; if so the compact iterates are
+    /// re-gathered over the enlarged (still sorted) set — continuing
+    /// members keep their `z`/`u`, newcomers start at zero — and the
+    /// caller refactors.
+    pub(crate) fn admit(&mut self, lambda: f64) -> bool {
+        let AdmmState {
+            grad,
+            active,
+            in_active,
+            zs,
+            us,
+            ..
+        } = self;
+        let mut added = 0;
+        for (member, g) in in_active.iter_mut().zip(&*grad) {
+            // Non-finite gradients count as violators (see `screen`).
+            if !*member && (g.is_nan() || g.abs() > lambda) {
+                *member = true;
+                added += 1;
+            }
+        }
+        if added == 0 {
+            return false;
+        }
+        // Merge from the back, in place: the new set is a superset, so
+        // each write lands at or after the old entry it may displace.
+        let mut old = active.len();
+        let mut k = old + added;
+        active.resize(k, 0);
+        zs.resize(k, 0.0);
+        us.resize(k, 0.0);
+        for j in (0..in_active.len()).rev().filter(|&j| in_active[j]) {
+            k -= 1;
+            if old > 0 && active[old - 1] == j {
+                old -= 1;
+                zs[k] = zs[old];
+                us[k] = us[old];
+            } else {
+                zs[k] = 0.0;
+                us[k] = 0.0;
+            }
+            active[k] = j;
+        }
+        true
+    }
+
+    /// `grad = X^T y - G z` in full coordinates for `design`, touching
+    /// only the columns of `G` where `z` is non-zero (none at all while
+    /// `z = 0`). Returned so a consensus solver can sum it across ranks
+    /// in place before the rule reads it.
+    pub(crate) fn refresh_gradient(&mut self, design: &DesignStore, xty: &[f64]) -> &mut [f64] {
+        let AdmmState {
+            z, grad, scratch, ..
+        } = self;
+        grad.clear();
+        grad.extend_from_slice(xty);
+        match design {
+            DesignStore::Gram { gram, .. } => {
+                for (s, &b) in z.iter().enumerate() {
+                    if b == 0.0 {
+                        continue;
+                    }
+                    // Upper storage: column s above the diagonal, then
+                    // row s from the diagonal on.
+                    for (i, g) in grad[..s].iter_mut().enumerate() {
+                        *g -= gram[(i, s)] * b;
+                    }
+                    for (g, &v) in grad[s..].iter_mut().zip(&gram.row(s)[s..]) {
+                        *g -= v * b;
+                    }
+                }
+            }
+            DesignStore::Wide(_) if z.iter().all(|&b| b == 0.0) => {}
+            DesignStore::Wide(x) => {
+                let xz = &mut scratch.wn;
+                xz.clear();
+                xz.extend((0..x.rows()).map(|r| {
+                    let row = x.row(r);
+                    z.iter()
+                        .zip(row)
+                        .filter(|(b, _)| **b != 0.0)
+                        .fold(0.0, |acc, (b, v)| acc + v * b)
+                }));
+                gemv_t_into(x, xz, &mut scratch.wt);
+                for (g, v) in grad.iter_mut().zip(&scratch.wt) {
+                    *g -= v;
+                }
+            }
+        }
+        self.grad_fresh = true;
+        &mut self.grad
+    }
+
+    /// Factor `G_SS + rho I` of `design` for the active set into the
+    /// reusable factor buffer, unless it already holds that set's factor.
+    /// A breakdown (possible only when the ridge is negligible against the
+    /// Gram's scale) walks the deterministic jitter ladder.
+    pub(crate) fn factor_active(&mut self, design: &DesignStore, rho: f64) {
+        if self.factored == self.active {
+            return;
+        }
+        let AdmmState {
+            active,
+            factor,
+            factored,
+            factor_flops,
+            ..
+        } = self;
+        let m = active.len();
+        // Entry (i, j), j <= i: upper storage, and S is sorted, so
+        // S_j <= S_i.
+        let entry = |i: usize, j: usize, tau: f64| {
+            let g = design.gram_entry(active[j], active[i]);
+            if i == j {
+                g + rho + tau
+            } else {
+                g
+            }
+        };
+        if factor.refactor_with(m, |i, j| entry(i, j, 0.0)).is_err() {
+            let trace: f64 = (0..m).map(|i| entry(i, i, 0.0)).sum();
+            let ladder = JitterLadder::for_gram(trace, m);
+            let recovered = (1..=ladder.max_attempts).any(|k| {
+                let tau = ladder.jitter_at(k);
+                factor.refactor_with(m, |i, j| entry(i, j, tau)).is_ok()
+            });
+            assert!(
+                recovered,
+                "ADMM active-set system must factor (is the Gram non-finite?)"
+            );
+        }
+        factored.clear();
+        factored.extend_from_slice(active);
+        *factor_flops += admm_sub_factor_flops(m);
+    }
+}
+
+/// `out = xty_S + rho (z_S - u_S)` over the sorted active set `S`.
+fn gather_active_rhs(
+    active: &[usize],
+    xty: &[f64],
+    zs: &[f64],
+    us: &[f64],
+    rho: f64,
+    out: &mut Vec<f64>,
+) {
+    out.clear();
+    out.extend(active.iter().map(|&j| xty[j]));
+    for ((r, zi), ui) in out.iter_mut().zip(zs).zip(us) {
+        *r += rho * (zi - ui);
     }
 }
 
@@ -483,8 +763,9 @@ struct FusedColumn {
     ws: AdmmWorkspace,
 }
 
-/// How the solver holds its problem.
-enum DesignStore {
+/// How a solver holds its problem — the serial solver's whole design, or
+/// one rank's block of a consensus solve.
+pub(crate) enum DesignStore {
     /// The pristine upper-stored Gram `X^T X` — from
     /// [`LassoAdmm::from_gram`] (the zero-copy bootstrap path, where the
     /// resample is only ever materialised as weighted Gram/rhs products)
@@ -494,6 +775,62 @@ enum DesignStore {
     /// A wide dense design (`p > n`): the full factor takes the Woodbury
     /// form and active-set Grams are formed from the design's columns.
     Wide(Matrix),
+}
+
+impl DesignStore {
+    /// Number of coefficients.
+    pub(crate) fn n_coefficients(&self) -> usize {
+        match self {
+            DesignStore::Gram { gram, .. } => gram.rows(),
+            DesignStore::Wide(x) => x.cols(),
+        }
+    }
+
+    /// The dense design. Panics for a store built from a Gram matrix.
+    pub(crate) fn dense(&self) -> &Matrix {
+        match self {
+            DesignStore::Gram { x: Some(x), .. } | DesignStore::Wide(x) => x,
+            DesignStore::Gram { x: None, .. } => {
+                panic!("this solver was built from a Gram matrix and holds no design")
+            }
+        }
+    }
+
+    /// Entry `(a, b)`, `a <= b`, of `G = X^T X` (upper storage).
+    fn gram_entry(&self, a: usize, b: usize) -> f64 {
+        match self {
+            DesignStore::Gram { gram, .. } => gram[(a, b)],
+            DesignStore::Wide(x) => (0..x.rows()).fold(0.0, |acc, r| acc + x[(r, a)] * x[(r, b)]),
+        }
+    }
+
+    /// Modeled `(flops, working-set bytes)` of
+    /// [`AdmmState::refresh_gradient`] for a `z` with `nnz` non-zeros: one
+    /// Gram column per non-zero, or for a wide design `X z` over the
+    /// non-zeros then `X^T (X z)`.
+    pub(crate) fn gradient_cost(&self, nnz: usize) -> (f64, f64) {
+        match self {
+            DesignStore::Gram { gram, .. } => {
+                let p = gram.rows();
+                ((2 * p * nnz) as f64, (p * nnz * 8) as f64)
+            }
+            DesignStore::Wide(_) if nnz == 0 => (0.0, 0.0),
+            DesignStore::Wide(x) => {
+                let (n, p) = x.shape();
+                ((2 * n * (nnz + p)) as f64, (n * p * 8) as f64)
+            }
+        }
+    }
+
+    /// Modeled flops of gathering an order-`m` active-set Gram: free for
+    /// a stored Gram (a copy), one column dot product per upper entry for
+    /// a wide design.
+    pub(crate) fn gather_flops(&self, m: usize) -> f64 {
+        match self {
+            DesignStore::Gram { .. } => 0.0,
+            DesignStore::Wide(x) => (x.rows() * m * (m + 1)) as f64,
+        }
+    }
 }
 
 /// A LASSO-ADMM solver for a fixed design. Sequential λ paths solve
@@ -619,20 +956,8 @@ impl LassoAdmm {
     fn build_full_factor(&self) -> Result<(Factorization, FactorHealth), FactorBreakdown> {
         match &self.design {
             DesignStore::Gram { gram, .. } => {
-                let mut ridged = gram.clone();
-                for i in 0..ridged.rows() {
-                    ridged[(i, i)] += self.rho;
-                }
-                let ladder = JitterLadder::for_matrix(&ridged);
-                let jf = factor_upper_jittered(&ridged, &ladder)?;
-                Ok((
-                    Factorization::Primal(jf.chol),
-                    FactorHealth {
-                        attempts: jf.attempts,
-                        jitter: jf.jitter,
-                        condest: None,
-                    },
-                ))
+                let (chol, health) = factor_ridged(gram.clone(), self.rho)?;
+                Ok((Factorization::Primal(chol), health))
             }
             DesignStore::Wide(x) => try_factorize(x, self.rho),
         }
@@ -716,20 +1041,12 @@ impl LassoAdmm {
     }
 
     fn dense(&self) -> &Matrix {
-        match &self.design {
-            DesignStore::Gram { x: Some(x), .. } | DesignStore::Wide(x) => x,
-            DesignStore::Gram { x: None, .. } => {
-                panic!("this solver was built from a Gram matrix and holds no design")
-            }
-        }
+        self.design.dense()
     }
 
     /// Number of coefficients.
     pub fn n_coefficients(&self) -> usize {
-        match &self.design {
-            DesignStore::Gram { gram, .. } => gram.rows(),
-            DesignStore::Wide(x) => x.cols(),
-        }
+        self.design.n_coefficients()
     }
 
     /// The configuration in force.
@@ -984,25 +1301,7 @@ impl LassoAdmm {
     /// Fresh screened-path state for [`LassoAdmm::begin_lambda`] /
     /// [`LassoAdmm::step`], starting from `z = 0`.
     pub fn init_state(&self) -> AdmmState {
-        let p = self.n_coefficients();
-        AdmmState {
-            z: vec![0.0; p],
-            converged: false,
-            iterations: 0,
-            primal_residual: f64::INFINITY,
-            dual_residual: f64::INFINITY,
-            lambda: f64::NAN,
-            grad: vec![0.0; p],
-            grad_fresh: false,
-            active: Vec::with_capacity(p),
-            in_active: vec![false; p],
-            zs: Vec::with_capacity(p),
-            us: Vec::with_capacity(p),
-            factor: PackedCholesky::new(),
-            factored: Vec::with_capacity(p),
-            factor_flops: 0.0,
-            scratch: AdmmWorkspace::new(),
-        }
+        AdmmState::new(self.n_coefficients())
     }
 
     /// The per-λ transition of a screened Sequential path (sequential
@@ -1025,45 +1324,11 @@ impl LassoAdmm {
         assert_eq!(xty.len(), p, "rhs length mismatch");
         assert!(lambda >= 0.0);
         if !st.grad_fresh {
-            self.refresh_gradient(xty, st);
+            st.refresh_gradient(&self.design, xty);
         }
-        let prev = if st.lambda.is_nan() {
-            xty.iter().fold(0.0_f64, |m, v| m.max(v.abs()))
-        } else {
-            st.lambda
-        };
-        let cut = 2.0 * lambda - prev;
-        {
-            let AdmmState {
-                z,
-                grad,
-                active,
-                in_active,
-                zs,
-                us,
-                ..
-            } = st;
-            active.clear();
-            for (j, member) in in_active.iter_mut().enumerate() {
-                // Non-finite gradients are kept, so corrupted inputs still
-                // reach the iteration and its divergence tripwire.
-                *member = z[j] != 0.0 || grad[j].is_nan() || grad[j].abs() >= cut;
-                if *member {
-                    active.push(j);
-                }
-            }
-            zs.clear();
-            zs.extend(active.iter().map(|&j| z[j]));
-            us.clear();
-            us.resize(active.len(), 0.0);
-        }
-        self.factor_active(st);
-        st.lambda = lambda;
-        st.converged = false;
-        st.iterations = 0;
-        st.primal_residual = f64::INFINITY;
-        st.dual_residual = f64::INFINITY;
-        st.scratch.curve.clear();
+        let prev = st.previous_lambda().unwrap_or_else(|| norm_inf(xty));
+        st.screen(lambda, prev);
+        st.factor_active(&self.design, self.rho);
     }
 
     /// One screened ADMM iteration (x-, z-, u-updates plus convergence
@@ -1085,10 +1350,7 @@ impl LassoAdmm {
         if st.converged {
             return;
         }
-        st.iterations += 1;
         let (r_norm, s_norm, conv) = self.iterate_active(xty, lambda, st);
-        st.primal_residual = r_norm;
-        st.dual_residual = s_norm;
         if conv && !self.admit_violators(xty, lambda, st) {
             st.converged = true;
             self.note_solve(st.iterations, true, r_norm, s_norm);
@@ -1119,177 +1381,35 @@ impl LassoAdmm {
         }
     }
 
-    /// One iteration of the active-set sub-problem; `z` is refreshed in
-    /// full coordinates afterwards.
+    /// One iteration of the active-set sub-problem, committed to the
+    /// state ([`AdmmState::commit_step`]).
     fn iterate_active(&self, xty: &[f64], lambda: f64, st: &mut AdmmState) -> (f64, f64, bool) {
         let rho = self.rho;
         let AdmmState {
-            z,
             active,
             zs,
             us,
             factor,
             scratch,
-            grad_fresh,
             ..
         } = st;
-        let x_var = &mut scratch.x_var;
-        x_var.clear();
-        x_var.extend(active.iter().map(|&j| xty[j]));
-        for ((r, zi), ui) in x_var.iter_mut().zip(&*zs).zip(&*us) {
-            *r += rho * (zi - ui);
-        }
-        factor.solve_in_place(x_var);
+        gather_active_rhs(active, xty, zs, us, rho, &mut scratch.x_var);
+        factor.solve_in_place(&mut scratch.x_var);
         let out = self.finish_iterate(lambda / rho, zs, us, scratch);
-        for (&j, &v) in active.iter().zip(&*zs) {
-            z[j] = v;
-        }
-        *grad_fresh = false;
+        st.commit_step(out.0, out.1);
         out
-    }
-
-    /// `grad = X^T y - G z` in full coordinates, touching only the
-    /// columns of `G` where `z` is non-zero.
-    fn refresh_gradient(&self, xty: &[f64], st: &mut AdmmState) {
-        let AdmmState {
-            z, grad, scratch, ..
-        } = st;
-        grad.clear();
-        grad.extend_from_slice(xty);
-        match &self.design {
-            DesignStore::Gram { gram, .. } => {
-                for (s, &b) in z.iter().enumerate() {
-                    if b == 0.0 {
-                        continue;
-                    }
-                    // Upper storage: column s above the diagonal, then
-                    // row s from the diagonal on.
-                    for (i, g) in grad[..s].iter_mut().enumerate() {
-                        *g -= gram[(i, s)] * b;
-                    }
-                    for (g, &v) in grad[s..].iter_mut().zip(&gram.row(s)[s..]) {
-                        *g -= v * b;
-                    }
-                }
-            }
-            DesignStore::Wide(x) => {
-                let xz = &mut scratch.wn;
-                xz.clear();
-                xz.extend((0..x.rows()).map(|r| {
-                    let row = x.row(r);
-                    z.iter()
-                        .zip(row)
-                        .filter(|(b, _)| **b != 0.0)
-                        .fold(0.0, |acc, (b, v)| acc + v * b)
-                }));
-                gemv_t_into(x, xz, &mut scratch.wt);
-                for (g, v) in grad.iter_mut().zip(&scratch.wt) {
-                    *g -= v;
-                }
-            }
-        }
-        st.grad_fresh = true;
-    }
-
-    /// Entry `(i, j)`, `j <= i`, of the active-set Gram `G_SS` (upper
-    /// storage: `S` is sorted, so `S_j <= S_i`).
-    fn active_gram_entry(&self, active: &[usize], i: usize, j: usize) -> f64 {
-        let (a, b) = (active[j], active[i]);
-        match &self.design {
-            DesignStore::Gram { gram, .. } => gram[(a, b)],
-            DesignStore::Wide(x) => (0..x.rows()).fold(0.0, |acc, r| acc + x[(r, a)] * x[(r, b)]),
-        }
-    }
-
-    /// Factor `G_SS + rho I` for the state's active set into its reusable
-    /// factor buffer, unless it already holds that set's factor. A
-    /// breakdown (possible only when the ridge is negligible against the
-    /// Gram's scale) walks the deterministic jitter ladder.
-    fn factor_active(&self, st: &mut AdmmState) {
-        if st.factored == st.active {
-            return;
-        }
-        let rho = self.rho;
-        let AdmmState {
-            active,
-            factor,
-            factored,
-            factor_flops,
-            ..
-        } = st;
-        let m = active.len();
-        let entry = |i: usize, j: usize, tau: f64| {
-            let g = self.active_gram_entry(active, i, j);
-            if i == j {
-                g + rho + tau
-            } else {
-                g
-            }
-        };
-        if factor.refactor_with(m, |i, j| entry(i, j, 0.0)).is_err() {
-            let trace: f64 = (0..m).map(|i| entry(i, i, 0.0)).sum();
-            let ladder = JitterLadder::for_gram(trace, m);
-            let recovered = (1..=ladder.max_attempts).any(|k| {
-                let tau = ladder.jitter_at(k);
-                factor.refactor_with(m, |i, j| entry(i, j, tau)).is_ok()
-            });
-            assert!(
-                recovered,
-                "ADMM active-set system must factor (is the Gram non-finite?)"
-            );
-        }
-        factored.clear();
-        factored.extend_from_slice(active);
-        *factor_flops += admm_sub_factor_flops(m);
     }
 
     /// KKT check over the complement of the active set, run when the
     /// sub-problem meets tolerance: every `j` off `S` with `|c_j| > λ`
-    /// joins it. Returns whether `S` grew; if so the compact iterates are
-    /// re-gathered over the enlarged (still sorted) set — continuing
-    /// members keep their `z`/`u`, newcomers start at zero — and the
-    /// factor is rebuilt. Leaves `grad` fresh for the next transition.
+    /// joins it ([`AdmmState::admit`]) and the factor is rebuilt. Returns
+    /// whether `S` grew. Leaves `grad` fresh for the next transition.
     fn admit_violators(&self, xty: &[f64], lambda: f64, st: &mut AdmmState) -> bool {
-        self.refresh_gradient(xty, st);
-        let AdmmState {
-            grad,
-            active,
-            in_active,
-            zs,
-            us,
-            ..
-        } = st;
-        let mut added = 0;
-        for (member, g) in in_active.iter_mut().zip(&*grad) {
-            // Non-finite gradients count as violators (see begin_lambda).
-            if !*member && (g.is_nan() || g.abs() > lambda) {
-                *member = true;
-                added += 1;
-            }
-        }
-        if added == 0 {
+        st.refresh_gradient(&self.design, xty);
+        if !st.admit(lambda) {
             return false;
         }
-        // Merge from the back, in place: the new set is a superset, so
-        // each write lands at or after the old entry it may displace.
-        let mut old = active.len();
-        let mut k = old + added;
-        active.resize(k, 0);
-        zs.resize(k, 0.0);
-        us.resize(k, 0.0);
-        for j in (0..in_active.len()).rev().filter(|&j| in_active[j]) {
-            k -= 1;
-            if old > 0 && active[old - 1] == j {
-                old -= 1;
-                zs[k] = zs[old];
-                us[k] = us[old];
-            } else {
-                zs[k] = 0.0;
-                us[k] = 0.0;
-            }
-            active[k] = j;
-        }
-        self.factor_active(st);
+        st.factor_active(&self.design, self.rho);
         if let Some(m) = &self.metrics {
             m.incr("admm.kkt_reentries", 1);
         }

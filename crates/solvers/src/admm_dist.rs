@@ -23,32 +23,40 @@
 //! through [`Comm::allreduce_sum`] and is therefore both really executed
 //! and virtually timed. Setting `lambda = 0` yields distributed OLS, as
 //! the paper's model-estimation step does.
+//!
+//! Sequential λ paths are screened with the serial solver's per-λ
+//! transition ([`LassoAdmm::begin_lambda`](crate::LassoAdmm::begin_lambda)):
+//! each rank computes its local gradient `X_i^T y_i - G_i z` over the
+//! support columns, one allreduce sums them into the global
+//! `X^T y - G z`, and the sequential strong rule and the KKT re-entry run
+//! on that sum — so every rank selects the same active set `S` and the
+//! collectives stay aligned. Each rank factors its own `G_i,SS + rho I`;
+//! the x/z/u iteration then runs on `|S|`-vectors, with one `|S|`-wide
+//! consensus allreduce and one 3-scalar residual allreduce per step.
+//! Single-λ solves, OLS and Fused paths iterate on all `p` coefficients
+//! against the full local factor. See DESIGN.md §3.
 
 use crate::admm::{
-    admm_iter_flops, decimate_curve, effective_rho, lockstep_round_charges, try_factorize,
-    AdmmConfig, AdmmSolution, Factorization, PathSchedule, CURVE_MAX_POINTS,
+    admm_active_iter_flops, admm_iter_flops, decimate_curve, effective_rho, factor_ridged_pristine,
+    lockstep_round_charges, try_factorize, AdmmConfig, AdmmSolution, AdmmState, DesignStore,
+    Factorization, PathSchedule, CURVE_MAX_POINTS,
 };
 use crate::prox::soft_threshold_vec;
 use crate::resilience::FactorHealth;
 use std::sync::Arc;
-use uoi_linalg::{
-    factor_upper_jittered, gemv_into, gemv_t, gemv_t_into, FactorBreakdown, JitterLadder, Matrix,
-};
+use uoi_linalg::{gemv_into, gemv_t, gemv_t_into, norm_inf, FactorBreakdown, Matrix};
 use uoi_mpisim::{Comm, RankCtx};
 use uoi_telemetry::MetricsRegistry;
-
-/// The rank-local problem data: a dense design block, or only its
-/// dimensions when the solver was built from a precomputed local Gram
-/// ([`DistLassoAdmm::from_gram`] — the zero-copy estimation path).
-enum LocalStore {
-    Dense(Matrix),
-    Gram { n_rows: usize, p: usize },
-}
 
 /// A distributed LASSO/OLS solver bound to one rank's local data block,
 /// with the x-update factorisation cached across lambda values.
 pub struct DistLassoAdmm {
-    local: LocalStore,
+    /// The rank's block: its pristine upper Gram `X_i^T X_i` (plus the
+    /// design when built from one, for the response entry points), or a
+    /// wide block's design. Screened paths gather `G_i,SS` from it.
+    design: DesignStore,
+    /// Rows of the local block.
+    n_rows: usize,
     factor: Factorization,
     cfg: AdmmConfig,
     /// Effective penalty shared by every rank: `cfg.rho` scaled by the
@@ -63,6 +71,36 @@ pub struct DistLassoAdmm {
     /// How the local factorisation went (jitter attempts consumed by the
     /// escalation ladder; 0 on the clean path).
     factor_health: FactorHealth,
+}
+
+/// Buffers of the local x-update, reused across iterations and λs.
+#[derive(Default)]
+struct Local {
+    rhs: Vec<f64>,
+    x_i: Vec<f64>,
+    /// Woodbury scratch: `X v` then the inner solve, and `X^T inner`.
+    wn: Vec<f64>,
+    wt: Vec<f64>,
+}
+
+impl Local {
+    /// `rhs = xty + rho (z - u)` over all coefficients.
+    fn build_rhs(&mut self, xty: &[f64], z: &[f64], u: &[f64], rho: f64) {
+        self.rhs.clear();
+        self.rhs.extend_from_slice(xty);
+        for ((r, zi), ui) in self.rhs.iter_mut().zip(z).zip(u) {
+            *r += rho * (zi - ui);
+        }
+    }
+}
+
+/// Buffers of the consensus half of an iteration, reused across
+/// iterations and λs.
+#[derive(Default)]
+struct Consensus {
+    payload: Vec<f64>,
+    z_old: Vec<f64>,
+    sums: Vec<f64>,
 }
 
 impl DistLassoAdmm {
@@ -116,34 +154,31 @@ impl DistLassoAdmm {
             (dim * dim * dim) as f64 / 3.0,
             uoi_linalg::gram::gram_kernel_ws(dim),
         );
-        let (rho, factor, health) = if p <= n {
+        let (rho, factor, health, design) = if p <= n {
             // Mirror `from_gram`: diagonal read off the local Gram before
-            // the ridge is added, so `from_gram(syrk_t(&x_local), ..)`
-            // stays bit-identical for p <= n_local blocks.
+            // the ridge is added, and the Gram kept pristine, so
+            // `from_gram(syrk_t(&x_local), ..)` stays bit-identical for
+            // p <= n_local blocks.
             let mut gram = uoi_linalg::syrk_t_upper(&x_local).into_upper();
             let local_diag: f64 = (0..p).map(|i| gram[(i, i)]).sum();
             let rho = Self::global_rho(ctx, comm, local_diag, p, cfg.rho);
-            for i in 0..p {
-                gram[(i, i)] += rho;
-            }
-            let ladder = JitterLadder::for_matrix(&gram);
-            let jf = factor_upper_jittered(&gram, &ladder)?;
-            let health = FactorHealth {
-                attempts: jf.attempts,
-                jitter: jf.jitter,
-                condest: None,
+            let (chol, health) = factor_ridged_pristine(&mut gram, rho)?;
+            let design = DesignStore::Gram {
+                gram,
+                x: Some(x_local),
             };
-            (rho, Factorization::Primal(jf.chol), health)
+            (rho, Factorization::Primal(chol), health, design)
         } else {
             let local_diag: f64 = x_local.as_slice().iter().map(|v| v * v).sum();
             let rho = Self::global_rho(ctx, comm, local_diag, p, cfg.rho);
             let (factor, health) = try_factorize(&x_local, rho)?;
-            (rho, factor, health)
+            (rho, factor, health, DesignStore::Wide(x_local))
         };
         let metrics = ctx.telemetry().metrics();
         ctx.span_exit(sp);
         Ok(Self {
-            local: LocalStore::Dense(x_local),
+            design,
+            n_rows: n,
             factor,
             cfg,
             rho,
@@ -152,12 +187,13 @@ impl DistLassoAdmm {
         })
     }
 
-    /// Build from a precomputed local Gram `X_i^T X_i` (consumed; the
-    /// effective penalty is added to its diagonal in place) and the row
-    /// count that produced it. Collective over `comm` (penalty allreduce).
-    /// Solves must then go through the `*_with_rhs` entry points with the
-    /// matching local `X_i^T y_i`. Charges only the Cholesky flops — the
-    /// Gram itself was the caller's (already-charged) work.
+    /// Build from a precomputed local Gram `X_i^T X_i` (consumed and kept
+    /// pristine; screened paths gather their active-set Grams from it) and
+    /// the row count that produced it. Collective over `comm` (penalty
+    /// allreduce). Solves must then go through the `*_with_rhs` entry
+    /// points with the matching local `X_i^T y_i`. Charges only the
+    /// Cholesky flops — the Gram itself was the caller's (already-charged)
+    /// work.
     pub fn from_gram(
         ctx: &mut RankCtx,
         comm: &Comm,
@@ -192,25 +228,16 @@ impl DistLassoAdmm {
         );
         let local_diag: f64 = (0..p).map(|i| gram[(i, i)]).sum();
         let rho = Self::global_rho(ctx, comm, local_diag, p, cfg.rho);
-        for i in 0..p {
-            gram[(i, i)] += rho;
-        }
         // Reads only the upper triangle: upper-stored Grams from the
         // batched engine (and the checkpoint warm path that round-trips
         // them) need no mirror.
-        let ladder = JitterLadder::for_matrix(&gram);
-        let jf = factor_upper_jittered(&gram, &ladder)?;
-        let factor_health = FactorHealth {
-            attempts: jf.attempts,
-            jitter: jf.jitter,
-            condest: None,
-        };
-        let factor = Factorization::Primal(jf.chol);
+        let (chol, factor_health) = factor_ridged_pristine(&mut gram, rho)?;
         let metrics = ctx.telemetry().metrics();
         ctx.span_exit(sp);
         Ok(Self {
-            local: LocalStore::Gram { n_rows, p },
-            factor,
+            design: DesignStore::Gram { gram, x: None },
+            n_rows,
+            factor: Factorization::Primal(chol),
             cfg,
             rho,
             metrics,
@@ -224,26 +251,14 @@ impl DistLassoAdmm {
         self.factor_health
     }
 
-    fn local_dense(&self) -> &Matrix {
-        match &self.local {
-            LocalStore::Dense(x) => x,
-            LocalStore::Gram { .. } => {
-                panic!("this solver was built from a Gram matrix and holds no design")
-            }
-        }
-    }
-
     fn local_shape(&self) -> (usize, usize) {
-        match &self.local {
-            LocalStore::Dense(x) => x.shape(),
-            LocalStore::Gram { n_rows, p } => (*n_rows, *p),
-        }
+        (self.n_rows, self.design.n_coefficients())
     }
 
     /// The local design block. Panics for a solver built with
     /// [`DistLassoAdmm::from_gram`].
     pub fn local_design(&self) -> &Matrix {
-        self.local_dense()
+        self.design.dense()
     }
 
     /// Solve for one lambda from a cold start. Collective over `comm`.
@@ -275,7 +290,7 @@ impl DistLassoAdmm {
     /// The local `X_i^T y_i`, computed once per (design, response) and
     /// charged to the rank's virtual clock.
     pub fn prepare_local_rhs(&self, ctx: &mut RankCtx, y_local: &[f64]) -> Vec<f64> {
-        let x = self.local_dense();
+        let x = self.design.dense();
         let (n, p) = x.shape();
         assert_eq!(y_local.len(), n, "local response length mismatch");
         let xty = gemv_t(x, y_local);
@@ -283,10 +298,12 @@ impl DistLassoAdmm {
         xty
     }
 
-    /// Warm-started solve against a precomputed local `X_i^T y_i` — the
-    /// entry point shared by the lambda path (rhs hoisted out of the
-    /// per-lambda loop) and the Gram-built estimation solvers. The inner
-    /// loop reuses its buffers across iterations and allocates nothing.
+    /// Warm-started full-problem solve against a precomputed local
+    /// `X_i^T y_i` — the single-λ entry point shared by the Gram-built
+    /// estimation solvers and the cold references of the Fused path. The
+    /// local arithmetic reuses its buffers across iterations; each
+    /// allreduce still copies its payload into the communicator (and, on
+    /// more than one rank, records a collective event).
     pub fn solve_warm_with_rhs(
         &self,
         ctx: &mut RankCtx,
@@ -300,20 +317,14 @@ impl DistLassoAdmm {
         assert_eq!(xty.len(), p, "local rhs length mismatch");
         assert_eq!(z.len(), p);
         assert_eq!(u.len(), p);
-        let b = comm.size() as f64;
         let rho = self.rho;
         let span = ctx.span_enter("admm_dist.solve");
         // Consensus threshold: lambda / (rho * B).
-        let kappa = lambda / (rho * b);
+        let kappa = lambda / (rho * comm.size() as f64);
 
         let working_set = ((n.min(p) * n.min(p) + n * p) * 8) as f64;
-        let mut z_old = vec![0.0; p];
-        let mut rhs: Vec<f64> = Vec::with_capacity(p);
-        let mut x_i: Vec<f64> = Vec::with_capacity(p);
-        let mut payload: Vec<f64> = Vec::with_capacity(p);
-        let mut sums_v: Vec<f64> = Vec::with_capacity(3);
-        let mut wn: Vec<f64> = Vec::new();
-        let mut wt: Vec<f64> = Vec::new();
+        let mut local = Local::default();
+        let mut cons = Consensus::default();
         let (mut r_norm, mut s_norm) = (f64::INFINITY, f64::INFINITY);
         let mut iterations = 0;
         let mut converged = false;
@@ -322,103 +333,25 @@ impl DistLassoAdmm {
         for it in 0..self.cfg.max_iter {
             iterations = it + 1;
             // Local x-update.
-            rhs.clear();
-            rhs.extend_from_slice(xty);
-            for ((r, zi), ui) in rhs.iter_mut().zip(&z).zip(&u) {
-                *r += rho * (zi - ui);
-            }
-            match &self.factor {
-                Factorization::Primal(ch) => {
-                    x_i.clear();
-                    x_i.extend_from_slice(&rhs);
-                    ch.solve_in_place(&mut x_i);
-                }
-                Factorization::Woodbury(ch) => {
-                    let x = self.local_dense();
-                    gemv_into(x, &rhs, &mut wn);
-                    ch.solve_in_place(&mut wn);
-                    gemv_t_into(x, &wn, &mut wt);
-                    x_i.clear();
-                    x_i.extend(rhs.iter().zip(&wt).map(|(vi, wi)| (vi - wi) / rho));
-                }
-            }
+            local.build_rhs(xty, &z, &u, rho);
+            self.x_update(&mut local);
             ctx.compute_flops(admm_iter_flops(n, p), working_set);
 
-            // z-update: allreduce the sum of (x_i + u_i), then threshold
-            // the mean. The residual norms piggyback as three extra
-            // scalars to keep one allreduce per iteration where possible;
-            // ||x_i - z||^2 needs the *new* z, so it rides the next
-            // iteration's reduction and the final check uses a dedicated
-            // small allreduce.
-            payload.clear();
-            payload.extend(x_i.iter().zip(&u).map(|(a, c)| a + c));
-            comm.allreduce_sum(ctx, &mut payload);
-            z_old.copy_from_slice(&z);
-            for v in &mut payload {
-                *v /= b;
-            }
-            if kappa > 0.0 {
-                soft_threshold_vec(&payload, kappa, &mut z);
-            } else {
-                z.copy_from_slice(&payload);
-            }
-            ctx.compute_membound((p * 8 * 3) as f64);
-
-            // u-update.
-            for ((ui, xi), zi) in u.iter_mut().zip(&x_i).zip(&z) {
-                *ui += xi - zi;
-            }
-
-            // Global residuals (small allreduce of 3 scalars).
-            let mut sums = [0.0_f64; 3];
-            for ((xi, zi), ui) in x_i.iter().zip(&z).zip(&u) {
-                sums[0] += (xi - zi) * (xi - zi);
-                sums[1] += xi * xi;
-                sums[2] += (rho * ui) * (rho * ui);
-            }
-            sums_v.clear();
-            sums_v.extend_from_slice(&sums);
-            comm.allreduce_sum(ctx, &mut sums_v);
-            r_norm = sums_v[0].sqrt();
-            let x_norm = sums_v[1].sqrt();
-            let u_norm = sums_v[2].sqrt();
-            let z_norm = uoi_linalg::norm2(&z) * b.sqrt();
-            let dz: f64 = z
-                .iter()
-                .zip(&z_old)
-                .map(|(a, c)| (a - c) * (a - c))
-                .sum::<f64>()
-                .sqrt();
-            s_norm = rho * dz * b.sqrt();
-
+            let (r, s, conv) =
+                self.consensus_update(ctx, comm, kappa, &local.x_i, &mut z, &mut u, &mut cons);
+            r_norm = r;
+            s_norm = s;
             if self.cfg.capture_curve {
                 curve_buf.push(r_norm);
             }
-            let sqrt_np = (b * p as f64).sqrt();
-            let eps_pri = sqrt_np * self.cfg.abstol + self.cfg.reltol * x_norm.max(z_norm);
-            let eps_dual = sqrt_np * self.cfg.abstol + self.cfg.reltol * u_norm;
-            if r_norm <= eps_pri && s_norm <= eps_dual {
+            if conv {
                 converged = true;
                 break;
             }
         }
 
         ctx.span_exit(span);
-        if comm.rank() == 0 {
-            if let Some(m) = &self.metrics {
-                m.incr("admm_dist.solves", 1);
-                if converged {
-                    m.incr("admm_dist.converged", 1);
-                } else {
-                    m.incr("admm_dist.max_iter_hit", 1);
-                }
-                m.observe("admm_dist.iterations", iterations as f64);
-                m.observe("admm_dist.primal_residual", r_norm);
-                m.observe("admm_dist.dual_residual", s_norm);
-                m.observe("solver.iterations", iterations as f64);
-                m.incr("solver.nonconverged", u64::from(!converged));
-            }
-        }
+        self.note_solve(comm, iterations, converged, r_norm, s_norm);
         AdmmSolution {
             beta: z,
             iterations,
@@ -426,6 +359,101 @@ impl DistLassoAdmm {
             dual_residual: s_norm,
             converged,
             curve: decimate_curve(&curve_buf, CURVE_MAX_POINTS),
+        }
+    }
+
+    /// The consensus half of one iteration, given this rank's fresh
+    /// `x_i`: allreduce the sum of `x_i + u_i` and threshold the mean
+    /// into `z`, update `u_i`, then allreduce the three residual sums
+    /// (`||x_i - z||^2` needs the *new* z, so it cannot ride the first
+    /// reduction). The vectors are `p`-long on a full solve and
+    /// `|S|`-long on a screened one, where the absolute tolerance scales
+    /// with `sqrt(B |S|)`. Returns `(r_norm, s_norm, converged)`; every
+    /// input to the decision is allreduced, so all ranks take it alike.
+    #[allow(clippy::too_many_arguments)]
+    fn consensus_update(
+        &self,
+        ctx: &mut RankCtx,
+        comm: &Comm,
+        kappa: f64,
+        x_i: &[f64],
+        z: &mut [f64],
+        u: &mut [f64],
+        cons: &mut Consensus,
+    ) -> (f64, f64, bool) {
+        let len = z.len();
+        let b = comm.size() as f64;
+        let rho = self.rho;
+        let Consensus {
+            payload,
+            z_old,
+            sums,
+        } = cons;
+        payload.clear();
+        payload.extend(x_i.iter().zip(&*u).map(|(a, c)| a + c));
+        comm.allreduce_sum(ctx, payload);
+        z_old.clear();
+        z_old.extend_from_slice(z);
+        for v in payload.iter_mut() {
+            *v /= b;
+        }
+        if kappa > 0.0 {
+            soft_threshold_vec(payload, kappa, z);
+        } else {
+            z.copy_from_slice(payload);
+        }
+        ctx.compute_membound((len * 8 * 3) as f64);
+
+        // u-update.
+        for ((ui, xi), zi) in u.iter_mut().zip(x_i).zip(&*z) {
+            *ui += xi - zi;
+        }
+
+        // Global residuals (small allreduce of 3 scalars).
+        let mut local = [0.0_f64; 3];
+        for ((xi, zi), ui) in x_i.iter().zip(&*z).zip(&*u) {
+            local[0] += (xi - zi) * (xi - zi);
+            local[1] += xi * xi;
+            local[2] += (rho * ui) * (rho * ui);
+        }
+        sums.clear();
+        sums.extend_from_slice(&local);
+        comm.allreduce_sum(ctx, sums);
+        let r_norm = sums[0].sqrt();
+        let x_norm = sums[1].sqrt();
+        let u_norm = sums[2].sqrt();
+        let z_norm = uoi_linalg::norm2(z) * b.sqrt();
+        let dz: f64 = z
+            .iter()
+            .zip(&*z_old)
+            .map(|(a, c)| (a - c) * (a - c))
+            .sum::<f64>()
+            .sqrt();
+        let s_norm = rho * dz * b.sqrt();
+
+        let sqrt_np = (b * len as f64).sqrt();
+        let eps_pri = sqrt_np * self.cfg.abstol + self.cfg.reltol * x_norm.max(z_norm);
+        let eps_dual = sqrt_np * self.cfg.abstol + self.cfg.reltol * u_norm;
+        (r_norm, s_norm, r_norm <= eps_pri && s_norm <= eps_dual)
+    }
+
+    /// Per-solve metrics, recorded on communicator rank 0 only.
+    fn note_solve(&self, comm: &Comm, iterations: usize, converged: bool, r: f64, s: f64) {
+        if comm.rank() != 0 {
+            return;
+        }
+        if let Some(m) = &self.metrics {
+            m.incr("admm_dist.solves", 1);
+            if converged {
+                m.incr("admm_dist.converged", 1);
+            } else {
+                m.incr("admm_dist.max_iter_hit", 1);
+            }
+            m.observe("admm_dist.iterations", iterations as f64);
+            m.observe("admm_dist.primal_residual", r);
+            m.observe("admm_dist.dual_residual", s);
+            m.observe("solver.iterations", iterations as f64);
+            m.incr("solver.nonconverged", u64::from(!converged));
         }
     }
 
@@ -464,8 +492,10 @@ impl DistLassoAdmm {
 
     /// Solve a whole lambda path against a precomputed local
     /// `X_i^T y_i` — the one path entry point for dense and Gram-built
-    /// solvers. With the default [`PathSchedule::Sequential`], solves
-    /// largest-first with warm starts; with [`PathSchedule::Fused`],
+    /// solvers. Collective over `comm`. With the default
+    /// [`PathSchedule::Sequential`], solves largest-first, each λ a
+    /// screened active-set solve warm-started from the previous λ's
+    /// solution (see the module docs); with [`PathSchedule::Fused`],
     /// delegates to [`DistLassoAdmm::solve_path_fused_with_rhs`].
     pub fn solve_path_with_rhs(
         &self,
@@ -477,15 +507,139 @@ impl DistLassoAdmm {
         if self.cfg.schedule == PathSchedule::Fused {
             return self.solve_path_fused_with_rhs(ctx, comm, xty, lambdas);
         }
-        let p = self.local_shape().1;
-        let mut z = vec![0.0; p];
+        let (n, p) = self.local_shape();
+        assert_eq!(xty.len(), p, "local rhs length mismatch");
+        let rho = self.rho;
+        let b = comm.size() as f64;
+        let mut st = AdmmState::new(p);
+        let mut local = Local::default();
+        let mut cons = Consensus::default();
+        let mut curve = Vec::new();
         let mut out = Vec::with_capacity(lambdas.len());
         for &lam in lambdas {
-            let sol = self.solve_warm_with_rhs(ctx, comm, xty, lam, z.clone(), vec![0.0; p]);
-            z.clone_from(&sol.beta);
-            out.push(sol);
+            assert!(lam >= 0.0);
+            let span = ctx.span_enter("admm_dist.solve");
+            // The per-λ transition on the summed gradient. On a fresh
+            // state z = 0, so the gradient is the global X^T y and the
+            // strong rule's λ_prev is its ∞-norm. A cut 2λ - λ_prev <= 0
+            // keeps every feature whatever the gradient holds, so the
+            // reduction is skipped then.
+            let prev = st.previous_lambda();
+            if !st.gradient().1 && prev.is_none_or(|prev| 2.0 * lam > prev) {
+                self.reduce_gradient(ctx, comm, xty, &mut st);
+            }
+            st.screen(lam, prev.unwrap_or_else(|| norm_inf(st.gradient().0)));
+            let mut full = self.factor_active(ctx, &mut st);
+            let kappa = lam / (rho * b);
+            curve.clear();
+            for _ in 0..self.cfg.max_iter {
+                let m = st.active_len();
+                st.active_rhs(xty, rho, &mut local.rhs);
+                let (flops, bytes) = if full {
+                    self.x_update(&mut local);
+                    let k = n.min(m);
+                    (admm_iter_flops(n, m), (k * k + n * m) * 8)
+                } else {
+                    local.x_i.clear();
+                    local.x_i.extend_from_slice(&local.rhs);
+                    st.solve_active(&mut local.x_i);
+                    (admm_active_iter_flops(m), (m * m + 2 * m) * 8)
+                };
+                ctx.compute_flops(flops, bytes as f64);
+                let (zs, us) = st.compact_mut();
+                let (r_norm, s_norm, conv) =
+                    self.consensus_update(ctx, comm, kappa, &local.x_i, zs, us, &mut cons);
+                st.commit_step(r_norm, s_norm);
+                if self.cfg.capture_curve {
+                    curve.push(r_norm);
+                }
+                if conv {
+                    // KKT check over the complement of S, on the summed
+                    // gradient; violators join S and the solve goes on.
+                    // An S of every feature has no complement to check.
+                    if m == p {
+                        st.converged = true;
+                        break;
+                    }
+                    self.reduce_gradient(ctx, comm, xty, &mut st);
+                    if !st.admit(lam) {
+                        st.converged = true;
+                        break;
+                    }
+                    full = self.factor_active(ctx, &mut st);
+                    if let (0, Some(reg)) = (comm.rank(), &self.metrics) {
+                        reg.incr("admm_dist.kkt_reentries", 1);
+                    }
+                }
+            }
+            ctx.span_exit(span);
+            self.note_solve(
+                comm,
+                st.iterations,
+                st.converged,
+                st.primal_residual,
+                st.dual_residual,
+            );
+            out.push(AdmmSolution {
+                beta: st.z.clone(),
+                iterations: st.iterations,
+                primal_residual: st.primal_residual,
+                dual_residual: st.dual_residual,
+                converged: st.converged,
+                curve: decimate_curve(&curve, CURVE_MAX_POINTS),
+            });
         }
         out
+    }
+
+    /// Refresh this rank's gradient `X_i^T y_i - G_i z` (support columns
+    /// only) and allreduce it into the global `X^T y - G z`, which the
+    /// strong rule and the KKT check read — identical on every rank.
+    fn reduce_gradient(&self, ctx: &mut RankCtx, comm: &Comm, xty: &[f64], st: &mut AdmmState) {
+        let nnz = st.z.iter().filter(|&&v| v != 0.0).count();
+        let (flops, bytes) = self.design.gradient_cost(nnz);
+        ctx.compute_flops(flops, bytes);
+        comm.allreduce_sum(ctx, st.refresh_gradient(&self.design, xty));
+    }
+
+    /// `x_i = (X_i^T X_i + rho I)^{-1} rhs` through the full local factor.
+    fn x_update(&self, local: &mut Local) {
+        let Local { rhs, x_i, wn, wt } = local;
+        match &self.factor {
+            Factorization::Primal(ch) => {
+                x_i.clear();
+                x_i.extend_from_slice(rhs);
+                ch.solve_in_place(x_i);
+            }
+            Factorization::Woodbury(ch) => {
+                let x = self.design.dense();
+                gemv_into(x, rhs, wn);
+                ch.solve_in_place(wn);
+                gemv_t_into(x, wn, wt);
+                x_i.clear();
+                x_i.extend(rhs.iter().zip(&*wt).map(|(vi, wi)| (vi - wi) / self.rho));
+            }
+        }
+    }
+
+    /// Factor this rank's `G_i,SS + rho I` for the state's active set (a
+    /// no-op when `S` is unchanged) and charge the gather and the
+    /// factorisation — gathered from the kept Gram, or from a wide
+    /// block's columns, as the serial solver does. Returns whether `S`
+    /// holds every feature; the full local factor is applied then and
+    /// nothing is factored. The choice is local: both yield the same
+    /// `|S|`-long x-update, so the collectives do not depend on it.
+    fn factor_active(&self, ctx: &mut RankCtx, st: &mut AdmmState) -> bool {
+        let m = st.active_len();
+        if m == self.design.n_coefficients() {
+            return true;
+        }
+        st.factor_active(&self.design, self.rho);
+        let flops = st.take_factor_flops();
+        if flops > 0.0 {
+            ctx.compute_flops(flops + self.design.gather_flops(m), (m * m * 8) as f64);
+        }
+        false
     }
 
     /// Solve every lambda of the path in lockstep from cold starts
@@ -614,7 +768,7 @@ impl DistLassoAdmm {
                 }
                 Factorization::Woodbury(ch) => {
                     for_each_active(&mut cols, &|c| {
-                        gemv_into(self.local_dense(), &c.rhs, &mut c.wn);
+                        gemv_into(self.design.dense(), &c.rhs, &mut c.wn);
                     });
                     let mut wn_cols: Vec<&mut [f64]> = cols
                         .iter_mut()
@@ -623,7 +777,7 @@ impl DistLassoAdmm {
                         .collect();
                     ch.solve_multi_in_place(&mut wn_cols);
                     for_each_active(&mut cols, &|c| {
-                        gemv_t_into(self.local_dense(), &c.wn, &mut c.wt);
+                        gemv_t_into(self.design.dense(), &c.wn, &mut c.wt);
                         c.x_i.clear();
                         c.x_i
                             .extend(c.rhs.iter().zip(&c.wt).map(|(vi, wi)| (vi - wi) / rho));
@@ -703,23 +857,11 @@ impl DistLassoAdmm {
         }
 
         ctx.span_exit(span);
-        if comm.rank() == 0 {
-            if let Some(m) = &self.metrics {
-                m.observe("admm_dist.fused_rounds", rounds as f64);
-                for c in &cols {
-                    m.incr("admm_dist.solves", 1);
-                    if c.converged {
-                        m.incr("admm_dist.converged", 1);
-                    } else {
-                        m.incr("admm_dist.max_iter_hit", 1);
-                    }
-                    m.observe("admm_dist.iterations", c.iterations as f64);
-                    m.observe("admm_dist.primal_residual", c.r_norm);
-                    m.observe("admm_dist.dual_residual", c.s_norm);
-                    m.observe("solver.iterations", c.iterations as f64);
-                    m.incr("solver.nonconverged", u64::from(!c.converged));
-                }
-            }
+        if let (0, Some(m)) = (comm.rank(), &self.metrics) {
+            m.observe("admm_dist.fused_rounds", rounds as f64);
+        }
+        for c in &cols {
+            self.note_solve(comm, c.iterations, c.converged, c.r_norm, c.s_norm);
         }
         cols.into_iter()
             .map(|c| AdmmSolution {

@@ -9,7 +9,8 @@
 //!   fused solves, and OLS via `lambda = 0`;
 //! * [`admm_dist::DistLassoAdmm`] — consensus ADMM with row-wise sample
 //!   splitting over a simulated communicator (the paper's
-//!   `MPI_Allreduce`-dominated solver);
+//!   `MPI_Allreduce`-dominated solver), its lambda paths screened by the
+//!   serial solver's strong rule run on the allreduced gradient;
 //! * [`cd`] — cyclic coordinate descent for LASSO and MCP, plus ridge:
 //!   the statistical baselines and independent test oracles;
 //! * [`ols`] — support-restricted OLS for the UoI estimation step;
