@@ -123,47 +123,10 @@ fn bench_symv(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_multi_rhs_solve(c: &mut Criterion) {
-    // Fused multi-RHS triangular solves over one shared Cholesky factor
-    // (the multi-lambda lockstep round) vs one substitution per RHS.
-    let mut g = c.benchmark_group("multi_rhs_solve");
-    for &(p, nrhs) in &[(64usize, 8usize), (128, 16), (256, 33)] {
-        let x = matrix(2 * p, p, 11);
-        let mut gram = syrk_t(&x);
-        for i in 0..p {
-            gram[(i, i)] += 1.0;
-        }
-        let ch = Cholesky::factor(&gram).unwrap();
-        let rhs: Vec<Vec<f64>> = (0..nrhs)
-            .map(|k| (0..p).map(|i| ((i + k) as f64 * 0.19).sin()).collect())
-            .collect();
-        g.throughput(Throughput::Elements((p * p * nrhs) as u64));
-        let id = format!("{p}x{nrhs}");
-        g.bench_with_input(BenchmarkId::new("fused", &id), &p, |b, _| {
-            b.iter(|| {
-                let mut work = rhs.clone();
-                let mut cols: Vec<&mut [f64]> = work.iter_mut().map(|c| c.as_mut_slice()).collect();
-                ch.solve_multi_in_place(black_box(&mut cols));
-                work
-            })
-        });
-        g.bench_with_input(BenchmarkId::new("per_rhs", &id), &p, |b, _| {
-            b.iter(|| {
-                let mut work = rhs.clone();
-                for col in &mut work {
-                    ch.solve_in_place(black_box(col));
-                }
-                work
-            })
-        });
-    }
-    g.finish();
-}
-
 criterion_group! {
     name = kernels;
     config = Criterion::default().sample_size(20);
     targets = bench_gemm, bench_gemv, bench_cholesky, bench_sparse,
-        bench_inner_kernels, bench_symv, bench_multi_rhs_solve
+        bench_inner_kernels, bench_symv
 }
 criterion_main!(kernels);

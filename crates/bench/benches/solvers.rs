@@ -1,7 +1,6 @@
 //! Criterion microbenchmarks of the optimisation layer: soft threshold,
-//! serial LASSO-ADMM (cold / warm / OLS), the consensus λ path (screened
-//! Sequential vs Fused), coordinate descent, and the bootstrap samplers
-//! feeding the UoI maps.
+//! serial LASSO-ADMM (cold / warm / OLS), the screened consensus λ path,
+//! coordinate descent, and the bootstrap samplers feeding the UoI maps.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -11,7 +10,6 @@ use uoi_linalg::{gemv_t, syrk_t_upper, testgen, Matrix};
 use uoi_mpisim::{Cluster, MachineModel};
 use uoi_solvers::{
     geometric_grid, lasso_cd, soft_threshold_vec, AdmmConfig, CdConfig, DistLassoAdmm, LassoAdmm,
-    PathSchedule,
 };
 
 fn problem(n: usize, p: usize) -> (Matrix, Vec<f64>) {
@@ -60,10 +58,9 @@ fn bench_admm(c: &mut Criterion) {
 
 /// The consensus λ path at the `lasso_dist` benchmark's shape (n = 4096,
 /// p = 256, 20 true features, q = 8 λs down to 5e-2 λ_max, `max_iter`
-/// 150) on 1 and 2 ranks: the screened Sequential path against the
-/// unscreened Fused one. Each rank's Gram and rhs are built outside the
-/// timed loop; a timed run spawns the cluster, factors each rank's full
-/// local system (both schedules pay this) and solves the path.
+/// 150) on 1 and 2 ranks, screened. Each rank's Gram and rhs are built
+/// outside the timed loop; a timed run spawns the cluster, factors each
+/// rank's full local system and solves the path.
 fn bench_consensus_path(c: &mut Criterion) {
     let (n, p) = (4096, 256);
     let x = testgen::random_design(2, n, p);
@@ -86,25 +83,20 @@ fn bench_consensus_path(c: &mut Criterion) {
                 (syrk_t_upper(&xl).into_upper(), xty)
             })
             .collect();
-        for (name, schedule) in [
-            ("sequential", PathSchedule::Sequential),
-            ("fused", PathSchedule::Fused),
-        ] {
-            let cfg = AdmmConfig {
-                max_iter: 150,
-                schedule,
-                ..AdmmConfig::default()
-            };
-            g.bench_with_input(BenchmarkId::new(name, ranks), &ranks, |b, &ranks| {
-                b.iter(|| {
-                    Cluster::new(ranks, MachineModel::deterministic()).run(|ctx, comm| {
-                        let (gram, xty) = &systems[comm.rank()];
-                        DistLassoAdmm::from_gram(ctx, comm, gram.clone(), rows, cfg.clone())
-                            .solve_path_with_rhs(ctx, comm, black_box(xty), &lambdas)
-                    })
+        let cfg = AdmmConfig {
+            max_iter: 150,
+            ..AdmmConfig::default()
+        };
+        let id = BenchmarkId::new("sequential", ranks);
+        g.bench_with_input(id, &ranks, |b, &ranks| {
+            b.iter(|| {
+                Cluster::new(ranks, MachineModel::deterministic()).run(|ctx, comm| {
+                    let (gram, xty) = &systems[comm.rank()];
+                    DistLassoAdmm::from_gram(ctx, comm, gram.clone(), rows, cfg.clone())
+                        .solve_path_with_rhs(ctx, comm, black_box(xty), &lambdas)
                 })
-            });
-        }
+            })
+        });
     }
     g.finish();
 }

@@ -7,17 +7,17 @@
 //! consensus ADMM → reduces) on a scaled dataset with the cost model
 //! evaluated at 68 cores and print the same four bars.
 
+use std::sync::{Arc, Mutex};
 use uoi_bench::setups::{machine, single_node};
 use uoi_bench::straggler::{annotate_with_study, StudyPipeline};
 use uoi_bench::{
     emit_run_report, exec_ranks, fmt_bytes, quick_mode, scale_divisor, BenchTrace, Table,
 };
-use std::sync::{Arc, Mutex};
 
 use uoi_core::{DistOptions, ExecMode, NumericalConfig, ParallelLayout, UoiFitter, UoiLassoConfig};
 use uoi_data::LinearConfig;
 use uoi_mpisim::{Cluster, Phase};
-use uoi_solvers::{AdmmConfig, PathSchedule};
+use uoi_solvers::AdmmConfig;
 
 fn main() {
     let point = single_node();
@@ -46,15 +46,6 @@ fn main() {
     }
     .generate();
 
-    // In-rank ADMM workers over the lambda path: UOI_THREADS overrides,
-    // and any multi-threaded run switches to the fused lockstep schedule
-    // so adjacent lambdas share one factorisation per round.
-    let threads = AdmmConfig::env_threads(4);
-    let schedule = if threads > 1 {
-        PathSchedule::Fused
-    } else {
-        PathSchedule::Sequential
-    };
     // UOI_NUMERICAL=1 arms the numerical-resilience guards; the fitted
     // numbers are bit-identical on this clean dataset and the run report
     // gains a `numerical` health block (consumed by bench_snapshot.sh).
@@ -66,8 +57,6 @@ fn main() {
         lambda_min_ratio: 5e-2,
         admm: AdmmConfig {
             max_iter: 150,
-            threads,
-            schedule,
             ..Default::default()
         },
         support_tol: 1e-6,
@@ -134,8 +123,6 @@ fn main() {
     let mut rr = t
         .run_report("fig2_lasso_single_node")
         .param("modeled_cores", point.cores)
-        .param("threads", threads)
-        .param("admm_schedule", format!("{schedule:?}"))
         .param("gram_kernel", uoi_linalg::gram::kernel_variant())
         .param("admm_path", uoi_solvers::PATH_VARIANT)
         .with_summary(report.run_summary());

@@ -51,10 +51,7 @@ pub enum UoiError {
     /// [`ValidationPolicy::Reject`](uoi_data::ValidationPolicy). `detail`
     /// names the first offending coordinate or the exhausted fallback
     /// rung.
-    Numerical {
-        stage: &'static str,
-        detail: String,
-    },
+    Numerical { stage: &'static str, detail: String },
 }
 
 impl fmt::Display for UoiError {

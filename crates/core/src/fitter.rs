@@ -15,7 +15,6 @@
 //! let cfg = UoiLassoConfig { b1: 3, b2: 3, q: 4, ..Default::default() };
 //! let fit = UoiFitter::new(cfg)
 //!     .mode(ExecMode::Serial)
-//!     .threads(1)
 //!     .fit(&ds.x, &ds.y)
 //!     .unwrap();
 //! assert_eq!(fit.beta.len(), 6);
@@ -23,8 +22,7 @@
 //!
 //! Mode dispatch:
 //!
-//! * [`ExecMode::Serial`] — the in-process fit (optionally multi-threaded
-//!   inside the rank via [`UoiFitter::threads`]);
+//! * [`ExecMode::Serial`] — the in-process fit;
 //! * [`ExecMode::Dist`] — spins up a simulated [`Cluster`] internally and
 //!   returns rank 0's fit. Callers that drive their own cluster (custom
 //!   machine models, `modeled_ranks` extrapolation) use
@@ -35,7 +33,8 @@
 //! Numerical contract: the mode and thread count never change the fitted
 //! numbers — `Serial`, `Dist`, and a successful `Recovering` run produce
 //! bit-identical supports and coefficients for the same configuration,
-//! and `threads` only affects the modeled wall-clock.
+//! and `threads` only affects the distributed VAR fit's modeled
+//! wall-clock.
 
 use crate::error::UoiError;
 use crate::parallelism::ParallelLayout;
@@ -53,13 +52,12 @@ use crate::uoi_var_dist::{KronStats, UoiVarDistConfig};
 use crate::uoi_var_recovering::fit_uoi_var_recovering;
 use uoi_linalg::Matrix;
 use uoi_mpisim::{Cluster, Comm, MachineModel, RankCtx};
-use uoi_solvers::{AdmmConfig, PathSchedule};
+use uoi_solvers::AdmmConfig;
 
 /// Where and how a fit executes.
 #[derive(Debug, Clone, Default)]
 pub enum ExecMode {
-    /// In-process fit on the calling thread (plus in-rank worker threads
-    /// when `threads > 1`).
+    /// In-process fit on the calling thread.
     #[default]
     Serial,
     /// Distributed fit over an internally managed simulated cluster;
@@ -177,27 +175,6 @@ impl UoiFitter {
         self
     }
 
-    /// In-rank worker threads for the ADMM `(bootstrap, lambda)` loop.
-    /// Affects only the modeled wall-clock, never the numbers.
-    pub fn threads(mut self, n: usize) -> Self {
-        self.cfg.admm.threads = n;
-        self
-    }
-
-    /// Override the thread count from `UOI_THREADS` when set (and `>= 1`);
-    /// keeps the current value otherwise.
-    pub fn env_threads(mut self) -> Self {
-        self.cfg.admm.threads = AdmmConfig::env_threads(self.cfg.admm.threads);
-        self
-    }
-
-    /// Lambda-path schedule: warm-started [`PathSchedule::Sequential`]
-    /// or lockstep multi-RHS [`PathSchedule::Fused`].
-    pub fn schedule(mut self, schedule: PathSchedule) -> Self {
-        self.cfg.admm.schedule = schedule;
-        self
-    }
-
     /// The current statistical configuration.
     pub fn config(&self) -> &UoiLassoConfig {
         &self.cfg
@@ -272,7 +249,9 @@ impl UoiVarFitter {
         self
     }
 
-    /// In-rank worker threads for the ADMM `(bootstrap, lambda)` loop.
+    /// In-rank worker threads for the distributed fit's lockstep
+    /// response-column rounds. Affects only the modeled wall-clock, never
+    /// the numbers.
     pub fn threads(mut self, n: usize) -> Self {
         self.cfg.base.admm.threads = n;
         self
@@ -281,12 +260,6 @@ impl UoiVarFitter {
     /// Override the thread count from `UOI_THREADS` when set (and `>= 1`).
     pub fn env_threads(mut self) -> Self {
         self.cfg.base.admm.threads = AdmmConfig::env_threads(self.cfg.base.admm.threads);
-        self
-    }
-
-    /// Lambda-path schedule for the inner ADMM solves.
-    pub fn schedule(mut self, schedule: PathSchedule) -> Self {
-        self.cfg.base.admm.schedule = schedule;
         self
     }
 
@@ -431,17 +404,47 @@ mod tests {
     }
 
     #[test]
-    fn threads_and_schedule_flow_into_admm_config() {
-        let f = UoiFitter::new(lasso_cfg())
-            .threads(4)
-            .schedule(PathSchedule::Fused);
-        assert_eq!(f.config().admm.threads, 4);
-        assert_eq!(f.config().admm.schedule, PathSchedule::Fused);
-        let v = UoiVarFitter::new(UoiVarConfig::default())
-            .threads(3)
-            .schedule(PathSchedule::Fused);
+    fn threads_flow_into_admm_config() {
+        let v = UoiVarFitter::new(UoiVarConfig::default()).threads(3);
         assert_eq!(v.config().base.admm.threads, 3);
-        assert_eq!(v.config().base.admm.schedule, PathSchedule::Fused);
+    }
+
+    #[test]
+    fn threads_never_change_a_dist_lasso_fit() {
+        // Only the VAR fit's lockstep rounds read `threads`; a distributed
+        // UoI_LASSO fit must give the same bits and the same modeled
+        // compute at any thread count. The other phases are compared to
+        // round-off: one-sided serving order, which varies run to run,
+        // sets the order their charges are summed in.
+        let ds = dataset();
+        let opts = DistOptions::default().ranks(3);
+        let run = |threads: usize| {
+            let mut cfg = lasso_cfg();
+            cfg.admm = AdmmConfig {
+                threads,
+                ..cfg.admm
+            };
+            let fitter = UoiFitter::new(cfg).mode(ExecMode::Dist(opts.clone()));
+            opts.cluster()
+                .run(|ctx, world| fitter.fit_on(ctx, world, &ds.x, &ds.y))
+        };
+        let (one, four) = (run(1), run(4));
+        for (a, b) in one.ledgers.iter().zip(&four.ledgers) {
+            assert_eq!(a.compute.to_bits(), b.compute.to_bits());
+            for (x, y) in [
+                (a.comm, b.comm),
+                (a.distribution, b.distribution),
+                (a.io, b.io),
+            ] {
+                assert!((x - y).abs() <= 1e-12 * x.abs().max(1e-9), "{a:?} vs {b:?}");
+            }
+        }
+        for (a, b) in one.results.iter().zip(&four.results) {
+            assert_eq!(a.intercept.to_bits(), b.intercept.to_bits());
+            for (va, vb) in a.beta.iter().zip(&b.beta) {
+                assert_eq!(va.to_bits(), vb.to_bits());
+            }
+        }
     }
 
     #[test]

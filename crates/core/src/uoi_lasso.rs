@@ -192,10 +192,8 @@ impl UoiLassoConfig {
             self.admm.max_iter as u64,
             self.admm.abstol.to_bits(),
             self.admm.reltol.to_bits(),
-            // The path schedule changes the iterates (fused solves every
-            // lambda cold), so it invalidates checkpoints; `threads`
-            // deliberately does not — it never affects the numbers.
-            (self.admm.schedule == uoi_solvers::PathSchedule::Fused) as u64,
+            // `threads` deliberately stays out — it never affects the
+            // numbers.
             // Guarded solves can alter results on degenerate inputs (the
             // clean path is bit-identical, but a checkpoint cannot know
             // the input was clean), so arming resilience invalidates.
@@ -902,7 +900,8 @@ pub(crate) fn fit_inner(x: &Matrix, y: &[f64], cfg: &UoiLassoConfig) -> Result<U
                     // ladder; the slot stays empty and the task joins
                     // the degraded-mode quorum accounting below. Dropped
                     // tasks are never checkpointed: a rerun retries them.
-                    let supports = selection_solve_checked(gram.into_upper(), &xty, &lambdas, cfg, k);
+                    let supports =
+                        selection_solve_checked(gram.into_upper(), &xty, &lambdas, cfg, k);
                     if let (Some(st), Some(sup)) = (&store, &supports) {
                         st.save_supports("sel", k, sup)?;
                     }
@@ -1075,7 +1074,12 @@ pub(crate) fn fit_inner(x: &Matrix, y: &[f64], cfg: &UoiLassoConfig) -> Result<U
 /// row: its weighted Gram has rank <= 1, the classic zero-variance
 /// degeneracy. Flag-only — the guarded solver absorbs the singular
 /// system; this just names the cause in the health report.
-pub(crate) fn note_degenerate_resample(cfg: &UoiLassoConfig, stage: &'static str, k: usize, w: &[f64]) {
+pub(crate) fn note_degenerate_resample(
+    cfg: &UoiLassoConfig,
+    stage: &'static str,
+    k: usize,
+    w: &[f64],
+) {
     let distinct = w.iter().filter(|v| **v > 0.0).count();
     if distinct <= 1 {
         cfg.numerical.ledger().note_resample_issue(

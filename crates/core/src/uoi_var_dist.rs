@@ -426,10 +426,7 @@ pub fn fit_uoi_var_dist(
             degradation,
             recovery: None,
             speculation: None,
-            numerical: base
-                .numerical
-                .active()
-                .then(|| num_ledger.drain_report()),
+            numerical: base.numerical.active().then(|| num_ledger.drain_report()),
         },
         kron,
     )

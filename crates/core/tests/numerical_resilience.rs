@@ -137,7 +137,10 @@ fn clean_input_guarded_fit_is_bit_identical() {
     gcfg.numerical = NumericalConfig::guarded();
     let guarded = try_fit_uoi_lasso(&ds.x, &ds.y, &gcfg).unwrap();
 
-    assert!(plain.numerical.is_none(), "inert config must attach nothing");
+    assert!(
+        plain.numerical.is_none(),
+        "inert config must attach nothing"
+    );
     let bits = |b: &[f64]| b.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
     assert_eq!(
         bits(&plain.beta),
@@ -145,7 +148,10 @@ fn clean_input_guarded_fit_is_bit_identical() {
         "guards must be bit-invisible on clean input"
     );
     let report = guarded.numerical.expect("guarded fit carries a report");
-    assert!(report.is_clean(), "clean input must report clean: {report:?}");
+    assert!(
+        report.is_clean(),
+        "clean input must report clean: {report:?}"
+    );
     assert_eq!(report.sanitized_cells, 0);
 }
 
@@ -174,7 +180,11 @@ fn adversarial_matrix_completes_serial_with_deterministic_reports() {
             "{name}: coefficients must stay finite"
         );
         let bits = |b: &[f64]| b.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&a.beta), bits(&b.beta), "{name}: fit must be deterministic");
+        assert_eq!(
+            bits(&a.beta),
+            bits(&b.beta),
+            "{name}: fit must be deterministic"
+        );
     }
 }
 
@@ -188,7 +198,10 @@ fn corrupted_cells_sanitize_vs_reject() {
     scfg.numerical = NumericalConfig::guarded();
     let fit = try_fit_uoi_lasso(&x, &y, &scfg).expect("sanitize completes");
     let report = fit.numerical.unwrap();
-    assert_eq!(report.sanitized_cells, 4, "3 design cells + 1 response cell");
+    assert_eq!(
+        report.sanitized_cells, 4,
+        "3 design cells + 1 response cell"
+    );
     assert!(report.data_issues.values().sum::<usize>() >= 4);
 
     let mut rcfg = lasso_cfg();
@@ -251,7 +264,10 @@ fn adversarial_matrix_completes_recovering() {
         let fit = uoi_core::fit_uoi_lasso_recovering(&x, &y, &cfg, &rcfg)
             .unwrap_or_else(|e| panic!("{name}: recovering fit must complete: {e}"));
         assert!(fit.numerical.is_some(), "{name}: report attached");
-        assert!(fit.beta.iter().all(|v| v.is_finite()), "{name}: finite beta");
+        assert!(
+            fit.beta.iter().all(|v| v.is_finite()),
+            "{name}: finite beta"
+        );
     }
 }
 
@@ -263,10 +279,8 @@ fn adversarial_matrix_completes_recovering() {
 /// byte-identical health report across a rerun.
 #[test]
 fn adversarial_matrix_cell() {
-    let kind =
-        std::env::var("ADVERSARIAL_KIND").unwrap_or_else(|_| "dup_columns".to_string());
-    let pipeline =
-        std::env::var("ADVERSARIAL_PIPELINE").unwrap_or_else(|_| "serial".to_string());
+    let kind = std::env::var("ADVERSARIAL_KIND").unwrap_or_else(|_| "dup_columns".to_string());
+    let pipeline = std::env::var("ADVERSARIAL_PIPELINE").unwrap_or_else(|_| "serial".to_string());
     let (name, x, y) = adversarial_matrix()
         .into_iter()
         .find(|(n, _, _)| *n == kind)
@@ -308,7 +322,10 @@ fn adversarial_matrix_cell() {
                     })
                     .results;
                 for r in 1..results.len() {
-                    assert_eq!(results[0].0, results[r].0, "{name}/dist: rank {r} disagrees");
+                    assert_eq!(
+                        results[0].0, results[r].0,
+                        "{name}/dist: rank {r} disagrees"
+                    );
                 }
                 results.swap_remove(0)
             }
@@ -322,9 +339,7 @@ fn adversarial_matrix_cell() {
                 let report = fit.numerical.expect("report attached");
                 (fit.beta, report.to_json().to_string_compact())
             }
-            other => panic!(
-                "unknown ADVERSARIAL_PIPELINE {other:?} (use serial|dist|recovering)"
-            ),
+            other => panic!("unknown ADVERSARIAL_PIPELINE {other:?} (use serial|dist|recovering)"),
         }
     };
 
@@ -335,8 +350,15 @@ fn adversarial_matrix_cell() {
         "{name}/{pipeline}: coefficients must stay finite"
     );
     let bits = |b: &[f64]| b.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-    assert_eq!(bits(&beta_a), bits(&beta_b), "{name}/{pipeline}: nondeterministic fit");
-    assert_eq!(report_a, report_b, "{name}/{pipeline}: nondeterministic report");
+    assert_eq!(
+        bits(&beta_a),
+        bits(&beta_b),
+        "{name}/{pipeline}: nondeterministic fit"
+    );
+    assert_eq!(
+        report_a, report_b,
+        "{name}/{pipeline}: nondeterministic report"
+    );
 }
 
 fn var_cfg() -> UoiVarConfig {

@@ -19,9 +19,16 @@ use uoi_linalg::Matrix;
 #[derive(Debug, Clone, PartialEq)]
 pub enum DataIssue {
     /// `x[(row, col)]` is NaN or infinite.
-    NonFinite { row: usize, col: usize, value_kind: NonFiniteKind },
+    NonFinite {
+        row: usize,
+        col: usize,
+        value_kind: NonFiniteKind,
+    },
     /// `y[row]` is NaN or infinite.
-    NonFiniteResponse { row: usize, value_kind: NonFiniteKind },
+    NonFiniteResponse {
+        row: usize,
+        value_kind: NonFiniteKind,
+    },
     /// Column `col` holds a single repeated value (zero variance; a zero
     /// column after centring).
     ConstantColumn { col: usize, value: f64 },
@@ -30,7 +37,10 @@ pub enum DataIssue {
     DuplicateColumns { a: usize, b: usize },
     /// A bootstrap resample left at most one distinct row with nonzero
     /// weight — the resampled Gram has rank <= 1.
-    DegenerateResample { bootstrap: usize, distinct_rows: usize },
+    DegenerateResample {
+        bootstrap: usize,
+        distinct_rows: usize,
+    },
 }
 
 /// Which non-finite value was found (kept as an enum so `DataIssue` can
@@ -79,14 +89,21 @@ impl DataIssue {
     /// Is this corrupt data (rejectable) rather than a degenerate but
     /// representable design (flag-only)?
     pub fn is_corrupt(&self) -> bool {
-        matches!(self, Self::NonFinite { .. } | Self::NonFiniteResponse { .. })
+        matches!(
+            self,
+            Self::NonFinite { .. } | Self::NonFiniteResponse { .. }
+        )
     }
 }
 
 impl std::fmt::Display for DataIssue {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Self::NonFinite { row, col, value_kind } => {
+            Self::NonFinite {
+                row,
+                col,
+                value_kind,
+            } => {
                 write!(f, "design[({row}, {col})] is {}", value_kind.as_str())
             }
             Self::NonFiniteResponse { row, value_kind } => {
@@ -98,7 +115,10 @@ impl std::fmt::Display for DataIssue {
             Self::DuplicateColumns { a, b } => {
                 write!(f, "columns {a} and {b} are bitwise identical")
             }
-            Self::DegenerateResample { bootstrap, distinct_rows } => write!(
+            Self::DegenerateResample {
+                bootstrap,
+                distinct_rows,
+            } => write!(
                 f,
                 "bootstrap {bootstrap} resample has {distinct_rows} distinct row(s)"
             ),
@@ -196,7 +216,11 @@ pub fn validate_xy(
         let row = x.row_mut(i);
         for (j, v) in row.iter_mut().enumerate() {
             if let Some(kind) = NonFiniteKind::of(*v) {
-                let issue = DataIssue::NonFinite { row: i, col: j, value_kind: kind };
+                let issue = DataIssue::NonFinite {
+                    row: i,
+                    col: j,
+                    value_kind: kind,
+                };
                 match policy {
                     ValidationPolicy::Reject => {
                         return Err(reject(x_corrupt_count(x, y), issue));
@@ -212,7 +236,10 @@ pub fn validate_xy(
     }
     for (i, v) in y.iter_mut().enumerate() {
         if let Some(kind) = NonFiniteKind::of(*v) {
-            let issue = DataIssue::NonFiniteResponse { row: i, value_kind: kind };
+            let issue = DataIssue::NonFiniteResponse {
+                row: i,
+                value_kind: kind,
+            };
             match policy {
                 ValidationPolicy::Reject => {
                     return Err(reject(x_corrupt_count(x, y), issue));
@@ -235,7 +262,10 @@ pub fn validate_xy(
 }
 
 fn reject(count: usize, first: DataIssue) -> DataError {
-    DataError { first, count: count.max(1) }
+    DataError {
+        first,
+        count: count.max(1),
+    }
 }
 
 fn x_corrupt_count(x: &Matrix, y: &[f64]) -> usize {
@@ -254,7 +284,10 @@ pub fn column_diagnostics(x: &Matrix) -> Vec<DataIssue> {
     for j in 0..p {
         let first = x[(0, j)];
         if (1..n).all(|i| x[(i, j)] == first) {
-            issues.push(DataIssue::ConstantColumn { col: j, value: first });
+            issues.push(DataIssue::ConstantColumn {
+                col: j,
+                value: first,
+            });
         }
     }
     // Duplicate columns: group by a 64-bit hash of the column's bit
@@ -284,7 +317,10 @@ pub fn column_diagnostics(x: &Matrix) -> Vec<DataIssue> {
         }
     }
     dups.sort_unstable();
-    issues.extend(dups.into_iter().map(|(a, b)| DataIssue::DuplicateColumns { a, b }));
+    issues.extend(
+        dups.into_iter()
+            .map(|(a, b)| DataIssue::DuplicateColumns { a, b }),
+    );
     // Deterministic order: by column index, constants before duplicates
     // at equal index.
     issues.sort_by_key(|i| match i {
@@ -300,7 +336,10 @@ pub fn column_diagnostics(x: &Matrix) -> Vec<DataIssue> {
 pub fn check_resample_weights(bootstrap: usize, weights: &[u32]) -> Option<DataIssue> {
     let distinct = weights.iter().filter(|w| **w > 0).count();
     if distinct <= 1 {
-        Some(DataIssue::DegenerateResample { bootstrap, distinct_rows: distinct })
+        Some(DataIssue::DegenerateResample {
+            bootstrap,
+            distinct_rows: distinct,
+        })
     } else {
         None
     }
@@ -332,7 +371,11 @@ mod tests {
         let err = validate_xy(&mut x, &mut y, ValidationPolicy::Reject).unwrap_err();
         assert_eq!(
             err.first,
-            DataIssue::NonFinite { row: 2, col: 1, value_kind: NonFiniteKind::NaN }
+            DataIssue::NonFinite {
+                row: 2,
+                col: 1,
+                value_kind: NonFiniteKind::NaN
+            }
         );
         assert_eq!(err.count, 2);
     }
@@ -345,7 +388,10 @@ mod tests {
         let err = validate_xy(&mut x, &mut y, ValidationPolicy::Reject).unwrap_err();
         assert_eq!(
             err.first,
-            DataIssue::NonFiniteResponse { row: 3, value_kind: NonFiniteKind::NegInf }
+            DataIssue::NonFiniteResponse {
+                row: 3,
+                value_kind: NonFiniteKind::NegInf
+            }
         );
     }
 
@@ -386,7 +432,7 @@ mod tests {
     #[test]
     fn constant_and_duplicate_columns_flagged_not_rejected() {
         let mut x = design(10, 5);
-        x.set_col(1, &vec![3.5; 10]);
+        x.set_col(1, &[3.5; 10]);
         let c = x.col(0);
         x.set_col(4, &c);
         let mut y = vec![0.0; 10];
@@ -406,15 +452,29 @@ mod tests {
         assert!(check_resample_weights(0, &[0, 0, 0]).is_some());
         assert!(check_resample_weights(0, &[1, 4, 0]).is_none());
         let issue = check_resample_weights(7, &[0, 3, 0]).unwrap();
-        assert_eq!(issue, DataIssue::DegenerateResample { bootstrap: 7, distinct_rows: 1 });
+        assert_eq!(
+            issue,
+            DataIssue::DegenerateResample {
+                bootstrap: 7,
+                distinct_rows: 1
+            }
+        );
     }
 
     #[test]
     fn issue_kinds_are_stable_tags() {
         assert_eq!(
-            DataIssue::NonFinite { row: 0, col: 0, value_kind: NonFiniteKind::NaN }.kind(),
+            DataIssue::NonFinite {
+                row: 0,
+                col: 0,
+                value_kind: NonFiniteKind::NaN
+            }
+            .kind(),
             "non_finite"
         );
-        assert_eq!(DataIssue::DuplicateColumns { a: 0, b: 1 }.kind(), "duplicate_columns");
+        assert_eq!(
+            DataIssue::DuplicateColumns { a: 0, b: 1 }.kind(),
+            "duplicate_columns"
+        );
     }
 }

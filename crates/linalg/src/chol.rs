@@ -218,24 +218,6 @@ impl Cholesky {
         back_substitute_transposed(&self.l, b);
     }
 
-    /// Fused multi-RHS solve: forward + back substitution over several
-    /// right-hand sides at once, sharing this factorisation.
-    ///
-    /// Each `L` row (forward pass) and `L` column (back pass) is loaded
-    /// once and applied to every column before moving on — the factor is
-    /// streamed through cache once per pass instead of once per RHS. The
-    /// per-column arithmetic order is exactly that of
-    /// [`Cholesky::solve_in_place`], so every column's result is
-    /// bit-identical to solving it alone.
-    pub fn solve_multi_in_place(&self, cols: &mut [&mut [f64]]) {
-        let n = self.order();
-        for b in cols.iter() {
-            assert_eq!(b.len(), n, "Cholesky::solve_multi: rhs length mismatch");
-        }
-        forward_substitute_multi(&self.l, cols);
-        back_substitute_transposed_multi(&self.l, cols);
-    }
-
     /// Solve `A X = B` column by column.
     pub fn solve_matrix(&self, b: &Matrix) -> Matrix {
         assert_eq!(b.rows(), self.order());
@@ -348,40 +330,6 @@ pub fn back_substitute_transposed(l: &Matrix, b: &mut [f64]) {
             s -= l[(k, i)] * b[k];
         }
         b[i] = s / l[(i, i)];
-    }
-}
-
-/// Multi-RHS [`forward_substitute`]: row loop outside, RHS loop inside, so
-/// each `L` row is read once for all columns. Per-column arithmetic order
-/// (and therefore every result bit) matches the single-RHS version.
-pub fn forward_substitute_multi(l: &Matrix, cols: &mut [&mut [f64]]) {
-    let n = l.rows();
-    for i in 0..n {
-        let row = l.row(i);
-        let d = row[i];
-        for b in cols.iter_mut() {
-            let mut s = b[i];
-            for k in 0..i {
-                s -= row[k] * b[k];
-            }
-            b[i] = s / d;
-        }
-    }
-}
-
-/// Multi-RHS [`back_substitute_transposed`]; same sharing and bit-identity
-/// argument as [`forward_substitute_multi`].
-pub fn back_substitute_transposed_multi(l: &Matrix, cols: &mut [&mut [f64]]) {
-    let n = l.rows();
-    for i in (0..n).rev() {
-        let d = l[(i, i)];
-        for b in cols.iter_mut() {
-            let mut s = b[i];
-            for k in (i + 1)..n {
-                s -= l[(k, i)] * b[k];
-            }
-            b[i] = s / d;
-        }
     }
 }
 
@@ -561,29 +509,6 @@ mod tests {
     fn log_det_identity_is_zero() {
         let ch = Cholesky::factor(&Matrix::identity(5)).unwrap();
         assert!(ch.log_det().abs() < 1e-14);
-    }
-
-    #[test]
-    fn multi_rhs_solve_bit_identical_to_single() {
-        for n in [1, 3, 17, 140] {
-            let a = spd_test_matrix(n);
-            let ch = Cholesky::factor(&a).unwrap();
-            let mut cols: Vec<Vec<f64>> = (0..5)
-                .map(|c| {
-                    (0..n)
-                        .map(|i| ((i * 7 + c * 13 + 3) % 19) as f64 * 0.41 - 2.0)
-                        .collect()
-                })
-                .collect();
-            let singles: Vec<Vec<f64>> = cols.iter().map(|b| ch.solve(b)).collect();
-            let mut views: Vec<&mut [f64]> = cols.iter_mut().map(|c| c.as_mut_slice()).collect();
-            ch.solve_multi_in_place(&mut views);
-            for (got, want) in cols.iter().zip(&singles) {
-                for (g, w) in got.iter().zip(want) {
-                    assert_eq!(g.to_bits(), w.to_bits(), "n={n}");
-                }
-            }
-        }
     }
 
     #[test]

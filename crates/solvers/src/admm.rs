@@ -19,20 +19,19 @@
 //! turns the z-update into the identity and the iteration converges to
 //! OLS, exactly how the paper implements model estimation (§II-C).
 //!
-//! Sequential lambda paths are *screened*: each lambda solves the problem
+//! Lambda paths are *screened*: each lambda solves the problem
 //! restricted to a sequential-strong-rule active set (Tibshirani et al.
 //! 2012) against a factor of the `|S| x |S|` sub-system, with a KKT check
 //! over the remaining features re-admitting any violator, so the result
 //! is the full problem's solution at the solver's tolerance while each
 //! iteration costs `O(|S|^2)` instead of `O(p^2)`. The full factor above
-//! is then only built for Fused paths and single-lambda solves. See
+//! is then only built for single-lambda solves. See
 //! [`LassoAdmm::begin_lambda`] and DESIGN.md §3.
 
-use crate::prox::soft_threshold_vec;
 use crate::resilience::FactorHealth;
 use std::sync::{Arc, OnceLock};
 use uoi_linalg::{
-    factor_upper_jittered, gemv, gemv_into, gemv_t, gemv_t_into, kernels, norm2, norm2_diff,
+    factor_upper_jittered, gemv_into, gemv_t, gemv_t_into, kernels, norm2, norm2_diff,
     norm2_scaled, norm2_scaled_diff, norm_inf, Cholesky, FactorBreakdown, JitterLadder, Matrix,
     PackedCholesky,
 };
@@ -58,24 +57,6 @@ impl std::fmt::Display for InvalidConfig {
 
 impl std::error::Error for InvalidConfig {}
 
-/// How a lambda-path entry point schedules its per-lambda solves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PathSchedule {
-    /// Solve the path largest-lambda-first, warm-starting each lambda from
-    /// the previous one's `z`. This is the historical behaviour and the
-    /// default; with `threads = 1` it reproduces today's numbers bit for
-    /// bit.
-    #[default]
-    Sequential,
-    /// Solve every lambda in lockstep from a cold start, fusing the
-    /// per-iteration triangular solves of all still-active lambdas into one
-    /// multi-RHS substitution over the shared Cholesky factor. Each
-    /// lambda's iterates are bit-identical to its own cold
-    /// [`LassoAdmm::solve_with_rhs`] — but *not* to the warm-started
-    /// `Sequential` path, which couples lambdas through the carried `z`.
-    Fused,
-}
-
 /// ADMM hyperparameters.
 #[derive(Debug, Clone)]
 pub struct AdmmConfig {
@@ -91,15 +72,14 @@ pub struct AdmmConfig {
     pub abstol: f64,
     /// Relative tolerance.
     pub reltol: f64,
-    /// In-rank worker count assumed by the lockstep/fused paths: modeled
-    /// time is charged as `ceil(active / threads)` fused iterations per
-    /// round, and real-parallel stages split their columns this many ways.
-    /// `1` (the default) reproduces the historical per-column charging
-    /// exactly. Numerical results never depend on this value — per-column
-    /// arithmetic and reduction order are fixed regardless of `threads`.
+    /// In-rank worker count assumed by lockstep multi-column stepping:
+    /// the distributed `UoI_VAR` fit charges `ceil(active / threads)`
+    /// iterations per round ([`lockstep_round_charges`]), and
+    /// [`LassoAdmm::step_many`] splits its columns this many ways. `1`
+    /// (the default) charges one iteration per column. Numerical results
+    /// never depend on this value — per-column arithmetic and reduction
+    /// order are fixed regardless of `threads`.
     pub threads: usize,
-    /// Lambda-path schedule; see [`PathSchedule`].
-    pub schedule: PathSchedule,
     /// Record the per-iteration primal-residual curve of each solve
     /// and return it (decimated to [`CURVE_MAX_POINTS`] samples) in
     /// [`AdmmSolution::curve`]. Off by default: capture is the only
@@ -117,7 +97,6 @@ impl Default for AdmmConfig {
             abstol: 1e-6,
             reltol: 1e-5,
             threads: 1,
-            schedule: PathSchedule::Sequential,
             capture_curve: false,
         }
     }
@@ -209,11 +188,6 @@ impl AdmmConfigBuilder {
         self
     }
 
-    pub fn schedule(mut self, schedule: PathSchedule) -> Self {
-        self.cfg.schedule = schedule;
-        self
-    }
-
     pub fn capture_curve(mut self, capture: bool) -> Self {
         self.cfg.capture_curve = capture;
         self
@@ -285,20 +259,12 @@ pub(crate) fn effective_rho(cfg_rho: f64, diag_sum: f64, p: usize) -> f64 {
     cfg_rho * (diag_sum / p as f64).max(1.0)
 }
 
-/// Factor the ADMM x-update system for a given design and penalty.
-///
-/// Breakdown (a rank-deficient system that even the `rho` ridge leaves
-/// numerically non-SPD) is defended by the deterministic jitter ladder:
-/// the plain factorisation is attempted first, so clean inputs are
-/// bit-identical to the pre-ladder behaviour.
-pub(crate) fn factorize(x: &Matrix, rho: f64) -> Factorization {
-    try_factorize(x, rho)
-        .map(|(f, _)| f)
-        .expect("ADMM system must factor (is the design non-finite?)")
-}
-
-/// Fallible [`factorize`]: the jitter ladder is walked on breakdown and
-/// the consumed attempts/jitter are reported alongside the factor.
+/// Factor the ADMM x-update system `X^T X + rho I` for a dense design
+/// (Woodbury form when `p > n`). Breakdown (a rank-deficient system that
+/// even the `rho` ridge leaves numerically non-SPD) walks the
+/// deterministic jitter ladder — the plain factorisation is attempted
+/// first, so clean inputs are bit-identical to the pre-ladder behaviour —
+/// and the consumed attempts/jitter are reported alongside the factor.
 pub(crate) fn try_factorize(
     x: &Matrix,
     rho: f64,
@@ -360,22 +326,6 @@ fn factor_jittered(ridged: &Matrix) -> Result<(Cholesky, FactorHealth), FactorBr
             condest: None,
         },
     ))
-}
-
-/// Apply `(X^T X + rho I)^{-1}` to `v` through a cached factorisation.
-pub(crate) fn apply_inverse(x: &Matrix, factor: &Factorization, rho: f64, v: &[f64]) -> Vec<f64> {
-    match factor {
-        Factorization::Primal(ch) => ch.solve(v),
-        Factorization::Woodbury(ch) => {
-            let xv = gemv(x, v);
-            let inner = ch.solve(&xv);
-            let xt_inner = gemv_t(x, &inner);
-            v.iter()
-                .zip(&xt_inner)
-                .map(|(vi, wi)| (vi - wi) / rho)
-                .collect()
-        }
-    }
 }
 
 /// Reusable scratch buffers for the ADMM inner loop: once warm, an
@@ -749,20 +699,6 @@ pub struct StepTask<'a> {
     pub state: &'a mut AdmmState,
 }
 
-/// One cold, unscreened column of the [`PathSchedule::Fused`] lockstep:
-/// full-length iterates against the shared full factor.
-struct FusedColumn {
-    lambda: f64,
-    z: Vec<f64>,
-    u: Vec<f64>,
-    converged: bool,
-    tripped: bool,
-    iterations: usize,
-    primal_residual: f64,
-    dual_residual: f64,
-    ws: AdmmWorkspace,
-}
-
 /// How a solver holds its problem — the serial solver's whole design, or
 /// one rank's block of a consensus solve.
 pub(crate) enum DesignStore {
@@ -833,10 +769,10 @@ impl DesignStore {
     }
 }
 
-/// A LASSO-ADMM solver for a fixed design. Sequential λ paths solve
+/// A LASSO-ADMM solver for a fixed design. λ paths solve
 /// screened active-set sub-problems (see [`LassoAdmm::begin_lambda`]);
-/// the full x-update factor is built lazily, on the first Fused-schedule
-/// or single-λ solve, and cached.
+/// the full x-update factor is built lazily, on the first single-λ solve,
+/// and cached.
 pub struct LassoAdmm {
     design: DesignStore,
     full: OnceLock<Factorization>,
@@ -1068,29 +1004,16 @@ impl LassoAdmm {
         u: &mut [f64],
         ws: &mut AdmmWorkspace,
     ) -> (f64, f64, bool) {
-        self.build_rhs(xty, z, u, ws);
-        self.x_update(ws);
-        self.finish_iterate(lambda / self.rho, z, u, ws)
-    }
-
-    /// Iteration stage 1: the x-update right-hand side
-    /// `X^T y + rho (z - u)`, built into `ws.rhs`.
-    fn build_rhs(&self, xty: &[f64], z: &[f64], u: &[f64], ws: &mut AdmmWorkspace) {
         let rho = self.rho;
-        ws.rhs.clear();
-        ws.rhs.extend_from_slice(xty);
-        for ((r, zi), ui) in ws.rhs.iter_mut().zip(z).zip(u) {
-            *r += rho * (zi - ui);
-        }
-    }
-
-    /// Iteration stage 2 (single-column form): apply
-    /// `(X^T X + rho I)^{-1}` to `ws.rhs`, leaving the result in `ws.x_var`.
-    fn x_update(&self, ws: &mut AdmmWorkspace) {
-        let rho = self.rho;
+        // x-update: apply `(X^T X + rho I)^{-1}` to `X^T y + rho (z - u)`.
         let AdmmWorkspace {
             rhs, x_var, wn, wt, ..
-        } = ws;
+        } = &mut *ws;
+        rhs.clear();
+        rhs.extend_from_slice(xty);
+        for ((r, zi), ui) in rhs.iter_mut().zip(&*z).zip(&*u) {
+            *r += rho * (zi - ui);
+        }
         match self.full_factor() {
             Factorization::Primal(ch) => {
                 x_var.clear();
@@ -1106,10 +1029,11 @@ impl LassoAdmm {
                 x_var.extend(rhs.iter().zip(&*wt).map(|(vi, wi)| (vi - wi) / rho));
             }
         }
+        self.finish_iterate(lambda / rho, z, u, ws)
     }
 
-    /// Iteration stage 3: z-/u-updates, residual norms (Boyd §3.3.1, fused
-    /// — no r/s/rho_u temporaries), and the convergence decision, given a
+    /// The rest of an iteration: z-/u-updates, residual norms (Boyd §3.3.1,
+    /// fused — no r/s/rho_u temporaries), and the convergence decision, given a
     /// fresh `ws.x_var`. The vectorised prox is bit-identical to the
     /// historical scalar z-update loop (see `uoi_linalg::kernels`). On an
     /// active-set sub-problem the vectors are `|S|`-long, so the absolute
@@ -1363,21 +1287,12 @@ impl LassoAdmm {
     /// its active set and sub-factor, so its arithmetic is self-contained
     /// and bit-identical to stepping it alone, for any `threads`.
     pub fn step_many(&self, tasks: &mut [StepTask<'_>]) {
-        self.for_each(tasks, |t| self.step(t.xty, t.lambda, t.state));
-    }
-
-    /// Apply `f` to every item, across rayon workers when more than one
-    /// in-rank thread is configured. Items touch disjoint state, so the
-    /// results never depend on execution order (or on `threads`).
-    fn for_each<T: Send, F>(&self, items: &mut [T], f: F)
-    where
-        F: Fn(&mut T) + Sync,
-    {
+        let step = |t: &mut StepTask<'_>| self.step(t.xty, t.lambda, t.state);
         if self.cfg.threads > 1 {
             use rayon::prelude::*;
-            items.par_iter_mut().for_each(&f);
+            tasks.par_iter_mut().for_each(step);
         } else {
-            items.iter_mut().for_each(f);
+            tasks.iter_mut().for_each(step);
         }
     }
 
@@ -1416,98 +1331,6 @@ impl LassoAdmm {
         true
     }
 
-    /// Solve with residual-balancing adaptive `rho` (Boyd §3.4.1):
-    /// `rho` is multiplied (divided) by `tau` whenever the primal (dual)
-    /// residual exceeds `mu` times the other, re-factoring the x-update
-    /// system on each change (at most `max_refactors` times). Useful when
-    /// the default `rho = 1` stalls on badly scaled designs.
-    pub fn solve_adaptive(
-        &self,
-        y: &[f64],
-        lambda: f64,
-        mu: f64,
-        tau: f64,
-        max_refactors: usize,
-    ) -> AdmmSolution {
-        let x = self.dense();
-        let (n, p) = x.shape();
-        assert_eq!(y.len(), n);
-        let mut rho = self.rho;
-        let mut factor = factorize(x, rho);
-        let mut refactors = 0usize;
-        let xty = gemv_t(x, y);
-        let mut z = vec![0.0; p];
-        let mut u = vec![0.0; p];
-        let mut z_old = vec![0.0; p];
-        let mut curve_buf = Vec::new();
-        let (mut r_norm, mut s_norm) = (f64::INFINITY, f64::INFINITY);
-        let mut iterations = 0;
-        let mut converged = false;
-        for it in 0..self.cfg.max_iter {
-            iterations = it + 1;
-            let mut rhs = xty.clone();
-            for ((r, zi), ui) in rhs.iter_mut().zip(&z).zip(&u) {
-                *r += rho * (zi - ui);
-            }
-            let x_var = apply_inverse(x, &factor, rho, &rhs);
-            z_old.copy_from_slice(&z);
-            let xu: Vec<f64> = x_var.iter().zip(&u).map(|(a, b)| a + b).collect();
-            soft_threshold_vec(&xu, lambda / rho, &mut z);
-            for ((ui, xi), zi) in u.iter_mut().zip(&x_var).zip(&z) {
-                *ui += xi - zi;
-            }
-            let r: Vec<f64> = x_var.iter().zip(&z).map(|(a, b)| a - b).collect();
-            r_norm = norm2(&r);
-            let s: Vec<f64> = z.iter().zip(&z_old).map(|(a, b)| rho * (a - b)).collect();
-            s_norm = norm2(&s);
-            if self.cfg.capture_curve {
-                curve_buf.push(r_norm);
-            }
-            let sqrt_p = (p as f64).sqrt();
-            let eps_pri = sqrt_p * self.cfg.abstol + self.cfg.reltol * norm2(&x_var).max(norm2(&z));
-            let mut rho_u = u.clone();
-            for v in &mut rho_u {
-                *v *= rho;
-            }
-            let eps_dual = sqrt_p * self.cfg.abstol + self.cfg.reltol * norm2(&rho_u);
-            if r_norm <= eps_pri && s_norm <= eps_dual {
-                converged = true;
-                break;
-            }
-            // Residual balancing. Rescaling rho requires rescaling the
-            // scaled dual (u = y/rho) and refactoring the x-update.
-            if refactors < max_refactors {
-                let new_rho = if r_norm > mu * s_norm {
-                    rho * tau
-                } else if s_norm > mu * r_norm {
-                    rho / tau
-                } else {
-                    rho
-                };
-                if new_rho != rho {
-                    for v in &mut u {
-                        *v *= rho / new_rho;
-                    }
-                    rho = new_rho;
-                    factor = factorize(x, rho);
-                    refactors += 1;
-                }
-            }
-        }
-        if let Some(m) = &self.metrics {
-            m.observe("admm.adaptive.refactors", refactors as f64);
-        }
-        self.note_solve(iterations, converged, r_norm, s_norm);
-        AdmmSolution {
-            beta: z,
-            iterations,
-            primal_residual: r_norm,
-            dual_residual: s_norm,
-            converged,
-            curve: decimate_curve(&curve_buf, CURVE_MAX_POINTS),
-        }
-    }
-
     /// Solve an entire lambda path (largest lambda first) with warm
     /// starts; returns one solution per lambda, in path order.
     ///
@@ -1526,25 +1349,21 @@ impl LassoAdmm {
     /// point for solvers built with [`LassoAdmm::from_gram`], where the rhs
     /// comes from a weighted `gemv_t` over the unsampled design.
     ///
-    /// On the Sequential schedule each λ is a screened active-set solve
-    /// ([`LassoAdmm::begin_lambda`] then [`LassoAdmm::step`] up to
-    /// `max_iter` times), warm-started from the previous λ's solution; on
-    /// the Fused schedule see [`LassoAdmm::solve_path_fused_with_rhs`].
+    /// Each λ is a screened active-set solve ([`LassoAdmm::begin_lambda`]
+    /// then [`LassoAdmm::step`] up to `max_iter` times), warm-started from
+    /// the previous λ's solution.
     pub fn solve_path_with_rhs(&self, xty: &[f64], lambdas: &[f64]) -> Vec<AdmmSolution> {
         self.solve_path_guarded(xty, lambdas, None).0
     }
 
-    /// The Sequential (screened) or Fused path, with the divergence
-    /// tripwire armed when `guard` is set.
+    /// The screened path, with the divergence tripwire armed when `guard`
+    /// is set.
     fn solve_path_guarded(
         &self,
         xty: &[f64],
         lambdas: &[f64],
         guard: Option<f64>,
     ) -> (Vec<AdmmSolution>, Vec<usize>) {
-        if self.cfg.schedule == PathSchedule::Fused {
-            return self.solve_path_fused(xty, lambdas, guard);
-        }
         let mut st = self.init_state();
         let mut out = Vec::with_capacity(lambdas.len());
         let mut diverged_idx = Vec::new();
@@ -1597,22 +1416,6 @@ impl LassoAdmm {
         (out, diverged_idx)
     }
 
-    /// Solve the whole lambda path in lockstep from cold starts
-    /// ([`PathSchedule::Fused`]): every still-active lambda advances one
-    /// iteration per round, and each round's triangular solves collapse
-    /// into a single multi-RHS substitution over the shared full factor.
-    /// Fused solves are not screened: the lockstep λs start cold and have
-    /// no predecessor solution for the strong rule to start from.
-    ///
-    /// Per lambda the returned solution is bit-identical (supports and
-    /// `f64::to_bits` coefficients) to a cold [`LassoAdmm::solve_with_rhs`]
-    /// at that lambda, for any `threads` setting. Solutions come back in
-    /// path order. With metrics attached, records `admm.path.solves`,
-    /// `admm.path.iterations`, and `admm.path.fused_rounds`.
-    pub fn solve_path_fused_with_rhs(&self, xty: &[f64], lambdas: &[f64]) -> Vec<AdmmSolution> {
-        self.solve_path_fused(xty, lambdas, None).0
-    }
-
     /// OLS through the same machinery (`lambda = 0`), as the paper's
     /// estimation step does.
     pub fn solve_ols(&self, y: &[f64]) -> AdmmSolution {
@@ -1625,12 +1428,10 @@ impl LassoAdmm {
     /// either residual above `cap`); a tripped entry comes back with
     /// `converged = false` and whatever iterate the abort left behind.
     ///
-    /// On the sequential schedule the consensus iterate is reset to zero
-    /// after a trip, so the next lambda warm-starts from a defined state
-    /// instead of the diverged garbage — keeping the remainder of the
-    /// path deterministic. On the fused schedule a tripped column is
-    /// frozen. Solves that never trip are bit-identical to the unguarded
-    /// path.
+    /// The consensus iterate is reset to zero after a trip, so the next
+    /// lambda warm-starts from a defined state instead of the diverged
+    /// garbage — keeping the remainder of the path deterministic. Solves
+    /// that never trip are bit-identical to the unguarded path.
     pub fn solve_path_guarded_with_rhs(
         &self,
         xty: &[f64],
@@ -1638,170 +1439,6 @@ impl LassoAdmm {
         cap: f64,
     ) -> (Vec<AdmmSolution>, Vec<usize>) {
         self.solve_path_guarded(xty, lambdas, Some(cap))
-    }
-
-    /// [`LassoAdmm::solve_path_fused_with_rhs`] with the divergence
-    /// tripwire armed per column: after each lockstep round, any
-    /// still-active column whose residuals are non-finite or above `cap`
-    /// is frozen (no further steps) and reported in the diverged index
-    /// list with `converged = false`. Columns that never trip are
-    /// bit-identical to the unguarded fused path.
-    pub fn solve_path_fused_guarded_with_rhs(
-        &self,
-        xty: &[f64],
-        lambdas: &[f64],
-        cap: f64,
-    ) -> (Vec<AdmmSolution>, Vec<usize>) {
-        self.solve_path_fused(xty, lambdas, Some(cap))
-    }
-
-    fn solve_path_fused(
-        &self,
-        xty: &[f64],
-        lambdas: &[f64],
-        guard: Option<f64>,
-    ) -> (Vec<AdmmSolution>, Vec<usize>) {
-        let p = self.n_coefficients();
-        assert_eq!(xty.len(), p, "rhs length mismatch");
-        for &lam in lambdas {
-            assert!(lam >= 0.0);
-        }
-        let mut cols: Vec<FusedColumn> = lambdas
-            .iter()
-            .map(|&lambda| FusedColumn {
-                lambda,
-                z: vec![0.0; p],
-                u: vec![0.0; p],
-                converged: false,
-                tripped: false,
-                iterations: 0,
-                primal_residual: f64::INFINITY,
-                dual_residual: f64::INFINITY,
-                ws: AdmmWorkspace::new(),
-            })
-            .collect();
-        let mut rounds = 0usize;
-        for _ in 0..self.cfg.max_iter {
-            if cols.iter().all(|c| c.converged || c.tripped) {
-                break;
-            }
-            rounds += 1;
-            self.fused_round(xty, &mut cols);
-            if let Some(cap) = guard {
-                for c in cols.iter_mut().filter(|c| !c.converged) {
-                    c.tripped |= tripped(c.primal_residual, c.dual_residual, cap);
-                }
-            }
-        }
-        if let Some(m) = &self.metrics {
-            m.observe("admm.path.fused_rounds", rounds as f64);
-        }
-        let mut out = Vec::with_capacity(lambdas.len());
-        let mut diverged_idx = Vec::new();
-        for (i, c) in cols.into_iter().enumerate() {
-            if !c.converged {
-                // Converged columns were noted by `fused_round`; frozen
-                // and capped-out ones are noted here.
-                self.note_solve(c.iterations, false, c.primal_residual, c.dual_residual);
-            }
-            if let Some(m) = &self.metrics {
-                m.incr("admm.path.solves", 1);
-                m.observe("admm.path.iterations", c.iterations as f64);
-            }
-            if c.tripped {
-                diverged_idx.push(i);
-            }
-            let curve = if self.cfg.capture_curve {
-                decimate_curve(&c.ws.curve, CURVE_MAX_POINTS)
-            } else {
-                Vec::new()
-            };
-            out.push(AdmmSolution {
-                beta: c.z,
-                iterations: c.iterations,
-                primal_residual: c.primal_residual,
-                dual_residual: c.dual_residual,
-                converged: c.converged,
-                curve,
-            });
-        }
-        (out, diverged_idx)
-    }
-
-    /// Advance every live fused column one full-problem iteration in
-    /// lockstep, fusing the round's triangular solves into a single
-    /// multi-RHS substitution over the shared full factor (streamed
-    /// through the cache once per round instead of once per column).
-    /// Per column the arithmetic matches a cold single-λ solve in order
-    /// and association, so iterates, residuals, and convergence decisions
-    /// are bit-identical to it. See DESIGN.md §3.
-    fn fused_round(&self, xty: &[f64], cols: &mut [FusedColumn]) {
-        let live = |c: &FusedColumn| !(c.converged || c.tripped);
-        // Stage 1: rhs builds, per column.
-        self.for_each(cols, |c| {
-            if live(c) {
-                c.iterations += 1;
-                self.build_rhs(xty, &c.z, &c.u, &mut c.ws);
-            }
-        });
-
-        // Stage 2: fused x-update across the live columns.
-        match self.full_factor() {
-            Factorization::Primal(ch) => {
-                self.for_each(cols, |c| {
-                    if live(c) {
-                        let AdmmWorkspace { rhs, x_var, .. } = &mut c.ws;
-                        x_var.clear();
-                        x_var.extend_from_slice(rhs);
-                    }
-                });
-                let mut bufs: Vec<&mut [f64]> = cols
-                    .iter_mut()
-                    .filter(|c| live(c))
-                    .map(|c| c.ws.x_var.as_mut_slice())
-                    .collect();
-                ch.solve_multi_in_place(&mut bufs);
-            }
-            Factorization::Woodbury(ch) => {
-                self.for_each(cols, |c| {
-                    if live(c) {
-                        let AdmmWorkspace { rhs, wn, .. } = &mut c.ws;
-                        gemv_into(self.dense(), rhs, wn);
-                    }
-                });
-                let mut bufs: Vec<&mut [f64]> = cols
-                    .iter_mut()
-                    .filter(|c| live(c))
-                    .map(|c| c.ws.wn.as_mut_slice())
-                    .collect();
-                ch.solve_multi_in_place(&mut bufs);
-                let rho = self.rho;
-                self.for_each(cols, |c| {
-                    if live(c) {
-                        let AdmmWorkspace {
-                            rhs, x_var, wn, wt, ..
-                        } = &mut c.ws;
-                        gemv_t_into(self.dense(), wn, wt);
-                        x_var.clear();
-                        x_var.extend(rhs.iter().zip(&*wt).map(|(vi, wi)| (vi - wi) / rho));
-                    }
-                });
-            }
-        }
-
-        // Stage 3: z-/u-updates, residuals, convergence — per column.
-        self.for_each(cols, |c| {
-            if live(c) {
-                let (r_norm, s_norm, conv) =
-                    self.finish_iterate(c.lambda / self.rho, &mut c.z, &mut c.u, &mut c.ws);
-                c.primal_residual = r_norm;
-                c.dual_residual = s_norm;
-                if conv {
-                    c.converged = true;
-                    self.note_solve(c.iterations, true, r_norm, s_norm);
-                }
-            }
-        });
     }
 }
 
@@ -1857,7 +1494,8 @@ pub fn admm_factor_flops(n: usize, p: usize) -> f64 {
 mod tests {
     use super::*;
     use crate::diagnostics::lasso_kkt_violation;
-    use uoi_linalg::solve_normal_equations;
+    use crate::prox::soft_threshold_vec;
+    use uoi_linalg::{gemv, solve_normal_equations};
 
     fn toy_problem() -> (Matrix, Vec<f64>) {
         // y depends on features 0 and 2 only.
@@ -1870,6 +1508,22 @@ mod tests {
             .map(|i| 2.0 * x[(i, 0)] - 1.5 * x[(i, 2)] + 0.01 * ((i * 37 % 10) as f64 - 4.5))
             .collect();
         (x, y)
+    }
+
+    /// Apply `(X^T X + rho I)^{-1}` to `v` through a cached factorisation.
+    fn apply_inverse(x: &Matrix, factor: &Factorization, rho: f64, v: &[f64]) -> Vec<f64> {
+        match factor {
+            Factorization::Primal(ch) => ch.solve(v),
+            Factorization::Woodbury(ch) => {
+                let xv = gemv(x, v);
+                let inner = ch.solve(&xv);
+                let xt_inner = gemv_t(x, &inner);
+                v.iter()
+                    .zip(&xt_inner)
+                    .map(|(vi, wi)| (vi - wi) / rho)
+                    .collect()
+            }
+        }
     }
 
     /// The pre-workspace allocating `solve_warm`, kept verbatim as the
@@ -2149,57 +1803,6 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_rho_matches_fixed_rho_solution() {
-        let (x, y) = toy_problem();
-        let lam = 0.5;
-        let cfg = AdmmConfig {
-            max_iter: 5000,
-            abstol: 1e-9,
-            reltol: 1e-8,
-            ..Default::default()
-        };
-        let solver = LassoAdmm::new(x.clone(), cfg);
-        let fixed = solver.solve(&y, lam);
-        let adaptive = solver.solve_adaptive(&y, lam, 10.0, 2.0, 6);
-        assert!(adaptive.converged);
-        for (a, b) in adaptive.beta.iter().zip(&fixed.beta) {
-            assert!((a - b).abs() < 1e-4, "adaptive {a} vs fixed {b}");
-        }
-        let viol = lasso_kkt_violation(&x, &y, &adaptive.beta, lam);
-        assert!(viol < 1e-3, "adaptive KKT violation {viol}");
-    }
-
-    #[test]
-    fn adaptive_rho_helps_badly_scaled_design() {
-        // A design with wildly different column scales: fixed rho = 1
-        // converges slowly; adaptive rho reaches tolerance in fewer
-        // iterations (or at least no more).
-        let n = 40;
-        let x = Matrix::from_fn(n, 6, |i, j| {
-            let base = (((i + 1) * (j + 2) * 131) % 97) as f64 / 48.5 - 1.0;
-            base * 10f64.powi(j as i32 - 3)
-        });
-        let y: Vec<f64> = (0..n).map(|i| x[(i, 2)] * 3.0 - x[(i, 4)] * 0.5).collect();
-        let lam = crate::lambda::lambda_max(&x, &y) * 0.01;
-        let cfg = AdmmConfig {
-            max_iter: 20000,
-            abstol: 1e-8,
-            reltol: 1e-7,
-            ..Default::default()
-        };
-        let solver = LassoAdmm::new(x, cfg);
-        let fixed = solver.solve(&y, lam);
-        let adaptive = solver.solve_adaptive(&y, lam, 10.0, 2.0, 10);
-        assert!(adaptive.converged, "adaptive must converge");
-        assert!(
-            adaptive.iterations <= fixed.iterations,
-            "adaptive {} iters vs fixed {}",
-            adaptive.iterations,
-            fixed.iterations
-        );
-    }
-
-    #[test]
     fn stepping_api_matches_solve() {
         let (x, y) = toy_problem();
         let lam = 0.6;
@@ -2311,13 +1914,8 @@ mod tests {
     #[test]
     fn config_validates_threads_and_env_override() {
         assert!(AdmmConfig::builder().threads(0).build().is_err());
-        let cfg = AdmmConfig::builder()
-            .threads(4)
-            .schedule(PathSchedule::Fused)
-            .build()
-            .unwrap();
+        let cfg = AdmmConfig::builder().threads(4).build().unwrap();
         assert_eq!(cfg.threads, 4);
-        assert_eq!(cfg.schedule, PathSchedule::Fused);
         // Unset/garbage UOI_THREADS falls back to the default.
         assert_eq!(AdmmConfig::env_threads(3), {
             match std::env::var("UOI_THREADS") {
@@ -2330,115 +1928,6 @@ mod tests {
                 Err(_) => 3,
             }
         });
-    }
-
-    fn assert_solutions_bit_identical(a: &[AdmmSolution], b: &[AdmmSolution]) {
-        assert_eq!(a.len(), b.len());
-        for (sa, sb) in a.iter().zip(b) {
-            assert_eq!(sa.iterations, sb.iterations);
-            assert_eq!(sa.converged, sb.converged);
-            assert_eq!(sa.primal_residual.to_bits(), sb.primal_residual.to_bits());
-            assert_eq!(sa.dual_residual.to_bits(), sb.dual_residual.to_bits());
-            for (va, vb) in sa.beta.iter().zip(&sb.beta) {
-                assert_eq!(va.to_bits(), vb.to_bits(), "{va} vs {vb}");
-            }
-        }
-    }
-
-    #[test]
-    fn fused_path_bit_identical_to_cold_per_lambda() {
-        let (x, y) = toy_problem();
-        let lambdas = [2.0, 1.0, 0.5, 0.1, 0.0];
-        let cfg = AdmmConfig {
-            max_iter: 4000,
-            abstol: 1e-9,
-            reltol: 1e-8,
-            ..Default::default()
-        };
-        let solver = LassoAdmm::new(x, cfg);
-        let xty = solver.prepare_rhs(&y);
-        let cold: Vec<AdmmSolution> = lambdas
-            .iter()
-            .map(|&lam| solver.solve_with_rhs(&xty, lam))
-            .collect();
-        let fused = solver.solve_path_fused_with_rhs(&xty, &lambdas);
-        assert_solutions_bit_identical(&fused, &cold);
-        // Supports agree exactly as a consequence.
-        for (sf, sc) in fused.iter().zip(&cold) {
-            let supp = |s: &AdmmSolution| -> Vec<usize> {
-                s.beta
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, v)| **v != 0.0)
-                    .map(|(i, _)| i)
-                    .collect()
-            };
-            assert_eq!(supp(sf), supp(sc));
-        }
-    }
-
-    #[test]
-    fn fused_path_bit_identical_to_cold_per_lambda_woodbury() {
-        let n = 10;
-        let p = 25;
-        let x = Matrix::from_fn(n, p, |i, j| (((i * 31 + j * 17) % 13) as f64 - 6.0) / 6.0);
-        let y: Vec<f64> = (0..n).map(|i| x[(i, 1)] * 3.0 - x[(i, 4)]).collect();
-        let solver = LassoAdmm::new(
-            x,
-            AdmmConfig {
-                max_iter: 3000,
-                ..Default::default()
-            },
-        );
-        let xty = solver.prepare_rhs(&y);
-        let lambdas = [0.5, 0.3, 0.05];
-        let cold: Vec<AdmmSolution> = lambdas
-            .iter()
-            .map(|&lam| solver.solve_with_rhs(&xty, lam))
-            .collect();
-        let fused = solver.solve_path_fused_with_rhs(&xty, &lambdas);
-        assert_solutions_bit_identical(&fused, &cold);
-    }
-
-    #[test]
-    fn fused_schedule_invariant_to_thread_count() {
-        let (x, y) = toy_problem();
-        let lambdas = [1.0, 0.5, 0.1, 0.02];
-        let fit = |threads: usize| {
-            let solver = LassoAdmm::new(
-                x.clone(),
-                AdmmConfig {
-                    max_iter: 4000,
-                    threads,
-                    schedule: PathSchedule::Fused,
-                    ..Default::default()
-                },
-            );
-            solver.solve_path(&y, &lambdas)
-        };
-        assert_solutions_bit_identical(&fit(1), &fit(4));
-    }
-
-    #[test]
-    fn fused_schedule_routes_solve_path() {
-        let (x, y) = toy_problem();
-        let lambdas = [1.0, 0.25, 0.0];
-        let sequential = LassoAdmm::new(x.clone(), AdmmConfig::default()).solve_path(&y, &lambdas);
-        let fused_cfg = AdmmConfig {
-            schedule: PathSchedule::Fused,
-            ..Default::default()
-        };
-        let solver = LassoAdmm::new(x, fused_cfg);
-        let routed = solver.solve_path(&y, &lambdas);
-        let direct = solver.solve_path_fused_with_rhs(&solver.prepare_rhs(&y), &lambdas);
-        assert_solutions_bit_identical(&routed, &direct);
-        // Same problems, so both schedules land on the same (near-)solutions
-        // even though the iterates differ.
-        for (sa, sb) in routed.iter().zip(&sequential) {
-            for (va, vb) in sa.beta.iter().zip(&sb.beta) {
-                assert!((va - vb).abs() < 1e-4, "{va} vs {vb}");
-            }
-        }
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! and virtually timed. Setting `lambda = 0` yields distributed OLS, as
 //! the paper's model-estimation step does.
 //!
-//! Sequential λ paths are screened with the serial solver's per-λ
+//! λ paths are screened with the serial solver's per-λ
 //! transition ([`LassoAdmm::begin_lambda`](crate::LassoAdmm::begin_lambda)):
 //! each rank computes its local gradient `X_i^T y_i - G_i z` over the
 //! support columns, one allreduce sums them into the global
@@ -33,13 +33,13 @@
 //! collectives stay aligned. Each rank factors its own `G_i,SS + rho I`;
 //! the x/z/u iteration then runs on `|S|`-vectors, with one `|S|`-wide
 //! consensus allreduce and one 3-scalar residual allreduce per step.
-//! Single-λ solves, OLS and Fused paths iterate on all `p` coefficients
-//! against the full local factor. See DESIGN.md §3.
+//! Single-λ solves and OLS iterate on all `p` coefficients against the
+//! full local factor. See DESIGN.md §3.
 
 use crate::admm::{
     admm_active_iter_flops, admm_iter_flops, decimate_curve, effective_rho, factor_ridged_pristine,
-    lockstep_round_charges, try_factorize, AdmmConfig, AdmmSolution, AdmmState, DesignStore,
-    Factorization, PathSchedule, CURVE_MAX_POINTS,
+    try_factorize, AdmmConfig, AdmmSolution, AdmmState, DesignStore, Factorization,
+    CURVE_MAX_POINTS,
 };
 use crate::prox::soft_threshold_vec;
 use crate::resilience::FactorHealth;
@@ -299,11 +299,11 @@ impl DistLassoAdmm {
     }
 
     /// Warm-started full-problem solve against a precomputed local
-    /// `X_i^T y_i` — the single-λ entry point shared by the Gram-built
-    /// estimation solvers and the cold references of the Fused path. The
-    /// local arithmetic reuses its buffers across iterations; each
-    /// allreduce still copies its payload into the communicator (and, on
-    /// more than one rank, records a collective event).
+    /// `X_i^T y_i` — the single-λ entry point of the Gram-built
+    /// estimation solvers. The local arithmetic reuses its buffers across
+    /// iterations; each allreduce still copies its payload into the
+    /// communicator (and, on more than one rank, records a collective
+    /// event).
     pub fn solve_warm_with_rhs(
         &self,
         ctx: &mut RankCtx,
@@ -492,11 +492,9 @@ impl DistLassoAdmm {
 
     /// Solve a whole lambda path against a precomputed local
     /// `X_i^T y_i` — the one path entry point for dense and Gram-built
-    /// solvers. Collective over `comm`. With the default
-    /// [`PathSchedule::Sequential`], solves largest-first, each λ a
+    /// solvers. Collective over `comm`. Solves largest-first, each λ a
     /// screened active-set solve warm-started from the previous λ's
-    /// solution (see the module docs); with [`PathSchedule::Fused`],
-    /// delegates to [`DistLassoAdmm::solve_path_fused_with_rhs`].
+    /// solution (see the module docs).
     pub fn solve_path_with_rhs(
         &self,
         ctx: &mut RankCtx,
@@ -504,9 +502,6 @@ impl DistLassoAdmm {
         xty: &[f64],
         lambdas: &[f64],
     ) -> Vec<AdmmSolution> {
-        if self.cfg.schedule == PathSchedule::Fused {
-            return self.solve_path_fused_with_rhs(ctx, comm, xty, lambdas);
-        }
         let (n, p) = self.local_shape();
         assert_eq!(xty.len(), p, "local rhs length mismatch");
         let rho = self.rho;
@@ -640,239 +635,6 @@ impl DistLassoAdmm {
             ctx.compute_flops(flops + self.design.gather_flops(m), (m * m * 8) as f64);
         }
         false
-    }
-
-    /// Solve every lambda of the path in lockstep from cold starts
-    /// ([`PathSchedule::Fused`]). Per round, the still-active lambdas share
-    ///
-    /// * one multi-RHS triangular substitution over the cached local
-    ///   Cholesky factor (the factor streams through the cache once per
-    ///   round instead of once per lambda),
-    /// * one batched consensus allreduce carrying every active column's
-    ///   `x_i + u_i` payload, and
-    /// * one batched residual allreduce (3 scalars per active column),
-    ///
-    /// and the modeled compute charge is `ceil(active / threads)` fused
-    /// iterations ([`lockstep_round_charges`]). Per lambda the returned
-    /// coefficients are bit-identical to a cold
-    /// [`DistLassoAdmm::solve_warm_with_rhs`] from zero at that lambda:
-    /// elementwise allreduce sums do not depend on how columns are packed
-    /// into the payload, and each column's local arithmetic is unchanged.
-    /// Collective over `comm`; all ranks see identical convergence
-    /// decisions, so the batched schedule stays collectively consistent.
-    pub fn solve_path_fused_with_rhs(
-        &self,
-        ctx: &mut RankCtx,
-        comm: &Comm,
-        xty: &[f64],
-        lambdas: &[f64],
-    ) -> Vec<AdmmSolution> {
-        struct Col {
-            kappa: f64,
-            z: Vec<f64>,
-            u: Vec<f64>,
-            z_old: Vec<f64>,
-            x_i: Vec<f64>,
-            rhs: Vec<f64>,
-            wn: Vec<f64>,
-            wt: Vec<f64>,
-            iterations: usize,
-            converged: bool,
-            r_norm: f64,
-            s_norm: f64,
-            curve: Vec<f64>,
-        }
-
-        let (n, p) = self.local_shape();
-        assert_eq!(xty.len(), p, "local rhs length mismatch");
-        let b = comm.size() as f64;
-        let rho = self.rho;
-        let threads = self.cfg.threads.max(1);
-        let span = ctx.span_enter("admm_dist.solve");
-        let working_set = ((n.min(p) * n.min(p) + n * p) * 8) as f64;
-
-        let mut cols: Vec<Col> = lambdas
-            .iter()
-            .map(|&lam| {
-                assert!(lam >= 0.0);
-                Col {
-                    kappa: lam / (rho * b),
-                    z: vec![0.0; p],
-                    u: vec![0.0; p],
-                    z_old: vec![0.0; p],
-                    x_i: Vec::with_capacity(p),
-                    rhs: Vec::with_capacity(p),
-                    wn: Vec::new(),
-                    wt: Vec::new(),
-                    iterations: 0,
-                    converged: false,
-                    r_norm: f64::INFINITY,
-                    s_norm: f64::INFINITY,
-                    curve: Vec::new(),
-                }
-            })
-            .collect();
-
-        // Per-column local stage, split across rayon workers when more
-        // than one in-rank thread is configured. Columns are disjoint and
-        // each column's arithmetic is self-contained, so results do not
-        // depend on execution order (or on `threads`).
-        let for_each_active = |cols: &mut [Col], f: &(dyn Fn(&mut Col) + Sync)| {
-            if threads > 1 {
-                use rayon::prelude::*;
-                cols.par_iter_mut().for_each(|c| {
-                    if !c.converged {
-                        f(c);
-                    }
-                });
-            } else {
-                for c in cols.iter_mut() {
-                    if !c.converged {
-                        f(c);
-                    }
-                }
-            }
-        };
-
-        let mut payload: Vec<f64> = Vec::new();
-        let mut sums_v: Vec<f64> = Vec::new();
-        let mut rounds = 0usize;
-        for _ in 0..self.cfg.max_iter {
-            let active = cols.iter().filter(|c| !c.converged).count();
-            if active == 0 {
-                break;
-            }
-            rounds += 1;
-
-            // Local x-updates: rhs builds, then one multi-RHS solve.
-            for_each_active(&mut cols, &|c| {
-                c.iterations += 1;
-                c.rhs.clear();
-                c.rhs.extend_from_slice(xty);
-                for ((r, zi), ui) in c.rhs.iter_mut().zip(&c.z).zip(&c.u) {
-                    *r += rho * (zi - ui);
-                }
-            });
-            match &self.factor {
-                Factorization::Primal(ch) => {
-                    for_each_active(&mut cols, &|c| {
-                        c.x_i.clear();
-                        c.x_i.extend_from_slice(&c.rhs);
-                    });
-                    let mut rhs_cols: Vec<&mut [f64]> = cols
-                        .iter_mut()
-                        .filter(|c| !c.converged)
-                        .map(|c| c.x_i.as_mut_slice())
-                        .collect();
-                    ch.solve_multi_in_place(&mut rhs_cols);
-                }
-                Factorization::Woodbury(ch) => {
-                    for_each_active(&mut cols, &|c| {
-                        gemv_into(self.design.dense(), &c.rhs, &mut c.wn);
-                    });
-                    let mut wn_cols: Vec<&mut [f64]> = cols
-                        .iter_mut()
-                        .filter(|c| !c.converged)
-                        .map(|c| c.wn.as_mut_slice())
-                        .collect();
-                    ch.solve_multi_in_place(&mut wn_cols);
-                    for_each_active(&mut cols, &|c| {
-                        gemv_t_into(self.design.dense(), &c.wn, &mut c.wt);
-                        c.x_i.clear();
-                        c.x_i
-                            .extend(c.rhs.iter().zip(&c.wt).map(|(vi, wi)| (vi - wi) / rho));
-                    });
-                }
-            }
-            for _ in 0..lockstep_round_charges(active, threads) {
-                ctx.compute_flops(admm_iter_flops(n, p), working_set);
-            }
-
-            // One batched consensus allreduce for every active column.
-            payload.clear();
-            for c in cols.iter().filter(|c| !c.converged) {
-                payload.extend(c.x_i.iter().zip(&c.u).map(|(a, u)| a + u));
-            }
-            comm.allreduce_sum(ctx, &mut payload);
-            {
-                let mut off = 0;
-                for c in cols.iter_mut().filter(|c| !c.converged) {
-                    let mean = &mut payload[off..off + p];
-                    off += p;
-                    c.z_old.copy_from_slice(&c.z);
-                    for v in mean.iter_mut() {
-                        *v /= b;
-                    }
-                    if c.kappa > 0.0 {
-                        soft_threshold_vec(mean, c.kappa, &mut c.z);
-                    } else {
-                        c.z.copy_from_slice(mean);
-                    }
-                    ctx.compute_membound((p * 8 * 3) as f64);
-                }
-            }
-
-            // u-updates and local residual sums.
-            for_each_active(&mut cols, &|c| {
-                for ((ui, xi), zi) in c.u.iter_mut().zip(&c.x_i).zip(&c.z) {
-                    *ui += xi - zi;
-                }
-            });
-            sums_v.clear();
-            for c in cols.iter().filter(|c| !c.converged) {
-                let mut sums = [0.0_f64; 3];
-                for ((xi, zi), ui) in c.x_i.iter().zip(&c.z).zip(&c.u) {
-                    sums[0] += (xi - zi) * (xi - zi);
-                    sums[1] += xi * xi;
-                    sums[2] += (rho * ui) * (rho * ui);
-                }
-                sums_v.extend_from_slice(&sums);
-            }
-            comm.allreduce_sum(ctx, &mut sums_v);
-            let mut off = 0;
-            for c in cols.iter_mut().filter(|c| !c.converged) {
-                let sums = &sums_v[off..off + 3];
-                off += 3;
-                c.r_norm = sums[0].sqrt();
-                let x_norm = sums[1].sqrt();
-                let u_norm = sums[2].sqrt();
-                let z_norm = uoi_linalg::norm2(&c.z) * b.sqrt();
-                let dz: f64 =
-                    c.z.iter()
-                        .zip(&c.z_old)
-                        .map(|(a, o)| (a - o) * (a - o))
-                        .sum::<f64>()
-                        .sqrt();
-                c.s_norm = rho * dz * b.sqrt();
-                if self.cfg.capture_curve {
-                    c.curve.push(c.r_norm);
-                }
-                let sqrt_np = (b * p as f64).sqrt();
-                let eps_pri = sqrt_np * self.cfg.abstol + self.cfg.reltol * x_norm.max(z_norm);
-                let eps_dual = sqrt_np * self.cfg.abstol + self.cfg.reltol * u_norm;
-                if c.r_norm <= eps_pri && c.s_norm <= eps_dual {
-                    c.converged = true;
-                }
-            }
-        }
-
-        ctx.span_exit(span);
-        if let (0, Some(m)) = (comm.rank(), &self.metrics) {
-            m.observe("admm_dist.fused_rounds", rounds as f64);
-        }
-        for c in &cols {
-            self.note_solve(comm, c.iterations, c.converged, c.r_norm, c.s_norm);
-        }
-        cols.into_iter()
-            .map(|c| AdmmSolution {
-                beta: c.z,
-                iterations: c.iterations,
-                primal_residual: c.r_norm,
-                dual_residual: c.s_norm,
-                converged: c.converged,
-                curve: decimate_curve(&c.curve, CURVE_MAX_POINTS),
-            })
-            .collect()
     }
 }
 
@@ -1037,53 +799,40 @@ mod tests {
     #[test]
     fn gram_built_path_bit_identical_to_dense_path() {
         // p <= n_local: the dense solver factors the same upper Gram, so
-        // the Gram-built path must reproduce it bit for bit on both
-        // schedules.
-        let (x, y) = problem(48, 6);
+        // the Gram-built path must reproduce it bit for bit.
+        let (x_ref, y_ref) = problem(48, 6);
         let lambdas = [3.0, 1.0, 0.3, 0.0];
-        for schedule in [PathSchedule::Sequential, PathSchedule::Fused] {
-            let (x_ref, y_ref) = (x.clone(), y.clone());
-            let report = Cluster::new(4, MachineModel::deterministic()).run(move |ctx, comm| {
-                let r = comm.rank();
-                let x_local = x_ref.rows_range(r * 12, (r + 1) * 12);
-                let y_local = y_ref[r * 12..(r + 1) * 12].to_vec();
-                let cfg = || AdmmConfig {
-                    max_iter: 4000,
-                    abstol: 1e-10,
-                    reltol: 1e-9,
-                    schedule,
-                    ..Default::default()
-                };
-                let dense = DistLassoAdmm::new(ctx, comm, x_local.clone(), cfg())
-                    .solve_path(ctx, comm, &y_local, &lambdas);
-                let gram = DistLassoAdmm::from_gram(
-                    ctx,
-                    comm,
-                    uoi_linalg::syrk_t_upper(&x_local).into_upper(),
-                    x_local.rows(),
-                    cfg(),
-                )
-                .solve_path_with_rhs(
-                    ctx,
-                    comm,
-                    &gemv_t(&x_local, &y_local),
-                    &lambdas,
-                );
-                dense.iter().zip(&gram).all(|(d, g)| {
-                    d.iterations == g.iterations
-                        && d.beta.len() == g.beta.len()
-                        && d.beta
-                            .iter()
-                            .zip(&g.beta)
-                            .all(|(a, b)| a.to_bits() == b.to_bits())
-                })
-            });
-            for (r, &same) in report.results.iter().enumerate() {
-                assert!(
-                    same,
-                    "{schedule:?}: rank {r} Gram-built path differs from dense"
-                );
-            }
+        let report = Cluster::new(4, MachineModel::deterministic()).run(move |ctx, comm| {
+            let r = comm.rank();
+            let x_local = x_ref.rows_range(r * 12, (r + 1) * 12);
+            let y_local = y_ref[r * 12..(r + 1) * 12].to_vec();
+            let cfg = || AdmmConfig {
+                max_iter: 4000,
+                abstol: 1e-10,
+                reltol: 1e-9,
+                ..Default::default()
+            };
+            let dense = DistLassoAdmm::new(ctx, comm, x_local.clone(), cfg())
+                .solve_path(ctx, comm, &y_local, &lambdas);
+            let gram = DistLassoAdmm::from_gram(
+                ctx,
+                comm,
+                uoi_linalg::syrk_t_upper(&x_local).into_upper(),
+                x_local.rows(),
+                cfg(),
+            )
+            .solve_path_with_rhs(ctx, comm, &gemv_t(&x_local, &y_local), &lambdas);
+            dense.iter().zip(&gram).all(|(d, g)| {
+                d.iterations == g.iterations
+                    && d.beta.len() == g.beta.len()
+                    && d.beta
+                        .iter()
+                        .zip(&g.beta)
+                        .all(|(a, b)| a.to_bits() == b.to_bits())
+            })
+        });
+        for (r, &same) in report.results.iter().enumerate() {
+            assert!(same, "rank {r} Gram-built path differs from dense");
         }
     }
 
@@ -1141,87 +890,5 @@ mod tests {
                 assert!((a - b).abs() < 5e-3, "lambda {lam}: warm {a} vs cold {b}");
             }
         }
-    }
-
-    #[test]
-    fn fused_path_bit_identical_to_cold_solves() {
-        let (x, y) = problem(48, 6);
-        let lambdas = [3.0, 1.0, 0.3, 0.0];
-        let (x_ref, y_ref) = (x, y);
-        let report = Cluster::new(4, MachineModel::deterministic()).run(move |ctx, comm| {
-            let r = comm.rank();
-            let x_local = x_ref.rows_range(r * 12, (r + 1) * 12);
-            let y_local = y_ref[r * 12..(r + 1) * 12].to_vec();
-            let cfg = AdmmConfig {
-                max_iter: 6000,
-                abstol: 1e-10,
-                reltol: 1e-9,
-                threads: 2,
-                schedule: PathSchedule::Fused,
-                ..Default::default()
-            };
-            let solver = DistLassoAdmm::new(ctx, comm, x_local, cfg);
-            let xty = solver.prepare_local_rhs(ctx, &y_local);
-            // Routed through solve_path (schedule = Fused).
-            let fused = solver.solve_path(ctx, comm, &y_local, &lambdas);
-            // Cold per-lambda references.
-            let p = xty.len();
-            let cold: Vec<AdmmSolution> = lambdas
-                .iter()
-                .map(|&lam| {
-                    solver.solve_warm_with_rhs(ctx, comm, &xty, lam, vec![0.0; p], vec![0.0; p])
-                })
-                .collect();
-            fused
-                .iter()
-                .zip(&cold)
-                .map(|(f, c)| {
-                    let bits_equal = f
-                        .beta
-                        .iter()
-                        .zip(&c.beta)
-                        .all(|(a, b)| a.to_bits() == b.to_bits());
-                    (bits_equal, f.iterations == c.iterations, f.converged)
-                })
-                .collect::<Vec<_>>()
-        });
-        for per_rank in &report.results {
-            for (i, &(bits_equal, same_iters, converged)) in per_rank.iter().enumerate() {
-                assert!(bits_equal, "lambda #{i}: fused differs from cold");
-                assert!(same_iters, "lambda #{i}: iteration counts differ");
-                assert!(converged, "lambda #{i}: did not converge");
-            }
-        }
-    }
-
-    #[test]
-    fn fused_path_batches_allreduces() {
-        // One payload + one residual allreduce per round, regardless of the
-        // number of active lambdas: far fewer collectives than the
-        // sequential path's per-lambda-per-iteration pairs.
-        let (x, y) = problem(32, 5);
-        let lambdas = [1.0, 0.5, 0.1];
-        let run = |schedule: PathSchedule| {
-            let (x_ref, y_ref) = (x.clone(), y.clone());
-            Cluster::new(4, MachineModel::deterministic()).run(move |ctx, comm| {
-                let r = comm.rank();
-                let solver = DistLassoAdmm::new(
-                    ctx,
-                    comm,
-                    x_ref.rows_range(r * 8, (r + 1) * 8),
-                    AdmmConfig {
-                        schedule,
-                        ..Default::default()
-                    },
-                );
-                let _ = solver.solve_path(ctx, comm, &y_ref[r * 8..(r + 1) * 8], &lambdas);
-            })
-        };
-        let seq_events = run(PathSchedule::Sequential).allreduce_events().count();
-        let fused_events = run(PathSchedule::Fused).allreduce_events().count();
-        assert!(
-            fused_events < seq_events,
-            "fused {fused_events} should batch below sequential {seq_events}"
-        );
     }
 }

@@ -5,8 +5,8 @@
 //!
 //! * [`admm::LassoAdmm`] — serial LASSO-ADMM with warm-started,
 //!   strong-rule screened lambda paths on active-set factors, a lazily
-//!   cached full Cholesky / Woodbury factorisation for single-lambda and
-//!   fused solves, and OLS via `lambda = 0`;
+//!   cached full Cholesky / Woodbury factorisation for single-lambda
+//!   solves, and OLS via `lambda = 0`;
 //! * [`admm_dist::DistLassoAdmm`] — consensus ADMM with row-wise sample
 //!   splitting over a simulated communicator (the paper's
 //!   `MPI_Allreduce`-dominated solver), its lambda paths screened by the
@@ -33,7 +33,7 @@ pub mod resilience;
 pub use admm::{
     admm_active_iter_flops, admm_factor_flops, admm_iter_flops, admm_sub_factor_flops,
     lockstep_round_charges, AdmmConfig, AdmmConfigBuilder, AdmmSolution, AdmmState, AdmmStatus,
-    AdmmWorkspace, InvalidConfig, LassoAdmm, PathSchedule, StepTask, PATH_VARIANT,
+    AdmmWorkspace, InvalidConfig, LassoAdmm, StepTask, PATH_VARIANT,
 };
 pub use admm_dist::DistLassoAdmm;
 pub use cd::{lasso_cd, lasso_cd_warm, mcp_cd, ridge, scad_cd, CdConfig};

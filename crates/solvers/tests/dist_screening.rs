@@ -1,9 +1,10 @@
 //! Correctness gate for the screened consensus λ path
-//! (`DistLassoAdmm::solve_path_with_rhs` on the Sequential schedule).
+//! (`DistLassoAdmm::solve_path_with_rhs`).
 //! Every solution must meet the *global* LASSO KKT conditions of the
 //! stacked problem, select the supports the serial screened solver and
-//! the unscreened Fused path select on well-separated designs, and come
-//! back bit-identical on every rank after the same number of collectives.
+//! cold unscreened consensus solves select on well-separated designs, and
+//! come back bit-identical on every rank after the same number of
+//! collectives.
 //! Two cases are pinned explicitly: a row split on which each rank's own
 //! gradient would pick a different strong set (the rule must run on the
 //! allreduced gradient), and a grid on which the strong rule misses a
@@ -16,7 +17,7 @@ use uoi_linalg::{gemv, gemv_t, syrk_t, syrk_t_upper, testgen, Matrix};
 use uoi_mpisim::{Cluster, MachineModel};
 use uoi_solvers::{
     lasso_cd, lasso_kkt_violation, support_of, AdmmConfig, AdmmSolution, CdConfig, DistLassoAdmm,
-    LassoAdmm, PathSchedule,
+    LassoAdmm,
 };
 use uoi_telemetry::{MetricsRegistry, Telemetry};
 
@@ -125,6 +126,28 @@ fn consensus_path(
     first.clone()
 }
 
+/// Unscreened reference: one cold consensus solve from zero at `lambda`
+/// over the row `blocks`, every coefficient iterated; rank 0's solution.
+fn consensus_cold(
+    x: &Matrix,
+    y: &[f64],
+    blocks: &[Range<usize>],
+    lambda: f64,
+    cfg: &AdmmConfig,
+) -> AdmmSolution {
+    let report =
+        Cluster::new(blocks.len(), MachineModel::deterministic()).run(|ctx, comm| {
+            let rows = blocks[comm.rank()].clone();
+            let x_local = x.rows_range(rows.start, rows.end);
+            let xty = gemv_t(&x_local, &y[rows]);
+            let gram = syrk_t_upper(&x_local).into_upper();
+            let p = xty.len();
+            DistLassoAdmm::from_gram(ctx, comm, gram, x_local.rows(), cfg.clone())
+                .solve_warm_with_rhs(ctx, comm, &xty, lambda, vec![0.0; p], vec![0.0; p])
+        });
+    report.results.into_iter().next().unwrap()
+}
+
 /// screening.rs's KKT bound, carried to the consensus problem over `B`
 /// row blocks. At a converged iterate, on the active set
 /// `c(z) - rho sum_i u_i = rho B (z - z_prev) + sum_i G_i,SS (x_i - z)`,
@@ -198,7 +221,7 @@ proptest! {
     }
 
     #[test]
-    fn supports_match_serial_screened_and_fused_on_separated_designs(
+    fn supports_match_serial_screened_and_cold_on_separated_designs(
         seed in 0u64..10_000,
         p in 6usize..20,
         split in split_strategy(60),
@@ -220,13 +243,12 @@ proptest! {
         let serial = LassoAdmm::from_gram(syrk_t(&x), cfg())
             .solve_path_with_rhs(&gemv_t(&x, &y), &lambdas);
         let screened = consensus_path(&x, &y, &split, &lambdas, &cfg(), Build::Gram, None);
-        let fused_cfg = AdmmConfig { schedule: PathSchedule::Fused, ..cfg() };
-        let fused = consensus_path(&x, &y, &split, &lambdas, &fused_cfg, Build::Gram, None);
+        let cold = consensus_cold(&x, &y, &split, lambdas[1], &cfg());
         let want = support_of(&serial[1].beta, 1e-6);
         prop_assert_eq!(&want, &support_of(&cd, 1e-6));
-        prop_assert!(screened[1].converged && fused[1].converged);
+        prop_assert!(screened[1].converged && cold.converged);
         prop_assert_eq!(&support_of(&screened[1].beta, 1e-6), &want);
-        prop_assert_eq!(&support_of(&fused[1].beta, 1e-6), &want);
+        prop_assert_eq!(&support_of(&cold.beta, 1e-6), &want);
     }
 }
 

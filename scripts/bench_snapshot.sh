@@ -11,9 +11,9 @@
 # phase varies run to run with thread scheduling (one-sided serving
 # order), and the minimum is the stable best case. Since schema 3 each
 # pipeline entry also records the run parameters that shape the modeled
-# admm_local time (in-rank `threads`, `admm_schedule`) so a snapshot is
-# self-describing about the configuration that produced it; schema 4
-# adds the Gram kernel variant (`gram_kernel`) the run was built with.
+# admm_local time (in-rank `threads`; fig2's `admm_schedule` until Fused
+# was removed) so a snapshot is self-describing about its configuration;
+# schema 4 adds the Gram kernel variant (`gram_kernel`) it was built with.
 #
 # Schema 5 adds a `straggler` sub-object per pipeline from one extra
 # rep with UOI_STRAGGLER=4.0 UOI_SPECULATE=1: hedge counts plus the
@@ -141,7 +141,7 @@ for spec in sys.argv[4:]:
             report = json.load(open(report_path))
         except (OSError, ValueError):
             continue
-        for key in ("threads", "admm_schedule", "gram_kernel"):
+        for key in ("threads", "gram_kernel"):
             val = report.get("params", {}).get(key)
             if val is not None:
                 entry[key] = val

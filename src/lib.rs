@@ -105,7 +105,7 @@ pub mod prelude {
     pub use uoi_data::{FinanceConfig, LinearConfig, NeuroConfig, VarConfig, VarProcess};
     pub use uoi_linalg::{kernels, Matrix};
     pub use uoi_mpisim::{Cluster, MachineModel, Phase, PhaseLedger, SimReport};
-    pub use uoi_solvers::{AdmmConfig, AdmmConfigBuilder, InvalidConfig, LassoAdmm, PathSchedule};
+    pub use uoi_solvers::{AdmmConfig, AdmmConfigBuilder, InvalidConfig, LassoAdmm};
     pub use uoi_telemetry::{
         JsonlSink, MemorySink, MetricsRegistry, RunReport, RunSummary, Telemetry, TraceEvent,
         TraceSink,
