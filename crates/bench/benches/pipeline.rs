@@ -2,15 +2,12 @@
 //! serial `UoI_LASSO` and `UoI_VAR` fits, the VAR lag-matrix build, the
 //! SHF hyperslab read, and the simulated cluster's collective round-trip.
 
-// Pins the deprecated free-function fit surface deliberately; new code
-// uses `UoiFitter`/`UoiVarFitter` (see crates/core/src/fitter.rs).
-#![allow(deprecated)]
-
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
-use uoi_core::uoi_lasso::{fit_uoi_lasso, UoiLassoConfig};
-use uoi_core::uoi_var::{fit_uoi_var, UoiVarConfig};
+use uoi_core::uoi_lasso::UoiLassoConfig;
+use uoi_core::uoi_var::UoiVarConfig;
 use uoi_core::VarRegression;
+use uoi_core::{UoiFitter, UoiVarFitter};
 use uoi_data::{LinearConfig, VarConfig, VarProcess};
 use uoi_mpisim::{Cluster, MachineModel};
 use uoi_solvers::AdmmConfig;
@@ -41,7 +38,11 @@ fn bench_uoi_lasso(c: &mut Criterion) {
     }
     .generate();
     c.bench_function("uoi_lasso_120x40", |b| {
-        b.iter(|| fit_uoi_lasso(black_box(&ds.x), &ds.y, &quick_cfg()))
+        b.iter(|| {
+            UoiFitter::new(quick_cfg())
+                .fit(black_box(&ds.x), &ds.y)
+                .unwrap()
+        })
     });
 }
 
@@ -60,7 +61,11 @@ fn bench_uoi_var(c: &mut Criterion) {
         base: quick_cfg(),
     };
     c.bench_function("uoi_var_400x10", |b| {
-        b.iter(|| fit_uoi_var(black_box(&series), &cfg))
+        b.iter(|| {
+            UoiVarFitter::new(cfg.clone())
+                .fit(black_box(&series))
+                .unwrap()
+        })
     });
 }
 

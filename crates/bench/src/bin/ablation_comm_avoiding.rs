@@ -3,8 +3,8 @@
 //! the matrix and then have a one-time communication" — versus the
 //! implemented distributed-Kronecker path.
 //!
-//! The serial column-decomposed solver (`uoi_core::fit_uoi_var`) *is* the
-//! communication-avoiding limit: it exploits
+//! The serial column-decomposed solver (`UoiVarFitter` in
+//! `ExecMode::Serial`) *is* the communication-avoiding limit: it exploits
 //! `(I ⊗ X)^T (I ⊗ X) = I ⊗ (X^T X)` so each response column solves
 //! locally against one shared factorisation, with no per-iteration
 //! estimate exchange. We compare the two paths' statistical output

@@ -5,14 +5,9 @@
 //! [`ProgressTracker`] whose completion reaches exactly 1.0 at fit end
 //! with monotone non-increasing ETA updates along the way.
 
-// Pins the deprecated free-function fit surface deliberately; new code
-// uses `UoiFitter` (see crates/core/src/fitter.rs).
-#![allow(deprecated)]
-
 use std::sync::Arc;
 
-use uoi_core::uoi_lasso_dist::fit_uoi_lasso_dist;
-use uoi_core::{fit_uoi_lasso, ParallelLayout, UoiLassoConfig};
+use uoi_core::{DistOptions, ExecMode, ParallelLayout, UoiFitter, UoiLassoConfig};
 use uoi_data::LinearConfig;
 use uoi_mpisim::{Cluster, MachineModel};
 use uoi_solvers::AdmmConfig;
@@ -51,7 +46,9 @@ fn cfg(telemetry: Telemetry) -> UoiLassoConfig {
 /// One traced serial fit → the raw convergence events.
 fn traced_serial_events(ds: &uoi_data::LinearDataset) -> Vec<TraceEvent> {
     let sink = Arc::new(MemorySink::new());
-    let _fit = fit_uoi_lasso(&ds.x, &ds.y, &cfg(Telemetry::with_sink(sink.clone())));
+    let _fit = UoiFitter::new(cfg(Telemetry::with_sink(sink.clone())))
+        .fit(&ds.x, &ds.y)
+        .unwrap();
     sink.snapshot()
 }
 
@@ -126,7 +123,12 @@ fn progress_replay_completes_exactly_with_monotone_eta() {
     Cluster::new(4, MachineModel::deterministic())
         .with_telemetry(Telemetry::with_sink(sink.clone()))
         .run(move |ctx, world| {
-            fit_uoi_lasso_dist(ctx, world, &x, &y, &fit_cfg, ParallelLayout::admm_only())
+            UoiFitter::new(fit_cfg.clone())
+                .mode(ExecMode::Dist(DistOptions {
+                    layout: ParallelLayout::admm_only(),
+                    ..Default::default()
+                }))
+                .fit_on(ctx, world, &x, &y)
                 .support
                 .len()
         });

@@ -6,13 +6,8 @@
 //! expose an injected straggler as collective-wait *idle* on the
 //! healthy ranks.
 
-// Pins the deprecated free-function fit surface deliberately; new code
-// uses `UoiFitter`/`UoiVarFitter` (see crates/core/src/fitter.rs).
-#![allow(deprecated)]
-
 use uoi_bench::BenchTrace;
-use uoi_core::uoi_lasso_dist::fit_uoi_lasso_dist;
-use uoi_core::{ParallelLayout, UoiLassoConfig};
+use uoi_core::{DistOptions, ExecMode, ParallelLayout, UoiFitter, UoiLassoConfig};
 use uoi_data::LinearConfig;
 use uoi_mpisim::{Cluster, FaultPlan, MachineModel};
 use uoi_solvers::AdmmConfig;
@@ -61,7 +56,12 @@ fn traced_fig2_style_run_produces_consistent_artifacts() {
         .with_telemetry(trace.telemetry())
         .with_fault_plan(FaultPlan::new(0).straggler(1, 4.0))
         .run(move |ctx, world| {
-            let fit = fit_uoi_lasso_dist(ctx, world, &x, &y, &cfg, ParallelLayout::admm_only());
+            let fit = UoiFitter::new(cfg.clone())
+                .mode(ExecMode::Dist(DistOptions {
+                    layout: ParallelLayout::admm_only(),
+                    ..Default::default()
+                }))
+                .fit_on(ctx, world, &x, &y);
             ctx.span("checkpoint.save", |ctx| ctx.charge_io(1e-3));
             fit.support.len()
         });

@@ -1,10 +1,8 @@
 //! Error types for the fallible fitting API.
 //!
-//! [`try_fit_uoi_lasso`](crate::uoi_lasso::try_fit_uoi_lasso) and
-//! [`try_fit_uoi_var`](crate::uoi_var::try_fit_uoi_var) report every
-//! invalid-input condition through [`UoiError`] instead of panicking; the
-//! original `fit_*` entry points remain as thin panicking wrappers for
-//! callers that prefer the assert-style contract.
+//! [`UoiFitter::fit`](crate::fitter::UoiFitter::fit) and
+//! [`UoiVarFitter::fit`](crate::fitter::UoiVarFitter::fit) report every
+//! invalid-input condition through [`UoiError`] instead of panicking.
 
 use std::fmt;
 

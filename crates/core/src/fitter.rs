@@ -1,9 +1,6 @@
-//! Unified fit entry point: one builder, three execution modes.
-//!
-//! The crate grew eight free fit functions — serial, distributed, and
-//! recovering variants for both `UoI_LASSO` and `UoI_VAR`, each with a
-//! panicking and/or `Result` flavour. [`UoiFitter`] and [`UoiVarFitter`]
-//! collapse that surface into a single chainable entry point:
+//! The fit entry points: one builder per algorithm, three execution
+//! modes. [`UoiFitter`] (`UoI_LASSO`) and [`UoiVarFitter`] (`UoI_VAR`)
+//! are the crate's only way to run a fit:
 //!
 //! ```
 //! use uoi_core::fitter::{ExecMode, UoiFitter};
@@ -22,37 +19,32 @@
 //!
 //! Mode dispatch:
 //!
-//! * [`ExecMode::Serial`] — the in-process fit;
+//! * [`ExecMode::Serial`] — the in-process fit (the shared UoI engine's
+//!   serial executor);
 //! * [`ExecMode::Dist`] — spins up a simulated [`Cluster`] internally and
 //!   returns rank 0's fit. Callers that drive their own cluster (custom
 //!   machine models, `modeled_ranks` extrapolation) use
 //!   [`UoiFitter::fit_on`] from inside their rank closure instead;
-//! * [`ExecMode::Recovering`] — the shrink-and-recover pipeline with a
-//!   fault plan and re-execution round budget.
+//! * [`ExecMode::Recovering`] — the engine's shrink-and-recover executor
+//!   with a fault plan and re-execution round budget.
 //!
-//! Numerical contract: the mode and thread count never change the fitted
-//! numbers — `Serial`, `Dist`, and a successful `Recovering` run produce
-//! bit-identical supports and coefficients for the same configuration,
-//! and `threads` only affects the distributed VAR fit's modeled
-//! wall-clock.
+//! Numerical contract: `Serial` and a successful `Recovering` run
+//! produce bit-identical supports and coefficients for the same
+//! configuration; `Dist` runs the consensus solver, which agrees with
+//! them to solver tolerance, not bit for bit.
+//! `AdmmConfig::threads` only moves the distributed VAR fit's modeled
+//! wall-clock, never the numbers.
 
+use crate::engine::{fit_recovering, fit_serial};
 use crate::error::UoiError;
 use crate::parallelism::ParallelLayout;
 use crate::recovery::RecoveryConfig;
-use crate::uoi_lasso::{validate_lasso_inputs, UoiFit, UoiLassoConfig};
-#[allow(deprecated)]
+use crate::uoi_lasso::{validate_lasso_inputs, LassoProblem, UoiFit, UoiLassoConfig};
 use crate::uoi_lasso_dist::fit_uoi_lasso_dist;
-#[allow(deprecated)]
-use crate::uoi_lasso_recovering::fit_uoi_lasso_recovering;
-use crate::uoi_var::{validate_var_inputs, UoiVarConfig, UoiVarFit};
-#[allow(deprecated)]
-use crate::uoi_var_dist::fit_uoi_var_dist;
-use crate::uoi_var_dist::{KronStats, UoiVarDistConfig};
-#[allow(deprecated)]
-use crate::uoi_var_recovering::fit_uoi_var_recovering;
+use crate::uoi_var::{validate_var_inputs, UoiVarConfig, UoiVarFit, VarProblem};
+use crate::uoi_var_dist::{fit_uoi_var_dist, KronStats, UoiVarDistConfig};
 use uoi_linalg::Matrix;
 use uoi_mpisim::{Cluster, Comm, MachineModel, RankCtx};
-use uoi_solvers::AdmmConfig;
 
 /// Where and how a fit executes.
 #[derive(Debug, Clone, Default)]
@@ -190,11 +182,12 @@ impl UoiFitter {
     /// In [`ExecMode::Dist`] this spins up the configured cluster, runs
     /// the consensus fit on every rank, and returns rank 0's result
     /// (all ranks agree bit-for-bit).
-    #[allow(deprecated)] // the facade is the one sanctioned caller of the legacy fns
     pub fn fit(&self, x: &Matrix, y: &[f64]) -> Result<UoiFit, UoiError> {
         match &self.mode {
-            ExecMode::Serial => crate::uoi_lasso::try_fit_uoi_lasso(x, y, &self.cfg),
-            ExecMode::Recovering(rcfg) => fit_uoi_lasso_recovering(x, y, &self.cfg, rcfg),
+            ExecMode::Serial => fit_serial(&LassoProblem::new(x, y, &self.cfg)?),
+            ExecMode::Recovering(rcfg) => {
+                fit_recovering(&LassoProblem::new(x, y, &self.cfg)?, rcfg)
+            }
             ExecMode::Dist(opts) => {
                 opts.validate()?;
                 validate_lasso_inputs(x, y, &self.cfg)?;
@@ -216,7 +209,6 @@ impl UoiFitter {
     /// `modeled_ranks` extrapolation, custom telemetry): call this from
     /// inside the rank closure. Uses the [`ExecMode::Dist`] layout when
     /// that mode is selected, [`ParallelLayout::admm_only`] otherwise.
-    #[allow(deprecated)]
     pub fn fit_on(&self, ctx: &mut RankCtx, world: &Comm, x: &Matrix, y: &[f64]) -> UoiFit {
         let layout = match &self.mode {
             ExecMode::Dist(opts) => opts.layout,
@@ -249,20 +241,6 @@ impl UoiVarFitter {
         self
     }
 
-    /// In-rank worker threads for the distributed fit's lockstep
-    /// response-column rounds. Affects only the modeled wall-clock, never
-    /// the numbers.
-    pub fn threads(mut self, n: usize) -> Self {
-        self.cfg.base.admm.threads = n;
-        self
-    }
-
-    /// Override the thread count from `UOI_THREADS` when set (and `>= 1`).
-    pub fn env_threads(mut self) -> Self {
-        self.cfg.base.admm.threads = AdmmConfig::env_threads(self.cfg.base.admm.threads);
-        self
-    }
-
     /// The current VAR configuration.
     pub fn config(&self) -> &UoiVarConfig {
         &self.cfg
@@ -275,11 +253,12 @@ impl UoiVarFitter {
 
     /// Run the fit in the selected mode; returns rank 0's result in
     /// [`ExecMode::Dist`].
-    #[allow(deprecated)]
     pub fn fit(&self, series: &Matrix) -> Result<UoiVarFit, UoiError> {
         match &self.mode {
-            ExecMode::Serial => crate::uoi_var::try_fit_uoi_var(series, &self.cfg),
-            ExecMode::Recovering(rcfg) => fit_uoi_var_recovering(series, &self.cfg, rcfg),
+            ExecMode::Serial => fit_serial(&VarProblem::new(series, &self.cfg)?),
+            ExecMode::Recovering(rcfg) => {
+                fit_recovering(&VarProblem::new(series, &self.cfg)?, rcfg)
+            }
             ExecMode::Dist(opts) => {
                 opts.validate()?;
                 validate_var_inputs(series, &self.cfg)?;
@@ -300,7 +279,6 @@ impl UoiVarFitter {
 
     /// Run the distributed fit body (with its Kron-read statistics) on an
     /// existing cluster rank; the VAR twin of [`UoiFitter::fit_on`].
-    #[allow(deprecated)]
     pub fn fit_on(
         &self,
         ctx: &mut RankCtx,
@@ -327,6 +305,7 @@ impl UoiVarFitter {
 mod tests {
     use super::*;
     use uoi_data::{LinearConfig, LinearDataset, VarConfig, VarProcess};
+    use uoi_solvers::AdmmConfig;
 
     fn lasso_cfg() -> UoiLassoConfig {
         UoiLassoConfig {
@@ -356,18 +335,6 @@ mod tests {
             ..Default::default()
         });
         proc.simulate(60, 50, 3)
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn serial_mode_matches_legacy_entry_point() {
-        let ds = dataset();
-        let legacy = crate::uoi_lasso::fit_uoi_lasso(&ds.x, &ds.y, &lasso_cfg());
-        let fit = UoiFitter::new(lasso_cfg()).fit(&ds.x, &ds.y).unwrap();
-        assert_eq!(fit.support, legacy.support);
-        for (a, b) in fit.beta.iter().zip(&legacy.beta) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
     }
 
     #[test]
@@ -401,12 +368,6 @@ mod tests {
         for (a, b) in rec.beta.iter().zip(&serial.beta) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
-    }
-
-    #[test]
-    fn threads_flow_into_admm_config() {
-        let v = UoiVarFitter::new(UoiVarConfig::default()).threads(3);
-        assert_eq!(v.config().base.admm.threads, 3);
     }
 
     #[test]
@@ -464,25 +425,19 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
     fn var_serial_and_dist_modes_match_legacy() {
         let series = var_series();
         let cfg = UoiVarConfig {
             base: lasso_cfg(),
             ..Default::default()
         };
-        let legacy = crate::uoi_var::fit_uoi_var(&series, &cfg);
-        let fit = UoiVarFitter::new(cfg.clone()).fit(&series).unwrap();
-        assert_eq!(fit.support_family, legacy.support_family);
-        for (a, b) in fit.vec_beta.iter().zip(&legacy.vec_beta) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
+        let serial = UoiVarFitter::new(cfg.clone()).fit(&series).unwrap();
         let dist = UoiVarFitter::new(cfg)
             .mode(ExecMode::Dist(DistOptions::default().ranks(3).n_readers(2)))
             .fit(&series)
             .unwrap();
-        assert_eq!(dist.supports_per_lambda, legacy.supports_per_lambda);
-        for (a, b) in dist.vec_beta.iter().zip(&legacy.vec_beta) {
+        assert_eq!(dist.supports_per_lambda, serial.supports_per_lambda);
+        for (a, b) in dist.vec_beta.iter().zip(&serial.vec_beta) {
             assert!((a - b).abs() < 5e-3, "serial {b} vs dist {a}");
         }
     }

@@ -9,6 +9,7 @@
 #![allow(clippy::needless_range_loop)]
 
 pub mod degraded;
+mod engine;
 pub mod error;
 pub mod fitter;
 pub mod granger;
@@ -20,10 +21,8 @@ pub mod speculation;
 pub mod support;
 pub mod uoi_lasso;
 pub mod uoi_lasso_dist;
-pub mod uoi_lasso_recovering;
 pub mod uoi_var;
 pub mod uoi_var_dist;
-pub mod uoi_var_recovering;
 pub mod var_matrices;
 
 pub use degraded::{
@@ -42,18 +41,4 @@ pub use speculation::{SpeculationConfig, SpeculationReport, StageHedging, UOI_SP
 pub use uoi_lasso::{bic, EstimationScore, UoiFit, UoiLassoConfig, UoiLassoConfigBuilder};
 pub use uoi_var::{select_var_order, UoiVarConfig, UoiVarConfigBuilder, UoiVarFit};
 pub use uoi_var_dist::{KronStats, UoiVarDistConfig};
-// The legacy 8-way fit surface stays re-exported for source compatibility;
-// new code goes through `UoiFitter` / `UoiVarFitter`.
-#[allow(deprecated)]
-pub use uoi_lasso::{fit_uoi_lasso, try_fit_uoi_lasso};
-#[allow(deprecated)]
-pub use uoi_lasso_dist::fit_uoi_lasso_dist;
-#[allow(deprecated)]
-pub use uoi_lasso_recovering::fit_uoi_lasso_recovering;
-#[allow(deprecated)]
-pub use uoi_var::{fit_uoi_var, try_fit_uoi_var};
-#[allow(deprecated)]
-pub use uoi_var_dist::fit_uoi_var_dist;
-#[allow(deprecated)]
-pub use uoi_var_recovering::fit_uoi_var_recovering;
 pub use var_matrices::{flatten_coefficients, partition_coefficients, VarRegression};

@@ -37,11 +37,7 @@ use uoi_tieredio::distribution::{block_range, tier2_shuffle};
 /// `x`/`y` stand for the dataset as resident after the Tier-1 parallel
 /// read (every rank *uses* only its block; bootstrap rows move through
 /// simulated one-sided windows). All ranks return the identical fit.
-#[deprecated(
-    since = "0.6.0",
-    note = "use `uoi_core::UoiFitter` with `ExecMode::Dist` (or `fit_on` inside a cluster) instead"
-)]
-pub fn fit_uoi_lasso_dist(
+pub(crate) fn fit_uoi_lasso_dist(
     ctx: &mut RankCtx,
     world: &Comm,
     x: &Matrix,
@@ -701,13 +697,10 @@ fn my_share(idx: &[usize], c: usize, rank: usize) -> Vec<usize> {
 pub use crate::parallelism::ParallelLayout as Layout;
 
 #[cfg(test)]
-// Exercises the deprecated free-function fit surface on purpose: these
-// tests pin its behaviour for as long as the wrappers exist.
-#[allow(deprecated)]
 mod tests {
     use super::*;
+    use crate::fitter::UoiFitter;
     use crate::metrics::SelectionCounts;
-    use crate::uoi_lasso::fit_uoi_lasso;
     use uoi_data::LinearConfig;
     use uoi_mpisim::{Cluster, MachineModel, Phase};
     use uoi_solvers::AdmmConfig;
@@ -741,7 +734,7 @@ mod tests {
             ..Default::default()
         }
         .generate();
-        let serial = fit_uoi_lasso(&ds.x, &ds.y, &cfg());
+        let serial = UoiFitter::new(cfg()).fit(&ds.x, &ds.y).unwrap();
         let (x, y) = (ds.x.clone(), ds.y.clone());
         let report = Cluster::new(4, MachineModel::deterministic()).run(move |ctx, world| {
             fit_uoi_lasso_dist(ctx, world, &x, &y, &cfg(), ParallelLayout::admm_only())
@@ -940,7 +933,7 @@ mod tests {
             "short shares stay dense"
         );
 
-        let serial = fit_uoi_lasso(&ds.x, &ds.y, &cfg());
+        let serial = UoiFitter::new(cfg()).fit(&ds.x, &ds.y).unwrap();
         let (x, y) = (ds.x.clone(), ds.y);
         let report = Cluster::new(4, MachineModel::deterministic()).run(move |ctx, world| {
             let fit = fit_uoi_lasso_dist(ctx, world, &x, &y, &cfg(), ParallelLayout::admm_only());

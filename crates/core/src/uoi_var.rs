@@ -5,8 +5,9 @@
 //! (`vec Y = (I ⊗ X) vec B`, eq. 9). Because the vectorised design is
 //! block diagonal with *identical* blocks, the LASSO path decomposes into
 //! `p` per-column problems sharing one cached factorisation — the
-//! communication-avoiding structure §V's discussion points at; the
-//! distributed implementation in [`crate::uoi_var_dist`] instead follows
+//! communication-avoiding structure §V's discussion points at, and the
+//! shape in which the shared UoI engine runs both algorithms (`UoI_LASSO` is
+//! the one-column case). The distributed implementation in [`crate::uoi_var_dist`] instead follows
 //! the paper's explicit distributed-Kronecker construction. Both produce
 //! identical estimates (tested).
 //!
@@ -14,20 +15,19 @@
 //! regression rows (Algorithm 2 lines 3, 17–18).
 
 use crate::degraded::{data_words, fingerprint, CheckpointStore, DegradationReport};
+use crate::engine::{self, FitParts, Names, Resample, System, UoiProblem};
 use crate::error::{all_finite, UoiError};
 use crate::granger::GrangerNetwork;
-use crate::support::dedup_family;
 #[cfg(test)]
-use crate::support::intersect_many;
+use crate::support::{dedup_family, intersect_many};
 use crate::uoi_lasso::UoiLassoConfig;
 use crate::var_matrices::{partition_coefficients, VarRegression};
-use rayon::prelude::*;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicUsize, Ordering};
 use uoi_data::bootstrap::{block_bootstrap, default_block_len, resample_weights};
 use uoi_data::rng::substream;
-use uoi_linalg::{dot, gemv_t_weighted_multi, Matrix};
-use uoi_solvers::{geometric_grid, ols_on_support_gram, support_of, LassoAdmm};
-use uoi_telemetry::TraceEvent;
+use uoi_linalg::{gemv_t_weighted_multi, Matrix};
+use uoi_solvers::geometric_grid;
+#[cfg(test)]
+use uoi_solvers::{support_of, LassoAdmm};
 
 /// Hyperparameters of `UoI_VAR`.
 #[derive(Debug, Clone)]
@@ -173,8 +173,8 @@ pub struct UoiVarFit {
     pub support_family: Vec<Vec<usize>>,
     /// Degraded-execution account, present when a fault plan was active.
     pub degradation: Option<DegradationReport>,
-    /// Shrink-and-recover account, present when the fit ran through
-    /// [`fit_uoi_var_recovering`](crate::uoi_var_recovering::fit_uoi_var_recovering).
+    /// Shrink-and-recover account, present when the fit ran in
+    /// [`ExecMode::Recovering`](crate::fitter::ExecMode::Recovering).
     pub recovery: Option<crate::recovery::RecoveryReport>,
     /// Speculative-hedging account, present when the fit ran through the
     /// recovering pipeline with speculation enabled.
@@ -297,44 +297,7 @@ pub fn select_var_order(series: &Matrix, max_order: usize) -> usize {
     best.1
 }
 
-/// Fit `UoI_VAR` on an `N x p` series, panicking on invalid input.
-///
-/// Thin wrapper over [`try_fit_uoi_var`] for callers that prefer the
-/// assert-style contract; library code should use the fallible form.
-#[deprecated(
-    since = "0.6.0",
-    note = "use `uoi_core::UoiVarFitter::new(cfg).fit(series)` instead"
-)]
-#[allow(deprecated)]
-pub fn fit_uoi_var(series: &Matrix, cfg: &UoiVarConfig) -> UoiVarFit {
-    try_fit_uoi_var(series, cfg).unwrap_or_else(|e| panic!("fit_uoi_var: {e}"))
-}
-
-/// Fit `UoI_VAR` on an `N x p` series (row `t` = observation at time `t`).
-///
-/// Columns are centred internally; `mu` restores the process mean.
-///
-/// Returns `Err` — and never panics — on an empty series, a series too
-/// short for the requested order, non-finite values, or an invalid
-/// configuration.
-#[deprecated(
-    since = "0.6.0",
-    note = "use `uoi_core::UoiVarFitter::new(cfg).fit(series)` instead"
-)]
-pub fn try_fit_uoi_var(series: &Matrix, cfg: &UoiVarConfig) -> Result<UoiVarFit, UoiError> {
-    if let Some(scrubbed) = cfg
-        .base
-        .numerical
-        .prevalidate_series(series, &cfg.base.telemetry)?
-    {
-        validate_var_inputs(&scrubbed, cfg)?;
-        return fit_inner(&scrubbed, cfg);
-    }
-    validate_var_inputs(series, cfg)?;
-    fit_inner(series, cfg)
-}
-
-/// Input validation shared by the serial and recovering fits.
+/// Input validation shared by every execution mode.
 pub(crate) fn validate_var_inputs(series: &Matrix, cfg: &UoiVarConfig) -> Result<(), UoiError> {
     let (n_raw, p) = series.shape();
     if n_raw == 0 || p == 0 {
@@ -354,443 +317,55 @@ pub(crate) fn validate_var_inputs(series: &Matrix, cfg: &UoiVarConfig) -> Result
     Ok(())
 }
 
-/// The shared per-fit precomputation: centred regression block, sampling
-/// geometry, and lambda grid. Built identically by the serial fit and by
-/// every rank of the recovering pipeline, so all downstream task bodies
-/// see bit-identical inputs.
-pub(crate) struct VarProblem {
-    pub(crate) means: Vec<f64>,
-    pub(crate) reg: VarRegression,
-    pub(crate) n: usize,
-    pub(crate) dp: usize,
-    pub(crate) total_coef: usize,
-    pub(crate) block_len: usize,
-    pub(crate) lambdas: Vec<f64>,
+/// `UoI_VAR` as a [`UoiProblem`]: the centred lag regression `Y = X B`
+/// (eqs. 7–8), its `p` response columns, the moving-block bootstrap
+/// geometry, and the vectorised λ grid.
+pub(crate) struct VarProblem<'a> {
+    cfg: &'a UoiVarConfig,
+    means: Vec<f64>,
+    reg: VarRegression,
+    ys: Vec<Vec<f64>>,
+    block_len: usize,
+    lambdas: Vec<f64>,
+    store: Option<CheckpointStore>,
 }
 
-pub(crate) fn build_var_problem(series: &Matrix, cfg: &UoiVarConfig) -> VarProblem {
-    let (_, p) = series.shape();
-    let d = cfg.order;
-    let means = series.col_means();
-    let mut centred = series.clone();
-    centred.center_cols(&means);
-    let reg = VarRegression::build(&centred, d);
-    let n = reg.samples();
-    let dp = d * p;
-    let total_coef = dp * p;
-    let block_len = cfg.block_len.unwrap_or_else(|| default_block_len(n));
-    let base = &cfg.base;
+impl<'a> VarProblem<'a> {
+    /// Check and centre an `N x p` series (row `t` = observation at time
+    /// `t`) and build its lag regression; `mu` later restores the process
+    /// mean.
+    ///
+    /// An adversarial-input scrub runs first, so the whole fit sees the
+    /// sanitised series. Returns `Err` — and never panics — on an empty
+    /// series, a series too short for the requested order, non-finite
+    /// values, an invalid configuration, or an unopenable checkpoint
+    /// directory.
+    pub(crate) fn new(series: &Matrix, cfg: &'a UoiVarConfig) -> Result<Self, UoiError> {
+        let base = &cfg.base;
+        let scrubbed = base.numerical.prevalidate_series(series, &base.telemetry)?;
+        let series: &Matrix = scrubbed.as_ref().unwrap_or(series);
+        validate_var_inputs(series, cfg)?;
+        let (_, p) = series.shape();
+        let means = series.col_means();
+        let mut centred = series.clone();
+        centred.center_cols(&means);
+        let reg = VarRegression::build(&centred, cfg.order);
+        let ys: Vec<Vec<f64>> = (0..p).map(|i| reg.y.col(i)).collect();
+        let block_len = cfg
+            .block_len
+            .unwrap_or_else(|| default_block_len(reg.samples()));
 
-    // Lambda grid: the vectorised lambda_max is max_i ||X^T Y_i||_inf.
-    let mut lmax = 0.0_f64;
-    for i in 0..p {
-        let yi = reg.y.col(i);
-        lmax = lmax.max(uoi_solvers::lambda_max(&reg.x, &yi));
-    }
-    let lmax = lmax.max(1e-12);
-    let lambdas = geometric_grid(lmax, base.lambda_min_ratio * lmax, base.q);
-
-    VarProblem {
-        means,
-        reg,
-        n,
-        dp,
-        total_coef,
-        block_len,
-        lambdas,
-    }
-}
-
-/// The block-bootstrap multiplicity weights of VAR selection bootstrap
-/// `k` — the resampling half of [`var_selection_task`], split out so the
-/// batched fit can draw every resample up front and build all Grams in
-/// one pass over the regression block.
-pub(crate) fn var_selection_weights(
-    prob: &VarProblem,
-    base: &UoiLassoConfig,
-    k: usize,
-) -> Vec<f64> {
-    let mut rng = substream(base.seed, k as u64);
-    let rows = block_bootstrap(&mut rng, prob.n, prob.n, prob.block_len);
-    resample_weights(&rows, prob.n)
-}
-
-/// The solve half of [`var_selection_task`]: one shared factorisation of
-/// the (upper-stored) weighted Gram, `p` column paths sharing one pass
-/// over the regression block for their rhs vectors, vectorised support
-/// indices.
-pub(crate) fn var_selection_solve(
-    prob: &VarProblem,
-    base: &UoiLassoConfig,
-    p: usize,
-    gram: Matrix,
-    w: &[f64],
-    k: usize,
-) -> Vec<Vec<usize>> {
-    // A task that falls off the numerical fallback ladder degrades to
-    // empty supports on every lambda (callers that require a payload per
-    // task still complete); serial `fit_inner` uses the checked variant
-    // and drops the task into the quorum accounting instead.
-    var_selection_solve_checked(prob, base, p, gram, w, k)
-        .unwrap_or_else(|| vec![Vec::new(); prob.lambdas.len()])
-}
-
-/// [`var_selection_solve`] with drop semantics: `None` means the task
-/// fell off the end of the numerical fallback ladder. With resilience
-/// disabled this is the historical unguarded solve and never `None`.
-pub(crate) fn var_selection_solve_checked(
-    prob: &VarProblem,
-    base: &UoiLassoConfig,
-    p: usize,
-    gram: Matrix,
-    w: &[f64],
-    k: usize,
-) -> Option<Vec<Vec<usize>>> {
-    let tracing = base.telemetry.tracing_enabled();
-    let mut admm = base.admm.clone();
-    admm.capture_curve = tracing;
-    let ys: Vec<Vec<f64>> = (0..p).map(|i| prob.reg.y.col(i)).collect();
-    let yrefs: Vec<&[f64]> = ys.iter().map(|v| v.as_slice()).collect();
-    let xtys = gemv_t_weighted_multi(&prob.reg.x, w, &yrefs);
-
-    // Per-column lambda paths: one shared factorisation, p solves.
-    let mut col_sols: Vec<Vec<uoi_solvers::AdmmSolution>> = Vec::with_capacity(p);
-    if !base.numerical.enabled {
-        let mut solver = LassoAdmm::from_gram(gram, admm);
-        if let Some(m) = base.telemetry.metrics() {
-            solver = solver.with_metrics(m);
+        // Lambda grid: the vectorised lambda_max is max_i ||X^T Y_i||_inf.
+        let mut lmax = 0.0_f64;
+        for yi in &ys {
+            lmax = lmax.max(uoi_solvers::lambda_max(&reg.x, yi));
         }
-        for xty in &xtys {
-            col_sols.push(solver.solve_path_with_rhs(xty, &prob.lambdas));
-        }
-    } else {
-        let ledger = base.numerical.ledger();
-        let mut solver =
-            match uoi_solvers::ResilientLasso::from_gram(gram, admm, base.numerical.resilience) {
-                Ok(s) => s,
-                Err(e) => {
-                    if let uoi_solvers::SolverError::Factorization(b) = &e {
-                        ledger.note_factor(
-                            &base.telemetry,
-                            "selection",
-                            k,
-                            &uoi_solvers::FactorHealth {
-                                attempts: u32::MAX,
-                                jitter: b.last_jitter,
-                                condest: None,
-                            },
-                        );
-                    }
-                    ledger.note_task_dropped(&base.telemetry, "selection", k, &e.to_string());
-                    return None;
-                }
-            };
-        if let Some(m) = base.telemetry.metrics() {
-            solver = solver.with_metrics(m);
-        }
-        // One shared factorisation: record its health once, then fold
-        // the p column paths' divergence ledgers together (dedup by
-        // lambda — several columns may trip on the same lambda).
-        ledger.note_factor(&base.telemetry, "selection", k, &solver.factor_health());
-        let mut restarts = 0u32;
-        let mut recovered = std::collections::BTreeSet::new();
-        let mut diverged = std::collections::BTreeSet::new();
-        for xty in &xtys {
-            let (sols, health) = solver.solve_path_with_rhs(xty, &prob.lambdas);
-            restarts += health.rho_restarts;
-            recovered.extend(health.recovered);
-            diverged.extend(health.diverged);
-            col_sols.push(sols);
-        }
-        let path = uoi_solvers::PathHealth {
-            rho_restarts: restarts,
-            recovered: recovered.into_iter().collect(),
-            diverged: diverged.into_iter().collect(),
-            ..uoi_solvers::PathHealth::default()
-        };
-        ledger.note_path(&base.telemetry, "selection", k, &path);
-        if !path.diverged.is_empty() {
-            ledger.note_task_dropped(&base.telemetry, "selection", k, "divergence_unrecovered");
-            return None;
-        }
-    }
+        let lmax = lmax.max(1e-12);
+        let lambdas = geometric_grid(lmax, base.lambda_min_ratio * lmax, base.q);
 
-    // supports[j] = vectorised support at lambda_j. A VAR selection
-    // bootstrap is p column paths; the convergence record for lambda_j
-    // aggregates across them: worst-case iteration count and residuals,
-    // converged only when every column converged, and the residual curve
-    // of the slowest column.
-    let mut supports = vec![Vec::new(); prob.lambdas.len()];
-    let mut aggs: Vec<(usize, bool, f64, f64, Vec<f64>)> = if tracing {
-        vec![(0, true, 0.0, 0.0, Vec::new()); prob.lambdas.len()]
-    } else {
-        Vec::new()
-    };
-    for (i, sols) in col_sols.into_iter().enumerate() {
-        for (j, sol) in sols.into_iter().enumerate() {
-            if tracing {
-                let a = &mut aggs[j];
-                if i == 0 || sol.iterations > a.0 {
-                    a.0 = sol.iterations;
-                    a.4 = sol.curve;
-                }
-                a.1 &= sol.converged;
-                a.2 = a.2.max(sol.primal_residual);
-                a.3 = a.3.max(sol.dual_residual);
-            }
-            for idx in support_of(&sol.beta, base.support_tol) {
-                supports[j].push(i * prob.dp + idx);
-            }
-        }
-    }
-    for s in &mut supports {
-        s.sort_unstable();
-    }
-    if tracing {
-        for (j, (iterations, converged, primal, dual, curve)) in aggs.into_iter().enumerate() {
-            base.telemetry.record_with(|| TraceEvent::Convergence {
-                rank: 0,
-                stage: "selection",
-                bootstrap: k,
-                lambda_idx: j,
-                lambda: prob.lambdas[j],
-                iterations,
-                max_iter: base.admm.max_iter,
-                converged,
-                primal_residual: primal,
-                dual_residual: dual,
-                support: supports[j].clone(),
-                curve,
-                t: 0.0,
-            });
-        }
-    }
-    Some(supports)
-}
-
-/// The full VAR selection task body for bootstrap `k` (Algorithm 2 lines
-/// 1–13). A batch-of-one through the batched Gram engine, so it stays
-/// bit-identical to the fit's multi-bootstrap path; shared with the
-/// recovering pipeline, which re-executes bootstraps one at a time.
-pub(crate) fn var_selection_task(
-    prob: &VarProblem,
-    base: &UoiLassoConfig,
-    p: usize,
-    k: usize,
-) -> Vec<Vec<usize>> {
-    let w = var_selection_weights(prob, base, k);
-    let gram = uoi_linalg::gram_batch(&prob.reg.x, &[Some(w.as_slice())])
-        .pop()
-        .expect("batch of one")
-        .into_upper();
-    var_selection_solve(prob, base, p, gram, &w, k)
-}
-
-/// Union-projected estimation inputs (Algorithm 2 lines 14–30 setup):
-/// the regression design gathered onto the family's union of lag columns
-/// plus the family re-indexed per response column.
-pub(crate) struct VarEstimationCtx {
-    pub(crate) union_cols: Vec<usize>,
-    pub(crate) u: usize,
-    pub(crate) xu: Matrix,
-    pub(crate) ys: Vec<Vec<f64>>,
-    pub(crate) family_cols: Vec<Vec<Vec<usize>>>,
-}
-
-pub(crate) fn var_estimation_setup(
-    support_family: &[Vec<usize>],
-    prob: &VarProblem,
-    p: usize,
-) -> VarEstimationCtx {
-    let dp = prob.dp;
-    let mut union_cols: Vec<usize> = support_family.iter().flatten().map(|&s| s % dp).collect();
-    union_cols.sort_unstable();
-    union_cols.dedup();
-    let u = union_cols.len();
-    let mut col_pos = vec![usize::MAX; dp];
-    for (a, &c) in union_cols.iter().enumerate() {
-        col_pos[c] = a;
-    }
-    let xu = prob.reg.x.gather_cols(&union_cols);
-    let ys: Vec<Vec<f64>> = (0..p).map(|i| prob.reg.y.col(i)).collect();
-    // family_cols[f][i] = union-space support of response column i.
-    let family_cols: Vec<Vec<Vec<usize>>> = support_family
-        .iter()
-        .map(|support| {
-            let mut per_col = vec![Vec::new(); p];
-            for &s in support {
-                per_col[s / dp].push(col_pos[s % dp]);
-            }
-            per_col
-        })
-        .collect();
-    VarEstimationCtx {
-        union_cols,
-        u,
-        xu,
-        ys,
-        family_cols,
-    }
-}
-
-/// The resampling half of [`var_estimation_task`]: block-bootstrap
-/// multiplicity weights, out-of-bag evaluation rows, and the training row
-/// count of estimation resample `k`.
-pub(crate) fn var_estimation_resample(
-    prob: &VarProblem,
-    base: &UoiLassoConfig,
-    k: usize,
-) -> (Vec<f64>, Vec<usize>, usize) {
-    let mut rng = substream(base.seed, 20_000 + k as u64);
-    let (train_rows, eval_rows) = block_bootstrap_with_oob(&mut rng, prob.n, prob.block_len);
-    let n_train = train_rows.len();
-    let w = resample_weights(&train_rows, prob.n);
-    (w, eval_rows, n_train)
-}
-
-/// The scoring half of [`var_estimation_task`] (Algorithm 2 lines 20–28):
-/// given the (upper-stored) weighted union-Gram and per-column rhs
-/// vectors, solve every candidate per-column support by sub-Gram
-/// extraction, score on the out-of-bag rows, and return the winner in
-/// vectorised coordinates.
-pub(crate) fn var_estimation_score(
-    ctx: &VarEstimationCtx,
-    prob: &VarProblem,
-    base: &UoiLassoConfig,
-    p: usize,
-    gram_u: &Matrix,
-    xty_u: &[Vec<f64>],
-    eval_rows: &[usize],
-    n_train: usize,
-    k: usize,
-) -> Vec<f64> {
-    let u = ctx.u;
-    let mut best: Option<(f64, Vec<f64>)> = None;
-    for (c, per_col) in ctx.family_cols.iter().enumerate() {
-        // Column i's union-space coefficients at i*u..(i+1)*u.
-        let mut beta_u = vec![0.0; p * u];
-        for (i, cols) in per_col.iter().enumerate() {
-            if cols.is_empty() {
-                continue;
-            }
-            // Guarded OLS on demand: singular per-column sub-Grams climb
-            // the jitter ladder and report per candidate, mirroring the
-            // LASSO estimation step.
-            let bi = if base.numerical.enabled {
-                let (bi, health) =
-                    uoi_solvers::ols_on_support_gram_health(gram_u, &xty_u[i], cols, n_train);
-                if health != uoi_solvers::FactorHealth::clean() {
-                    base.numerical.ledger().note_candidate_factor(
-                        &base.telemetry,
-                        "estimation",
-                        k,
-                        c,
-                        &health,
-                    );
-                }
-                bi
-            } else {
-                ols_on_support_gram(gram_u, &xty_u[i], cols, n_train)
-            };
-            beta_u[i * u..(i + 1) * u].copy_from_slice(&bi);
-        }
-        let mut total = 0.0;
-        for i in 0..p {
-            let bi = &beta_u[i * u..(i + 1) * u];
-            let mut sse = 0.0;
-            for &e in eval_rows {
-                let d = dot(ctx.xu.row(e), bi) - ctx.ys[i][e];
-                sse += d * d;
-            }
-            total += sse / eval_rows.len() as f64;
-        }
-        let loss = total / p as f64;
-        if best.as_ref().is_none_or(|(l, _)| loss < *l) {
-            best = Some((loss, beta_u));
-        }
-    }
-    // Embed the winner back into vectorised coordinates.
-    let mut full = vec![0.0; prob.total_coef];
-    if let Some((_, bu)) = best {
-        for i in 0..p {
-            for (a, &c) in ctx.union_cols.iter().enumerate() {
-                full[i * prob.dp + c] = bu[i * u + a];
-            }
-        }
-    }
-    full
-}
-
-/// The full VAR estimation task body for resample `k` (Algorithm 2 lines
-/// 17–28). A batch-of-one through the batched Gram engine, bit-identical
-/// to the fit's multi-resample path; shared with the recovering pipeline.
-pub(crate) fn var_estimation_task(
-    ctx: &VarEstimationCtx,
-    prob: &VarProblem,
-    base: &UoiLassoConfig,
-    p: usize,
-    k: usize,
-) -> Vec<f64> {
-    let (w, eval_rows, n_train) = var_estimation_resample(prob, base, k);
-    let gram_u = uoi_linalg::gram_batch(&ctx.xu, &[Some(w.as_slice())])
-        .pop()
-        .expect("batch of one")
-        .into_upper();
-    let yrefs: Vec<&[f64]> = ctx.ys.iter().map(|v| v.as_slice()).collect();
-    let xty_u = gemv_t_weighted_multi(&ctx.xu, &w, &yrefs);
-    let full = var_estimation_score(ctx, prob, base, p, &gram_u, &xty_u, &eval_rows, n_train, k);
-    crate::uoi_lasso::record_estimation_convergence(&base.telemetry, k);
-    full
-}
-
-/// Average the winning vectorised estimates and derive the lag matrices
-/// and process-mean term `μ = (I - Σ A_j) x̄`.
-pub(crate) fn var_average(
-    best_estimates: &[&Vec<f64>],
-    total_coef: usize,
-    p: usize,
-    d: usize,
-    means: &[f64],
-) -> (Vec<f64>, Vec<Matrix>, Vec<f64>) {
-    let effective_b2 = best_estimates.len();
-    let mut vec_beta = vec![0.0; total_coef];
-    for est in best_estimates {
-        for (b, e) in vec_beta.iter_mut().zip(est.iter()) {
-            *b += e;
-        }
-    }
-    for b in &mut vec_beta {
-        *b /= effective_b2 as f64;
-    }
-    let a_mats = partition_coefficients(&vec_beta, p, d);
-    // mu = (I - sum A_j) * mean.
-    let mut mu = means.to_vec();
-    for a in &a_mats {
-        let shift = uoi_linalg::gemv(a, means);
-        for (m, s) in mu.iter_mut().zip(&shift) {
-            *m -= s;
-        }
-    }
-    (vec_beta, a_mats, mu)
-}
-
-/// The validated fit body (inputs already checked).
-pub(crate) fn fit_inner(series: &Matrix, cfg: &UoiVarConfig) -> Result<UoiVarFit, UoiError> {
-    let (_, p) = series.shape();
-    let d = cfg.order;
-    let base = &cfg.base;
-
-    let prob = build_var_problem(series, cfg);
-    let means = prob.means.clone();
-    let total_coef = prob.total_coef;
-    let block_len = prob.block_len;
-    let lambdas = prob.lambdas.clone();
-
-    // Degraded-mode / checkpoint machinery (mirrors `uoi_lasso`; the
-    // "var_" stage prefix keeps the two algorithms' checkpoints apart).
-    let plan = base.degradation.plan.as_ref();
-    let store = match &base.checkpoint {
-        Some(ck) => {
+        // The "var_" stage prefixes keep the two algorithms' checkpoints
+        // apart in a shared directory.
+        let store = engine::open_store(base, || {
             let words = [
                 base.seed,
                 base.q as u64,
@@ -801,237 +376,145 @@ pub(crate) fn fit_inner(series: &Matrix, cfg: &UoiVarConfig) -> Result<UoiVarFit
                 base.admm.abstol.to_bits(),
                 base.admm.reltol.to_bits(),
                 crate::uoi_lasso::path_variant_word(),
-                d as u64,
+                cfg.order as u64,
                 block_len as u64,
                 series.rows() as u64,
                 series.cols() as u64,
             ];
-            let fp = fingerprint(words.into_iter().chain(data_words(series.as_slice())));
-            Some(CheckpointStore::open(&ck.dir, fp)?.with_telemetry(&base.telemetry))
-        }
-        None => None,
-    };
-    let budget = base
-        .checkpoint
-        .as_ref()
-        .and_then(|ck| ck.abort_after)
-        .map(|k| AtomicI64::new(k as i64));
-    let interrupted = AtomicBool::new(false);
-    let computed = AtomicUsize::new(0);
-    let reserve = || match &budget {
-        None => true,
-        Some(b) => {
-            if b.fetch_sub(1, Ordering::SeqCst) > 0 {
-                true
-            } else {
-                interrupted.store(true, Ordering::SeqCst);
-                false
-            }
-        }
-    };
-
-    // --- Model selection (Algorithm 2 lines 1-13). ---
-    // Per bootstrap: one shared factorisation, p column paths. The block
-    // bootstrap also yields integer row multiplicities, so the resampled
-    // regression block is never materialised — one weighted dp x dp Gram
-    // and p weighted rhs vectors replace the gather. Bootstraps are first
-    // triaged (fault plan, checkpoint, budget), then every surviving Gram
-    // is built in ONE pass over the regression block by the batched
-    // engine, and only the solves fan out.
-    let selection_results: Vec<Option<Vec<Vec<usize>>>> =
-        crate::uoi_lasso::traced(&base.telemetry, "uoi_var.selection", || {
-            let mut slots: Vec<Option<Vec<Vec<usize>>>> = (0..base.b1).map(|_| None).collect();
-            let mut to_compute: Vec<usize> = Vec::new();
-            for k in 0..base.b1 {
-                if plan.is_some_and(|pl| pl.selection_failed(k)) {
-                    base.telemetry
-                        .incr("uoi_var.degraded.selection_failures", 1);
-                    continue;
-                }
-                if let Some(st) = &store {
-                    if let Some(loaded) = st.load_supports("var_sel", k, lambdas.len()) {
-                        base.telemetry.incr("uoi_var.ckpt.selection_hits", 1);
-                        slots[k] = Some(loaded);
-                        continue;
-                    }
-                }
-                if reserve() {
-                    to_compute.push(k);
-                }
-            }
-            let weights: Vec<Vec<f64>> = to_compute
-                .iter()
-                .map(|&k| var_selection_weights(&prob, base, k))
-                .collect();
-            let wopts: Vec<Option<&[f64]>> = weights.iter().map(|w| Some(w.as_slice())).collect();
-            let grams = uoi_linalg::gram_batch(&prob.reg.x, &wopts);
-            let work: Vec<_> = to_compute
-                .into_iter()
-                .zip(weights.into_iter().zip(grams))
-                .collect();
-            let solved = work
-                .into_par_iter()
-                .map(|(k, (w, gram))| {
-                    let supports =
-                        var_selection_solve_checked(&prob, base, p, gram.into_upper(), &w, k);
-                    if let (Some(st), Some(sup)) = (&store, &supports) {
-                        st.save_supports("var_sel", k, sup)?;
-                    }
-                    computed.fetch_add(1, Ordering::SeqCst);
-                    Ok((k, supports))
-                })
-                .collect::<Result<Vec<_>, UoiError>>()?;
-            for (k, supports) in solved {
-                slots[k] = supports;
-            }
-            Ok::<_, UoiError>(slots)
+            fingerprint(words.into_iter().chain(data_words(series.as_slice())))
         })?;
-    if interrupted.load(Ordering::SeqCst) {
-        return Err(UoiError::Interrupted {
-            completed: computed.load(Ordering::SeqCst),
-        });
+        Ok(Self {
+            cfg,
+            means,
+            reg,
+            ys,
+            block_len,
+            lambdas,
+            store,
+        })
     }
-    let supports_by_bootstrap: Vec<&Vec<Vec<usize>>> = selection_results.iter().flatten().collect();
-    let effective_b1 = supports_by_bootstrap.len();
-    base.degradation
-        .check_quorum("selection", effective_b1, base.b1)?;
 
-    let needed = crate::uoi_lasso::required_votes(base.intersection_frac, effective_b1);
-    let supports_per_lambda = crate::uoi_lasso::intersect_per_lambda(
-        &supports_by_bootstrap,
-        lambdas.len(),
-        total_coef,
-        needed,
-    );
-    let support_family = dedup_family(supports_per_lambda.clone());
-
-    base.telemetry
-        .incr("uoi_var.selection.bootstraps", effective_b1 as u64);
-    for s in &supports_per_lambda {
-        base.telemetry
-            .observe("uoi_var.selection.support_size", s.len() as f64);
+    fn n(&self) -> usize {
+        self.reg.samples()
     }
-    base.telemetry
-        .gauge("uoi_var.selection.family_size", support_family.len() as f64);
+}
 
-    // --- Model estimation (lines 14-30). ---
-    // Gram-space scoring: the family only touches the union of its lag
-    // columns, so the regression design is projected onto that union once;
-    // each resample builds one weighted union-Gram plus p rhs vectors and
-    // every candidate is solved/scored by sub-Gram extraction, with no
-    // train/eval row gathering.
-    let est_ctx = var_estimation_setup(&support_family, &prob, p);
+impl UoiProblem for VarProblem<'_> {
+    type Fit = UoiVarFit;
+    const NAMES: Names = Names {
+        selection_span: "uoi_var.selection",
+        estimation_span: "uoi_var.estimation",
+        selection_ckpt: "var_sel",
+        estimation_ckpt: "var_est",
+        gram_ckpt: "var_selgram",
+        selection_spec: "var.sel",
+        estimation_spec: "var.est",
+        selection_label: "var selection",
+        estimation_label: "var estimation",
+        selection_failures: "uoi_var.degraded.selection_failures",
+        estimation_failures: "uoi_var.degraded.estimation_failures",
+        selection_hits: "uoi_var.ckpt.selection_hits",
+        estimation_hits: "uoi_var.ckpt.estimation_hits",
+        selection_bootstraps: "uoi_var.selection.bootstraps",
+        estimation_bootstraps: "uoi_var.estimation.bootstraps",
+        gram_hits: "uoi_var.recovery.gram_hits",
+        support_size: "uoi_var.selection.support_size",
+        family_size: "uoi_var.selection.family_size",
+        final_gauge: "uoi_var.nnz",
+    };
 
-    // Fold the candidate family into the estimation stage name so a
-    // family change (different B1 or fault plan) invalidates the cache.
-    let est_stage = store.as_ref().map(|_| {
-        let fam_words = support_family
-            .iter()
-            .flat_map(|s| std::iter::once(s.len() as u64).chain(s.iter().map(|&f| f as u64)));
-        format!("var_est_{:016x}", fingerprint(fam_words))
-    });
+    fn cfg(&self) -> &UoiLassoConfig {
+        &self.cfg.base
+    }
 
-    let est_results: Vec<Option<Vec<f64>>> =
-        crate::uoi_lasso::traced(&base.telemetry, "uoi_var.estimation", || {
-            let mut slots: Vec<Option<Vec<f64>>> = (0..base.b2).map(|_| None).collect();
-            let mut to_compute: Vec<usize> = Vec::new();
-            for k in 0..base.b2 {
-                if plan.is_some_and(|pl| pl.estimation_failed(k)) {
-                    base.telemetry
-                        .incr("uoi_var.degraded.estimation_failures", 1);
-                    continue;
-                }
-                if let (Some(st), Some(stage)) = (&store, &est_stage) {
-                    if let Some(loaded) = st.load_coeffs(stage, k, total_coef) {
-                        base.telemetry.incr("uoi_var.ckpt.estimation_hits", 1);
-                        slots[k] = Some(loaded);
-                        continue;
-                    }
-                }
-                if reserve() {
-                    to_compute.push(k);
-                }
+    fn design(&self) -> &Matrix {
+        &self.reg.x
+    }
+
+    fn responses(&self) -> &[Vec<f64>] {
+        &self.ys
+    }
+
+    fn lambdas(&self) -> &[f64] {
+        &self.lambdas
+    }
+
+    fn store(&self) -> Option<&CheckpointStore> {
+        self.store.as_ref()
+    }
+
+    /// Moving-block bootstrap over the regression rows (Algorithm 2 line
+    /// 3): temporal dependence survives inside each block.
+    fn selection_weights(&self, k: usize) -> Vec<f64> {
+        let n = self.n();
+        let mut rng = substream(self.cfg.base.seed, k as u64);
+        let rows = block_bootstrap(&mut rng, n, n, self.block_len);
+        resample_weights(&rows, n)
+    }
+
+    fn estimation_resample(&self, k: usize) -> Resample {
+        let n = self.n();
+        let mut rng = substream(self.cfg.base.seed, 20_000 + k as u64);
+        let (train, eval) = block_bootstrap_with_oob(&mut rng, n, self.block_len);
+        Resample {
+            w: resample_weights(&train, n),
+            eval,
+            n_train: train.len(),
+        }
+    }
+
+    /// One weighted Gram pass over `x` for every resample, then the `p`
+    /// weighted right-hand sides per resample in one sweep.
+    fn systems(&self, x: &Matrix, weights: &[&[f64]]) -> Vec<System> {
+        let wopts: Vec<Option<&[f64]>> = weights.iter().map(|&w| Some(w)).collect();
+        let yrefs: Vec<&[f64]> = self.ys.iter().map(Vec::as_slice).collect();
+        uoi_linalg::gram_batch(x, &wopts)
+            .into_iter()
+            .zip(weights)
+            .map(|(gram, w)| System {
+                gram: gram.into_upper(),
+                rhs: gemv_t_weighted_multi(x, w, &yrefs),
+            })
+            .collect()
+    }
+
+    fn selection_flops(&self) -> f64 {
+        let (n, dp) = self.reg.x.shape();
+        crate::speculation::var_selection_flops(n, dp, self.ys.len(), self.cfg.base.q)
+    }
+
+    fn estimation_flops(&self, u: usize, family: usize) -> f64 {
+        crate::speculation::var_estimation_flops(self.n(), u, self.ys.len(), family)
+    }
+
+    /// Derive the lag matrices and the process-mean term
+    /// `μ = (I - Σ A_j) x̄`.
+    fn assemble(&self, vec_beta: Vec<f64>, parts: FitParts) -> UoiVarFit {
+        let a_mats = partition_coefficients(&vec_beta, self.ys.len(), self.cfg.order);
+        let mut mu = self.means.clone();
+        for a in &a_mats {
+            let shift = uoi_linalg::gemv(a, &self.means);
+            for (m, s) in mu.iter_mut().zip(&shift) {
+                *m -= s;
             }
-            let resamples: Vec<_> = to_compute
-                .iter()
-                .map(|&k| var_estimation_resample(&prob, base, k))
-                .collect();
-            let wopts: Vec<Option<&[f64]>> = resamples
-                .iter()
-                .map(|(w, _, _)| Some(w.as_slice()))
-                .collect();
-            let grams = uoi_linalg::gram_batch(&est_ctx.xu, &wopts);
-            let work: Vec<_> = to_compute
-                .into_iter()
-                .zip(resamples.into_iter().zip(grams))
-                .collect();
-            let solved = work
-                .into_par_iter()
-                .map(|(k, ((w, eval_rows, n_train), gram))| {
-                    let gram_u = gram.into_upper();
-                    let yrefs: Vec<&[f64]> = est_ctx.ys.iter().map(|v| v.as_slice()).collect();
-                    let xty_u = gemv_t_weighted_multi(&est_ctx.xu, &w, &yrefs);
-                    let full = var_estimation_score(
-                        &est_ctx, &prob, base, p, &gram_u, &xty_u, &eval_rows, n_train, k,
-                    );
-                    crate::uoi_lasso::record_estimation_convergence(&base.telemetry, k);
-                    if let (Some(st), Some(stage)) = (&store, &est_stage) {
-                        st.save_coeffs(stage, k, &full)?;
-                    }
-                    computed.fetch_add(1, Ordering::SeqCst);
-                    Ok((k, full))
-                })
-                .collect::<Result<Vec<_>, UoiError>>()?;
-            for (k, full) in solved {
-                slots[k] = Some(full);
-            }
-            Ok::<_, UoiError>(slots)
-        })?;
-    if interrupted.load(Ordering::SeqCst) {
-        return Err(UoiError::Interrupted {
-            completed: computed.load(Ordering::SeqCst),
-        });
+        }
+        UoiVarFit {
+            a_mats,
+            mu,
+            vec_beta,
+            lambdas: self.lambdas.clone(),
+            supports_per_lambda: parts.supports_per_lambda,
+            support_family: parts.support_family,
+            degradation: parts.degradation,
+            recovery: parts.recovery,
+            speculation: parts.speculation,
+            numerical: parts.numerical,
+        }
     }
-    let best_estimates: Vec<&Vec<f64>> = est_results.iter().flatten().collect();
-    let effective_b2 = best_estimates.len();
-    base.degradation
-        .check_quorum("estimation", effective_b2, base.b2)?;
 
-    let (vec_beta, a_mats, mu) = var_average(&best_estimates, total_coef, p, d, &means);
-
-    base.telemetry
-        .incr("uoi_var.estimation.bootstraps", effective_b2 as u64);
-    base.telemetry.gauge(
-        "uoi_var.nnz",
-        vec_beta.iter().filter(|v| v.abs() > 0.0).count() as f64,
-    );
-
-    let degradation = plan.map(|pl| DegradationReport {
-        b1_planned: base.b1,
-        b1_effective: effective_b1,
-        b2_planned: base.b2,
-        b2_effective: effective_b2,
-        failed_selection: (0..base.b1).filter(|&k| pl.selection_failed(k)).collect(),
-        failed_estimation: (0..base.b2).filter(|&k| pl.estimation_failed(k)).collect(),
-        quorum_votes: needed,
-        min_quorum_frac: base.degradation.min_quorum_frac,
-    });
-
-    Ok(UoiVarFit {
-        a_mats,
-        mu,
-        vec_beta,
-        lambdas,
-        supports_per_lambda,
-        support_family,
-        degradation,
-        recovery: None,
-        speculation: None,
-        numerical: base
-            .numerical
-            .active()
-            .then(|| base.numerical.ledger().drain_report()),
-    })
+    fn final_gauge(&self, fit: &UoiVarFit) -> f64 {
+        fit.nnz() as f64
+    }
 }
 
 /// Support-restricted OLS on the vectorised VAR problem, exploiting the
@@ -1222,11 +705,9 @@ pub(crate) fn fit_inner_materialized(series: &Matrix, cfg: &UoiVarConfig) -> Uoi
 }
 
 #[cfg(test)]
-// Exercises the deprecated free-function fit surface on purpose: these
-// tests pin its behaviour for as long as the wrappers exist.
-#[allow(deprecated)]
 mod tests {
     use super::*;
+    use crate::fitter::UoiVarFitter;
     use crate::metrics::SelectionCounts;
     use uoi_data::{VarConfig, VarProcess};
     use uoi_solvers::AdmmConfig;
@@ -1276,7 +757,7 @@ mod tests {
             seed: 5,
         });
         let series = proc.simulate(800, 100, 9);
-        let fit = fit_uoi_var(&series, &quick_cfg());
+        let fit = UoiVarFitter::new(quick_cfg()).fit(&series).unwrap();
         let truth = truth_support(&proc);
         let recovered: Vec<usize> = fit
             .vec_beta
@@ -1311,7 +792,7 @@ mod tests {
             seed: 21,
         });
         let series = proc.simulate(1200, 100, 2);
-        let fit = fit_uoi_var(&series, &quick_cfg());
+        let fit = UoiVarFitter::new(quick_cfg()).fit(&series).unwrap();
         let a_true = &proc.coeffs[0];
         let a_hat = &fit.a_mats[0];
         for i in 0..8 {
@@ -1343,7 +824,7 @@ mod tests {
             order: 2,
             ..quick_cfg()
         };
-        let fit = fit_uoi_var(&series, &cfg);
+        let fit = UoiVarFitter::new(cfg).fit(&series).unwrap();
         assert_eq!(fit.a_mats.len(), 2);
         assert_eq!(fit.a_mats[0].shape(), (6, 6));
         assert_eq!(fit.vec_beta.len(), 2 * 36);
@@ -1360,7 +841,7 @@ mod tests {
             ..Default::default()
         });
         let series = proc.simulate(500, 50, 5);
-        let fast = fit_uoi_var(&series, &quick_cfg());
+        let fast = UoiVarFitter::new(quick_cfg()).fit(&series).unwrap();
         let reference = fit_inner_materialized(&series, &quick_cfg());
         assert_eq!(fast.supports_per_lambda, reference.supports_per_lambda);
         assert_eq!(fast.support_family, reference.support_family);
@@ -1382,8 +863,8 @@ mod tests {
             ..Default::default()
         });
         let series = proc.simulate(500, 50, 5);
-        let a = fit_uoi_var(&series, &quick_cfg());
-        let b = fit_uoi_var(&series, &quick_cfg());
+        let a = UoiVarFitter::new(quick_cfg()).fit(&series).unwrap();
+        let b = UoiVarFitter::new(quick_cfg()).fit(&series).unwrap();
         assert_eq!(a.vec_beta, b.vec_beta);
         let net = a.network(0.0);
         assert_eq!(net.p, 8);
@@ -1401,7 +882,7 @@ mod tests {
             ..Default::default()
         });
         let series = proc.simulate(600, 50, 42);
-        let fit = fit_uoi_var(&series, &quick_cfg());
+        let fit = UoiVarFitter::new(quick_cfg()).fit(&series).unwrap();
         let fc = fit.forecast(&series, 20);
         assert_eq!(fc.shape(), (20, 6));
         assert!(fc.max_abs() < 100.0, "forecast must not explode");
@@ -1454,7 +935,7 @@ mod tests {
             ..Default::default()
         });
         let series = proc.simulate(700, 50, 6);
-        let fit = fit_uoi_var(&series, &quick_cfg());
+        let fit = UoiVarFitter::new(quick_cfg()).fit(&series).unwrap();
         assert!(
             fit.nnz() < 40,
             "UoI should select a sparse network, got {} nonzeros",

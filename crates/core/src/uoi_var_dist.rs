@@ -69,11 +69,7 @@ pub struct KronStats {
 
 /// Fit `UoI_VAR` distributed over `world`; every rank returns the
 /// identical fit plus its local Kronecker-stage stats.
-#[deprecated(
-    since = "0.6.0",
-    note = "use `uoi_core::UoiVarFitter` with `ExecMode::Dist` (or `fit_on` inside a cluster) instead"
-)]
-pub fn fit_uoi_var_dist(
+pub(crate) fn fit_uoi_var_dist(
     ctx: &mut RankCtx,
     world: &Comm,
     series: &Matrix,
@@ -646,13 +642,10 @@ fn charge_sub_factors(ctx: &mut RankCtx, states: &mut [uoi_solvers::AdmmState]) 
 }
 
 #[cfg(test)]
-// Exercises the deprecated free-function fit surface on purpose: these
-// tests pin its behaviour for as long as the wrappers exist.
-#[allow(deprecated)]
 mod tests {
     use super::*;
+    use crate::fitter::UoiVarFitter;
     use crate::uoi_lasso::UoiLassoConfig;
-    use crate::uoi_var::fit_uoi_var;
     use uoi_data::{VarConfig, VarProcess};
     use uoi_mpisim::{Cluster, MachineModel};
     use uoi_solvers::AdmmConfig;
@@ -699,7 +692,7 @@ mod tests {
     fn distributed_matches_serial() {
         let s = series();
         let serial_cfg = cfg().var;
-        let serial = fit_uoi_var(&s, &serial_cfg);
+        let serial = UoiVarFitter::new(serial_cfg).fit(&s).unwrap();
         let s2 = s;
         let report = Cluster::new(4, MachineModel::deterministic())
             .run(move |ctx, world| fit_uoi_var_dist(ctx, world, &s2, &cfg()).0);

@@ -1,19 +1,17 @@
 //! Degraded-mode and checkpoint/resume acceptance tests (ISSUE 3).
 //!
 //! * A fixed fault seed injecting `k <= B1/2` bootstrap failures lets
-//!   `fit_uoi_lasso` complete in degraded mode, with a
+//!   the serial `UoiFitter` complete in degraded mode, with a
 //!   [`DegradationReport`] that is byte-identical across reruns and
 //!   selected supports matching the fault-free reference.
 //! * A checkpointed run killed at ~50% of the bootstraps resumes
 //!   bit-identically to an uninterrupted run with the same seed.
-
-// Pins the deprecated free-function fit surface deliberately; new code
-// uses `UoiFitter`/`UoiVarFitter` (see crates/core/src/fitter.rs).
-#![allow(deprecated)]
+//! * LASSO and VAR fits sharing one checkpoint directory keep their
+//!   stages apart: each rerun replays all of its own checkpoints.
 
 use uoi_core::{
-    try_fit_uoi_lasso, try_fit_uoi_var, BootstrapFaultPlan, CheckpointConfig, DegradationConfig,
-    SelectionCounts, UoiError, UoiLassoConfig,
+    BootstrapFaultPlan, CheckpointConfig, DegradationConfig, SelectionCounts, UoiError, UoiFitter,
+    UoiLassoConfig, UoiVarFitter,
 };
 use uoi_data::LinearConfig;
 use uoi_solvers::AdmmConfig;
@@ -74,8 +72,10 @@ fn degraded_fit_completes_and_matches_fault_free_supports() {
         .unwrap();
     let clean_cfg = lasso_cfg().build().unwrap();
 
-    let degraded = try_fit_uoi_lasso(&ds.x, &ds.y, &degraded_cfg).expect("quorum holds");
-    let clean = try_fit_uoi_lasso(&ds.x, &ds.y, &clean_cfg).unwrap();
+    let degraded = UoiFitter::new(degraded_cfg.clone())
+        .fit(&ds.x, &ds.y)
+        .expect("quorum holds");
+    let clean = UoiFitter::new(clean_cfg).fit(&ds.x, &ds.y).unwrap();
 
     let report = degraded
         .degradation
@@ -89,7 +89,7 @@ fn degraded_fit_completes_and_matches_fault_free_supports() {
     assert_eq!(report.failed_selection.len(), B1 / 2);
 
     // Byte-identical degradation report across reruns.
-    let rerun = try_fit_uoi_lasso(&ds.x, &ds.y, &degraded_cfg).unwrap();
+    let rerun = UoiFitter::new(degraded_cfg).fit(&ds.x, &ds.y).unwrap();
     assert_eq!(
         report.to_json().to_string_compact(),
         rerun.degradation.unwrap().to_json().to_string_compact()
@@ -127,7 +127,7 @@ fn quorum_loss_is_a_typed_error() {
         })
         .build()
         .unwrap();
-    match try_fit_uoi_lasso(&ds.x, &ds.y, &cfg) {
+    match UoiFitter::new(cfg).fit(&ds.x, &ds.y) {
         Err(UoiError::QuorumLost {
             stage: "selection",
             surviving: 1,
@@ -147,7 +147,9 @@ fn interrupted_checkpoint_run_resumes_bit_identical() {
     let dir = temp_ckpt_dir("lasso_resume");
 
     // Uninterrupted reference (no checkpointing at all).
-    let reference = try_fit_uoi_lasso(&ds.x, &ds.y, &lasso_cfg().build().unwrap()).unwrap();
+    let reference = UoiFitter::new(lasso_cfg().build().unwrap())
+        .fit(&ds.x, &ds.y)
+        .unwrap();
 
     // Phase 1: budget of B1/2 freshly computed tasks, then interruption.
     let interrupted_cfg = lasso_cfg()
@@ -157,7 +159,7 @@ fn interrupted_checkpoint_run_resumes_bit_identical() {
         })
         .build()
         .unwrap();
-    match try_fit_uoi_lasso(&ds.x, &ds.y, &interrupted_cfg) {
+    match UoiFitter::new(interrupted_cfg).fit(&ds.x, &ds.y) {
         Err(UoiError::Interrupted { completed }) => {
             assert!(
                 completed >= B1 / 2,
@@ -173,14 +175,16 @@ fn interrupted_checkpoint_run_resumes_bit_identical() {
         .checkpoint(CheckpointConfig::in_dir(&dir))
         .build()
         .unwrap();
-    let resumed = try_fit_uoi_lasso(&ds.x, &ds.y, &resume_cfg).unwrap();
+    let resumed = UoiFitter::new(resume_cfg.clone())
+        .fit(&ds.x, &ds.y)
+        .unwrap();
 
     assert_eq!(resumed.beta, reference.beta, "resume must be bit-identical");
     assert_eq!(resumed.support, reference.support);
     assert_eq!(resumed.supports_per_lambda, reference.supports_per_lambda);
 
     // Third run: everything is checkpointed now; still bit-identical.
-    let warm = try_fit_uoi_lasso(&ds.x, &ds.y, &resume_cfg).unwrap();
+    let warm = UoiFitter::new(resume_cfg).fit(&ds.x, &ds.y).unwrap();
     assert_eq!(warm.beta, reference.beta);
 
     std::fs::remove_dir_all(&dir).ok();
@@ -207,9 +211,11 @@ fn checkpoints_are_invalidated_by_data_changes() {
         .build()
         .unwrap();
 
-    let _ = try_fit_uoi_lasso(&ds_a.x, &ds_a.y, &cfg).unwrap();
-    let fresh = try_fit_uoi_lasso(&ds_b.x, &ds_b.y, &cfg).unwrap();
-    let clean = try_fit_uoi_lasso(&ds_b.x, &ds_b.y, &lasso_cfg().build().unwrap()).unwrap();
+    let _ = UoiFitter::new(cfg.clone()).fit(&ds_a.x, &ds_a.y).unwrap();
+    let fresh = UoiFitter::new(cfg).fit(&ds_b.x, &ds_b.y).unwrap();
+    let clean = UoiFitter::new(lasso_cfg().build().unwrap())
+        .fit(&ds_b.x, &ds_b.y)
+        .unwrap();
     assert_eq!(
         fresh.beta, clean.beta,
         "stale checkpoints must not leak across datasets"
@@ -249,7 +255,9 @@ fn var_checkpoint_resume_bit_identical() {
             .seed(21)
             .block_len(Some(12))
     };
-    let reference = try_fit_uoi_var(&series, &base().build().unwrap()).unwrap();
+    let reference = UoiVarFitter::new(base().build().unwrap())
+        .fit(&series)
+        .unwrap();
 
     let interrupted = base()
         .checkpoint(CheckpointConfig {
@@ -258,23 +266,99 @@ fn var_checkpoint_resume_bit_identical() {
         })
         .build()
         .unwrap();
-    match try_fit_uoi_var(&series, &interrupted) {
+    match UoiVarFitter::new(interrupted).fit(&series) {
         Err(UoiError::Interrupted { .. }) => {}
         other => panic!("expected Interrupted, got {other:?}"),
     }
 
-    let resumed = try_fit_uoi_var(
-        &series,
-        &base()
+    let resumed = UoiVarFitter::new(
+        base()
             .checkpoint(CheckpointConfig::in_dir(&dir))
             .build()
             .unwrap(),
     )
+    .fit(&series)
     .unwrap();
     assert_eq!(
         resumed.vec_beta, reference.vec_beta,
         "VAR resume must be bit-identical"
     );
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// LASSO and VAR fits checkpointing into one shared directory keep their
+/// stages apart: each rerun replays every one of its own selection
+/// checkpoints and reproduces its first run bit for bit.
+#[test]
+fn shared_checkpoint_dir_keeps_lasso_and_var_apart() {
+    use std::sync::Arc;
+    use uoi_core::UoiVarConfig;
+    use uoi_telemetry::{MetricsRegistry, Telemetry};
+    let ds = dataset();
+    let series = uoi_data::VarProcess::generate(&uoi_data::VarConfig {
+        p: 4,
+        order: 1,
+        density: 0.25,
+        target_radius: 0.6,
+        noise_std: 1.0,
+        seed: 5,
+    })
+    .simulate(150, 40, 7);
+    let dir = temp_ckpt_dir("shared_lasso_var");
+    let var_b1 = 4;
+
+    let lasso = |tel: Telemetry| {
+        let cfg = lasso_cfg()
+            .checkpoint(CheckpointConfig::in_dir(&dir))
+            .telemetry(tel)
+            .build()
+            .unwrap();
+        UoiFitter::new(cfg).fit(&ds.x, &ds.y).unwrap()
+    };
+    let var = |tel: Telemetry| {
+        let cfg = UoiVarConfig::builder()
+            .b1(var_b1)
+            .b2(4)
+            .q(6)
+            .lambda_min_ratio(5e-2)
+            .seed(21)
+            .block_len(Some(12))
+            .checkpoint(CheckpointConfig::in_dir(&dir))
+            .telemetry(tel)
+            .build()
+            .unwrap();
+        UoiVarFitter::new(cfg).fit(&series).unwrap()
+    };
+
+    let lasso_first = lasso(Telemetry::disabled());
+    let var_first = var(Telemetry::disabled());
+
+    let lasso_metrics = Arc::new(MetricsRegistry::new());
+    let lasso_again = lasso(Telemetry::with_metrics(lasso_metrics.clone()));
+    let var_metrics = Arc::new(MetricsRegistry::new());
+    let var_again = var(Telemetry::with_metrics(var_metrics.clone()));
+
+    assert_eq!(lasso_metrics.counter("uoi.ckpt.selection_hits"), B1 as u64);
+    assert_eq!(
+        var_metrics.counter("uoi_var.ckpt.selection_hits"),
+        var_b1 as u64
+    );
+    assert_eq!(lasso_again.support_family, lasso_first.support_family);
+    assert_eq!(
+        lasso_again.intercept.to_bits(),
+        lasso_first.intercept.to_bits()
+    );
+    for (a, b) in lasso_again.beta.iter().zip(&lasso_first.beta) {
+        assert_eq!(a.to_bits(), b.to_bits(), "LASSO rerun beta bits");
+    }
+    assert_eq!(var_again.support_family, var_first.support_family);
+    for (a, b) in var_again.vec_beta.iter().zip(&var_first.vec_beta) {
+        assert_eq!(a.to_bits(), b.to_bits(), "VAR rerun vec_beta bits");
+    }
+    for (a, b) in var_again.mu.iter().zip(&var_first.mu) {
+        assert_eq!(a.to_bits(), b.to_bits(), "VAR rerun mu bits");
+    }
 
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -2,11 +2,7 @@
 //! returns `Err` (never panics), the panicking wrappers preserve their
 //! old contract, and the builders reject bad configurations.
 
-// Pins the deprecated free-function fit surface deliberately; new code
-// uses `UoiFitter`/`UoiVarFitter` (see crates/core/src/fitter.rs).
-#![allow(deprecated)]
-
-use uoi_core::{try_fit_uoi_lasso, try_fit_uoi_var, UoiError, UoiLassoConfig, UoiVarConfig};
+use uoi_core::{UoiError, UoiFitter, UoiLassoConfig, UoiVarConfig, UoiVarFitter};
 use uoi_data::LinearConfig;
 use uoi_linalg::Matrix;
 
@@ -30,12 +26,14 @@ fn quick_cfg() -> UoiLassoConfig {
 fn empty_design_is_an_error() {
     let x = Matrix::zeros(0, 0);
     assert_eq!(
-        try_fit_uoi_lasso(&x, &[], &quick_cfg()).unwrap_err(),
+        UoiFitter::new(quick_cfg()).fit(&x, &[]).unwrap_err(),
         UoiError::EmptyDesign
     );
     let no_cols = Matrix::zeros(10, 0);
     assert_eq!(
-        try_fit_uoi_lasso(&no_cols, &[0.0; 10], &quick_cfg()).unwrap_err(),
+        UoiFitter::new(quick_cfg())
+            .fit(&no_cols, &[0.0; 10])
+            .unwrap_err(),
         UoiError::EmptyDesign
     );
 }
@@ -45,7 +43,7 @@ fn mismatched_lengths_are_an_error() {
     let (x, mut y) = small_ds();
     y.pop();
     assert_eq!(
-        try_fit_uoi_lasso(&x, &y, &quick_cfg()).unwrap_err(),
+        UoiFitter::new(quick_cfg()).fit(&x, &y).unwrap_err(),
         UoiError::DimensionMismatch {
             expected: 40,
             got: 39
@@ -58,7 +56,7 @@ fn too_few_samples_is_an_error() {
     let x = Matrix::zeros(3, 5);
     let y = vec![0.0; 3];
     assert_eq!(
-        try_fit_uoi_lasso(&x, &y, &quick_cfg()).unwrap_err(),
+        UoiFitter::new(quick_cfg()).fit(&x, &y).unwrap_err(),
         UoiError::TooFewSamples { n: 3, min: 4 }
     );
 }
@@ -68,13 +66,13 @@ fn non_finite_inputs_are_an_error() {
     let (mut x, y) = small_ds();
     x[(2, 3)] = f64::NAN;
     assert_eq!(
-        try_fit_uoi_lasso(&x, &y, &quick_cfg()).unwrap_err(),
+        UoiFitter::new(quick_cfg()).fit(&x, &y).unwrap_err(),
         UoiError::NonFiniteInput("design matrix x")
     );
     let (x, mut y) = small_ds();
     y[7] = f64::INFINITY;
     assert_eq!(
-        try_fit_uoi_lasso(&x, &y, &quick_cfg()).unwrap_err(),
+        UoiFitter::new(quick_cfg()).fit(&x, &y).unwrap_err(),
         UoiError::NonFiniteInput("response y")
     );
 }
@@ -86,7 +84,7 @@ fn zero_bootstraps_is_an_error_not_a_panic() {
         b1: 0,
         ..quick_cfg()
     };
-    match try_fit_uoi_lasso(&x, &y, &cfg) {
+    match UoiFitter::new(cfg).fit(&x, &y) {
         Err(UoiError::InvalidConfig(msg)) => assert!(msg.contains("b1")),
         other => panic!("expected InvalidConfig, got {other:?}"),
     }
@@ -95,7 +93,7 @@ fn zero_bootstraps_is_an_error_not_a_panic() {
         ..quick_cfg()
     };
     assert!(matches!(
-        try_fit_uoi_lasso(&x, &y, &cfg),
+        UoiFitter::new(cfg).fit(&x, &y),
         Err(UoiError::InvalidConfig(_))
     ));
     let cfg = UoiLassoConfig {
@@ -103,7 +101,7 @@ fn zero_bootstraps_is_an_error_not_a_panic() {
         ..quick_cfg()
     };
     assert!(matches!(
-        try_fit_uoi_lasso(&x, &y, &cfg),
+        UoiFitter::new(cfg).fit(&x, &y),
         Err(UoiError::InvalidConfig(_))
     ));
 }
@@ -113,7 +111,7 @@ fn bad_solver_config_propagates() {
     let (x, y) = small_ds();
     let mut cfg = quick_cfg();
     cfg.admm.rho = -1.0;
-    match try_fit_uoi_lasso(&x, &y, &cfg) {
+    match UoiFitter::new(cfg).fit(&x, &y) {
         Err(UoiError::InvalidConfig(msg)) => assert!(msg.contains("rho")),
         other => panic!("expected InvalidConfig, got {other:?}"),
     }
@@ -122,7 +120,7 @@ fn bad_solver_config_propagates() {
 #[test]
 fn valid_input_fits_ok() {
     let (x, y) = small_ds();
-    let fit = try_fit_uoi_lasso(&x, &y, &quick_cfg()).unwrap();
+    let fit = UoiFitter::new(quick_cfg()).fit(&x, &y).unwrap();
     assert_eq!(fit.beta.len(), 8);
 }
 
@@ -173,11 +171,13 @@ fn var_series_too_short_is_an_error() {
         .build()
         .unwrap();
     assert_eq!(
-        try_fit_uoi_var(&series, &cfg).unwrap_err(),
+        UoiVarFitter::new(cfg.clone()).fit(&series).unwrap_err(),
         UoiError::SeriesTooShort { n: 5, min: 5 }
     );
     assert_eq!(
-        try_fit_uoi_var(&Matrix::zeros(0, 0), &cfg).unwrap_err(),
+        UoiVarFitter::new(cfg)
+            .fit(&Matrix::zeros(0, 0))
+            .unwrap_err(),
         UoiError::EmptyDesign
     );
 }
@@ -199,7 +199,7 @@ fn var_non_finite_series_is_an_error() {
         .build()
         .unwrap();
     assert_eq!(
-        try_fit_uoi_var(&series, &cfg).unwrap_err(),
+        UoiVarFitter::new(cfg).fit(&series).unwrap_err(),
         UoiError::NonFiniteInput("series")
     );
 }
@@ -219,16 +219,4 @@ fn var_builder_validates_order_and_base() {
     assert_eq!(cfg.order, 2);
     assert_eq!(cfg.block_len, Some(10));
     assert_eq!((cfg.base.b1, cfg.base.seed), (5, 3));
-}
-
-#[test]
-fn panicking_wrapper_still_panics() {
-    let result = std::panic::catch_unwind(|| {
-        let x = Matrix::zeros(2, 2);
-        uoi_core::fit_uoi_lasso(&x, &[0.0, 0.0], &quick_cfg())
-    });
-    assert!(
-        result.is_err(),
-        "fit_uoi_lasso must keep its panicking contract"
-    );
 }

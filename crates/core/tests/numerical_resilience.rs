@@ -9,13 +9,9 @@
 //!   and recovering pipelines, with byte-identical health reports
 //!   across reruns.
 
-// Pins the deprecated free-function fit surface deliberately; new code
-// uses `UoiFitter`/`UoiVarFitter` (see crates/core/src/fitter.rs).
-#![allow(deprecated)]
-
 use uoi_core::{
-    fit_uoi_lasso_dist, try_fit_uoi_lasso, try_fit_uoi_var, NumericalConfig, ParallelLayout,
-    RecoveryConfig, UoiError, UoiLassoConfig, UoiVarConfig,
+    DistOptions, ExecMode, NumericalConfig, ParallelLayout, RecoveryConfig, UoiError, UoiFitter,
+    UoiLassoConfig, UoiVarConfig, UoiVarFitter,
 };
 use uoi_data::{LinearConfig, ValidationPolicy, VarConfig, VarProcess};
 use uoi_linalg::Matrix;
@@ -132,10 +128,10 @@ fn adversarial_matrix() -> Vec<(&'static str, Matrix, Vec<f64>)> {
 #[test]
 fn clean_input_guarded_fit_is_bit_identical() {
     let ds = clean_dataset();
-    let plain = try_fit_uoi_lasso(&ds.x, &ds.y, &lasso_cfg()).unwrap();
+    let plain = UoiFitter::new(lasso_cfg()).fit(&ds.x, &ds.y).unwrap();
     let mut gcfg = lasso_cfg();
     gcfg.numerical = NumericalConfig::guarded();
-    let guarded = try_fit_uoi_lasso(&ds.x, &ds.y, &gcfg).unwrap();
+    let guarded = UoiFitter::new(gcfg).fit(&ds.x, &ds.y).unwrap();
 
     assert!(
         plain.numerical.is_none(),
@@ -163,7 +159,8 @@ fn adversarial_matrix_completes_serial_with_deterministic_reports() {
         let run = || {
             let mut cfg = lasso_cfg();
             cfg.numerical = NumericalConfig::guarded();
-            try_fit_uoi_lasso(&x, &y, &cfg)
+            UoiFitter::new(cfg)
+                .fit(&x, &y)
                 .unwrap_or_else(|e| panic!("{name}: guarded fit must complete: {e}"))
         };
         let a = run();
@@ -196,7 +193,9 @@ fn corrupted_cells_sanitize_vs_reject() {
 
     let mut scfg = lasso_cfg();
     scfg.numerical = NumericalConfig::guarded();
-    let fit = try_fit_uoi_lasso(&x, &y, &scfg).expect("sanitize completes");
+    let fit = UoiFitter::new(scfg)
+        .fit(&x, &y)
+        .expect("sanitize completes");
     let report = fit.numerical.unwrap();
     assert_eq!(
         report.sanitized_cells, 4,
@@ -206,7 +205,7 @@ fn corrupted_cells_sanitize_vs_reject() {
 
     let mut rcfg = lasso_cfg();
     rcfg.numerical = NumericalConfig::default().validation(Some(ValidationPolicy::Reject));
-    match try_fit_uoi_lasso(&x, &y, &rcfg) {
+    match UoiFitter::new(rcfg).fit(&x, &y) {
         Err(UoiError::Numerical { stage, detail }) => {
             assert_eq!(stage, "validation");
             assert!(
@@ -229,8 +228,12 @@ fn adversarial_matrix_completes_dist() {
                 .run(move |ctx, world| {
                     let mut cfg = lasso_cfg();
                     cfg.numerical = NumericalConfig::guarded();
-                    let fit =
-                        fit_uoi_lasso_dist(ctx, world, &x, &y, &cfg, ParallelLayout::admm_only());
+                    let fit = UoiFitter::new(cfg)
+                        .mode(ExecMode::Dist(DistOptions {
+                            layout: ParallelLayout::admm_only(),
+                            ..Default::default()
+                        }))
+                        .fit_on(ctx, world, &x, &y);
                     (
                         fit.beta,
                         fit.numerical
@@ -261,7 +264,9 @@ fn adversarial_matrix_completes_recovering() {
     for (name, x, y) in adversarial_matrix() {
         let mut cfg = lasso_cfg();
         cfg.numerical = NumericalConfig::guarded();
-        let fit = uoi_core::fit_uoi_lasso_recovering(&x, &y, &cfg, &rcfg)
+        let fit = UoiFitter::new(cfg.clone())
+            .mode(ExecMode::Recovering(rcfg.clone()))
+            .fit(&x, &y)
             .unwrap_or_else(|e| panic!("{name}: recovering fit must complete: {e}"));
         assert!(fit.numerical.is_some(), "{name}: report attached");
         assert!(
@@ -296,7 +301,8 @@ fn adversarial_matrix_cell() {
     let run = || -> (Vec<f64>, String) {
         match pipeline.as_str() {
             "serial" => {
-                let fit = try_fit_uoi_lasso(&x, &y, &cfg)
+                let fit = UoiFitter::new(cfg.clone())
+                    .fit(&x, &y)
                     .unwrap_or_else(|e| panic!("{name}/serial must complete: {e}"));
                 let report = fit.numerical.expect("report attached");
                 (fit.beta, report.to_json().to_string_compact())
@@ -305,14 +311,12 @@ fn adversarial_matrix_cell() {
                 let (x, y, cfg) = (x.clone(), y.clone(), cfg.clone());
                 let mut results = Cluster::new(4, MachineModel::deterministic())
                     .run(move |ctx, world| {
-                        let fit = fit_uoi_lasso_dist(
-                            ctx,
-                            world,
-                            &x,
-                            &y,
-                            &cfg,
-                            ParallelLayout::admm_only(),
-                        );
+                        let fit = UoiFitter::new(cfg.clone())
+                            .mode(ExecMode::Dist(DistOptions {
+                                layout: ParallelLayout::admm_only(),
+                                ..Default::default()
+                            }))
+                            .fit_on(ctx, world, &x, &y);
                         (
                             fit.beta,
                             fit.numerical
@@ -334,7 +338,9 @@ fn adversarial_matrix_cell() {
                     world: 3,
                     ..Default::default()
                 };
-                let fit = uoi_core::fit_uoi_lasso_recovering(&x, &y, &cfg, &rcfg)
+                let fit = UoiFitter::new(cfg.clone())
+                    .mode(ExecMode::Recovering(rcfg))
+                    .fit(&x, &y)
                     .unwrap_or_else(|e| panic!("{name}/recovering must complete: {e}"));
                 let report = fit.numerical.expect("report attached");
                 (fit.beta, report.to_json().to_string_compact())
@@ -400,23 +406,25 @@ fn var_series() -> Matrix {
 #[test]
 fn var_guarded_clean_identity_and_nan_recovery() {
     let series = var_series();
-    let plain = try_fit_uoi_var(&series, &var_cfg()).unwrap();
+    let plain = UoiVarFitter::new(var_cfg()).fit(&series).unwrap();
     let mut gcfg = var_cfg();
     gcfg.base.numerical = NumericalConfig::guarded();
-    let guarded = try_fit_uoi_var(&series, &gcfg).unwrap();
+    let guarded = UoiVarFitter::new(gcfg.clone()).fit(&series).unwrap();
 
     let bits = |b: &[f64]| b.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
     assert!(plain.numerical.is_none());
     assert_eq!(bits(&plain.vec_beta), bits(&guarded.vec_beta));
     assert!(guarded.numerical.unwrap().is_clean());
 
-    let mut corrupt = series.clone();
+    let mut corrupt = series;
     corrupt[(5, 1)] = f64::NAN;
     corrupt[(100, 3)] = f64::INFINITY;
-    let fit = try_fit_uoi_var(&corrupt, &gcfg).expect("scrubbed series fits");
+    let fit = UoiVarFitter::new(gcfg)
+        .fit(&corrupt)
+        .expect("scrubbed series fits");
     let report = fit.numerical.unwrap();
     assert_eq!(report.sanitized_cells, 2);
     assert!(fit.vec_beta.iter().all(|v| v.is_finite()));
     // The unguarded path rejects the same series outright.
-    assert!(try_fit_uoi_var(&corrupt, &var_cfg()).is_err());
+    assert!(UoiVarFitter::new(var_cfg()).fit(&corrupt).is_err());
 }

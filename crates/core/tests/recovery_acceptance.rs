@@ -12,16 +12,11 @@
 //! * `recovery_matrix_cell` is the env-driven CI entry point
 //!   (`RECOVERY_FAULT_KIND` × `RECOVERY_FAULT_SEED` × `UOI_RECOVERY`).
 
-// Pins the deprecated free-function fit surface deliberately; new code
-// uses `UoiFitter`/`UoiVarFitter` (see crates/core/src/fitter.rs).
-#![allow(deprecated)]
-
 use std::sync::Arc;
 use std::time::Duration;
 use uoi_core::{
-    degraded_fallback_plan, fit_uoi_lasso_recovering, fit_uoi_var_recovering, try_fit_uoi_lasso,
-    try_fit_uoi_var, CheckpointConfig, RecoveryConfig, TaskOwnership, UoiFit, UoiLassoConfig,
-    UoiVarConfig, UoiVarFit,
+    degraded_fallback_plan, CheckpointConfig, ExecMode, RecoveryConfig, TaskOwnership, UoiFit,
+    UoiFitter, UoiLassoConfig, UoiVarConfig, UoiVarFit, UoiVarFitter,
 };
 use uoi_data::{LinearConfig, VarConfig, VarProcess};
 use uoi_mpisim::FaultPlan;
@@ -171,7 +166,7 @@ fn assert_var_bits(fit: &UoiVarFit, reference: &UoiVarFit, cell: &str) {
 fn lasso_recovery_matrix_is_bit_identical() {
     let ds = dataset();
     let cfg = lasso_cfg().build().unwrap();
-    let reference = try_fit_uoi_lasso(&ds.x, &ds.y, &cfg).unwrap();
+    let reference = UoiFitter::new(cfg.clone()).fit(&ds.x, &ds.y).unwrap();
 
     // Fault-free recovering run: one round, nothing failed, same bits.
     let clean_rcfg = RecoveryConfig {
@@ -179,7 +174,10 @@ fn lasso_recovery_matrix_is_bit_identical() {
         watchdog: Duration::from_secs(10),
         ..RecoveryConfig::default()
     };
-    let clean = fit_uoi_lasso_recovering(&ds.x, &ds.y, &cfg, &clean_rcfg).unwrap();
+    let clean = UoiFitter::new(cfg.clone())
+        .mode(ExecMode::Recovering(clean_rcfg))
+        .fit(&ds.x, &ds.y)
+        .unwrap();
     assert_lasso_bits(&clean, &reference, "fault-free");
     let report = clean.recovery.as_ref().unwrap();
     assert_eq!(report.rounds_attempted, 1);
@@ -188,7 +186,10 @@ fn lasso_recovery_matrix_is_bit_identical() {
 
     let seed = 5;
     for kind in ["crash", "hang", "drop"] {
-        let fit = fit_uoi_lasso_recovering(&ds.x, &ds.y, &cfg, &rcfg(kind, seed)).unwrap();
+        let fit = UoiFitter::new(cfg.clone())
+            .mode(ExecMode::Recovering(rcfg(kind, seed)))
+            .fit(&ds.x, &ds.y)
+            .unwrap();
         assert_lasso_bits(&fit, &reference, kind);
         let report = fit.recovery.as_ref().unwrap();
         assert!(!report.degraded_fallback, "[{kind}] no fallback expected");
@@ -213,11 +214,14 @@ fn lasso_recovery_matrix_is_bit_identical() {
 fn var_recovery_matrix_is_bit_identical() {
     let series = var_series();
     let cfg = var_cfg().build().unwrap();
-    let reference = try_fit_uoi_var(&series, &cfg).unwrap();
+    let reference = UoiVarFitter::new(cfg.clone()).fit(&series).unwrap();
 
     let seed = 9;
     for kind in ["crash", "hang", "drop"] {
-        let fit = fit_uoi_var_recovering(&series, &cfg, &rcfg(kind, seed)).unwrap();
+        let fit = UoiVarFitter::new(cfg.clone())
+            .mode(ExecMode::Recovering(rcfg(kind, seed)))
+            .fit(&series)
+            .unwrap();
         assert_var_bits(&fit, &reference, kind);
         let report = fit.recovery.as_ref().unwrap();
         assert!(!report.degraded_fallback, "[{kind}]");
@@ -236,8 +240,14 @@ fn var_recovery_matrix_is_bit_identical() {
 fn recovery_report_json_is_byte_identical_across_reruns() {
     let ds = dataset();
     let cfg = lasso_cfg().build().unwrap();
-    let a = fit_uoi_lasso_recovering(&ds.x, &ds.y, &cfg, &rcfg("crash", 5)).unwrap();
-    let b = fit_uoi_lasso_recovering(&ds.x, &ds.y, &cfg, &rcfg("crash", 5)).unwrap();
+    let a = UoiFitter::new(cfg.clone())
+        .mode(ExecMode::Recovering(rcfg("crash", 5)))
+        .fit(&ds.x, &ds.y)
+        .unwrap();
+    let b = UoiFitter::new(cfg)
+        .mode(ExecMode::Recovering(rcfg("crash", 5)))
+        .fit(&ds.x, &ds.y)
+        .unwrap();
     assert_eq!(
         a.recovery.as_ref().unwrap().to_json().to_string_compact(),
         b.recovery.as_ref().unwrap().to_json().to_string_compact(),
@@ -261,7 +271,10 @@ fn max_rounds_zero_reproduces_degraded_mode_exactly() {
         max_rounds: 0,
         ..rcfg("crash", seed)
     };
-    let fit = fit_uoi_lasso_recovering(&ds.x, &ds.y, &cfg, &zero_rounds).unwrap();
+    let fit = UoiFitter::new(cfg.clone())
+        .mode(ExecMode::Recovering(zero_rounds))
+        .fit(&ds.x, &ds.y)
+        .unwrap();
     let report = fit.recovery.as_ref().unwrap();
     assert!(report.degraded_fallback, "budget 0 must fall back");
     assert_eq!(report.rounds_attempted, 1);
@@ -272,7 +285,7 @@ fn max_rounds_zero_reproduces_degraded_mode_exactly() {
     let plan = degraded_fallback_plan(&[v], &ownership, B1, B2, cfg.seed);
     let mut degraded_cfg = cfg;
     degraded_cfg.degradation.plan = Some(plan);
-    let direct = try_fit_uoi_lasso(&ds.x, &ds.y, &degraded_cfg).unwrap();
+    let direct = UoiFitter::new(degraded_cfg).fit(&ds.x, &ds.y).unwrap();
 
     assert_lasso_bits(&fit, &direct, "fallback");
     assert_eq!(
@@ -300,13 +313,18 @@ fn gram_checkpointed_recovery_is_bit_identical() {
     let dir = std::env::temp_dir().join(format!("uoi_rec_gram_{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
 
-    let reference = try_fit_uoi_lasso(&ds.x, &ds.y, &lasso_cfg().build().unwrap()).unwrap();
+    let reference = UoiFitter::new(lasso_cfg().build().unwrap())
+        .fit(&ds.x, &ds.y)
+        .unwrap();
 
     let ck_cfg = lasso_cfg()
         .checkpoint(CheckpointConfig::in_dir(&dir))
         .build()
         .unwrap();
-    let first = fit_uoi_lasso_recovering(&ds.x, &ds.y, &ck_cfg, &rcfg("crash", 5)).unwrap();
+    let first = UoiFitter::new(ck_cfg)
+        .mode(ExecMode::Recovering(rcfg("crash", 5)))
+        .fit(&ds.x, &ds.y)
+        .unwrap();
     assert_lasso_bits(&first, &reference, "gram-cold");
 
     // Warm pass: count the Gram-checkpoint hits through metrics.
@@ -317,13 +335,50 @@ fn gram_checkpointed_recovery_is_bit_identical() {
         .telemetry(Telemetry::new(sink, metrics.clone()))
         .build()
         .unwrap();
-    let warm = fit_uoi_lasso_recovering(&ds.x, &ds.y, &warm_cfg, &rcfg("crash", 5)).unwrap();
+    let warm = UoiFitter::new(warm_cfg)
+        .mode(ExecMode::Recovering(rcfg("crash", 5)))
+        .fit(&ds.x, &ds.y)
+        .unwrap();
     assert_lasso_bits(&warm, &reference, "gram-warm");
     assert!(
         metrics.counter("uoi.recovery.gram_hits") > 0,
         "warm run must re-solve from stored Grams"
     );
+    std::fs::remove_dir_all(&dir).ok();
 
+    // The VAR round stores its shared lag Gram plus the p weighted
+    // right-hand sides, and re-solves every column from them.
+    let series = var_series();
+    let dir = std::env::temp_dir().join(format!("uoi_rec_gram_var_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let reference = UoiVarFitter::new(var_cfg().build().unwrap())
+        .fit(&series)
+        .unwrap();
+    let ck_cfg = var_cfg()
+        .checkpoint(CheckpointConfig::in_dir(&dir))
+        .build()
+        .unwrap();
+    let first = UoiVarFitter::new(ck_cfg)
+        .mode(ExecMode::Recovering(rcfg("crash", 5)))
+        .fit(&series)
+        .unwrap();
+    assert_var_bits(&first, &reference, "var-gram-cold");
+
+    let metrics = Arc::new(MetricsRegistry::new());
+    let warm_cfg = var_cfg()
+        .checkpoint(CheckpointConfig::in_dir(&dir))
+        .telemetry(Telemetry::with_metrics(metrics.clone()))
+        .build()
+        .unwrap();
+    let warm = UoiVarFitter::new(warm_cfg)
+        .mode(ExecMode::Recovering(rcfg("crash", 5)))
+        .fit(&series)
+        .unwrap();
+    assert_var_bits(&warm, &reference, "var-gram-warm");
+    assert!(
+        metrics.counter("uoi_var.recovery.gram_hits") > 0,
+        "warm VAR run must re-solve from stored Grams"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -338,7 +393,10 @@ fn traced_recovering_run_renders_recovery_phase() {
         .telemetry(Telemetry::new(sink.clone(), metrics))
         .build()
         .unwrap();
-    let fit = fit_uoi_lasso_recovering(&ds.x, &ds.y, &cfg, &rcfg("crash", 5)).unwrap();
+    let fit = UoiFitter::new(cfg)
+        .mode(ExecMode::Recovering(rcfg("crash", 5)))
+        .fit(&ds.x, &ds.y)
+        .unwrap();
     assert_eq!(fit.recovery.as_ref().unwrap().rounds_attempted, 2);
 
     let events = sink.snapshot();
@@ -374,7 +432,7 @@ fn recovery_matrix_cell() {
 
     let ds = dataset();
     let cfg = lasso_cfg().build().unwrap();
-    let reference = try_fit_uoi_lasso(&ds.x, &ds.y, &cfg).unwrap();
+    let reference = UoiFitter::new(cfg.clone()).fit(&ds.x, &ds.y).unwrap();
 
     let rcfg = RecoveryConfig {
         plan: Some(fault_cell(&kind, seed)),
@@ -390,7 +448,10 @@ fn recovery_matrix_cell() {
             ..RecoveryConfig::from_env()
         }
     };
-    let fit = fit_uoi_lasso_recovering(&ds.x, &ds.y, &cfg, &rcfg).unwrap();
+    let fit = UoiFitter::new(cfg)
+        .mode(ExecMode::Recovering(rcfg.clone()))
+        .fit(&ds.x, &ds.y)
+        .unwrap();
     assert_lasso_bits(&fit, &reference, &format!("cell {kind}/{seed}"));
     if rcfg.enabled {
         let report = fit.recovery.as_ref().expect("recovering run must report");

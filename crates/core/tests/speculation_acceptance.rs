@@ -12,15 +12,11 @@
 //! * `straggler_matrix_cell` is the env-driven CI entry point
 //!   (`STRAGGLER_PLAN` × `STRAGGLER_SEED` × `UOI_SPECULATE`).
 
-// Pins the deprecated free-function fit surface deliberately; new code
-// uses `UoiFitter`/`UoiVarFitter` (see crates/core/src/fitter.rs).
-#![allow(deprecated)]
-
 use std::sync::Arc;
 use std::time::Duration;
 use uoi_core::{
-    fit_uoi_lasso_recovering, fit_uoi_var_recovering, try_fit_uoi_lasso, try_fit_uoi_var,
-    RecoveryConfig, SpeculationConfig, UoiFit, UoiLassoConfig, UoiVarConfig, UoiVarFit,
+    ExecMode, RecoveryConfig, SpeculationConfig, UoiFit, UoiFitter, UoiLassoConfig, UoiVarConfig,
+    UoiVarFit, UoiVarFitter,
 };
 use uoi_data::{LinearConfig, VarConfig, VarProcess};
 use uoi_mpisim::FaultPlan;
@@ -174,10 +170,13 @@ fn assert_var_bits(fit: &UoiVarFit, reference: &UoiVarFit, cell: &str) {
 fn hedged_lasso_fit_is_bit_identical_and_recovers_makespan() {
     let ds = dataset();
     let cfg = lasso_cfg().build().unwrap();
-    let reference = try_fit_uoi_lasso(&ds.x, &ds.y, &cfg).unwrap();
+    let reference = UoiFitter::new(cfg.clone()).fit(&ds.x, &ds.y).unwrap();
 
     for kind in ["single", "double"] {
-        let fit = fit_uoi_lasso_recovering(&ds.x, &ds.y, &cfg, &rcfg(kind, 5, true)).unwrap();
+        let fit = UoiFitter::new(cfg.clone())
+            .mode(ExecMode::Recovering(rcfg(kind, 5, true)))
+            .fit(&ds.x, &ds.y)
+            .unwrap();
         assert_lasso_bits(&fit, &reference, kind);
         let report = fit.speculation.as_ref().expect("speculating run reports");
         assert!(report.enabled);
@@ -208,10 +207,13 @@ fn hedged_lasso_fit_is_bit_identical_and_recovers_makespan() {
 fn hedged_var_fit_is_bit_identical_and_recovers_makespan() {
     let series = var_series();
     let cfg = var_cfg().build().unwrap();
-    let reference = try_fit_uoi_var(&series, &cfg).unwrap();
+    let reference = UoiVarFitter::new(cfg.clone()).fit(&series).unwrap();
 
     for kind in ["single", "double"] {
-        let fit = fit_uoi_var_recovering(&series, &cfg, &rcfg(kind, 9, true)).unwrap();
+        let fit = UoiVarFitter::new(cfg.clone())
+            .mode(ExecMode::Recovering(rcfg(kind, 9, true)))
+            .fit(&series)
+            .unwrap();
         assert_var_bits(&fit, &reference, kind);
         let report = fit.speculation.as_ref().expect("speculating run reports");
         assert!(report.hedges_spawned() > 0, "[{kind}]");
@@ -226,8 +228,11 @@ fn hedged_var_fit_is_bit_identical_and_recovers_makespan() {
 fn speculation_off_is_inert() {
     let ds = dataset();
     let cfg = lasso_cfg().build().unwrap();
-    let reference = try_fit_uoi_lasso(&ds.x, &ds.y, &cfg).unwrap();
-    let fit = fit_uoi_lasso_recovering(&ds.x, &ds.y, &cfg, &rcfg("single", 5, false)).unwrap();
+    let reference = UoiFitter::new(cfg.clone()).fit(&ds.x, &ds.y).unwrap();
+    let fit = UoiFitter::new(cfg)
+        .mode(ExecMode::Recovering(rcfg("single", 5, false)))
+        .fit(&ds.x, &ds.y)
+        .unwrap();
     assert_lasso_bits(&fit, &reference, "speculation-off");
     assert!(
         fit.speculation.is_none(),
@@ -241,8 +246,14 @@ fn speculation_off_is_inert() {
 fn speculation_report_json_is_byte_identical_across_reruns() {
     let ds = dataset();
     let cfg = lasso_cfg().build().unwrap();
-    let a = fit_uoi_lasso_recovering(&ds.x, &ds.y, &cfg, &rcfg("double", 5, true)).unwrap();
-    let b = fit_uoi_lasso_recovering(&ds.x, &ds.y, &cfg, &rcfg("double", 5, true)).unwrap();
+    let a = UoiFitter::new(cfg.clone())
+        .mode(ExecMode::Recovering(rcfg("double", 5, true)))
+        .fit(&ds.x, &ds.y)
+        .unwrap();
+    let b = UoiFitter::new(cfg)
+        .mode(ExecMode::Recovering(rcfg("double", 5, true)))
+        .fit(&ds.x, &ds.y)
+        .unwrap();
     assert_eq!(
         a.speculation
             .as_ref()
@@ -270,7 +281,10 @@ fn traced_speculating_run_renders_speculation_phase() {
         .telemetry(Telemetry::new(sink.clone(), metrics.clone()))
         .build()
         .unwrap();
-    let fit = fit_uoi_lasso_recovering(&ds.x, &ds.y, &cfg, &rcfg("single", 5, true)).unwrap();
+    let fit = UoiFitter::new(cfg)
+        .mode(ExecMode::Recovering(rcfg("single", 5, true)))
+        .fit(&ds.x, &ds.y)
+        .unwrap();
     let report = fit.speculation.as_ref().unwrap();
     assert!(report.hedges_spawned() > 0);
 
@@ -323,13 +337,16 @@ fn straggler_matrix_cell() {
 
     let ds = dataset();
     let cfg = lasso_cfg().build().unwrap();
-    let reference = try_fit_uoi_lasso(&ds.x, &ds.y, &cfg).unwrap();
+    let reference = UoiFitter::new(cfg.clone()).fit(&ds.x, &ds.y).unwrap();
 
     let rcfg = RecoveryConfig {
         speculation,
         ..rcfg(&kind, seed, speculate)
     };
-    let fit = fit_uoi_lasso_recovering(&ds.x, &ds.y, &cfg, &rcfg).unwrap();
+    let fit = UoiFitter::new(cfg)
+        .mode(ExecMode::Recovering(rcfg))
+        .fit(&ds.x, &ds.y)
+        .unwrap();
     assert_lasso_bits(&fit, &reference, &format!("cell {kind}/{seed}/{speculate}"));
     if speculate {
         let report = fit.speculation.as_ref().expect("speculating run reports");

@@ -2,12 +2,8 @@
 //! and metrics attached is bit-identical to the same seeded fit with
 //! telemetry disabled, and the instrumentation actually fires.
 
-// Pins the deprecated free-function fit surface deliberately; new code
-// uses `UoiFitter`/`UoiVarFitter` (see crates/core/src/fitter.rs).
-#![allow(deprecated)]
-
 use std::sync::Arc;
-use uoi_core::{fit_uoi_lasso, fit_uoi_var, UoiLassoConfig, UoiVarConfig};
+use uoi_core::{UoiFitter, UoiLassoConfig, UoiVarConfig, UoiVarFitter};
 use uoi_data::{LinearConfig, VarConfig, VarProcess};
 use uoi_telemetry::{MemorySink, MetricsRegistry, Telemetry, TraceEvent};
 
@@ -34,15 +30,15 @@ fn lasso_fit_is_bit_identical_with_and_without_telemetry() {
     }
     .generate();
 
-    let plain = fit_uoi_lasso(&ds.x, &ds.y, &lasso_cfg(Telemetry::disabled()));
+    let plain = UoiFitter::new(lasso_cfg(Telemetry::disabled()))
+        .fit(&ds.x, &ds.y)
+        .unwrap();
 
     let sink = Arc::new(MemorySink::new());
     let metrics = Arc::new(MetricsRegistry::new());
-    let observed = fit_uoi_lasso(
-        &ds.x,
-        &ds.y,
-        &lasso_cfg(Telemetry::new(sink.clone(), metrics.clone())),
-    );
+    let observed = UoiFitter::new(lasso_cfg(Telemetry::new(sink.clone(), metrics.clone())))
+        .fit(&ds.x, &ds.y)
+        .unwrap();
 
     // Bit-identical statistics: same support, same coefficients, exactly.
     assert_eq!(plain.support, observed.support);
@@ -112,14 +108,15 @@ fn var_fit_is_bit_identical_with_and_without_telemetry() {
             .unwrap(),
     };
 
-    let plain = fit_uoi_var(&series, &base(Telemetry::disabled()));
+    let plain = UoiVarFitter::new(base(Telemetry::disabled()))
+        .fit(&series)
+        .unwrap();
 
     let sink = Arc::new(MemorySink::new());
     let metrics = Arc::new(MetricsRegistry::new());
-    let observed = fit_uoi_var(
-        &series,
-        &base(Telemetry::new(sink.clone(), metrics.clone())),
-    );
+    let observed = UoiVarFitter::new(base(Telemetry::new(sink.clone(), metrics.clone())))
+        .fit(&series)
+        .unwrap();
 
     for (a, b) in plain.vec_beta.iter().zip(&observed.vec_beta) {
         assert_eq!(

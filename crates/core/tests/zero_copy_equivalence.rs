@@ -2,17 +2,13 @@
 //!
 //! Rebuilds the pre-optimisation UoI_LASSO pipeline out of public
 //! pieces — `gather_rows`-materialised resamples, `LassoAdmm::new`,
-//! design-space OLS and MSE — and checks that `fit_uoi_lasso` (which
+//! design-space OLS and MSE — and checks that the serial `UoiFitter` (which
 //! never copies the design: weighted Gram selection, per-bootstrap
 //! union-Gram estimation) selects the identical supports and agrees on
 //! the coefficients to floating-point summation-order tolerance.
 
-// Pins the deprecated free-function fit surface deliberately; new code
-// uses `UoiFitter`/`UoiVarFitter` (see crates/core/src/fitter.rs).
-#![allow(deprecated)]
-
 use uoi_core::support::{dedup_family, intersect_many};
-use uoi_core::{fit_uoi_lasso, EstimationScore, UoiLassoConfig};
+use uoi_core::{EstimationScore, UoiFitter, UoiLassoConfig};
 use uoi_data::bootstrap::row_bootstrap;
 use uoi_data::rng::substream;
 use uoi_data::LinearConfig;
@@ -20,7 +16,7 @@ use uoi_linalg::Matrix;
 use uoi_solvers::{lambda_path, ols_on_support, support_of, LassoAdmm};
 
 /// The paper's original materialising pipeline, reconstructed from the
-/// public API only. Mirrors `fit_uoi_lasso`'s RNG substreams exactly.
+/// public API only. Mirrors the serial `UoiFitter`'s RNG substreams exactly.
 #[allow(clippy::type_complexity)]
 fn materialized_fit(
     x: &Matrix,
@@ -141,7 +137,7 @@ fn check(score: EstimationScore) {
     .generate();
     let cfg = cfg(score);
 
-    let fit = fit_uoi_lasso(&ds.x, &ds.y, &cfg);
+    let fit = UoiFitter::new(cfg.clone()).fit(&ds.x, &ds.y).unwrap();
     let (ref_spl, ref_family, ref_beta, ref_icpt) = materialized_fit(&ds.x, &ds.y, &cfg);
 
     // The weighted-Gram path must select the identical model.

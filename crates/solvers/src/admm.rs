@@ -147,13 +147,6 @@ impl AdmmConfig {
             .filter(|&n| n >= 1)
             .unwrap_or(default)
     }
-
-    /// Apply the `UOI_THREADS` override (if set) on top of the configured
-    /// thread count.
-    pub fn with_env_threads(mut self) -> Self {
-        self.threads = Self::env_threads(self.threads);
-        self
-    }
 }
 
 /// Chainable builder for [`AdmmConfig`]; `build()` validates.

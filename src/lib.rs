@@ -84,23 +84,15 @@ pub use uoi_tieredio as tieredio;
 /// assert!(fit.support.len() <= 12);
 /// ```
 ///
-/// Covers the unified fitters (plus the deprecated free-function fit
-/// surface for source compatibility), their validated config builders,
-/// the error type, the simulated cluster, the synthetic data generators,
-/// the vectorised [`kernels`] module, and the telemetry types (tracing
-/// sinks, metrics registry, run reports).
+/// Covers the fitters, their validated config builders, the error type,
+/// the simulated cluster, the synthetic data generators, the vectorised
+/// [`kernels`] module, and the telemetry types (tracing sinks, metrics
+/// registry, run reports).
 pub mod prelude {
     pub use uoi_core::{
         DistOptions, ExecMode, ParallelLayout, RecoveryConfig, SelectionCounts, UoiError,
         UoiFitter, UoiLassoConfig, UoiLassoConfigBuilder, UoiVarConfig, UoiVarConfigBuilder,
         UoiVarDistConfig, UoiVarFitter,
-    };
-    // Deprecated 8-way fit surface, kept so downstream `use uoi::prelude::*`
-    // code migrates on its own schedule.
-    #[allow(deprecated)]
-    pub use uoi_core::{
-        fit_uoi_lasso, fit_uoi_lasso_dist, fit_uoi_lasso_recovering, fit_uoi_var, fit_uoi_var_dist,
-        fit_uoi_var_recovering, try_fit_uoi_lasso, try_fit_uoi_var,
     };
     pub use uoi_data::{FinanceConfig, LinearConfig, NeuroConfig, VarConfig, VarProcess};
     pub use uoi_linalg::{kernels, Matrix};
