@@ -7,7 +7,7 @@
 //! is the one-column case. A [`UoiProblem`] supplies what differs — the
 //! resamplers, the batched system kernels, the estimation loss, the
 //! averaging into a fit, and the [`Names`] its counters, spans and
-//! checkpoints go by — and this module drives both through the same two
+//! checkpoints go by — and this module drives both through the same three
 //! executors:
 //!
 //! * [`fit_serial`] — the in-process fit: checkpoint/resume with a
@@ -22,11 +22,13 @@
 //!   tasks move to their new sticky owners. An exhausted round budget
 //!   falls back to the serial fit under a degraded plan that drops the
 //!   dead ranks' round-0 tasks, so `max_rounds = 0` reproduces the
-//!   degradation-tolerant pipeline exactly.
+//!   degradation-tolerant pipeline exactly;
+//! * [`dist::fit_dist`] — the SPMD Map–Solve–Reduce fit over a simulated
+//!   cluster (paper §III), driving a [`dist::DistProblem`].
 //!
-//! Every task body is a pure function of `(data, config, k)`, so who
-//! runs a task — the serial loop, its owner rank, a stash replay or a
-//! survivor — never changes its bits.
+//! Every serial and recovering task body is a pure function of
+//! `(data, config, k)`, so who runs a task — the serial loop, its owner
+//! rank, a stash replay or a survivor — never changes its bits.
 
 use crate::degraded::{fingerprint, BootstrapFaultPlan, CheckpointStore, DegradationReport};
 use crate::error::UoiError;
@@ -35,7 +37,7 @@ use crate::recovery::{
     parse_task_records, RecoveryConfig, RecoveryReport, TaskOwnership,
 };
 use crate::speculation::{fatal_to_uoi, run_speculative_stage, SpeculationReport};
-use crate::support::{dedup_family, intersect_many};
+use crate::support::dedup_family;
 use crate::uoi_lasso::{required_votes, UoiLassoConfig};
 use rayon::prelude::*;
 use std::collections::BTreeSet;
@@ -47,6 +49,8 @@ use uoi_solvers::{
     ResilientLasso, SolverError,
 };
 use uoi_telemetry::{NumericalHealthReport, Telemetry, TraceEvent};
+
+pub(crate) mod dist;
 
 /// Every string that tells the two problems apart. Checkpoint stages,
 /// stash keys and metric names are matched byte for byte by existing
@@ -368,24 +372,66 @@ fn solve_selection<P: UoiProblem>(prob: &P, sys: System, k: usize) -> Option<Vec
     }
     for (j, rec) in records.into_iter().enumerate() {
         if let Some(rec) = rec {
-            tel.record(TraceEvent::Convergence {
-                rank: 0,
-                stage: "selection",
-                bootstrap: k,
-                lambda_idx: j,
-                lambda: lambdas[j],
-                iterations: rec.iterations,
-                max_iter: cfg.admm.max_iter,
-                converged: rec.converged,
-                primal_residual: rec.primal_residual,
-                dual_residual: rec.dual_residual,
-                support: supports[j].clone(),
-                curve: rec.curve,
-                t: 0.0,
-            });
+            let (at, max_iter, s) = ((k, j, lambdas[j]), cfg.admm.max_iter, supports[j].clone());
+            tel.record(selection_record(at, rec, max_iter, s, (0, 0.0)));
         }
     }
     Some(supports)
+}
+
+/// The [`TraceEvent::Convergence`] record of selection task `k` at λ
+/// index `j`: `sol`'s iterations, residuals, convergence flag and curve
+/// (its `beta` is not read) under the `max_iter` cap, the selected
+/// `support`, and the emitting `(rank, t)`.
+pub(crate) fn selection_record(
+    (k, j, lambda): (usize, usize, f64),
+    sol: AdmmSolution,
+    max_iter: usize,
+    support: Vec<usize>,
+    (rank, t): (usize, f64),
+) -> TraceEvent {
+    TraceEvent::Convergence {
+        rank,
+        stage: "selection",
+        bootstrap: k,
+        lambda_idx: j,
+        lambda,
+        iterations: sol.iterations,
+        max_iter,
+        converged: sol.converged,
+        primal_residual: sol.primal_residual,
+        dual_residual: sol.dual_residual,
+        support,
+        curve: sol.curve,
+        t,
+    }
+}
+
+/// The [`TraceEvent::Convergence`] record of estimation task `k`: the
+/// worst `(iterations, converged)` of its iterative OLS solves with their
+/// `max_iter` cap, or — for a direct OLS solve — zero iterations under a
+/// zero cap.
+pub(crate) fn estimation_record(
+    k: usize,
+    solve: Option<((usize, bool), usize)>,
+    (rank, t): (usize, f64),
+) -> TraceEvent {
+    let ((iterations, converged), max_iter) = solve.unwrap_or(((0, true), 0));
+    TraceEvent::Convergence {
+        rank,
+        stage: "estimation",
+        bootstrap: k,
+        lambda_idx: 0,
+        lambda: 0.0,
+        iterations,
+        max_iter,
+        converged,
+        primal_residual: 0.0,
+        dual_residual: 0.0,
+        support: Vec::new(),
+        curve: Vec::new(),
+        t,
+    }
 }
 
 /// [`solve_selection`] for callers that cannot drop a task (the
@@ -395,35 +441,78 @@ fn solve_selection_or_empty<P: UoiProblem>(prob: &P, sys: System, k: usize) -> V
     solve_selection(prob, sys, k).unwrap_or_else(|| vec![Vec::new(); prob.lambdas().len()])
 }
 
-/// Intersect per-λ supports across surviving bootstraps (eq. 3 with the
-/// soft-threshold generalisation): keep features present in at least
-/// `needed` of them.
-fn intersect_per_lambda(
-    supports_by_bootstrap: &[&Vec<Vec<usize>>],
-    q: usize,
+/// The per-λ vote tally of eq. 3, shared by every executor:
+/// `counts[j * len + f]` bootstraps put feature `f` in their λ_j support.
+/// Kept in `f64` so a distributed fit sums its groups' tallies with one
+/// allreduce.
+pub(crate) struct Votes {
     len: usize,
+    pub counts: Vec<f64>,
+}
+
+impl Votes {
+    pub(crate) fn new(q: usize, len: usize) -> Self {
+        let counts = vec![0.0; q * len];
+        Self { len, counts }
+    }
+
+    /// The tally of every bootstrap's per-λ supports.
+    fn tally(q: usize, len: usize, supports_by_bootstrap: &[&Vec<Vec<usize>>]) -> Self {
+        let mut votes = Self::new(q, len);
+        for sk in supports_by_bootstrap {
+            sk.iter().enumerate().for_each(|(j, s)| votes.add(j, s));
+        }
+        votes
+    }
+
+    pub(crate) fn add(&mut self, j: usize, support: &[usize]) {
+        for &f in support {
+            self.counts[j * self.len + f] += 1.0;
+        }
+    }
+
+    /// The intersected support per λ (eq. 3 with the soft-threshold
+    /// generalisation): the features with at least `needed` votes.
+    pub(crate) fn supports(&self, needed: usize) -> Vec<Vec<usize>> {
+        let needed = needed as f64 - 0.5;
+        let keep = |c: &[f64]| (0..self.len).filter(|&f| c[f] >= needed).collect();
+        self.counts.chunks(self.len).map(keep).collect()
+    }
+}
+
+/// The degradation account of a fit under the fault `plan` (`None`
+/// without one): the planned and surviving bootstrap counts, the failed
+/// tasks and the votes the intersection required.
+pub(crate) fn degradation_report(
+    cfg: &UoiLassoConfig,
+    plan: Option<&BootstrapFaultPlan>,
+    (effective_b1, effective_b2): (usize, usize),
     needed: usize,
-) -> Vec<Vec<usize>> {
-    let effective = supports_by_bootstrap.len();
-    (0..q)
-        .map(|j| {
-            if needed == effective {
-                let per_k: Vec<Vec<usize>> = supports_by_bootstrap
-                    .iter()
-                    .map(|sk| sk[j].clone())
-                    .collect();
-                intersect_many(&per_k)
-            } else {
-                let mut votes = vec![0usize; len];
-                for sk in supports_by_bootstrap {
-                    for &f in &sk[j] {
-                        votes[f] += 1;
-                    }
-                }
-                (0..len).filter(|&f| votes[f] >= needed).collect()
-            }
-        })
-        .collect()
+) -> Option<DegradationReport> {
+    plan.map(|pl| DegradationReport {
+        b1_planned: cfg.b1,
+        b1_effective: effective_b1,
+        b2_planned: cfg.b2,
+        b2_effective: effective_b2,
+        failed_selection: (0..cfg.b1).filter(|&k| pl.selection_failed(k)).collect(),
+        failed_estimation: (0..cfg.b2).filter(|&k| pl.estimation_failed(k)).collect(),
+        quorum_votes: needed,
+        min_quorum_frac: cfg.degradation.min_quorum_frac,
+    })
+}
+
+/// The design columns (`s % stride`) a candidate family touches,
+/// ascending, and each column's position among them (`usize::MAX`
+/// outside).
+pub(crate) fn family_union(family: &[Vec<usize>], stride: usize) -> (Vec<usize>, Vec<usize>) {
+    let mut union: Vec<usize> = family.iter().flatten().map(|&s| s % stride).collect();
+    union.sort_unstable();
+    union.dedup();
+    let mut pos = vec![usize::MAX; stride];
+    for (a, &c) in union.iter().enumerate() {
+        pos[c] = a;
+    }
+    (union, pos)
 }
 
 /// Project the design onto the candidate family's column union. The
@@ -433,13 +522,7 @@ fn intersect_per_lambda(
 fn estimation_setup<P: UoiProblem>(prob: &P, family: &[Vec<usize>]) -> Estimation {
     let x = prob.design();
     let stride = x.cols();
-    let mut union: Vec<usize> = family.iter().flatten().map(|&s| s % stride).collect();
-    union.sort_unstable();
-    union.dedup();
-    let mut pos = vec![usize::MAX; stride];
-    for (a, &c) in union.iter().enumerate() {
-        pos[c] = a;
-    }
+    let (union, pos) = family_union(family, stride);
     let xu = x.gather_cols(&union);
     let family = family
         .iter()
@@ -510,21 +593,8 @@ fn estimation_score<P: UoiProblem>(
     // The estimation step is a direct OLS solve, so its record reports
     // zero iterations and always converges; it exists so progress
     // tracking and the task census cover both stages.
-    cfg.telemetry.record_with(|| TraceEvent::Convergence {
-        rank: 0,
-        stage: "estimation",
-        bootstrap: k,
-        lambda_idx: 0,
-        lambda: 0.0,
-        iterations: 0,
-        max_iter: 0,
-        converged: true,
-        primal_residual: 0.0,
-        dual_residual: 0.0,
-        support: Vec::new(),
-        curve: Vec::new(),
-        t: 0.0,
-    });
+    cfg.telemetry
+        .record_with(|| estimation_record(k, None, (0, 0.0)));
     full
 }
 
@@ -722,7 +792,7 @@ fn serial<P: UoiProblem>(
     // the soft threshold generalisation: keep features present in at
     // least `ceil(frac * B1_effective)` surviving supports.
     let needed = required_votes(cfg.intersection_frac, effective_b1);
-    let supports_per_lambda = intersect_per_lambda(&supports_by_bootstrap, q, len, needed);
+    let supports_per_lambda = Votes::tally(q, len, &supports_by_bootstrap).supports(needed);
     let support_family = dedup_family(supports_per_lambda.clone());
     tel.incr(names.selection_bootstraps, effective_b1 as u64);
     for s in &supports_per_lambda {
@@ -794,16 +864,7 @@ fn serial<P: UoiProblem>(
         .check_quorum("estimation", effective_b2, cfg.b2)?;
     tel.incr(names.estimation_bootstraps, effective_b2 as u64);
 
-    let degradation = plan.map(|pl| DegradationReport {
-        b1_planned: cfg.b1,
-        b1_effective: effective_b1,
-        b2_planned: cfg.b2,
-        b2_effective: effective_b2,
-        failed_selection: (0..cfg.b1).filter(|&k| pl.selection_failed(k)).collect(),
-        failed_estimation: (0..cfg.b2).filter(|&k| pl.estimation_failed(k)).collect(),
-        quorum_votes: needed,
-        min_quorum_frac: cfg.degradation.min_quorum_frac,
-    });
+    let degradation = degradation_report(cfg, plan, (effective_b1, effective_b2), needed);
     let fit = prob.assemble(
         average(&best_estimates, len),
         FitParts {
@@ -1012,12 +1073,8 @@ fn round<P: UoiProblem>(
         .collect();
     let supports_by_bootstrap: Vec<&Vec<Vec<usize>>> = selection.iter().collect();
     let needed = required_votes(cfg.intersection_frac, cfg.b1);
-    let supports_per_lambda = intersect_per_lambda(
-        &supports_by_bootstrap,
-        prob.lambdas().len(),
-        coef_len(prob),
-        needed,
-    );
+    let votes = Votes::tally(prob.lambdas().len(), coef_len(prob), &supports_by_bootstrap);
+    let supports_per_lambda = votes.supports(needed);
     let support_family = dedup_family(supports_per_lambda.clone());
 
     // --- Estimation: same owner/exchange/replicate pattern. ---
@@ -1083,4 +1140,24 @@ fn collect_results(blobs: &[Vec<f64>], total: usize, stage: &str) -> Vec<Vec<f64
             }),
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::support::intersect_many;
+
+    /// At full quorum the vote tally realises eq. 3 exactly — the
+    /// intersection of every bootstrap's support — and one vote short of
+    /// it, the features a quorum of bootstraps agrees on.
+    #[test]
+    fn votes_realise_the_intersection() {
+        let fam = vec![vec![1, 2, 5, 7], vec![2, 5, 7], vec![0, 2, 7, 9]];
+        let mut votes = Votes::new(2, 10);
+        for s in &fam {
+            votes.add(1, s);
+        }
+        assert_eq!(votes.supports(3), vec![vec![], intersect_many(&fam)]);
+        assert_eq!(votes.supports(2), vec![vec![], vec![2, 5, 7]]);
+    }
 }

@@ -35,16 +35,18 @@
 //! `AdmmConfig::threads` only moves the distributed VAR fit's modeled
 //! wall-clock, never the numbers.
 
+use crate::engine::dist::fit_dist;
 use crate::engine::{fit_recovering, fit_serial};
 use crate::error::UoiError;
 use crate::parallelism::ParallelLayout;
 use crate::recovery::RecoveryConfig;
-use crate::uoi_lasso::{validate_lasso_inputs, LassoProblem, UoiFit, UoiLassoConfig};
-use crate::uoi_lasso_dist::fit_uoi_lasso_dist;
-use crate::uoi_var::{validate_var_inputs, UoiVarConfig, UoiVarFit, VarProblem};
-use crate::uoi_var_dist::{fit_uoi_var_dist, KronStats, UoiVarDistConfig};
+use crate::uoi_lasso::{LassoInput, LassoProblem, UoiFit, UoiLassoConfig};
+use crate::uoi_lasso_dist::LassoDist;
+use crate::uoi_var::{UoiVarConfig, UoiVarFit, VarInput, VarProblem};
+use crate::uoi_var_dist::{KronStats, VarDist};
 use uoi_linalg::Matrix;
 use uoi_mpisim::{Cluster, Comm, MachineModel, RankCtx};
+use uoi_telemetry::Telemetry;
 
 /// Where and how a fit executes.
 #[derive(Debug, Clone, Default)]
@@ -138,6 +140,34 @@ impl DistOptions {
     fn cluster(&self) -> Cluster {
         Cluster::new(self.exec_ranks, self.machine.clone()).modeled_ranks(self.modeled_ranks)
     }
+
+    /// The options a harness-driven fit (`fit_on`) runs under: the
+    /// [`ExecMode::Dist`] options when that mode is selected, the
+    /// defaults otherwise.
+    fn of(mode: &ExecMode) -> Self {
+        match mode {
+            ExecMode::Dist(opts) => opts.clone(),
+            _ => Self::default(),
+        }
+    }
+
+    /// Run a distributed fit body on every rank of this cluster and
+    /// return rank 0's result; every rank takes the same decisions, so
+    /// an error is every rank's.
+    fn run<T: Send>(
+        &self,
+        tel: &Telemetry,
+        body: impl Fn(&mut RankCtx, &Comm) -> Result<T, UoiError> + Sync,
+    ) -> Result<T, UoiError> {
+        self.validate()?;
+        self.cluster()
+            .with_telemetry(tel.clone())
+            .run(body)
+            .results
+            .into_iter()
+            .next()
+            .expect("cluster with >= 1 rank returns a rank-0 result")
+    }
 }
 
 /// One entry point for every `UoI_LASSO` execution mode.
@@ -167,39 +197,21 @@ impl UoiFitter {
         self
     }
 
-    /// The current statistical configuration.
-    pub fn config(&self) -> &UoiLassoConfig {
-        &self.cfg
-    }
-
-    /// Mutable access for knobs without a dedicated builder method.
-    pub fn config_mut(&mut self) -> &mut UoiLassoConfig {
-        &mut self.cfg
-    }
-
     /// Run the fit in the selected mode.
     ///
     /// In [`ExecMode::Dist`] this spins up the configured cluster, runs
     /// the consensus fit on every rank, and returns rank 0's result
-    /// (all ranks agree bit-for-bit).
+    /// (all ranks agree bit-for-bit). Every mode validates the inputs
+    /// after the configured scrub and returns the same typed errors.
     pub fn fit(&self, x: &Matrix, y: &[f64]) -> Result<UoiFit, UoiError> {
         match &self.mode {
             ExecMode::Serial => fit_serial(&LassoProblem::new(x, y, &self.cfg)?),
             ExecMode::Recovering(rcfg) => {
                 fit_recovering(&LassoProblem::new(x, y, &self.cfg)?, rcfg)
             }
-            ExecMode::Dist(opts) => {
-                opts.validate()?;
-                validate_lasso_inputs(x, y, &self.cfg)?;
-                let cluster = opts.cluster().with_telemetry(self.cfg.telemetry.clone());
-                let report = cluster
-                    .run(|ctx, world| fit_uoi_lasso_dist(ctx, world, x, y, &self.cfg, opts.layout));
-                Ok(report
-                    .results
-                    .into_iter()
-                    .next()
-                    .expect("cluster with >= 1 rank returns a rank-0 result"))
-            }
+            ExecMode::Dist(opts) => opts.run(&self.cfg.telemetry, |ctx, world| {
+                self.dist(ctx, world, opts, x, y)
+            }),
         }
     }
 
@@ -209,12 +221,23 @@ impl UoiFitter {
     /// `modeled_ranks` extrapolation, custom telemetry): call this from
     /// inside the rank closure. Uses the [`ExecMode::Dist`] layout when
     /// that mode is selected, [`ParallelLayout::admm_only`] otherwise.
+    /// Panics where [`fit`](Self::fit) returns an error.
     pub fn fit_on(&self, ctx: &mut RankCtx, world: &Comm, x: &Matrix, y: &[f64]) -> UoiFit {
-        let layout = match &self.mode {
-            ExecMode::Dist(opts) => opts.layout,
-            _ => ParallelLayout::admm_only(),
-        };
-        fit_uoi_lasso_dist(ctx, world, x, y, &self.cfg, layout)
+        self.dist(ctx, world, &DistOptions::of(&self.mode), x, y)
+            .unwrap_or_else(|e| panic!("UoiFitter::fit_on: {e}"))
+    }
+
+    fn dist(
+        &self,
+        ctx: &mut RankCtx,
+        world: &Comm,
+        opts: &DistOptions,
+        x: &Matrix,
+        y: &[f64],
+    ) -> Result<UoiFit, UoiError> {
+        let input = LassoInput::new(x, y, &self.cfg)?;
+        let (fit, ()) = fit_dist::<LassoDist>(ctx, world, &self.cfg, opts, input)?;
+        Ok(fit)
     }
 }
 
@@ -241,16 +264,6 @@ impl UoiVarFitter {
         self
     }
 
-    /// The current VAR configuration.
-    pub fn config(&self) -> &UoiVarConfig {
-        &self.cfg
-    }
-
-    /// Mutable access for knobs without a dedicated builder method.
-    pub fn config_mut(&mut self) -> &mut UoiVarConfig {
-        &mut self.cfg
-    }
-
     /// Run the fit in the selected mode; returns rank 0's result in
     /// [`ExecMode::Dist`].
     pub fn fit(&self, series: &Matrix) -> Result<UoiVarFit, UoiError> {
@@ -259,21 +272,9 @@ impl UoiVarFitter {
             ExecMode::Recovering(rcfg) => {
                 fit_recovering(&VarProblem::new(series, &self.cfg)?, rcfg)
             }
-            ExecMode::Dist(opts) => {
-                opts.validate()?;
-                validate_var_inputs(series, &self.cfg)?;
-                let dist_cfg = self.dist_config(opts);
-                let cluster = opts
-                    .cluster()
-                    .with_telemetry(self.cfg.base.telemetry.clone());
-                let report =
-                    cluster.run(|ctx, world| fit_uoi_var_dist(ctx, world, series, &dist_cfg).0);
-                Ok(report
-                    .results
-                    .into_iter()
-                    .next()
-                    .expect("cluster with >= 1 rank returns a rank-0 result"))
-            }
+            ExecMode::Dist(opts) => opts.run(&self.cfg.base.telemetry, |ctx, world| {
+                Ok(self.dist(ctx, world, opts, series)?.0)
+            }),
         }
     }
 
@@ -285,19 +286,19 @@ impl UoiVarFitter {
         world: &Comm,
         series: &Matrix,
     ) -> (UoiVarFit, KronStats) {
-        let opts = match &self.mode {
-            ExecMode::Dist(opts) => opts.clone(),
-            _ => DistOptions::default(),
-        };
-        fit_uoi_var_dist(ctx, world, series, &self.dist_config(&opts))
+        self.dist(ctx, world, &DistOptions::of(&self.mode), series)
+            .unwrap_or_else(|e| panic!("UoiVarFitter::fit_on: {e}"))
     }
 
-    fn dist_config(&self, opts: &DistOptions) -> UoiVarDistConfig {
-        UoiVarDistConfig {
-            var: self.cfg.clone(),
-            n_readers: opts.n_readers,
-            layout: opts.layout,
-        }
+    fn dist(
+        &self,
+        ctx: &mut RankCtx,
+        world: &Comm,
+        opts: &DistOptions,
+        series: &Matrix,
+    ) -> Result<(UoiVarFit, KronStats), UoiError> {
+        let input = VarInput::new(series, &self.cfg)?;
+        fit_dist::<VarDist>(ctx, world, &self.cfg.base, opts, input)
     }
 }
 

@@ -20,7 +20,7 @@ pub mod recovery;
 pub mod speculation;
 pub mod support;
 pub mod uoi_lasso;
-pub mod uoi_lasso_dist;
+mod uoi_lasso_dist;
 pub mod uoi_var;
 pub mod uoi_var_dist;
 pub mod var_matrices;
@@ -40,5 +40,5 @@ pub use recovery::{
 pub use speculation::{SpeculationConfig, SpeculationReport, StageHedging, UOI_SPECULATE_ENV};
 pub use uoi_lasso::{bic, EstimationScore, UoiFit, UoiLassoConfig, UoiLassoConfigBuilder};
 pub use uoi_var::{select_var_order, UoiVarConfig, UoiVarConfigBuilder, UoiVarFit};
-pub use uoi_var_dist::{KronStats, UoiVarDistConfig};
+pub use uoi_var_dist::KronStats;
 pub use var_matrices::{flatten_coefficients, partition_coefficients, VarRegression};

@@ -21,8 +21,11 @@
 //! validation policy the fit takes the historical unguarded path and is
 //! bit-identical to it.
 
+use crate::error::UoiError;
+use std::borrow::Cow;
 use std::sync::{Arc, Mutex};
 use uoi_data::{DataIssue, ValidationOutcome, ValidationPolicy};
+use uoi_linalg::Matrix;
 use uoi_solvers::{FactorHealth, PathHealth, ResilienceConfig};
 use uoi_telemetry::{NumericalHealthReport, Telemetry, TraceEvent};
 
@@ -109,62 +112,34 @@ impl NumericalConfig {
         &self.ledger
     }
 
-    /// Run the configured validation pass over `(x, y)`.
-    ///
-    /// - `Ok(None)`: no policy set, or the pass changed nothing — fit on
-    ///   the caller's original data (zero copies on that path).
-    /// - `Ok(Some((x, y)))`: `Sanitize` scrubbed cells — fit on the
-    ///   returned copies.
-    /// - `Err`: `Reject` found corrupt values; the error names the first
-    ///   offending coordinate.
-    ///
-    /// All findings (including flag-only ones like constant columns) are
-    /// recorded on the ledger for the fit's report.
-    pub(crate) fn prevalidate(
+    /// Run the configured validation pass over `(x, y)`. Returns the
+    /// data to fit — the caller's when nothing changed (zero copies), the
+    /// scrubbed copies when `Sanitize` zeroed cells — and the pass's
+    /// findings (flag-only ones like constant columns included; `None`
+    /// without a policy) for the caller to note on the ledger it reports
+    /// from. `Err` when `Reject` found corrupt values; the error names the
+    /// first offending coordinate.
+    pub(crate) fn scrub<'x, 'y>(
         &self,
-        x: &uoi_linalg::Matrix,
-        y: &[f64],
-        tel: &Telemetry,
-    ) -> Result<Option<(uoi_linalg::Matrix, Vec<f64>)>, crate::error::UoiError> {
-        let Some(policy) = self.validation else {
-            return Ok(None);
+        x: &'x Matrix,
+        y: &'y [f64],
+    ) -> Result<Scrubbed<'x, 'y>, UoiError> {
+        // Mismatched lengths skip the pass; the caller's checks report them.
+        let Some(policy) = self.validation.filter(|_| y.len() == x.rows()) else {
+            return Ok((Cow::Borrowed(x), Cow::Borrowed(y), None));
         };
-        let mut xs = x.clone();
-        let mut ys = y.to_vec();
+        let (mut xs, mut ys) = (x.clone(), y.to_vec());
         let outcome = uoi_data::validate_xy(&mut xs, &mut ys, policy)?;
-        self.ledger().note_validation(tel, &outcome);
-        if outcome.sanitized_cells > 0 {
-            Ok(Some((xs, ys)))
-        } else {
-            Ok(None)
+        if outcome.sanitized_cells == 0 {
+            return Ok((Cow::Borrowed(x), Cow::Borrowed(y), Some(outcome)));
         }
-    }
-
-    /// Series (design-only) variant of [`prevalidate`](Self::prevalidate)
-    /// for the VAR pipelines, which validate the raw time series before
-    /// the lagged regression block is built. Returns `Ok(Some(scrubbed))`
-    /// only when sanitisation changed at least one cell.
-    pub(crate) fn prevalidate_series(
-        &self,
-        series: &uoi_linalg::Matrix,
-        tel: &Telemetry,
-    ) -> Result<Option<uoi_linalg::Matrix>, crate::error::UoiError> {
-        let Some(policy) = self.validation else {
-            return Ok(None);
-        };
-        let mut xs = series.clone();
-        // validate_xy insists on a matching response; a zero vector is
-        // finite and contributes no issues, so it is a pure placeholder.
-        let mut dummy = vec![0.0; xs.rows()];
-        let outcome = uoi_data::validate_xy(&mut xs, &mut dummy, policy)?;
-        self.ledger().note_validation(tel, &outcome);
-        if outcome.sanitized_cells > 0 {
-            Ok(Some(xs))
-        } else {
-            Ok(None)
-        }
+        Ok((Cow::Owned(xs), Cow::Owned(ys), Some(outcome)))
     }
 }
+
+/// The data a fit reads after the validation pass, and the pass's
+/// findings.
+pub(crate) type Scrubbed<'x, 'y> = (Cow<'x, Matrix>, Cow<'y, [f64]>, Option<ValidationOutcome>);
 
 /// Thread-safe accumulator of [`TraceEvent::Numerical`] records for one
 /// fit. Events are pushed from rayon workers in nondeterministic order;

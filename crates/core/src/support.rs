@@ -101,37 +101,6 @@ pub fn dedup_family(family: Vec<Vec<usize>>) -> Vec<Vec<usize>> {
     seen
 }
 
-/// Encode a support as f64 values for transport through collectives.
-pub fn encode_support(s: &[usize]) -> Vec<f64> {
-    s.iter().map(|&i| i as f64).collect()
-}
-
-/// Inverse of [`encode_support`].
-pub fn decode_support(v: &[f64]) -> Vec<usize> {
-    v.iter().map(|&x| x as usize).collect()
-}
-
-/// Intersection via a shared-length indicator allreduce: supports are
-/// encoded as 0/1 indicator vectors of length `p`, summed across ranks,
-/// and indices hitting `count` survive. This is how the distributed
-/// implementation realises eq. 3 with a single `MPI_Allreduce`.
-pub fn indicator(s: &[usize], p: usize) -> Vec<f64> {
-    let mut v = vec![0.0; p];
-    for &i in s {
-        v[i] = 1.0;
-    }
-    v
-}
-
-/// Recover the intersection from a summed indicator (`sum[i] == count`).
-pub fn from_summed_indicator(sum: &[f64], count: usize) -> Vec<usize> {
-    sum.iter()
-        .enumerate()
-        .filter(|(_, &v)| (v - count as f64).abs() < 0.5)
-        .map(|(i, _)| i)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,30 +149,5 @@ mod tests {
     fn dedup_family_drops_repeats_and_empties() {
         let fam = vec![vec![1, 2], vec![], vec![1, 2], vec![3]];
         assert_eq!(dedup_family(fam), vec![vec![1, 2], vec![3]]);
-    }
-
-    #[test]
-    fn indicator_roundtrip() {
-        let s = vec![0, 3, 4];
-        let ind = indicator(&s, 6);
-        assert_eq!(ind, vec![1.0, 0.0, 0.0, 1.0, 1.0, 0.0]);
-        // Simulated 3-rank allreduce where all agree.
-        let sum: Vec<f64> = ind.iter().map(|v| v * 3.0).collect();
-        assert_eq!(from_summed_indicator(&sum, 3), s);
-    }
-
-    #[test]
-    fn summed_indicator_is_intersection() {
-        let a = indicator(&[1, 2, 5], 6);
-        let b = indicator(&[2, 3, 5], 6);
-        let c = indicator(&[2, 5], 6);
-        let sum: Vec<f64> = (0..6).map(|i| a[i] + b[i] + c[i]).collect();
-        assert_eq!(from_summed_indicator(&sum, 3), vec![2, 5]);
-    }
-
-    #[test]
-    fn encode_decode_roundtrip() {
-        let s = vec![0, 17, 100_000];
-        assert_eq!(decode_support(&encode_support(&s)), s);
     }
 }

@@ -21,8 +21,10 @@ use crate::error::{all_finite, UoiError};
 use crate::numerical::NumericalConfig;
 #[cfg(test)]
 use crate::support::{dedup_family, intersect_many};
+use std::borrow::Cow;
 use uoi_data::bootstrap::{resample_weights, row_bootstrap};
 use uoi_data::rng::substream;
+use uoi_data::ValidationOutcome;
 use uoi_linalg::{dot, kernels, weighted_sumsq, Matrix};
 #[cfg(test)]
 use uoi_solvers::LassoAdmm;
@@ -314,33 +316,50 @@ impl UoiFit {
     }
 }
 
-/// Input validation shared by every execution mode; `Ok` means a fit
-/// may run.
-pub(crate) fn validate_lasso_inputs(
-    x: &Matrix,
-    y: &[f64],
-    cfg: &UoiLassoConfig,
-) -> Result<(), UoiError> {
-    let (n, p) = x.shape();
-    if n == 0 || p == 0 {
-        return Err(UoiError::EmptyDesign);
+/// `(x, y)` after the configured validation pass, checked on its
+/// output. Every execution mode builds its fit from one, so each gives
+/// the same outcome and error: the pass runs first (under `Sanitize` it
+/// scrubs the non-finite cells the checks would otherwise reject), then
+/// `Err` — never a panic — on an empty design, mismatched `x`/`y`
+/// lengths, too few samples to resample, non-finite inputs, or an
+/// invalid configuration.
+pub(crate) struct LassoInput<'a> {
+    pub cfg: &'a UoiLassoConfig,
+    pub x: Cow<'a, Matrix>,
+    pub y: Cow<'a, [f64]>,
+    /// The validation pass's findings, for the fit's ledger.
+    pub outcome: Option<ValidationOutcome>,
+}
+
+impl<'a> LassoInput<'a> {
+    pub(crate) fn new(
+        x: &'a Matrix,
+        y: &'a [f64],
+        cfg: &'a UoiLassoConfig,
+    ) -> Result<Self, UoiError> {
+        let (x, y, outcome) = cfg.numerical.scrub(x, y)?;
+        let (n, p) = x.shape();
+        if n == 0 || p == 0 {
+            return Err(UoiError::EmptyDesign);
+        }
+        if y.len() != n {
+            return Err(UoiError::DimensionMismatch {
+                expected: n,
+                got: y.len(),
+            });
+        }
+        if n < 4 {
+            return Err(UoiError::TooFewSamples { n, min: 4 });
+        }
+        if !all_finite(x.as_slice()) {
+            return Err(UoiError::NonFiniteInput("design matrix x"));
+        }
+        if !all_finite(&y) {
+            return Err(UoiError::NonFiniteInput("response y"));
+        }
+        cfg.validate()?;
+        Ok(Self { cfg, x, y, outcome })
     }
-    if y.len() != n {
-        return Err(UoiError::DimensionMismatch {
-            expected: n,
-            got: y.len(),
-        });
-    }
-    if n < 4 {
-        return Err(UoiError::TooFewSamples { n, min: 4 });
-    }
-    if !all_finite(x.as_slice()) {
-        return Err(UoiError::NonFiniteInput("design matrix x"));
-    }
-    if !all_finite(y) {
-        return Err(UoiError::NonFiniteInput("response y"));
-    }
-    cfg.validate()
 }
 
 /// Column-centre `(x, y)`: returns `(xc, yc, x_means, y_mean)`.
@@ -362,45 +381,66 @@ pub(crate) fn selection_weights(n: usize, seed: u64, k: usize) -> Vec<f64> {
     resample_weights(&idx, n)
 }
 
+/// The centring a LASSO fit undoes, and the λ grid it reports.
+pub(crate) struct Centring {
+    pub x_means: Vec<f64>,
+    pub y_mean: f64,
+    pub lambdas: Vec<f64>,
+}
+
+impl Centring {
+    /// The fit from averaged centred-coordinate coefficients, restoring
+    /// the intercept: `y ≈ (x - x̄) b + ȳ  =>  icpt = ȳ - x̄·b`.
+    pub(crate) fn fit(&self, beta: Vec<f64>, support_tol: f64, parts: FitParts) -> UoiFit {
+        UoiFit {
+            intercept: self.y_mean - dot(&self.x_means, &beta),
+            support: support_of(&beta, support_tol),
+            beta,
+            lambdas: self.lambdas.clone(),
+            supports_per_lambda: parts.supports_per_lambda,
+            support_family: parts.support_family,
+            degradation: parts.degradation,
+            recovery: parts.recovery,
+            speculation: parts.speculation,
+            numerical: parts.numerical,
+        }
+    }
+}
+
 /// `UoI_LASSO` as a [`UoiProblem`]: the centred design, one centred
 /// response column, and the λ grid from the full data.
 pub(crate) struct LassoProblem<'a> {
     cfg: &'a UoiLassoConfig,
     xc: Matrix,
     yc: Vec<f64>,
-    x_means: Vec<f64>,
-    y_mean: f64,
-    lambdas: Vec<f64>,
+    centring: Centring,
     store: Option<CheckpointStore>,
 }
 
 impl<'a> LassoProblem<'a> {
-    /// Check `(x, y)` and centre it (the paper's `n x (p+1)` intercept
-    /// column is handled by centring instead of penalised estimation).
-    ///
-    /// The validation pass runs before the structural checks: under
-    /// `Sanitize` it scrubs the non-finite cells the structural check
-    /// would otherwise reject, and the scrubbed data feeds the whole fit.
-    /// Returns `Err` — and never panics — on an empty design, mismatched
-    /// `x`/`y` lengths, too few samples to resample, non-finite inputs,
-    /// an invalid configuration, or an unopenable checkpoint directory.
+    /// Check `(x, y)` ([`LassoInput`]) and centre it (the paper's
+    /// `n x (p+1)` intercept column is handled by centring instead of
+    /// penalised estimation). Also `Err` on an unopenable checkpoint
+    /// directory.
     pub(crate) fn new(x: &Matrix, y: &[f64], cfg: &'a UoiLassoConfig) -> Result<Self, UoiError> {
-        let scrubbed = cfg.numerical.prevalidate(x, y, &cfg.telemetry)?;
-        let (x, y) = match &scrubbed {
-            Some((xs, ys)) => (xs, ys.as_slice()),
-            None => (x, y),
-        };
-        validate_lasso_inputs(x, y, cfg)?;
-        let store = engine::open_store(cfg, || cfg.ckpt_fingerprint(x, y))?;
-        let (xc, yc, x_means, y_mean) = centre_data(x, y);
+        let LassoInput { x, y, outcome, .. } = LassoInput::new(x, y, cfg)?;
+        if let Some(outcome) = &outcome {
+            cfg.numerical
+                .ledger()
+                .note_validation(&cfg.telemetry, outcome);
+        }
+        let store = engine::open_store(cfg, || cfg.ckpt_fingerprint(&x, &y))?;
+        let (xc, yc, x_means, y_mean) = centre_data(&x, &y);
         let lambdas = lambda_path(&xc, &yc, cfg.q, cfg.lambda_min_ratio);
         Ok(Self {
             cfg,
             xc,
             yc,
-            x_means,
-            y_mean,
-            lambdas,
+            centring: Centring {
+                x_means,
+                y_mean,
+                lambdas,
+            },
             store,
         })
     }
@@ -443,7 +483,7 @@ impl UoiProblem for LassoProblem<'_> {
     }
 
     fn lambdas(&self) -> &[f64] {
-        &self.lambdas
+        &self.centring.lambdas
     }
 
     fn store(&self) -> Option<&CheckpointStore> {
@@ -512,22 +552,8 @@ impl UoiProblem for LassoProblem<'_> {
         }
     }
 
-    /// Restore the intercept: `y ≈ (x - x̄) b + ȳ  =>  icpt = ȳ - x̄·b`.
     fn assemble(&self, beta: Vec<f64>, parts: FitParts) -> UoiFit {
-        let intercept = self.y_mean - dot(&self.x_means, &beta);
-        let support = support_of(&beta, self.cfg.support_tol);
-        UoiFit {
-            beta,
-            intercept,
-            support,
-            lambdas: self.lambdas.clone(),
-            supports_per_lambda: parts.supports_per_lambda,
-            support_family: parts.support_family,
-            degradation: parts.degradation,
-            recovery: parts.recovery,
-            speculation: parts.speculation,
-            numerical: parts.numerical,
-        }
+        self.centring.fit(beta, self.cfg.support_tol, parts)
     }
 
     fn final_gauge(&self, fit: &UoiFit) -> f64 {

@@ -1,5 +1,6 @@
-//! Distributed `UoI_LASSO` (paper Algorithm 1 + §III): the full
-//! Map-Solve-Reduce pipeline over the simulated cluster.
+//! Distributed `UoI_LASSO` (paper Algorithm 1 + §III): the Map, Solve
+//! and estimation score of the engine's distributed executor
+//! ([`crate::engine::dist`], which owns the Reduce).
 //!
 //! * **Map** — each ADMM rank keeps a resident Tier-1 row block and owns a
 //!   block-striped share of every bootstrap resample. Per stage, the
@@ -8,516 +9,400 @@
 //!   batched weighted-Gram pass ([`uoi_linalg::gram_rhs_batch`], the
 //!   serial fit's kernel) builds every share's local Gram and rhs.
 //! * **Solve** — consensus LASSO-ADMM across the ADMM communicator
-//!   ([`uoi_solvers::DistLassoAdmm`], built from the local Gram); OLS is
-//!   the same solver at `lambda = 0`.
-//! * **Reduce** — support intersection (eq. 3) through a single world
-//!   `Allreduce` of per-lambda selection-count indicators; estimate
-//!   averaging (eq. 4) through a world `Allreduce` of the winning OLS
-//!   estimates.
+//!   ([`uoi_solvers::DistLassoAdmm`], built from the local Gram), with
+//!   guarded breakdown agreement and rho restarts; OLS is the same solver
+//!   at `lambda = 0`.
+//! * **Estimation score** — consensus OLS on sub-Grams of each
+//!   resample's union Gram, scored by a distributed held-out loss.
 //!
-//! Work is decomposed over `P_B` bootstrap groups x `P_lambda` lambda
-//! groups x ADMM cores ([`crate::parallelism::ParallelLayout`]); with the
-//! [`ParallelLayout::admm_only`] layout all cores serve one distributed
-//! solver, the configuration of the paper's multi-node scaling runs.
+//! With the [`ParallelLayout::admm_only`] layout all cores serve one
+//! distributed solver, the configuration of the paper's multi-node
+//! scaling runs.
+//!
+//! [`ParallelLayout::admm_only`]: crate::parallelism::ParallelLayout::admm_only
 
+use crate::engine::dist::{DistProblem, Emit, Scored};
+use crate::engine::{family_union, FitParts};
+use crate::fitter::DistOptions;
 use crate::numerical::NumericalLedger;
-use crate::parallelism::ParallelLayout;
-use crate::support::dedup_family;
-use crate::uoi_lasso::{bootstrap_with_oob, UoiFit, UoiLassoConfig};
+use crate::parallelism::LayoutComms;
+use crate::uoi_lasso::{bootstrap_with_oob, Centring, LassoInput, UoiFit, UoiLassoConfig};
 use uoi_data::bootstrap::row_bootstrap;
 use uoi_data::rng::substream;
 use uoi_linalg::Matrix;
 use uoi_mpisim::{Comm, RankCtx};
-use uoi_solvers::{support_of, DistLassoAdmm, FactorHealth};
-use uoi_telemetry::{Telemetry, TraceEvent};
+use uoi_solvers::{
+    rho_restarts, sub_system, tripped, AdmmConfig, AdmmSolution, DistLassoAdmm, FactorHealth,
+    PathHealth,
+};
+use uoi_telemetry::Telemetry;
 use uoi_tieredio::distribution::{block_range, tier2_shuffle};
 
-/// Fit `UoI_LASSO` distributed over `world`.
-///
-/// `x`/`y` stand for the dataset as resident after the Tier-1 parallel
-/// read (every rank *uses* only its block; bootstrap rows move through
-/// simulated one-sided windows). All ranks return the identical fit.
-pub(crate) fn fit_uoi_lasso_dist(
-    ctx: &mut RankCtx,
-    world: &Comm,
-    x: &Matrix,
-    y: &[f64],
-    cfg: &UoiLassoConfig,
-    layout: ParallelLayout,
-) -> UoiFit {
-    let (n, p) = x.shape();
-    assert_eq!(y.len(), n);
+/// One rank's share of a distributed `UoI_LASSO` fit: its resident
+/// Tier-1 block of the centred data and the shared λ grid. Every rank
+/// reads the whole validated dataset but keeps only its block, as after
+/// the Tier-1 parallel read; bootstrap rows move through simulated
+/// one-sided windows.
+pub(crate) struct LassoDist<'a> {
+    cfg: &'a UoiLassoConfig,
+    /// The solver settings, with residual-curve capture on when tracing
+    /// (capture is symmetric across ranks: it never touches a
+    /// collective).
+    admm: AdmmConfig,
+    n: usize,
+    /// Resident rows plus the response column, `p + 1` wide, centred.
+    resident: Matrix,
+    centring: Centring,
+    /// A rank-local ledger (never the shared config ledger — rank
+    /// closures run concurrently and draining would race). Every guarded
+    /// decision is taken from collective-agreed state, so all ranks
+    /// record the same events and return identical health reports (per λ
+    /// group; identical everywhere under `admm_only`).
+    ledger: NumericalLedger,
+    /// Only group leaders forward numerical events to the trace sink and
+    /// counters, matching the convergence-record convention.
+    num_tel: Telemetry,
+}
 
-    let comms = layout.split(ctx, world);
-    let c = comms.admm_comm.size();
-    let admm_rank = comms.admm_comm.rank();
+impl<'a> DistProblem for LassoDist<'a> {
+    type Input = LassoInput<'a>;
+    type Fit = UoiFit;
+    type Stats = ();
+    const SPANS: [&'static str; 2] = ["uoi.selection", "uoi.estimation"];
 
-    // Numerical resilience: a rank-local ledger (never the shared config
-    // ledger — rank closures run concurrently and draining would race).
-    // Every guarded decision below is taken from collective-agreed state,
-    // so all ranks record the same events and return identical health
-    // reports (per lambda group; identical everywhere under `admm_only`).
-    // Only group leaders forward events to the trace sink and counters,
-    // matching the convergence-record convention.
-    let guarded = cfg.numerical.enabled;
-    let ledger = NumericalLedger::default();
-    let num_tel = if comms.is_group_leader() {
-        ctx.telemetry().clone()
-    } else {
-        Telemetry::disabled()
-    };
-
-    // Input validation: every rank validates the same full dataset under
-    // the same policy, so findings (and any scrubbing) agree everywhere
-    // without a collective.
-    let scrubbed = cfg.numerical.validation.map(|policy| {
-        let mut xs = x.clone();
-        let mut ys = y.to_vec();
-        let outcome = uoi_data::validate_xy(&mut xs, &mut ys, policy)
-            .unwrap_or_else(|e| panic!("fit_uoi_lasso_dist: {e}"));
-        ledger.note_validation(&num_tel, &outcome);
-        (xs, ys)
-    });
-    let (x, y): (&Matrix, &[f64]) = match &scrubbed {
-        Some((xs, ys)) => (xs, ys),
-        None => (x, y),
-    };
-
-    // Degraded mode: the deterministic task-failure plan is identical on
-    // every rank, so all ranks skip the same (bootstrap, stage) tasks and
-    // the collectives stay aligned. Checkpointing is a serial-fit
-    // feature; the distributed pipeline ignores it.
-    let plan = cfg.degradation.plan.as_ref();
-    let effective_b1 = cfg.b1
-        - (0..cfg.b1)
-            .filter(|&k| plan.is_some_and(|pl| pl.selection_failed(k)))
-            .count();
-    let effective_b2 = cfg.b2
-        - (0..cfg.b2)
-            .filter(|&k| plan.is_some_and(|pl| pl.estimation_failed(k)))
-            .count();
-    cfg.degradation
-        .check_quorum("selection", effective_b1, cfg.b1)
-        .unwrap_or_else(|e| panic!("fit_uoi_lasso_dist: {e}"));
-    cfg.degradation
-        .check_quorum("estimation", effective_b2, cfg.b2)
-        .unwrap_or_else(|e| panic!("fit_uoi_lasso_dist: {e}"));
-
-    // Resident Tier-1 block (rows + response column, `p + 1` wide) —
-    // each rank materialises only its stripe of the dataset, never the
-    // whole matrix.
-    let my_range = block_range(n, c, admm_rank);
-    let mut resident = {
-        let mut block = Matrix::zeros(my_range.len(), p + 1);
-        for (dst, src) in my_range.clone().enumerate() {
-            block.row_mut(dst)[..p].copy_from_slice(x.row(src));
-            block.row_mut(dst)[p] = y[src];
-        }
-        block
-    };
-    ctx.compute_membound((my_range.len() * (p + 1) * 8) as f64);
-
-    // Global column means via one allreduce of the local partial sums
-    // (the centring step that replaces the paper's intercept column).
-    let mut sums = resident.col_means();
-    for v in &mut sums {
-        *v *= resident.rows() as f64;
-    }
-    sums.push(resident.rows() as f64);
-    comms.admm_comm.allreduce_sum(ctx, &mut sums);
-    let count = sums.pop().unwrap_or(1.0).max(1.0);
-    let means: Vec<f64> = sums.iter().map(|s| s / count).collect();
-    let x_means = means[..p].to_vec();
-    let y_mean = means[p];
-    resident.center_cols(&means);
-    ctx.compute_membound((resident.len() * 8) as f64);
-
-    // Shared lambda grid from the distributed `||X^T y||_inf`.
-    let lambdas = {
-        let cols: Vec<usize> = (0..p).collect();
-        let xr = resident.gather_cols(&cols);
-        let yr = resident.col(p);
-        let mut xty = uoi_linalg::gemv_t(&xr, &yr);
-        ctx.compute_flops(2.0 * (xr.rows() * p) as f64, (xr.len() * 8) as f64);
-        comms.admm_comm.allreduce_sum(ctx, &mut xty);
-        let lmax = uoi_linalg::norm_inf(&xty).max(1e-12);
-        uoi_solvers::geometric_grid(lmax, cfg.lambda_min_ratio * lmax, cfg.q)
-    };
-
-    // --- Model selection ---
-    // Map: one pull of the rank's bootstrap shares, then one batched
-    // Gram pass ([`selection_map`]). A share is a multiset of pulled
-    // rows, so its local system is the multiplicity-weighted Gram — the
-    // serial fit's zero-copy contract, restricted to the rank's share.
-    // votes[j*p + f] = number of bootstraps whose lambda_j support
-    // contains f (group leaders contribute; one vote per (k, j)).
-    let sel_span = ctx.span_enter("uoi.selection");
-    let mut votes = vec![0.0; cfg.q * p];
-    let my_lambda_ids = layout.lambdas_for(comms.l_group, cfg.q);
-    let my_lambdas: Vec<f64> = my_lambda_ids.iter().map(|&j| lambdas[j]).collect();
-    let my_boots: Vec<usize> = layout
-        .bootstraps_for(comms.b_group, cfg.b1)
-        .into_iter()
-        .filter(|&k| !plan.is_some_and(|pl| pl.selection_failed(k)))
-        .collect();
-    let systems = selection_map(ctx, &comms.admm_comm, &resident, n, cfg.seed, &my_boots);
-    // Residual-curve capture is symmetric across ranks (it never touches
-    // a collective), and only group leaders emit the record.
-    let mut admm = cfg.admm.clone();
-    admm.capture_curve = ctx.telemetry().tracing_enabled();
-    for (&k, sys) in my_boots.iter().zip(&systems) {
-        let sols = if !guarded {
-            sys.try_solver(ctx, &comms.admm_comm, admm.clone())
-                .expect("local ADMM system must factor (is the design non-finite?)")
-                .solve_path_with_rhs(ctx, &comms.admm_comm, &sys.xty, &my_lambdas)
+    fn setup(
+        ctx: &mut RankCtx,
+        world: &Comm,
+        opts: &DistOptions,
+        input: LassoInput<'a>,
+    ) -> (Self, LayoutComms) {
+        let LassoInput { cfg, x, y, outcome } = input;
+        let (n, p) = x.shape();
+        let comms = opts.layout.split(ctx, world);
+        let comm = &comms.admm_comm;
+        let ledger = NumericalLedger::default();
+        let num_tel = if comms.is_group_leader() {
+            ctx.telemetry().clone()
         } else {
-            // Guarded construction. The solver's only collective (the
-            // penalty allreduce) runs before any rank can fail, so all
-            // ranks reach the agreement allreduce below regardless of
-            // who broke: [breakdowns, jitter attempts, jitter] summed
-            // across the ADMM communicator gives every rank the same
-            // verdict and the same (deterministic) health numbers.
-            let attempt = sys.try_solver(ctx, &comms.admm_comm, admm.clone());
-            let mut stats = match &attempt {
-                Ok(s) => {
-                    let fh = s.factor_health();
-                    vec![0.0, fh.attempts as f64, fh.jitter]
-                }
-                Err(_) => vec![1.0, 0.0, 0.0],
-            };
-            comms.admm_comm.allreduce_sum(ctx, &mut stats);
-            if stats[0] > 0.0 {
-                ledger.note_factor(
-                    &num_tel,
-                    "selection",
-                    k,
-                    &FactorHealth {
-                        attempts: u32::MAX,
-                        jitter: 0.0,
-                        condest: None,
-                    },
-                );
-                ledger.note_task_dropped(&num_tel, "selection", k, "factorization_exhausted");
-                continue;
-            }
-            if stats[1] > 0.0 {
-                ledger.note_factor(
-                    &num_tel,
-                    "selection",
-                    k,
-                    &FactorHealth {
-                        attempts: stats[1] as u32,
-                        jitter: stats[2],
-                        condest: None,
-                    },
-                );
-            }
-            let solver = attempt.expect("no rank reported a factor breakdown");
-            let mut sols = solver.solve_path_with_rhs(ctx, &comms.admm_comm, &sys.xty, &my_lambdas);
-            recover_diverged_dist(
-                ctx,
-                &comms.admm_comm,
-                sys,
-                &admm,
-                cfg,
-                &lambdas,
-                &my_lambda_ids,
-                &mut sols,
-                &ledger,
-                &num_tel,
-                k,
-            );
-            sols
+            Telemetry::disabled()
         };
-        if comms.is_group_leader() {
-            for (&j, sol) in my_lambda_ids.iter().zip(&sols) {
-                let support = support_of(&sol.beta, cfg.support_tol);
-                let (rank, t) = (ctx.world_rank(), ctx.clock());
-                ctx.telemetry().record_with(|| TraceEvent::Convergence {
-                    rank,
-                    stage: "selection",
-                    bootstrap: k,
-                    lambda_idx: j,
-                    lambda: lambdas[j],
-                    iterations: sol.iterations,
-                    max_iter: cfg.admm.max_iter,
-                    converged: sol.converged,
-                    primal_residual: sol.primal_residual,
-                    dual_residual: sol.dual_residual,
-                    support: support.clone(),
-                    curve: sol.curve.clone(),
-                    t,
-                });
-                for f in support {
-                    votes[j * p + f] += 1.0;
-                }
-            }
+        // Every rank validated the same full dataset under the same
+        // policy, so the findings agree everywhere without a collective.
+        if let Some(outcome) = &outcome {
+            ledger.note_validation(&num_tel, outcome);
         }
-    }
-    // Reduce: one world allreduce realises eq. 3 for every lambda at once
-    // (soft threshold: >= ceil(frac * B1) votes).
-    world.allreduce_sum(ctx, &mut votes);
-    let needed = crate::uoi_lasso::required_votes(cfg.intersection_frac, effective_b1) as f64;
-    let supports_per_lambda: Vec<Vec<usize>> = (0..cfg.q)
-        .map(|j| {
-            (0..p)
-                .filter(|&f| votes[j * p + f] >= needed - 0.5)
-                .collect()
-        })
-        .collect();
-    let support_family = dedup_family(supports_per_lambda.clone());
-    ctx.span_exit(sel_span);
 
-    // --- Model estimation ---
-    // Estimation bootstraps are spread over all (b, lambda) groups. The
-    // candidate family only references its column union, so the resident
-    // block is projected onto the union plus the response *before* the
-    // pull (rows travel u+1 wide, not p+1). One pull fetches the distinct
-    // train and eval rows of every resample the rank serves; one batched
-    // pass builds each resample's union Gram from its train
-    // multiplicities; eval rows are scored in place in the pulled block.
-    // Every support's distributed OLS then factors an |S|x|S| sub-Gram
-    // instead of re-gathering and re-factoring the shuffled design.
-    let est_span = ctx.span_enter("uoi.estimation");
-    let mut union: Vec<usize> = support_family.iter().flatten().copied().collect();
-    union.sort_unstable();
-    union.dedup();
-    let mut union_pos = vec![usize::MAX; p];
-    for (a, &f) in union.iter().enumerate() {
-        union_pos[f] = a;
-    }
-    let groups = layout.p_b * layout.p_lambda;
-    let my_group = comms.b_group * layout.p_lambda + comms.l_group;
-    let my_est: Vec<usize> = (0..cfg.b2)
-        .filter(|&k| k % groups == my_group)
-        .filter(|&k| !plan.is_some_and(|pl| pl.estimation_failed(k)))
-        .collect();
-    // This rank's share of each resample's train and eval row lists.
-    let splits: Vec<(Vec<usize>, Vec<usize>)> = my_est
-        .iter()
-        .map(|&k| {
-            let mut rng = substream(cfg.seed, 10_000 + k as u64);
-            let (train_idx, eval_idx) = bootstrap_with_oob(&mut rng, n);
-            (
-                my_share(&train_idx, c, admm_rank),
-                my_share(&eval_idx, c, admm_rank),
-            )
-        })
-        .collect();
-    let pull = {
-        let mut keep = union.clone();
-        keep.push(p);
-        let projected = resident.gather_cols(&keep);
-        ctx.compute_membound((projected.len() * 8) as f64);
-        StagePull::new(
-            ctx,
-            &comms.admm_comm,
-            projected,
+        // Resident Tier-1 block — each rank materialises only its stripe
+        // of the dataset, never the whole matrix.
+        let my_range = block_range(n, comm.size(), comm.rank());
+        let mut resident = {
+            let mut block = Matrix::zeros(my_range.len(), p + 1);
+            for (dst, src) in my_range.clone().enumerate() {
+                block.row_mut(dst)[..p].copy_from_slice(x.row(src));
+                block.row_mut(dst)[p] = y[src];
+            }
+            block
+        };
+        ctx.compute_membound((my_range.len() * (p + 1) * 8) as f64);
+
+        // Global column means via one allreduce of the local partial sums
+        // (the centring step that replaces the paper's intercept column).
+        let mut sums = resident.col_means();
+        for v in &mut sums {
+            *v *= resident.rows() as f64;
+        }
+        sums.push(resident.rows() as f64);
+        comm.allreduce_sum(ctx, &mut sums);
+        let count = sums.pop().unwrap_or(1.0).max(1.0);
+        let means: Vec<f64> = sums.iter().map(|s| s / count).collect();
+        resident.center_cols(&means);
+        ctx.compute_membound((resident.len() * 8) as f64);
+
+        // Shared lambda grid from the distributed `||X^T y||_inf`.
+        let lambdas = {
+            let cols: Vec<usize> = (0..p).collect();
+            let xr = resident.gather_cols(&cols);
+            let yr = resident.col(p);
+            let mut xty = uoi_linalg::gemv_t(&xr, &yr);
+            ctx.compute_flops(2.0 * (xr.rows() * p) as f64, (xr.len() * 8) as f64);
+            comm.allreduce_sum(ctx, &mut xty);
+            let lmax = uoi_linalg::norm_inf(&xty).max(1e-12);
+            uoi_solvers::geometric_grid(lmax, cfg.lambda_min_ratio * lmax, cfg.q)
+        };
+        let mut admm = cfg.admm.clone();
+        admm.capture_curve = ctx.telemetry().tracing_enabled();
+        let prob = Self {
+            cfg,
+            admm,
             n,
-            splits
-                .iter()
-                .flat_map(|(train, eval)| [train.as_slice(), eval.as_slice()]),
-        )
-    };
-    let sp_gram = ctx.span_enter("gram_build.union");
-    let est_systems = {
-        let weights: Vec<Vec<f64>> = splits
-            .iter()
-            .map(|(train, _)| pull.weights(train))
-            .collect();
-        pull.gram_rhs(ctx, &weights)
-    };
-    ctx.span_exit(sp_gram);
-    let u = union.len();
-    let mut est_sum = vec![0.0; p];
-    for ((&k, (train, eval)), (gram_u, xty_u)) in my_est.iter().zip(&splits).zip(est_systems) {
-        let eval_rows: Vec<usize> = eval.iter().map(|&r| pull.pos[r]).collect();
-        let mut best: Option<(f64, Vec<f64>)> = None;
-        // Worst-case OLS solver outcome across the candidate family —
-        // the estimation task's convergence record.
-        let (mut est_iters, mut est_conv) = (0usize, true);
-        for support in &support_family {
-            // Distributed OLS (ADMM at lambda = 0) on the |S|x|S|
-            // sub-Gram, as the paper's estimation step does.
-            let s = support.len();
-            let sub = Matrix::from_fn(s, s, |a, b| {
-                let (i, j) = (union_pos[support[a]], union_pos[support[b]]);
-                if i <= j {
-                    gram_u[(i, j)]
-                } else {
-                    gram_u[(j, i)]
-                }
-            });
-            let rhs: Vec<f64> = support.iter().map(|&f| xty_u[union_pos[f]]).collect();
-            let solver =
-                DistLassoAdmm::from_gram(ctx, &comms.admm_comm, sub, train.len(), cfg.admm.clone());
-            let sol = solver.solve_ols_with_rhs(ctx, &comms.admm_comm, &rhs);
-            est_iters = est_iters.max(sol.iterations);
-            est_conv &= sol.converged;
-            // Embed into full coordinates, plus union coordinates for the
-            // evaluation pass.
-            let mut beta = vec![0.0; p];
-            let mut beta_u = vec![0.0; u];
-            for (&f, &b) in support.iter().zip(&sol.beta) {
-                beta[f] = b;
-                beta_u[union_pos[f]] = b;
-            }
-            // Distributed evaluation loss: local SSE, allreduce 2 scalars.
-            let sp_score = ctx.span_enter("scoring.eval");
-            let mut sse = 0.0;
-            for &e in &eval_rows {
-                let d = uoi_linalg::dot(pull.x.row(e), &beta_u) - pull.y[e];
-                sse += d * d;
-            }
-            ctx.compute_flops(
-                2.0 * (eval_rows.len() * u) as f64,
-                (eval_rows.len() * u * 8) as f64,
-            );
-            let mut stats = vec![sse, eval_rows.len() as f64];
-            comms.admm_comm.allreduce_sum(ctx, &mut stats);
-            ctx.span_exit(sp_score);
-            let loss = stats[0] / stats[1].max(1.0);
-            if best.as_ref().is_none_or(|(l, _)| loss < *l) {
-                best = Some((loss, beta));
-            }
-        }
-        if comms.is_group_leader() {
-            let (rank, t) = (ctx.world_rank(), ctx.clock());
-            ctx.telemetry().record_with(|| TraceEvent::Convergence {
-                rank,
-                stage: "estimation",
-                bootstrap: k,
-                lambda_idx: 0,
-                lambda: 0.0,
-                iterations: est_iters,
-                max_iter: cfg.admm.max_iter,
-                converged: est_conv,
-                primal_residual: 0.0,
-                dual_residual: 0.0,
-                support: Vec::new(),
-                curve: Vec::new(),
-                t,
-            });
-            if let Some((_, beta)) = best {
-                for (s, b) in est_sum.iter_mut().zip(&beta) {
-                    *s += b;
-                }
+            resident,
+            centring: Centring {
+                x_means: means[..p].to_vec(),
+                y_mean: means[p],
+                lambdas,
+            },
+            ledger,
+            num_tel,
+        };
+        (prob, comms)
+    }
+
+    fn lambdas(&self) -> &[f64] {
+        &self.centring.lambdas
+    }
+
+    fn coef_len(&self) -> usize {
+        self.resident.cols() - 1
+    }
+
+    fn ledger(&self) -> &NumericalLedger {
+        &self.ledger
+    }
+
+    /// Map: one pull of the rank's bootstrap shares, then one batched
+    /// Gram pass ([`selection_map`]). A share is a multiset of pulled
+    /// rows, so its local system is the multiplicity-weighted Gram — the
+    /// serial fit's zero-copy contract, restricted to the rank's share.
+    /// Solve: consensus LASSO-ADMM across the ADMM communicator.
+    fn select(
+        &mut self,
+        ctx: &mut RankCtx,
+        comm: &Comm,
+        boots: &[usize],
+        lambda_ids: &[usize],
+        emit: &mut Emit<Vec<AdmmSolution>>,
+    ) {
+        let systems = selection_map(ctx, comm, &self.resident, self.n, self.cfg.seed, boots);
+        for (&k, sys) in boots.iter().zip(&systems) {
+            if let Some(path) = self.solve(ctx, comm, sys, k, lambda_ids) {
+                emit(ctx, k, path);
             }
         }
     }
-    // Reduce: average the winners across groups (eq. 4).
-    world.allreduce_sum(ctx, &mut est_sum);
-    ctx.span_exit(est_span);
-    let beta: Vec<f64> = est_sum.iter().map(|v| v / effective_b2 as f64).collect();
 
-    let intercept = y_mean - uoi_linalg::dot(&x_means, &beta);
-    let support = support_of(&beta, cfg.support_tol);
-    let degradation = plan.map(|pl| crate::degraded::DegradationReport {
-        b1_planned: cfg.b1,
-        b1_effective: effective_b1,
-        b2_planned: cfg.b2,
-        b2_effective: effective_b2,
-        failed_selection: (0..cfg.b1).filter(|&k| pl.selection_failed(k)).collect(),
-        failed_estimation: (0..cfg.b2).filter(|&k| pl.estimation_failed(k)).collect(),
-        quorum_votes: needed as usize,
-        min_quorum_frac: cfg.degradation.min_quorum_frac,
-    });
-    UoiFit {
-        beta,
-        intercept,
-        support,
-        lambdas,
-        supports_per_lambda,
-        support_family,
-        degradation,
-        recovery: None,
-        speculation: None,
-        numerical: cfg.numerical.active().then(|| ledger.drain_report()),
+    /// The candidate family only references its column union, so the
+    /// resident block is projected onto the union plus the response
+    /// *before* the pull (rows travel u+1 wide, not p+1). One pull
+    /// fetches the distinct train and eval rows of every resample the
+    /// rank serves; one batched pass builds each resample's union Gram
+    /// from its train multiplicities; eval rows are scored in place in
+    /// the pulled block. Every support's distributed OLS (ADMM at
+    /// lambda = 0) then factors an |S|x|S| sub-Gram, as the paper's
+    /// estimation step does, and is scored by a distributed held-out
+    /// loss.
+    fn estimate(
+        &mut self,
+        ctx: &mut RankCtx,
+        comm: &Comm,
+        family: &[Vec<usize>],
+        ks: &[usize],
+        emit: &mut Emit<Scored>,
+    ) {
+        let p = self.coef_len();
+        let (union, union_pos) = family_union(family, p);
+        // This rank's share of each resample's train and eval row lists.
+        let (c, r) = (comm.size(), comm.rank());
+        let splits: Vec<(Vec<usize>, Vec<usize>)> = ks
+            .iter()
+            .map(|&k| {
+                let mut rng = substream(self.cfg.seed, 10_000 + k as u64);
+                let (train_idx, eval_idx) = bootstrap_with_oob(&mut rng, self.n);
+                (my_share(&train_idx, c, r), my_share(&eval_idx, c, r))
+            })
+            .collect();
+        let pull = {
+            let mut keep = union.clone();
+            keep.push(p);
+            let projected = self.resident.gather_cols(&keep);
+            ctx.compute_membound((projected.len() * 8) as f64);
+            let shares = splits
+                .iter()
+                .flat_map(|(t, e)| [t.as_slice(), e.as_slice()]);
+            StagePull::new(ctx, comm, projected, self.n, shares)
+        };
+        let sp_gram = ctx.span_enter("gram_build.union");
+        let weights: Vec<Vec<f64>> = splits.iter().map(|(t, _)| pull.weights(t)).collect();
+        let systems = pull.gram_rhs(ctx, &weights);
+        ctx.span_exit(sp_gram);
+        let u = union.len();
+        for ((&k, (train, eval)), (gram_u, xty_u)) in ks.iter().zip(&splits).zip(systems) {
+            let eval_rows: Vec<usize> = eval.iter().map(|&r| pull.pos[r]).collect();
+            let mut best: Option<(f64, Vec<f64>)> = None;
+            // Worst-case OLS solver outcome across the candidate family.
+            let (mut iterations, mut converged) = (0usize, true);
+            for support in family {
+                let at: Vec<usize> = support.iter().map(|&f| union_pos[f]).collect();
+                let (sub, rhs) = sub_system(&gram_u, &xty_u, &at);
+                let admm = self.cfg.admm.clone();
+                let solver = DistLassoAdmm::from_gram(ctx, comm, sub, train.len(), admm);
+                let sol = solver.solve_ols_with_rhs(ctx, comm, &rhs);
+                iterations = iterations.max(sol.iterations);
+                converged &= sol.converged;
+                // Embed into full coordinates, plus union coordinates for
+                // the evaluation pass.
+                let mut beta = vec![0.0; p];
+                let mut beta_u = vec![0.0; u];
+                for (&f, &b) in support.iter().zip(&sol.beta) {
+                    beta[f] = b;
+                    beta_u[union_pos[f]] = b;
+                }
+                // Distributed evaluation loss: local SSE, allreduce 2
+                // scalars.
+                let sp_score = ctx.span_enter("scoring.eval");
+                let mut sse = 0.0;
+                for &e in &eval_rows {
+                    let d = uoi_linalg::dot(pull.x.row(e), &beta_u) - pull.y[e];
+                    sse += d * d;
+                }
+                let m = eval_rows.len();
+                ctx.compute_flops(2.0 * (m * u) as f64, (m * u * 8) as f64);
+                let mut stats = vec![sse, m as f64];
+                comm.allreduce_sum(ctx, &mut stats);
+                ctx.span_exit(sp_score);
+                let loss = stats[0] / stats[1].max(1.0);
+                if best.as_ref().is_none_or(|(l, _)| loss < *l) {
+                    best = Some((loss, beta));
+                }
+            }
+            let best = best.map(|(_, beta)| beta);
+            let solve = Some((iterations, converged));
+            emit(ctx, k, Scored { best, solve });
+        }
+    }
+
+    fn assemble(self, beta: Vec<f64>, parts: FitParts) -> (UoiFit, ()) {
+        (self.centring.fit(beta, self.cfg.support_tol, parts), ())
     }
 }
 
-/// Post-hoc divergence detection and bounded-rho recovery for a solved
-/// distributed selection path.
-///
-/// The residuals in `sols` are consensus (allreduced) quantities, so
-/// every rank detects the same divergences and walks the same restart
-/// rungs — control flow stays collectively aligned. Each rung rebuilds
-/// the consensus solver from the same local system at a Boyd-balanced
-/// escalated (or relaxed) penalty and cold-solves just the diverged
-/// lambda, mirroring the serial [`uoi_solvers::ResilientLasso`] recovery. A lambda that
-/// exhausts the budget degrades to the zero iterate — it then
-/// contributes no selection votes — and is recorded as a dropped
-/// divergence.
-#[allow(clippy::too_many_arguments)]
-fn recover_diverged_dist(
-    ctx: &mut RankCtx,
-    comm: &Comm,
-    sys: &LocalSystem,
-    admm: &uoi_solvers::AdmmConfig,
-    cfg: &UoiLassoConfig,
-    lambdas: &[f64],
-    my_lambda_ids: &[usize],
-    sols: &mut [uoi_solvers::AdmmSolution],
-    ledger: &NumericalLedger,
-    num_tel: &Telemetry,
-    k: usize,
-) {
-    let res = cfg.numerical.resilience;
-    let cap = res.divergence_cap;
-    let tripped = |s: &uoi_solvers::AdmmSolution| {
-        !s.converged
-            && (!s.primal_residual.is_finite()
-                || !s.dual_residual.is_finite()
-                || s.primal_residual.abs() > cap
-                || s.dual_residual.abs() > cap)
-    };
-    let diverged: Vec<usize> = (0..sols.len()).filter(|&i| tripped(&sols[i])).collect();
-    if diverged.is_empty() {
-        return;
-    }
-    let mut health = uoi_solvers::PathHealth::default();
-    for &i in &diverged {
-        let j = my_lambda_ids[i];
-        // Boyd residual balancing: same direction rule as the serial
-        // resilient solver (non-finite defaults to increase).
-        let (r, s) = (sols[i].primal_residual, sols[i].dual_residual);
-        let increase = !s.is_finite() || !r.is_finite() || r >= s;
-        let mut recovered = false;
-        for rung in 1..=res.max_rho_restarts {
-            health.rho_restarts += 1;
-            let scale = 10f64.powi(rung as i32);
-            let mut admm_r = admm.clone();
-            admm_r.rho = if increase {
-                admm.rho * scale
-            } else {
-                admm.rho / scale
+impl LassoDist<'_> {
+    /// Bootstrap `k`'s consensus path over the λ indices `lambda_ids`;
+    /// `None` when every rank agreed the factorisation broke down.
+    fn solve(
+        &self,
+        ctx: &mut RankCtx,
+        comm: &Comm,
+        sys: &LocalSystem,
+        k: usize,
+        lambda_ids: &[usize],
+    ) -> Option<Vec<AdmmSolution>> {
+        let lambdas: Vec<f64> = lambda_ids
+            .iter()
+            .map(|&j| self.centring.lambdas[j])
+            .collect();
+        if !self.cfg.numerical.enabled {
+            let solver = sys
+                .try_solver(ctx, comm, self.admm.clone())
+                .expect("local ADMM system must factor (is the design non-finite?)");
+            return Some(solver.solve_path_with_rhs(ctx, comm, &sys.xty, &lambdas));
+        }
+        // Guarded construction. The solver's only collective (the
+        // penalty allreduce) runs before any rank can fail, so all ranks
+        // reach the agreement allreduce below regardless of who broke:
+        // [breakdowns, jitter attempts, jitter] summed across the ADMM
+        // communicator gives every rank the same verdict and the same
+        // (deterministic) health numbers.
+        let attempt = sys.try_solver(ctx, comm, self.admm.clone());
+        let mut stats = match &attempt {
+            Ok(s) => {
+                let fh = s.factor_health();
+                vec![0.0, fh.attempts as f64, fh.jitter]
+            }
+            Err(_) => vec![1.0, 0.0, 0.0],
+        };
+        comm.allreduce_sum(ctx, &mut stats);
+        let exhausted = stats[0] > 0.0;
+        if exhausted || stats[1] > 0.0 {
+            let health = FactorHealth {
+                attempts: if exhausted { u32::MAX } else { stats[1] as u32 },
+                jitter: if exhausted { 0.0 } else { stats[2] },
+                condest: None,
             };
-            // Same agreement protocol as construction: the restarted
-            // factorisation may itself break on some rank.
-            let attempt = sys.try_solver(ctx, comm, admm_r);
-            let mut broke = vec![if attempt.is_err() { 1.0 } else { 0.0 }];
-            comm.allreduce_sum(ctx, &mut broke);
-            if broke[0] > 0.0 {
-                continue;
-            }
-            let solver = attempt.expect("no rank reported a factor breakdown");
-            let redo = solver.solve_path_with_rhs(ctx, comm, &sys.xty, &[lambdas[j]]);
-            let sol = redo.into_iter().next().expect("one lambda was solved");
-            if !tripped(&sol) {
-                sols[i] = sol;
-                recovered = true;
-                break;
-            }
+            self.ledger
+                .note_factor(&self.num_tel, "selection", k, &health);
         }
-        if recovered {
-            health.recovered.push(j);
-        } else {
-            sols[i].beta = vec![0.0; sols[i].beta.len()];
-            sols[i].converged = false;
-            health.diverged.push(j);
+        if exhausted {
+            self.ledger
+                .note_task_dropped(&self.num_tel, "selection", k, "factorization_exhausted");
+            return None;
         }
+        let solver = attempt.expect("no rank reported a factor breakdown");
+        let mut sols = solver.solve_path_with_rhs(ctx, comm, &sys.xty, &lambdas);
+        self.recover_diverged(ctx, comm, sys, lambda_ids, &mut sols, k);
+        Some(sols)
     }
-    ledger.note_path(num_tel, "selection", k, &health);
+
+    /// Post-hoc divergence detection and bounded-rho recovery for a
+    /// solved distributed selection path.
+    ///
+    /// The residuals in `sols` are consensus (allreduced) quantities, so
+    /// every rank detects the same divergences and walks the same restart
+    /// rungs — control flow stays collectively aligned. Each rung
+    /// rebuilds the consensus solver from the same local system at the
+    /// next penalty of [`rho_restarts`] and cold-solves just the diverged
+    /// lambda, mirroring the serial [`uoi_solvers::ResilientLasso`]
+    /// recovery. A lambda that exhausts the budget degrades to the zero
+    /// iterate — it then contributes no selection votes — and is recorded
+    /// as a dropped divergence.
+    fn recover_diverged(
+        &self,
+        ctx: &mut RankCtx,
+        comm: &Comm,
+        sys: &LocalSystem,
+        lambda_ids: &[usize],
+        sols: &mut [AdmmSolution],
+        k: usize,
+    ) {
+        let res = self.cfg.numerical.resilience;
+        let trips = |s: &AdmmSolution| {
+            !s.converged && tripped(s.primal_residual, s.dual_residual, res.divergence_cap)
+        };
+        let diverged: Vec<usize> = (0..sols.len()).filter(|&i| trips(&sols[i])).collect();
+        if diverged.is_empty() {
+            return;
+        }
+        let mut health = PathHealth::default();
+        for &i in &diverged {
+            let j = lambda_ids[i];
+            let mut recovered = false;
+            for rho in rho_restarts(self.admm.rho, &sols[i], res.max_rho_restarts) {
+                health.rho_restarts += 1;
+                // Same agreement protocol as construction: the restarted
+                // factorisation may itself break on some rank.
+                let attempt = sys.try_solver(
+                    ctx,
+                    comm,
+                    AdmmConfig {
+                        rho,
+                        ..self.admm.clone()
+                    },
+                );
+                let mut broke = vec![if attempt.is_err() { 1.0 } else { 0.0 }];
+                comm.allreduce_sum(ctx, &mut broke);
+                if broke[0] > 0.0 {
+                    continue;
+                }
+                let solver = attempt.expect("no rank reported a factor breakdown");
+                let redo =
+                    solver.solve_path_with_rhs(ctx, comm, &sys.xty, &[self.centring.lambdas[j]]);
+                let sol = redo.into_iter().next().expect("one lambda was solved");
+                if !trips(&sol) {
+                    sols[i] = sol;
+                    recovered = true;
+                    break;
+                }
+            }
+            if recovered {
+                health.recovered.push(j);
+            } else {
+                sols[i].beta = vec![0.0; sols[i].beta.len()];
+                sols[i].converged = false;
+                health.diverged.push(j);
+            }
+        }
+        self.ledger
+            .note_path(&self.num_tel, "selection", k, &health);
+    }
 }
 
 /// One stage's Tier-2 pull: the sorted distinct global rows of every
@@ -694,16 +579,28 @@ fn my_share(idx: &[usize], c: usize, rank: usize) -> Vec<usize> {
     block_range(idx.len(), c, rank).map(|i| idx[i]).collect()
 }
 
-pub use crate::parallelism::ParallelLayout as Layout;
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fitter::UoiFitter;
+    use crate::fitter::{ExecMode, UoiFitter};
     use crate::metrics::SelectionCounts;
+    use crate::parallelism::ParallelLayout;
     use uoi_data::LinearConfig;
     use uoi_mpisim::{Cluster, MachineModel, Phase};
     use uoi_solvers::AdmmConfig;
+    use uoi_telemetry::TraceEvent;
+
+    fn fit_uoi_lasso_dist(
+        ctx: &mut RankCtx,
+        world: &Comm,
+        x: &Matrix,
+        y: &[f64],
+        layout: ParallelLayout,
+    ) -> UoiFit {
+        UoiFitter::new(cfg())
+            .mode(ExecMode::Dist(DistOptions::default().layout(layout)))
+            .fit_on(ctx, world, x, y)
+    }
 
     fn cfg() -> UoiLassoConfig {
         UoiLassoConfig {
@@ -737,7 +634,7 @@ mod tests {
         let serial = UoiFitter::new(cfg()).fit(&ds.x, &ds.y).unwrap();
         let (x, y) = (ds.x.clone(), ds.y.clone());
         let report = Cluster::new(4, MachineModel::deterministic()).run(move |ctx, world| {
-            fit_uoi_lasso_dist(ctx, world, &x, &y, &cfg(), ParallelLayout::admm_only())
+            fit_uoi_lasso_dist(ctx, world, &x, &y, ParallelLayout::admm_only())
         });
         let dist = &report.results[0];
         // Selection is driven by the same bootstrap streams; supports per
@@ -770,7 +667,7 @@ mod tests {
         .generate();
         let (x, y) = (ds.x.clone(), ds.y);
         let report = Cluster::new(4, MachineModel::deterministic()).run(move |ctx, world| {
-            let fit = fit_uoi_lasso_dist(ctx, world, &x, &y, &cfg(), ParallelLayout::admm_only());
+            let fit = fit_uoi_lasso_dist(ctx, world, &x, &y, ParallelLayout::admm_only());
             (fit.beta, fit.support)
         });
         for r in 1..4 {
@@ -791,7 +688,7 @@ mod tests {
         let run = |layout: ParallelLayout| {
             let (x, y) = (ds.x.clone(), ds.y.clone());
             Cluster::new(8, MachineModel::deterministic())
-                .run(move |ctx, world| fit_uoi_lasso_dist(ctx, world, &x, &y, &cfg(), layout))
+                .run(move |ctx, world| fit_uoi_lasso_dist(ctx, world, &x, &y, layout))
                 .results
                 .remove(0)
         };
@@ -936,7 +833,7 @@ mod tests {
         let serial = UoiFitter::new(cfg()).fit(&ds.x, &ds.y).unwrap();
         let (x, y) = (ds.x.clone(), ds.y);
         let report = Cluster::new(4, MachineModel::deterministic()).run(move |ctx, world| {
-            let fit = fit_uoi_lasso_dist(ctx, world, &x, &y, &cfg(), ParallelLayout::admm_only());
+            let fit = fit_uoi_lasso_dist(ctx, world, &x, &y, ParallelLayout::admm_only());
             (fit.beta, fit.supports_per_lambda)
         });
         for r in 1..4 {
@@ -963,7 +860,7 @@ mod tests {
         Cluster::new(2, MachineModel::deterministic())
             .with_telemetry(Telemetry::with_sink(sink.clone()))
             .run(move |ctx, world| {
-                fit_uoi_lasso_dist(ctx, world, &x, &y, &cfg(), ParallelLayout::admm_only())
+                fit_uoi_lasso_dist(ctx, world, &x, &y, ParallelLayout::admm_only())
             });
         let mut spans: HashMap<u64, (String, Option<u64>, usize)> = HashMap::new();
         for e in sink.snapshot() {
@@ -1018,7 +915,7 @@ mod tests {
         .generate();
         let (x, y) = (ds.x.clone(), ds.y);
         let report = Cluster::new(4, MachineModel::deterministic()).run(move |ctx, world| {
-            let _ = fit_uoi_lasso_dist(ctx, world, &x, &y, &cfg(), ParallelLayout::admm_only());
+            let _ = fit_uoi_lasso_dist(ctx, world, &x, &y, ParallelLayout::admm_only());
             ctx.ledger()
         });
         let l = report.phase_max();

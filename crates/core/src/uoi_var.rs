@@ -22,8 +22,10 @@ use crate::granger::GrangerNetwork;
 use crate::support::{dedup_family, intersect_many};
 use crate::uoi_lasso::UoiLassoConfig;
 use crate::var_matrices::{partition_coefficients, VarRegression};
+use std::borrow::Cow;
 use uoi_data::bootstrap::{block_bootstrap, default_block_len, resample_weights};
 use uoi_data::rng::substream;
+use uoi_data::ValidationOutcome;
 use uoi_linalg::{gemv_t_weighted_multi, Matrix};
 use uoi_solvers::geometric_grid;
 #[cfg(test)]
@@ -297,71 +299,119 @@ pub fn select_var_order(series: &Matrix, max_order: usize) -> usize {
     best.1
 }
 
-/// Input validation shared by every execution mode.
-pub(crate) fn validate_var_inputs(series: &Matrix, cfg: &UoiVarConfig) -> Result<(), UoiError> {
-    let (n_raw, p) = series.shape();
-    if n_raw == 0 || p == 0 {
-        return Err(UoiError::EmptyDesign);
+/// A series after the configured validation pass, checked on its output
+/// — the VAR twin of [`LassoInput`](crate::uoi_lasso::LassoInput): `Err`
+/// on an empty series, a series too short for the requested order,
+/// non-finite values, or an invalid configuration — and what every
+/// executor derives from it first: the column means, the centred lag
+/// regression `Y = X B` (eqs. 7–8), the vectorised λ grid and the
+/// moving-block length.
+pub(crate) struct VarInput<'a> {
+    pub cfg: &'a UoiVarConfig,
+    pub series: Cow<'a, Matrix>,
+    /// The validation pass's findings, for the fit's ledger.
+    pub outcome: Option<ValidationOutcome>,
+    pub means: Vec<f64>,
+    pub reg: VarRegression,
+    pub lambdas: Vec<f64>,
+    pub block_len: usize,
+}
+
+impl<'a> VarInput<'a> {
+    pub(crate) fn new(series: &'a Matrix, cfg: &'a UoiVarConfig) -> Result<Self, UoiError> {
+        // The pass insists on a response; a zero vector is finite and
+        // contributes no issues, so it is a pure placeholder.
+        let zeros = vec![0.0; series.rows()];
+        let (series, _, outcome) = cfg.base.numerical.scrub(series, &zeros)?;
+        let (n_raw, p) = series.shape();
+        if n_raw == 0 || p == 0 {
+            return Err(UoiError::EmptyDesign);
+        }
+        cfg.validate()?;
+        if n_raw <= cfg.order + 4 {
+            return Err(UoiError::SeriesTooShort {
+                n: n_raw,
+                min: cfg.order + 4,
+            });
+        }
+        if !all_finite(series.as_slice()) {
+            return Err(UoiError::NonFiniteInput("series"));
+        }
+        let means = series.col_means();
+        let mut centred = series.as_ref().clone();
+        centred.center_cols(&means);
+        let reg = VarRegression::build(&centred, cfg.order);
+        let block_len = cfg
+            .block_len
+            .unwrap_or_else(|| default_block_len(reg.samples()));
+        // The vectorised lambda_max is max_i ||X^T Y_i||_inf.
+        let mut lmax = 0.0_f64;
+        for i in 0..p {
+            lmax = lmax.max(uoi_solvers::lambda_max(&reg.x, &reg.y.col(i)));
+        }
+        let lmax = lmax.max(1e-12);
+        let base = &cfg.base;
+        let lambdas = geometric_grid(lmax, base.lambda_min_ratio * lmax, base.q);
+        Ok(Self {
+            cfg,
+            series,
+            outcome,
+            means,
+            reg,
+            lambdas,
+            block_len,
+        })
     }
-    cfg.validate()?;
-    let d = cfg.order;
-    if n_raw <= d + 4 {
-        return Err(UoiError::SeriesTooShort {
-            n: n_raw,
-            min: d + 4,
-        });
+
+    /// The fit from averaged vectorised coefficients: the lag matrices
+    /// and the process-mean term `μ = (I - Σ A_j) x̄`.
+    pub(crate) fn fit(&self, vec_beta: Vec<f64>, parts: FitParts) -> UoiVarFit {
+        let a_mats = partition_coefficients(&vec_beta, self.means.len(), self.reg.order);
+        let mut mu = self.means.clone();
+        for a in &a_mats {
+            let shift = uoi_linalg::gemv(a, &self.means);
+            for (m, s) in mu.iter_mut().zip(&shift) {
+                *m -= s;
+            }
+        }
+        UoiVarFit {
+            a_mats,
+            mu,
+            vec_beta,
+            lambdas: self.lambdas.clone(),
+            supports_per_lambda: parts.supports_per_lambda,
+            support_family: parts.support_family,
+            degradation: parts.degradation,
+            recovery: parts.recovery,
+            speculation: parts.speculation,
+            numerical: parts.numerical,
+        }
     }
-    if !all_finite(series.as_slice()) {
-        return Err(UoiError::NonFiniteInput("series"));
-    }
-    Ok(())
 }
 
 /// `UoI_VAR` as a [`UoiProblem`]: the centred lag regression `Y = X B`
 /// (eqs. 7–8), its `p` response columns, the moving-block bootstrap
 /// geometry, and the vectorised λ grid.
 pub(crate) struct VarProblem<'a> {
-    cfg: &'a UoiVarConfig,
-    means: Vec<f64>,
-    reg: VarRegression,
+    input: VarInput<'a>,
     ys: Vec<Vec<f64>>,
-    block_len: usize,
-    lambdas: Vec<f64>,
     store: Option<CheckpointStore>,
 }
 
 impl<'a> VarProblem<'a> {
-    /// Check and centre an `N x p` series (row `t` = observation at time
-    /// `t`) and build its lag regression; `mu` later restores the process
-    /// mean.
-    ///
-    /// An adversarial-input scrub runs first, so the whole fit sees the
-    /// sanitised series. Returns `Err` — and never panics — on an empty
-    /// series, a series too short for the requested order, non-finite
-    /// values, an invalid configuration, or an unopenable checkpoint
+    /// Check ([`VarInput`]) and centre an `N x p` series (row `t` =
+    /// observation at time `t`) and build its lag regression; `mu` later
+    /// restores the process mean. Also `Err` on an unopenable checkpoint
     /// directory.
-    pub(crate) fn new(series: &Matrix, cfg: &'a UoiVarConfig) -> Result<Self, UoiError> {
+    pub(crate) fn new(series: &'a Matrix, cfg: &'a UoiVarConfig) -> Result<Self, UoiError> {
         let base = &cfg.base;
-        let scrubbed = base.numerical.prevalidate_series(series, &base.telemetry)?;
-        let series: &Matrix = scrubbed.as_ref().unwrap_or(series);
-        validate_var_inputs(series, cfg)?;
-        let (_, p) = series.shape();
-        let means = series.col_means();
-        let mut centred = series.clone();
-        centred.center_cols(&means);
-        let reg = VarRegression::build(&centred, cfg.order);
-        let ys: Vec<Vec<f64>> = (0..p).map(|i| reg.y.col(i)).collect();
-        let block_len = cfg
-            .block_len
-            .unwrap_or_else(|| default_block_len(reg.samples()));
-
-        // Lambda grid: the vectorised lambda_max is max_i ||X^T Y_i||_inf.
-        let mut lmax = 0.0_f64;
-        for yi in &ys {
-            lmax = lmax.max(uoi_solvers::lambda_max(&reg.x, yi));
+        let input = VarInput::new(series, cfg)?;
+        if let Some(outcome) = &input.outcome {
+            base.numerical
+                .ledger()
+                .note_validation(&base.telemetry, outcome);
         }
-        let lmax = lmax.max(1e-12);
-        let lambdas = geometric_grid(lmax, base.lambda_min_ratio * lmax, base.q);
+        let ys: Vec<Vec<f64>> = (0..input.reg.dim()).map(|i| input.reg.y.col(i)).collect();
 
         // The "var_" stage prefixes keep the two algorithms' checkpoints
         // apart in a shared directory.
@@ -377,25 +427,17 @@ impl<'a> VarProblem<'a> {
                 base.admm.reltol.to_bits(),
                 crate::uoi_lasso::path_variant_word(),
                 cfg.order as u64,
-                block_len as u64,
-                series.rows() as u64,
-                series.cols() as u64,
+                input.block_len as u64,
+                input.series.rows() as u64,
+                input.series.cols() as u64,
             ];
-            fingerprint(words.into_iter().chain(data_words(series.as_slice())))
+            fingerprint(words.into_iter().chain(data_words(input.series.as_slice())))
         })?;
-        Ok(Self {
-            cfg,
-            means,
-            reg,
-            ys,
-            block_len,
-            lambdas,
-            store,
-        })
+        Ok(Self { input, ys, store })
     }
 
     fn n(&self) -> usize {
-        self.reg.samples()
+        self.input.reg.samples()
     }
 }
 
@@ -424,11 +466,11 @@ impl UoiProblem for VarProblem<'_> {
     };
 
     fn cfg(&self) -> &UoiLassoConfig {
-        &self.cfg.base
+        &self.input.cfg.base
     }
 
     fn design(&self) -> &Matrix {
-        &self.reg.x
+        &self.input.reg.x
     }
 
     fn responses(&self) -> &[Vec<f64>] {
@@ -436,7 +478,7 @@ impl UoiProblem for VarProblem<'_> {
     }
 
     fn lambdas(&self) -> &[f64] {
-        &self.lambdas
+        &self.input.lambdas
     }
 
     fn store(&self) -> Option<&CheckpointStore> {
@@ -447,15 +489,15 @@ impl UoiProblem for VarProblem<'_> {
     /// 3): temporal dependence survives inside each block.
     fn selection_weights(&self, k: usize) -> Vec<f64> {
         let n = self.n();
-        let mut rng = substream(self.cfg.base.seed, k as u64);
-        let rows = block_bootstrap(&mut rng, n, n, self.block_len);
+        let mut rng = substream(self.input.cfg.base.seed, k as u64);
+        let rows = block_bootstrap(&mut rng, n, n, self.input.block_len);
         resample_weights(&rows, n)
     }
 
     fn estimation_resample(&self, k: usize) -> Resample {
         let n = self.n();
-        let mut rng = substream(self.cfg.base.seed, 20_000 + k as u64);
-        let (train, eval) = block_bootstrap_with_oob(&mut rng, n, self.block_len);
+        let mut rng = substream(self.input.cfg.base.seed, 20_000 + k as u64);
+        let (train, eval) = block_bootstrap_with_oob(&mut rng, n, self.input.block_len);
         Resample {
             w: resample_weights(&train, n),
             eval,
@@ -479,37 +521,16 @@ impl UoiProblem for VarProblem<'_> {
     }
 
     fn selection_flops(&self) -> f64 {
-        let (n, dp) = self.reg.x.shape();
-        crate::speculation::var_selection_flops(n, dp, self.ys.len(), self.cfg.base.q)
+        let (n, dp) = self.input.reg.x.shape();
+        crate::speculation::var_selection_flops(n, dp, self.ys.len(), self.input.cfg.base.q)
     }
 
     fn estimation_flops(&self, u: usize, family: usize) -> f64 {
         crate::speculation::var_estimation_flops(self.n(), u, self.ys.len(), family)
     }
 
-    /// Derive the lag matrices and the process-mean term
-    /// `μ = (I - Σ A_j) x̄`.
     fn assemble(&self, vec_beta: Vec<f64>, parts: FitParts) -> UoiVarFit {
-        let a_mats = partition_coefficients(&vec_beta, self.ys.len(), self.cfg.order);
-        let mut mu = self.means.clone();
-        for a in &a_mats {
-            let shift = uoi_linalg::gemv(a, &self.means);
-            for (m, s) in mu.iter_mut().zip(&shift) {
-                *m -= s;
-            }
-        }
-        UoiVarFit {
-            a_mats,
-            mu,
-            vec_beta,
-            lambdas: self.lambdas.clone(),
-            supports_per_lambda: parts.supports_per_lambda,
-            support_family: parts.support_family,
-            degradation: parts.degradation,
-            recovery: parts.recovery,
-            speculation: parts.speculation,
-            numerical: parts.numerical,
-        }
+        self.input.fit(vec_beta, parts)
     }
 
     fn final_gauge(&self, fit: &UoiVarFit) -> f64 {

@@ -362,3 +362,174 @@ fn shared_checkpoint_dir_keeps_lasso_and_var_apart() {
 
     std::fs::remove_dir_all(&dir).ok();
 }
+
+fn var_series() -> uoi_linalg::Matrix {
+    uoi_data::VarProcess::generate(&uoi_data::VarConfig {
+        p: 4,
+        order: 1,
+        density: 0.25,
+        target_radius: 0.6,
+        noise_std: 1.0,
+        seed: 5,
+    })
+    .simulate(150, 40, 7)
+}
+
+fn var_cfg(degradation: DegradationConfig) -> uoi_core::UoiVarConfig {
+    uoi_core::UoiVarConfig::builder()
+        .b1(B1)
+        .b2(B2)
+        .q(6)
+        .lambda_min_ratio(5e-2)
+        .admm(AdmmConfig {
+            max_iter: 800,
+            abstol: 1e-7,
+            reltol: 1e-6,
+            ..Default::default()
+        })
+        .seed(21)
+        .block_len(Some(12))
+        .degradation(degradation)
+        .build()
+        .unwrap()
+}
+
+/// The bootstraps each stage ran, read off the convergence records.
+fn traced_bootstraps(
+    events: &[uoi_telemetry::TraceEvent],
+) -> (
+    std::collections::BTreeSet<usize>,
+    std::collections::BTreeSet<usize>,
+) {
+    let (mut sel, mut est) = (Default::default(), std::collections::BTreeSet::new());
+    for e in events {
+        if let uoi_telemetry::TraceEvent::Convergence {
+            stage, bootstrap, ..
+        } = e
+        {
+            match *stage {
+                "selection" => &mut sel,
+                _ => &mut est,
+            }
+            .insert(*bootstrap);
+        }
+    }
+    (sel, est)
+}
+
+/// A fault plan that keeps quorum degrades the distributed pipelines the
+/// way it degrades the serial one: every rank returns the identical fit,
+/// its degradation report equals the serial fit's, and a killed
+/// bootstrap leaves no convergence record behind while every survivor
+/// leaves one per stage.
+#[test]
+fn dist_fits_under_a_fault_plan_match_serial_accounting() {
+    use std::sync::Arc;
+    use uoi_core::{DistOptions, ExecMode, ParallelLayout};
+    use uoi_mpisim::{Cluster, MachineModel};
+    use uoi_telemetry::{MemorySink, Telemetry};
+    let plan = BootstrapFaultPlan::new(0)
+        .fail_selection(1)
+        .fail_selection(6)
+        .fail_estimation(2);
+    let degradation = DegradationConfig {
+        plan: Some(plan.clone()),
+        min_quorum_frac: 0.5,
+    };
+    let survivors = |total: usize, failed: &dyn Fn(usize) -> bool| -> Vec<usize> {
+        (0..total).filter(|&k| !failed(k)).collect()
+    };
+    let want_sel = survivors(B1, &|k| plan.selection_failed(k));
+    let want_est = survivors(B2, &|k| plan.estimation_failed(k));
+    let check_trace = |sink: &MemorySink, what: &str| {
+        let (sel, est) = traced_bootstraps(&sink.snapshot());
+        assert_eq!(sel.into_iter().collect::<Vec<_>>(), want_sel, "{what}");
+        assert_eq!(est.into_iter().collect::<Vec<_>>(), want_est, "{what}");
+    };
+    let nested = ParallelLayout {
+        p_b: 2,
+        p_lambda: 2,
+    };
+
+    let ds = dataset();
+    let cfg = lasso_cfg()
+        .degradation(degradation.clone())
+        .build()
+        .unwrap();
+    let serial = UoiFitter::new(cfg.clone()).fit(&ds.x, &ds.y).unwrap();
+    assert!(serial.degradation.as_ref().unwrap().is_degraded());
+    for layout in [ParallelLayout::admm_only(), nested] {
+        let sink = Arc::new(MemorySink::new());
+        let fitter = UoiFitter::new(cfg.clone()).mode(ExecMode::Dist(
+            DistOptions::default().ranks(4).layout(layout),
+        ));
+        let fits = Cluster::new(4, MachineModel::deterministic())
+            .with_telemetry(Telemetry::with_sink(sink.clone()))
+            .run(|ctx, world| fitter.fit_on(ctx, world, &ds.x, &ds.y))
+            .results;
+        for fit in &fits {
+            assert_eq!(fit.degradation, serial.degradation, "{layout:?}");
+            assert_eq!(fit.intercept.to_bits(), fits[0].intercept.to_bits());
+            assert_eq!(fit.beta, fits[0].beta, "{layout:?}: ranks disagree");
+            assert_eq!(fit.supports_per_lambda, fits[0].supports_per_lambda);
+        }
+        check_trace(&sink, &format!("LASSO {layout:?}"));
+    }
+
+    let series = var_series();
+    let vcfg = var_cfg(degradation);
+    let serial = UoiVarFitter::new(vcfg.clone()).fit(&series).unwrap();
+    assert!(serial.degradation.as_ref().unwrap().is_degraded());
+    let sink = Arc::new(MemorySink::new());
+    let fitter =
+        UoiVarFitter::new(vcfg).mode(ExecMode::Dist(DistOptions::default().ranks(4).n_readers(2)));
+    let fits = Cluster::new(4, MachineModel::deterministic())
+        .with_telemetry(Telemetry::with_sink(sink.clone()))
+        .run(|ctx, world| fitter.fit_on(ctx, world, &series).0)
+        .results;
+    for fit in &fits {
+        assert_eq!(fit.degradation, serial.degradation, "VAR");
+        assert_eq!(fit.vec_beta, fits[0].vec_beta, "VAR: ranks disagree");
+        assert_eq!(fit.mu, fits[0].mu);
+        assert_eq!(fit.supports_per_lambda, fits[0].supports_per_lambda);
+    }
+    check_trace(&sink, "VAR");
+}
+
+/// A distributed fit that loses quorum returns the serial fit's typed
+/// error instead of panicking inside the cluster.
+#[test]
+fn dist_quorum_loss_is_the_serial_typed_error() {
+    use uoi_core::{DistOptions, ExecMode};
+    let mut plan = BootstrapFaultPlan::new(0);
+    for k in 0..B1 - 1 {
+        plan = plan.fail_selection(k);
+    }
+    let degradation = DegradationConfig {
+        plan: Some(plan),
+        min_quorum_frac: 0.5,
+    };
+    let dist = || ExecMode::Dist(DistOptions::default().ranks(2).n_readers(2));
+    let want = UoiError::QuorumLost {
+        stage: "selection",
+        surviving: 1,
+        required: 4,
+    };
+
+    let ds = dataset();
+    let cfg = lasso_cfg()
+        .degradation(degradation.clone())
+        .build()
+        .unwrap();
+    let serial = UoiFitter::new(cfg.clone()).fit(&ds.x, &ds.y).unwrap_err();
+    assert_eq!(serial, want);
+    let got = UoiFitter::new(cfg).mode(dist()).fit(&ds.x, &ds.y);
+    assert_eq!(got.unwrap_err(), want, "LASSO");
+
+    let series = var_series();
+    let vcfg = var_cfg(degradation);
+    let serial = UoiVarFitter::new(vcfg.clone()).fit(&series).unwrap_err();
+    assert_eq!(serial, want);
+    let got = UoiVarFitter::new(vcfg).mode(dist()).fit(&series);
+    assert_eq!(got.unwrap_err(), want, "VAR");
+}

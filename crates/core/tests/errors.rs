@@ -220,3 +220,105 @@ fn var_builder_validates_order_and_base() {
     assert_eq!(cfg.block_len, Some(10));
     assert_eq!((cfg.base.b1, cfg.base.seed), (5, 3));
 }
+
+/// The input-validation policies a distributed fit must treat exactly as
+/// the serial fit does: no pass, `Reject`, and the guarded `Sanitize`.
+fn policies() -> Vec<uoi_core::NumericalConfig> {
+    use uoi_core::NumericalConfig;
+    vec![
+        NumericalConfig::default(),
+        NumericalConfig::default().validation(Some(uoi_data::ValidationPolicy::Reject)),
+        NumericalConfig::guarded(),
+    ]
+}
+
+fn dist_mode() -> uoi_core::ExecMode {
+    uoi_core::ExecMode::Dist(uoi_core::DistOptions::default().ranks(2).n_readers(2))
+}
+
+/// Mismatched `x`/`y` lengths are the typed error under every
+/// validation policy and in every mode, never a panic in the validation
+/// pass.
+#[test]
+fn mismatched_lengths_are_an_error_under_every_policy() {
+    let (x, mut y) = small_ds();
+    y.pop();
+    for numerical in policies() {
+        for mode in [uoi_core::ExecMode::Serial, dist_mode()] {
+            let cfg = UoiLassoConfig {
+                numerical: numerical.clone(),
+                ..quick_cfg()
+            };
+            assert_eq!(
+                UoiFitter::new(cfg).mode(mode).fit(&x, &y).unwrap_err(),
+                UoiError::DimensionMismatch {
+                    expected: 40,
+                    got: 39
+                }
+            );
+        }
+    }
+}
+
+/// A distributed `UoI_LASSO` fit validates its inputs after the scrub:
+/// a NaN cell fails under no policy and `Reject` with the serial fit's
+/// error, and `Sanitize` scrubs it and fits.
+#[test]
+fn dist_lasso_fit_validates_after_the_scrub() {
+    let (mut x, y) = small_ds();
+    x[(2, 3)] = f64::NAN;
+    for numerical in policies() {
+        let cfg = UoiLassoConfig {
+            numerical,
+            ..quick_cfg()
+        };
+        let serial = UoiFitter::new(cfg.clone()).fit(&x, &y);
+        let dist = UoiFitter::new(cfg.clone()).mode(dist_mode()).fit(&x, &y);
+        match (&serial, &dist) {
+            (Ok(s), Ok(d)) => assert_eq!(d.beta.len(), s.beta.len()),
+            (Err(s), Err(d)) => assert_eq!(d, s),
+            _ => panic!(
+                "{:?}: serial {:?} vs dist {:?}",
+                cfg.numerical,
+                serial.map(|f| f.support),
+                dist.map(|f| f.support)
+            ),
+        }
+    }
+}
+
+/// The VAR twin of [`dist_lasso_fit_validates_after_the_scrub`].
+#[test]
+fn dist_var_fit_validates_after_the_scrub() {
+    let mut series = Matrix::zeros(60, 3);
+    for i in 0..60 {
+        for j in 0..3 {
+            series[(i, j)] = ((i * 7 + j * 13) % 11) as f64 - 5.0;
+        }
+    }
+    series[(30, 1)] = f64::NAN;
+    for numerical in policies() {
+        let mut cfg = UoiVarConfig::builder()
+            .order(1)
+            .b1(2)
+            .b2(2)
+            .q(3)
+            .build()
+            .unwrap();
+        cfg.base.numerical = numerical;
+        let serial = UoiVarFitter::new(cfg.clone()).fit(&series);
+        let dist = UoiVarFitter::new(cfg.clone())
+            .mode(dist_mode())
+            .fit(&series);
+        match (&serial, &dist) {
+            (Ok(s), Ok(d)) => assert_eq!(d.vec_beta.len(), s.vec_beta.len()),
+            (Err(s), Err(d)) => assert_eq!(d, s),
+            _ => panic!(
+                "{:?}: serial {:?} vs dist {:?}",
+                cfg.base.numerical,
+                serial.map(|f| f.nnz()),
+                dist.map(|f| f.nnz())
+            ),
+        }
+    }
+}

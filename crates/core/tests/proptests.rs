@@ -2,10 +2,7 @@
 //! rearrangement, and the Granger-network extraction.
 
 use proptest::prelude::*;
-use uoi_core::support::{
-    decode_support, dedup_family, encode_support, from_summed_indicator, indicator, intersect,
-    intersect_many, union, union_many,
-};
+use uoi_core::support::{dedup_family, intersect, intersect_many, union, union_many};
 use uoi_core::{flatten_coefficients, partition_coefficients, GrangerNetwork, VarRegression};
 use uoi_linalg::Matrix;
 
@@ -62,24 +59,6 @@ proptest! {
         for i in &inter2 {
             prop_assert!(inter.contains(i));
         }
-    }
-
-    #[test]
-    fn indicator_reduce_equals_intersection(fam in prop::collection::vec(support_strategy(20), 1..5)) {
-        // The distributed allreduce realisation of eq. 3 must equal the
-        // direct merge-based intersection.
-        let mut sum = vec![0.0; 20];
-        for s in &fam {
-            for (acc, v) in sum.iter_mut().zip(indicator(s, 20)) {
-                *acc += v;
-            }
-        }
-        prop_assert_eq!(from_summed_indicator(&sum, fam.len()), intersect_many(&fam));
-    }
-
-    #[test]
-    fn encode_decode_roundtrip(s in support_strategy(1000)) {
-        prop_assert_eq!(decode_support(&encode_support(&s)), s);
     }
 
     #[test]

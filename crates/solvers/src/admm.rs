@@ -1437,7 +1437,7 @@ impl LassoAdmm {
 
 /// The divergence tripwire: a non-finite residual, or either residual
 /// above `cap`.
-fn tripped(r_norm: f64, s_norm: f64, cap: f64) -> bool {
+pub fn tripped(r_norm: f64, s_norm: f64, cap: f64) -> bool {
     !r_norm.is_finite() || !s_norm.is_finite() || r_norm > cap || s_norm > cap
 }
 

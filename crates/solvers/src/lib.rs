@@ -32,16 +32,18 @@ pub mod resilience;
 
 pub use admm::{
     admm_active_iter_flops, admm_factor_flops, admm_iter_flops, admm_sub_factor_flops,
-    lockstep_round_charges, AdmmConfig, AdmmConfigBuilder, AdmmSolution, AdmmState, AdmmStatus,
-    AdmmWorkspace, InvalidConfig, LassoAdmm, StepTask, PATH_VARIANT,
+    lockstep_round_charges, tripped, AdmmConfig, AdmmConfigBuilder, AdmmSolution, AdmmState,
+    AdmmStatus, AdmmWorkspace, InvalidConfig, LassoAdmm, StepTask, PATH_VARIANT,
 };
 pub use admm_dist::DistLassoAdmm;
 pub use cd::{lasso_cd, lasso_cd_warm, mcp_cd, ridge, scad_cd, CdConfig};
 pub use diagnostics::{lasso_kkt_violation, lasso_objective, ols_gradient_norm};
 pub use lambda::{geometric_grid, lambda_max, lambda_path};
-pub use ols::{ols_on_support, ols_on_support_gram, ols_on_support_gram_health, support_of};
+pub use ols::{
+    ols_on_support, ols_on_support_gram, ols_on_support_gram_health, sub_system, support_of,
+};
 pub use prox::{mcp_threshold, scad_threshold, soft_threshold, soft_threshold_vec};
 pub use resilience::{
-    FactorHealth, PathHealth, ResilienceConfig, ResilientLasso, SolverError,
+    rho_restarts, FactorHealth, PathHealth, ResilienceConfig, ResilientLasso, SolverError,
     DEFAULT_DIVERGENCE_CAP, DEFAULT_MAX_RHO_RESTARTS,
 };

@@ -67,6 +67,23 @@ pub fn ols_on_support_gram(
     ols_on_support_gram_health(gram, xty, support, n_train).0
 }
 
+/// The principal sub-system of a Gram and its rhs on `idx`. Canonical
+/// (min, max) indexing reads only the upper triangle of the Gram, so
+/// upper-stored matrices from the batched engine work without a mirror
+/// pass; for a full symmetric input the bits are the same.
+pub fn sub_system(gram: &Matrix, xty: &[f64], idx: &[usize]) -> (Matrix, Vec<f64>) {
+    let s = idx.len();
+    let sub = Matrix::from_fn(s, s, |a, b| {
+        let (i, j) = (idx[a], idx[b]);
+        if i <= j {
+            gram[(i, j)]
+        } else {
+            gram[(j, i)]
+        }
+    });
+    (sub, idx.iter().map(|&j| xty[j]).collect())
+}
+
 /// [`ols_on_support_gram`] that also reports how the sub-Gram
 /// factorisation went: jitter attempts consumed by the escalation
 /// ladder (0 = clean, bit-identical to the plain solve). A sub-Gram
@@ -86,18 +103,7 @@ pub fn ols_on_support_gram_health(
         return (beta, FactorHealth::clean());
     }
     let s = support.len();
-    // Canonical (min, max) indexing reads only the upper triangle of the
-    // Gram, so upper-stored matrices from the batched engine work without
-    // a mirror pass; for a full symmetric input the bits are the same.
-    let mut sub = Matrix::from_fn(s, s, |a, b| {
-        let (i, j) = (support[a], support[b]);
-        if i <= j {
-            gram[(i, j)]
-        } else {
-            gram[(j, i)]
-        }
-    });
-    let rhs: Vec<f64> = support.iter().map(|&j| xty[j]).collect();
+    let (mut sub, rhs) = sub_system(gram, xty, support);
     if s > n_train {
         // Over-wide support: determined only with the same small ridge the
         // design-space path uses; the ladder backstops adversarial scaling

@@ -183,6 +183,30 @@ impl PathHealth {
     }
 }
 
+/// The penalties a diverged solve restarts under, in order: Boyd
+/// residual balancing (§3.4.1). A dominant (or non-finite) primal
+/// residual wants a larger rho, a dominant dual residual a smaller one;
+/// non-finite *both* defaults to increase — the conservative direction
+/// (larger rho = more SPD, more damping). Rung `k` of
+/// `1..=max_restarts` is `rho * 10^k` when increasing, `rho / 10^k`
+/// otherwise.
+pub fn rho_restarts(
+    rho: f64,
+    failed: &AdmmSolution,
+    max_restarts: u32,
+) -> impl Iterator<Item = f64> {
+    let (r, s) = (failed.primal_residual, failed.dual_residual);
+    let increase = !s.is_finite() || !r.is_finite() || r >= s;
+    (1..=max_restarts).map(move |rung| {
+        let scale = 10f64.powi(rung as i32);
+        if increase {
+            rho * scale
+        } else {
+            rho / scale
+        }
+    })
+}
+
 /// A Gram-backed LASSO-ADMM solver with the full numerical-resilience
 /// ladder: jitter-defended factorisation, per-solve divergence
 /// tripwires, and bounded rho restarts for diverged lambdas.
@@ -201,9 +225,10 @@ pub struct ResilientLasso {
     factor_health: FactorHealth,
     /// Base effective penalty (`effective_rho` of the pristine Gram).
     base_rho: f64,
-    /// Restart solvers, keyed by (increase?, rung); rebuilt factors are
-    /// cached so many diverged lambdas share one refactorisation.
-    restarts: BTreeMap<(bool, u32), LassoAdmm>,
+    /// Restart solvers, keyed by the bits of their penalty; rebuilt
+    /// factors are cached so many diverged lambdas share one
+    /// refactorisation.
+    restarts: BTreeMap<u64, LassoAdmm>,
 }
 
 impl ResilientLasso {
@@ -278,17 +303,10 @@ impl ResilientLasso {
     }
 
     /// Fetch (building and caching on first use) the restart solver at
-    /// rung `k` in the given direction: `rho * 10^k` when `increase`,
-    /// `rho / 10^k` otherwise. Returns `None` when even the jitter
-    /// ladder cannot factor the restarted system.
-    fn restart_solver(&mut self, increase: bool, rung: u32) -> Option<&LassoAdmm> {
-        if !self.restarts.contains_key(&(increase, rung)) {
-            let scale = 10f64.powi(rung as i32);
-            let rho = if increase {
-                self.base_rho * scale
-            } else {
-                self.base_rho / scale
-            };
+    /// penalty `rho`. Returns `None` when even the jitter ladder cannot
+    /// factor the restarted system.
+    fn restart_solver(&mut self, rho: f64) -> Option<&LassoAdmm> {
+        if !self.restarts.contains_key(&rho.to_bits()) {
             let gram = self.inner.gram().clone();
             let mut ridged = gram.clone();
             for i in 0..ridged.rows() {
@@ -297,9 +315,9 @@ impl ResilientLasso {
             let ladder = JitterLadder::for_matrix(&ridged);
             let jf = factor_upper_jittered(&ridged, &ladder).ok()?;
             let solver = LassoAdmm::from_factor(gram, jf.chol, self.cfg.clone(), rho);
-            self.restarts.insert((increase, rung), solver);
+            self.restarts.insert(rho.to_bits(), solver);
         }
-        self.restarts.get(&(increase, rung))
+        self.restarts.get(&rho.to_bits())
     }
 
     /// Re-solve one diverged lambda cold under restarted penalties.
@@ -311,20 +329,13 @@ impl ResilientLasso {
         lambda: f64,
         failed: &AdmmSolution,
     ) -> (Option<AdmmSolution>, u32) {
-        // Boyd residual balancing: a dominant (or non-finite) primal
-        // residual wants a larger rho; a dominant dual residual wants a
-        // smaller one. Non-finite *both* defaults to increase — the
-        // conservative direction (larger rho = more SPD, more damping).
-        let (r, s) = (failed.primal_residual, failed.dual_residual);
-        let increase = !s.is_finite() || !r.is_finite() || r >= s;
         let mut used = 0u32;
         let cap = self.res.divergence_cap;
-        for rung in 1..=self.res.max_rho_restarts {
-            let Some(solver) = self.restart_solver(increase, rung) else {
-                used += 1;
+        for rho in rho_restarts(self.base_rho, failed, self.res.max_rho_restarts) {
+            used += 1;
+            let Some(solver) = self.restart_solver(rho) else {
                 continue;
             };
-            used += 1;
             let p = solver.n_coefficients();
             let mut z = vec![0.0; p];
             let mut u = vec![0.0; p];

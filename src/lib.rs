@@ -92,7 +92,7 @@ pub mod prelude {
     pub use uoi_core::{
         DistOptions, ExecMode, ParallelLayout, RecoveryConfig, SelectionCounts, UoiError,
         UoiFitter, UoiLassoConfig, UoiLassoConfigBuilder, UoiVarConfig, UoiVarConfigBuilder,
-        UoiVarDistConfig, UoiVarFitter,
+        UoiVarFitter,
     };
     pub use uoi_data::{FinanceConfig, LinearConfig, NeuroConfig, VarConfig, VarProcess};
     pub use uoi_linalg::{kernels, Matrix};
