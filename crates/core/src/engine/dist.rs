@@ -31,9 +31,9 @@ pub(crate) struct Scored {
 
 /// What a problem's distributed pipeline does differently: its data
 /// placement, the Map and Solve of both stages, and its fit.
-pub(crate) trait DistProblem: Sized {
-    /// Validated inputs, read by every rank.
-    type Input;
+pub(crate) trait DistProblem<'a>: Sized {
+    /// Validated inputs, built once per fit and read by every rank.
+    type Input: 'a;
     type Fit;
     /// Per-rank statistics returned next to the fit.
     type Stats;
@@ -47,7 +47,7 @@ pub(crate) trait DistProblem: Sized {
         ctx: &mut RankCtx,
         world: &Comm,
         opts: &DistOptions,
-        input: Self::Input,
+        input: &'a Self::Input,
     ) -> (Self, LayoutComms);
     fn lambdas(&self) -> &[f64];
     /// Length of the vectorised coefficient (and support) space.
@@ -82,12 +82,12 @@ pub(crate) trait DistProblem: Sized {
 /// Fit `P` over `world`; every rank returns the identical fit. Quorum
 /// loss under the configured fault plan is the serial fit's typed error,
 /// returned by every rank before any collective.
-pub(crate) fn fit_dist<P: DistProblem>(
+pub(crate) fn fit_dist<'a, P: DistProblem<'a>>(
     ctx: &mut RankCtx,
     world: &Comm,
     cfg: &UoiLassoConfig,
     opts: &DistOptions,
-    input: P::Input,
+    input: &'a P::Input,
 ) -> Result<(P::Fit, P::Stats), UoiError> {
     // The deterministic task-failure plan is identical on every rank, so
     // all ranks skip the same tasks and the collectives stay aligned.

@@ -21,7 +21,8 @@
 //!
 //! * [`ExecMode::Serial`] — the in-process fit (the shared UoI engine's
 //!   serial executor);
-//! * [`ExecMode::Dist`] — spins up a simulated [`Cluster`] internally and
+//! * [`ExecMode::Dist`] — validates the inputs once, spins up a
+//!   simulated [`Cluster`] internally whose ranks all read them, and
 //!   returns rank 0's fit. Callers that drive their own cluster (custom
 //!   machine models, `modeled_ranks` extrapolation) use
 //!   [`UoiFitter::fit_on`] from inside their rank closure instead;
@@ -151,15 +152,14 @@ impl DistOptions {
         }
     }
 
-    /// Run a distributed fit body on every rank of this cluster and
-    /// return rank 0's result; every rank takes the same decisions, so
-    /// an error is every rank's.
+    /// Run a distributed fit body on every rank of this (validated)
+    /// cluster and return rank 0's result; every rank takes the same
+    /// decisions, so an error is every rank's.
     fn run<T: Send>(
         &self,
         tel: &Telemetry,
         body: impl Fn(&mut RankCtx, &Comm) -> Result<T, UoiError> + Sync,
     ) -> Result<T, UoiError> {
-        self.validate()?;
         self.cluster()
             .with_telemetry(tel.clone())
             .run(body)
@@ -199,19 +199,24 @@ impl UoiFitter {
 
     /// Run the fit in the selected mode.
     ///
-    /// In [`ExecMode::Dist`] this spins up the configured cluster, runs
-    /// the consensus fit on every rank, and returns rank 0's result
-    /// (all ranks agree bit-for-bit). Every mode validates the inputs
-    /// after the configured scrub and returns the same typed errors.
+    /// In [`ExecMode::Dist`] this validates the inputs once, spins up the
+    /// configured cluster, runs the consensus fit on every rank over the
+    /// one validated input, and returns rank 0's result (all ranks agree
+    /// bit-for-bit). Every mode validates the inputs after the configured
+    /// scrub and returns the same typed errors.
     pub fn fit(&self, x: &Matrix, y: &[f64]) -> Result<UoiFit, UoiError> {
         match &self.mode {
             ExecMode::Serial => fit_serial(&LassoProblem::new(x, y, &self.cfg)?),
             ExecMode::Recovering(rcfg) => {
                 fit_recovering(&LassoProblem::new(x, y, &self.cfg)?, rcfg)
             }
-            ExecMode::Dist(opts) => opts.run(&self.cfg.telemetry, |ctx, world| {
-                self.dist(ctx, world, opts, x, y)
-            }),
+            ExecMode::Dist(opts) => {
+                opts.validate()?;
+                let input = LassoInput::new(x, y, &self.cfg)?;
+                opts.run(&self.cfg.telemetry, |ctx, world| {
+                    Ok(fit_dist::<LassoDist>(ctx, world, &self.cfg, opts, &input)?.0)
+                })
+            }
         }
     }
 
@@ -223,21 +228,13 @@ impl UoiFitter {
     /// that mode is selected, [`ParallelLayout::admm_only`] otherwise.
     /// Panics where [`fit`](Self::fit) returns an error.
     pub fn fit_on(&self, ctx: &mut RankCtx, world: &Comm, x: &Matrix, y: &[f64]) -> UoiFit {
-        self.dist(ctx, world, &DistOptions::of(&self.mode), x, y)
+        LassoInput::new(x, y, &self.cfg)
+            .and_then(|input| {
+                let opts = DistOptions::of(&self.mode);
+                fit_dist::<LassoDist>(ctx, world, &self.cfg, &opts, &input)
+            })
             .unwrap_or_else(|e| panic!("UoiFitter::fit_on: {e}"))
-    }
-
-    fn dist(
-        &self,
-        ctx: &mut RankCtx,
-        world: &Comm,
-        opts: &DistOptions,
-        x: &Matrix,
-        y: &[f64],
-    ) -> Result<UoiFit, UoiError> {
-        let input = LassoInput::new(x, y, &self.cfg)?;
-        let (fit, ()) = fit_dist::<LassoDist>(ctx, world, &self.cfg, opts, input)?;
-        Ok(fit)
+            .0
     }
 }
 
@@ -272,9 +269,14 @@ impl UoiVarFitter {
             ExecMode::Recovering(rcfg) => {
                 fit_recovering(&VarProblem::new(series, &self.cfg)?, rcfg)
             }
-            ExecMode::Dist(opts) => opts.run(&self.cfg.base.telemetry, |ctx, world| {
-                Ok(self.dist(ctx, world, opts, series)?.0)
-            }),
+            ExecMode::Dist(opts) => {
+                opts.validate()?;
+                let input = VarInput::new(series, &self.cfg)?;
+                opts.run(&self.cfg.base.telemetry, |ctx, world| {
+                    let base = &self.cfg.base;
+                    Ok(fit_dist::<VarDist>(ctx, world, base, opts, &input)?.0)
+                })
+            }
         }
     }
 
@@ -286,19 +288,12 @@ impl UoiVarFitter {
         world: &Comm,
         series: &Matrix,
     ) -> (UoiVarFit, KronStats) {
-        self.dist(ctx, world, &DistOptions::of(&self.mode), series)
+        VarInput::new(series, &self.cfg)
+            .and_then(|input| {
+                let opts = DistOptions::of(&self.mode);
+                fit_dist::<VarDist>(ctx, world, &self.cfg.base, &opts, &input)
+            })
             .unwrap_or_else(|e| panic!("UoiVarFitter::fit_on: {e}"))
-    }
-
-    fn dist(
-        &self,
-        ctx: &mut RankCtx,
-        world: &Comm,
-        opts: &DistOptions,
-        series: &Matrix,
-    ) -> Result<(UoiVarFit, KronStats), UoiError> {
-        let input = VarInput::new(series, &self.cfg)?;
-        fit_dist::<VarDist>(ctx, world, &self.cfg.base, opts, input)
     }
 }
 

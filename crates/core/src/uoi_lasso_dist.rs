@@ -13,7 +13,8 @@
 //!   guarded breakdown agreement and rho restarts; OLS is the same solver
 //!   at `lambda = 0`.
 //! * **Estimation score** — consensus OLS on sub-Grams of each
-//!   resample's union Gram, scored by a distributed held-out loss.
+//!   resample's union Gram, scored per `UoiLassoConfig::score` by a
+//!   distributed held-out MSE or a distributed training BIC.
 //!
 //! With the [`ParallelLayout::admm_only`] layout all cores serve one
 //! distributed solver, the configuration of the paper's multi-node
@@ -26,10 +27,12 @@ use crate::engine::{family_union, FitParts};
 use crate::fitter::DistOptions;
 use crate::numerical::NumericalLedger;
 use crate::parallelism::LayoutComms;
-use crate::uoi_lasso::{bootstrap_with_oob, Centring, LassoInput, UoiFit, UoiLassoConfig};
+use crate::uoi_lasso::{
+    bic_from_rss, bootstrap_with_oob, Centring, EstimationScore, LassoInput, UoiFit, UoiLassoConfig,
+};
 use uoi_data::bootstrap::row_bootstrap;
 use uoi_data::rng::substream;
-use uoi_linalg::Matrix;
+use uoi_linalg::{dot, kernels, weighted_sumsq, Matrix};
 use uoi_mpisim::{Comm, RankCtx};
 use uoi_solvers::{
     rho_restarts, sub_system, tripped, AdmmConfig, AdmmSolution, DistLassoAdmm, FactorHealth,
@@ -40,9 +43,9 @@ use uoi_tieredio::distribution::{block_range, tier2_shuffle};
 
 /// One rank's share of a distributed `UoI_LASSO` fit: its resident
 /// Tier-1 block of the centred data and the shared λ grid. Every rank
-/// reads the whole validated dataset but keeps only its block, as after
-/// the Tier-1 parallel read; bootstrap rows move through simulated
-/// one-sided windows.
+/// reads the one validated dataset of the fit but keeps only its block,
+/// as after the Tier-1 parallel read; bootstrap rows move through
+/// simulated one-sided windows.
 pub(crate) struct LassoDist<'a> {
     cfg: &'a UoiLassoConfig,
     /// The solver settings, with residual-curve capture on when tracing
@@ -64,7 +67,7 @@ pub(crate) struct LassoDist<'a> {
     num_tel: Telemetry,
 }
 
-impl<'a> DistProblem for LassoDist<'a> {
+impl<'a> DistProblem<'a> for LassoDist<'a> {
     type Input = LassoInput<'a>;
     type Fit = UoiFit;
     type Stats = ();
@@ -74,7 +77,7 @@ impl<'a> DistProblem for LassoDist<'a> {
         ctx: &mut RankCtx,
         world: &Comm,
         opts: &DistOptions,
-        input: LassoInput<'a>,
+        input: &'a LassoInput<'a>,
     ) -> (Self, LayoutComms) {
         let LassoInput { cfg, x, y, outcome } = input;
         let (n, p) = x.shape();
@@ -86,10 +89,16 @@ impl<'a> DistProblem for LassoDist<'a> {
         } else {
             Telemetry::disabled()
         };
-        // Every rank validated the same full dataset under the same
-        // policy, so the findings agree everywhere without a collective.
-        if let Some(outcome) = &outcome {
-            ledger.note_validation(&num_tel, outcome);
+        // The fit validated the dataset once, so every rank's ledger
+        // holds the same findings; only world rank 0 forwards them, so
+        // run traces carry each issue once whatever the layout.
+        if let Some(outcome) = outcome {
+            let tel = if world.rank() == 0 {
+                ctx.telemetry().clone()
+            } else {
+                Telemetry::disabled()
+            };
+            ledger.note_validation(&tel, outcome);
         }
 
         // Resident Tier-1 block — each rank materialises only its stripe
@@ -188,8 +197,10 @@ impl<'a> DistProblem for LassoDist<'a> {
     /// from its train multiplicities; eval rows are scored in place in
     /// the pulled block. Every support's distributed OLS (ADMM at
     /// lambda = 0) then factors an |S|x|S| sub-Gram, as the paper's
-    /// estimation step does, and is scored by a distributed held-out
-    /// loss.
+    /// estimation step does, and is scored as the serial fit scores it:
+    /// by held-out MSE (`[sse, m]` allreduced) or by BIC on the training
+    /// resample (`[rss, n_train]` allreduced, each rank's RSS share from
+    /// the weighted-Gram identity on its union Gram).
     fn estimate(
         &mut self,
         ctx: &mut RankCtx,
@@ -225,8 +236,10 @@ impl<'a> DistProblem for LassoDist<'a> {
         let systems = pull.gram_rhs(ctx, &weights);
         ctx.span_exit(sp_gram);
         let u = union.len();
-        for ((&k, (train, eval)), (gram_u, xty_u)) in ks.iter().zip(&splits).zip(systems) {
+        let runs = ks.iter().zip(&splits).zip(&weights).zip(systems);
+        for (((&k, (train, eval)), w), (gram_u, xty_u)) in runs {
             let eval_rows: Vec<usize> = eval.iter().map(|&r| pull.pos[r]).collect();
+            let ysq_w = weighted_sumsq(w, &pull.y);
             let mut best: Option<(f64, Vec<f64>)> = None;
             // Worst-case OLS solver outcome across the candidate family.
             let (mut iterations, mut converged) = (0usize, true);
@@ -246,20 +259,37 @@ impl<'a> DistProblem for LassoDist<'a> {
                     beta[f] = b;
                     beta_u[union_pos[f]] = b;
                 }
-                // Distributed evaluation loss: local SSE, allreduce 2
-                // scalars.
+                // Distributed score: local sums, allreduce 2 scalars.
                 let sp_score = ctx.span_enter("scoring.eval");
-                let mut sse = 0.0;
-                for &e in &eval_rows {
-                    let d = uoi_linalg::dot(pull.x.row(e), &beta_u) - pull.y[e];
-                    sse += d * d;
-                }
-                let m = eval_rows.len();
-                ctx.compute_flops(2.0 * (m * u) as f64, (m * u * 8) as f64);
-                let mut stats = vec![sse, m as f64];
+                let mut stats = match self.cfg.score {
+                    EstimationScore::Mse => {
+                        let mut sse = 0.0;
+                        for &e in &eval_rows {
+                            let d = dot(pull.x.row(e), &beta_u) - pull.y[e];
+                            sse += d * d;
+                        }
+                        let m = eval_rows.len();
+                        ctx.compute_flops(2.0 * (m * u) as f64, (m * u * 8) as f64);
+                        vec![sse, m as f64]
+                    }
+                    EstimationScore::Bic => {
+                        // This rank's share of the training RSS:
+                        // b'G_i b - 2 b'(X^T y)_i + sum_i w y^2.
+                        let mut gb = vec![0.0; u];
+                        kernels::symv(&gram_u, &beta_u, &mut gb);
+                        let rss = dot(&beta_u, &gb) - 2.0 * dot(&beta_u, &xty_u) + ysq_w;
+                        ctx.compute_flops((2 * u * u + 4 * u) as f64, (u * u * 8) as f64);
+                        vec![rss, train.len() as f64]
+                    }
+                };
                 comm.allreduce_sum(ctx, &mut stats);
                 ctx.span_exit(sp_score);
-                let loss = stats[0] / stats[1].max(1.0);
+                let loss = match self.cfg.score {
+                    EstimationScore::Mse => stats[0] / stats[1].max(1.0),
+                    EstimationScore::Bic => {
+                        bic_from_rss(stats[0].max(0.0), stats[1] as usize, support.len())
+                    }
+                };
                 if best.as_ref().is_none_or(|(l, _)| loss < *l) {
                     best = Some((loss, beta));
                 }

@@ -51,8 +51,9 @@ pub struct KronStats {
 /// over the lag regression, the rank's band of response columns, and the
 /// shared λ grid.
 pub(crate) struct VarDist<'a> {
-    /// The centred lag regression and λ grid, identical on every rank.
-    input: VarInput<'a>,
+    /// The centred lag regression and λ grid, built once per fit and
+    /// shared by every rank.
+    input: &'a VarInput<'a>,
     /// The readers' `(Y | X)` row blocks.
     win: Window,
     readers: usize,
@@ -68,7 +69,7 @@ pub(crate) struct VarDist<'a> {
     pred: Vec<f64>,
 }
 
-impl<'a> DistProblem for VarDist<'a> {
+impl<'a> DistProblem<'a> for VarDist<'a> {
     type Input = VarInput<'a>;
     type Fit = UoiVarFit;
     type Stats = KronStats;
@@ -78,7 +79,7 @@ impl<'a> DistProblem for VarDist<'a> {
         ctx: &mut RankCtx,
         world: &Comm,
         opts: &DistOptions,
-        input: VarInput<'a>,
+        input: &'a VarInput<'a>,
     ) -> (Self, LayoutComms) {
         let (n_raw, p) = input.series.shape();
         // Only world rank 0 forwards the findings, so run traces carry
@@ -436,7 +437,8 @@ fn dist_lasso_path(
             // one iteration on its `|S|`-sized sub-factor, scaled by
             // `ceil(active / threads) / active` lockstep slots (exactly
             // one charge per active column with one thread); KKT
-            // re-entries that refactor are charged their sub-factor.
+            // re-entries that refactor are charged their sub-factor, and
+            // polish attempts their reduced factor and gradient.
             let active = states.iter().filter(|st| !st.converged).count();
             let mut unconverged = 0usize;
             if active > 0 {
@@ -490,9 +492,10 @@ fn dist_lasso_path(
     out
 }
 
-/// Charge the active-set factorisations the columns performed since the
-/// last charge (per-lambda transitions and KKT re-entries), each against
-/// its `|S| x |S|` working set.
+/// Charge the active-set factorisations and polish attempts the columns
+/// performed since the last charge (per-lambda transitions, KKT
+/// re-entries, and each polish's `|A|^3 / 3` factor plus its `2 p |A|`
+/// KKT gradient), each against its `|S| x |S|` working set.
 fn charge_sub_factors(ctx: &mut RankCtx, states: &mut [uoi_solvers::AdmmState]) {
     for st in states {
         let flops = st.take_factor_flops();

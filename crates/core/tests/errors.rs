@@ -322,3 +322,50 @@ fn dist_var_fit_validates_after_the_scrub() {
         }
     }
 }
+
+/// A Dist fit honours `EstimationScore::Bic` as the serial fit does. On
+/// this weak-signal design BIC's parsimony picks a smaller winner than
+/// held-out MSE, so a Dist fit that scored by MSE regardless would miss
+/// the serial BIC fit's support.
+#[test]
+fn dist_lasso_fit_scores_by_bic_as_serial_does() {
+    use uoi_core::EstimationScore;
+    let ds = LinearConfig {
+        n_samples: 60,
+        n_features: 12,
+        n_nonzero: 5,
+        snr: 1.0,
+        min_coef: 0.1,
+        max_coef: 1.0,
+        seed: 15,
+        ..Default::default()
+    }
+    .generate();
+    let cfg = |score| {
+        UoiLassoConfig::builder()
+            .b1(4)
+            .b2(4)
+            .q(6)
+            .score(score)
+            .build()
+            .unwrap()
+    };
+    let fit = |score, mode| {
+        UoiFitter::new(cfg(score))
+            .mode(mode)
+            .fit(&ds.x, &ds.y)
+            .unwrap()
+    };
+    let serial_mse = fit(EstimationScore::Mse, uoi_core::ExecMode::Serial);
+    let serial_bic = fit(EstimationScore::Bic, uoi_core::ExecMode::Serial);
+    assert_ne!(
+        serial_mse.support, serial_bic.support,
+        "the design must separate the two scores"
+    );
+    let dist_bic = fit(EstimationScore::Bic, dist_mode());
+    assert_eq!(dist_bic.support_family, serial_bic.support_family);
+    assert_eq!(dist_bic.support, serial_bic.support);
+    for (d, s) in dist_bic.beta.iter().zip(&serial_bic.beta) {
+        assert!((d - s).abs() <= 5e-3, "dist {d} vs serial {s}");
+    }
+}

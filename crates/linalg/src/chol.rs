@@ -267,7 +267,20 @@ impl PackedCholesky {
     pub fn refactor_with(
         &mut self,
         m: usize,
+        entry: impl FnMut(usize, usize) -> f64,
+    ) -> Result<(), NotPositiveDefinite> {
+        self.refactor_with_floor(m, entry, 0.0)
+    }
+
+    /// [`PackedCholesky::refactor_with`] that also rejects a pivot at or
+    /// below `rel_floor` times its diagonal entry `entry(i, i)` — a
+    /// matrix singular to that relative precision — and stops there, so
+    /// a rank-`r` matrix costs only its first `r + 1` rows.
+    pub fn refactor_with_floor(
+        &mut self,
+        m: usize,
         mut entry: impl FnMut(usize, usize) -> f64,
+        rel_floor: f64,
     ) -> Result<(), NotPositiveDefinite> {
         self.order = m;
         self.l.clear();
@@ -280,13 +293,20 @@ impl PackedCholesky {
                 let s = entry(i, j) - crate::kernels::dot(&row_i[..j], &row_j[..j]);
                 row_i[j] = s / row_j[j];
             }
-            let d = entry(i, i) - crate::kernels::dot(&row_i[..i], &row_i[..i]);
-            if d <= 0.0 || !d.is_finite() {
+            let diag = entry(i, i);
+            let d = diag - crate::kernels::dot(&row_i[..i], &row_i[..i]);
+            if d <= rel_floor * diag || !d.is_finite() {
                 return Err(NotPositiveDefinite { pivot: i, value: d });
             }
             row_i[i] = d.sqrt();
         }
         Ok(())
+    }
+
+    /// Diagonal entry `L_ii` of the factor: the square root of the
+    /// `i`-th pivot.
+    pub fn diag(&self, i: usize) -> f64 {
+        self.l[i * (i + 3) / 2]
     }
 
     /// Solve `A x = b` in place: forward substitution, then the
@@ -485,6 +505,10 @@ mod tests {
             packed.refactor_with(n, |i, j| a[(i, j)]).unwrap();
             assert_eq!(packed.order(), n);
             let dense = Cholesky::factor(&a).unwrap();
+            for i in 0..n {
+                let want = dense.factor_l()[(i, i)];
+                assert!((packed.diag(i) - want).abs() < 1e-12 * want);
+            }
             let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).sin()).collect();
             let mut x = b.clone();
             packed.solve_in_place(&mut x);
@@ -496,6 +520,31 @@ mod tests {
         let not_spd = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 1.0]]);
         let err = packed.refactor_with(2, |i, j| not_spd[(i, j)]).unwrap_err();
         assert_eq!(err.pivot, 1);
+    }
+
+    #[test]
+    fn pivot_floor_stops_at_the_first_small_pivot() {
+        // Rows 0 and 1 equal: pivot 1 vanishes to round-off, far below a
+        // 1e-10 floor, while the plain factor may accept it.
+        let a = Matrix::from_rows(&[&[4.0, 2.0, 2.0], &[2.0, 1.0, 1.0], &[2.0, 1.0, 3.0]]);
+        let mut packed = PackedCholesky::new();
+        let mut calls = 0;
+        let err = packed
+            .refactor_with_floor(
+                3,
+                |i, j| {
+                    calls += 1;
+                    a[(i, j)]
+                },
+                1e-10,
+            )
+            .unwrap_err();
+        assert_eq!(err.pivot, 1);
+        assert_eq!(calls, 3, "rows past the failing pivot are never read");
+        let spd = spd_test_matrix(3);
+        packed
+            .refactor_with_floor(3, |i, j| spd[(i, j)], 1e-10)
+            .unwrap();
     }
 
     #[test]

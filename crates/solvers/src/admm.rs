@@ -27,8 +27,17 @@
 //! iteration costs `O(|S|^2)` instead of `O(p^2)`. The full factor above
 //! is then only built for single-lambda solves. See
 //! [`LassoAdmm::begin_lambda`] and DESIGN.md §3.
+//!
+//! Each screened λ ends with a *polish* (OSQP's solution polishing,
+//! Stellato et al. 2020): once the iterate's sign pattern settles, the
+//! reduced system `G_AA β_A = c_A - λ s` on its support `A` and signs `s`
+//! is solved exactly, and the result is accepted iff its signs are `s`
+//! and `|c_j - G_jA β_A| <= λ` for every `j` off `A`. An accepted `β`
+//! meets the LASSO KKT conditions to round-off and ends the λ; a rejected
+//! one leaves the ADMM iterate to run on. See [`LassoAdmm::step`].
 
 use crate::resilience::FactorHealth;
+use std::cell::RefCell;
 use std::sync::{Arc, OnceLock};
 use uoi_linalg::{
     factor_upper_jittered, gemv_into, gemv_t, gemv_t_into, kernels, norm2, norm2_diff,
@@ -38,10 +47,10 @@ use uoi_linalg::{
 use uoi_telemetry::MetricsRegistry;
 
 /// Identifies the Sequential lambda-path algorithm — strong-rule
-/// screened active-set solves with KKT re-entry — for checkpoint
-/// fingerprints and run reports: results from another path algorithm must
-/// not mix with this one's.
-pub const PATH_VARIANT: &str = "strong-rule-active-set-v1";
+/// screened active-set solves with KKT re-entry, each λ ended by a
+/// sign-pattern polish — for checkpoint fingerprints and run reports:
+/// results from another path algorithm must not mix with this one's.
+pub const PATH_VARIANT: &str = "strong-rule-active-set-polish-v2";
 
 /// A configuration value failed validation (builder `build()` or a
 /// `validate()` call). Carries a human-readable description of the
@@ -382,8 +391,12 @@ pub struct AdmmState {
     /// once converged); zero off the active set.
     pub z: Vec<f64>,
     /// Set once the active-set solve met tolerance and the KKT check
-    /// found no violator; further steps at the same λ are no-ops.
+    /// found no violator, or a polish was accepted; further steps at the
+    /// same λ are no-ops.
     pub converged: bool,
+    /// Whether the current λ ended on an accepted polish, so that `z`
+    /// meets the KKT conditions to round-off (see [`LassoAdmm::step`]).
+    pub polished: bool,
     /// Iterations taken at the current λ, KKT re-solves included.
     pub iterations: usize,
     /// Latest primal residual.
@@ -404,9 +417,14 @@ pub struct AdmmState {
     /// Cholesky factor of `G_SS + rho I` and the set it was built for.
     factor: PackedCholesky,
     factored: Vec<usize>,
-    /// Modeled flops of the sub-factorisations performed since the last
-    /// [`AdmmState::take_factor_flops`].
+    /// Modeled flops of the sub-factorisations and polish attempts
+    /// performed since the last [`AdmmState::take_factor_flops`].
     factor_flops: f64,
+    /// The sign pattern over `S` whose polish was last rejected at this λ
+    /// and `S` (valid while `has_rejected`): the same pattern would give
+    /// the same system, so it is not tried again.
+    rejected: Vec<i8>,
+    has_rejected: bool,
     /// Scratch reused across steps so stepping never allocates.
     scratch: AdmmWorkspace,
 }
@@ -417,6 +435,7 @@ impl AdmmState {
         AdmmState {
             z: vec![0.0; p],
             converged: false,
+            polished: false,
             iterations: 0,
             primal_residual: f64::INFINITY,
             dual_residual: f64::INFINITY,
@@ -430,6 +449,8 @@ impl AdmmState {
             factor: PackedCholesky::new(),
             factored: Vec::with_capacity(p),
             factor_flops: 0.0,
+            rejected: Vec::with_capacity(p),
+            has_rejected: false,
             scratch: AdmmWorkspace::new(),
         }
     }
@@ -439,8 +460,10 @@ impl AdmmState {
         self.active.len()
     }
 
-    /// Flops of the active-set factorisations since the last call
-    /// (`m^3 / 3` per factor of order `m`), for virtual-time charging.
+    /// Flops of the active-set factorisations and polish attempts since
+    /// the last call (`m^3 / 3` per factor of order `m`, plus each
+    /// polish's `G_AA` gather and serial KKT gradient), for virtual-time
+    /// charging.
     pub fn take_factor_flops(&mut self) -> f64 {
         std::mem::take(&mut self.factor_flops)
     }
@@ -519,7 +542,9 @@ impl AdmmState {
         us.clear();
         us.resize(active.len(), 0.0);
         self.lambda = lambda;
+        self.has_rejected = false;
         self.converged = false;
+        self.polished = false;
         self.iterations = 0;
         self.primal_residual = f64::INFINITY;
         self.dual_residual = f64::INFINITY;
@@ -552,6 +577,7 @@ impl AdmmState {
         if added == 0 {
             return false;
         }
+        self.has_rejected = false;
         // Merge from the back, in place: the new set is a superset, so
         // each write lands at or after the old entry it may displace.
         let mut old = active.len();
@@ -586,17 +612,10 @@ impl AdmmState {
         grad.extend_from_slice(xty);
         match design {
             DesignStore::Gram { gram, .. } => {
+                // Row s of the mirrored Gram is column s.
                 for (s, &b) in z.iter().enumerate() {
-                    if b == 0.0 {
-                        continue;
-                    }
-                    // Upper storage: column s above the diagonal, then
-                    // row s from the diagonal on.
-                    for (i, g) in grad[..s].iter_mut().enumerate() {
-                        *g -= gram[(i, s)] * b;
-                    }
-                    for (g, &v) in grad[s..].iter_mut().zip(&gram.row(s)[s..]) {
-                        *g -= v * b;
+                    if b != 0.0 {
+                        kernels::axpy(-b, gram.row(s), grad);
                     }
                 }
             }
@@ -663,6 +682,201 @@ impl AdmmState {
         factored.extend_from_slice(active);
         *factor_flops += admm_sub_factor_flops(m);
     }
+
+    /// Whether a polish is due: every `z_S` is finite, its sign pattern
+    /// is the one `prev` (the previous iterate over `S`) had — with no
+    /// `prev`, at convergence, any pattern will do — and it is not the
+    /// pattern last rejected. In a consensus solve every input is
+    /// identical on every rank, so every rank decides alike.
+    pub(crate) fn polish_due(&self, prev: Option<&[f64]>) -> bool {
+        let mut as_rejected = self.has_rejected;
+        for (k, &v) in self.zs.iter().enumerate() {
+            if !v.is_finite() || prev.is_some_and(|prev| sign_of(prev[k]) != sign_of(v)) {
+                return false;
+            }
+            as_rejected = as_rejected && self.rejected[k] == sign_of(v);
+        }
+        !as_rejected
+    }
+
+    /// Take the support `A = supp(z_S)` of the current pattern into `pl`.
+    pub(crate) fn polish_support(&self, pl: &mut Polish) {
+        pl.pos.clear();
+        pl.support.clear();
+        for (k, (&j, &v)) in self.active.iter().zip(&self.zs).enumerate() {
+            if v != 0.0 {
+                pl.pos.push(k);
+                pl.support.push(j);
+            }
+        }
+    }
+
+    /// Gather the reduced system of `pl`'s support into `pl.system`: the
+    /// packed lower triangle of `G_AA`, then `c_A`, from one rank's block
+    /// and local `X_i^T y_i` — a consensus solve sums it across ranks.
+    pub(crate) fn polish_gather(&mut self, design: &DesignStore, xty: &[f64], pl: &mut Polish) {
+        let Polish {
+            support, system, ..
+        } = pl;
+        system.clear();
+        for (i, &b) in support.iter().enumerate() {
+            system.extend(support[..=i].iter().map(|&a| design.gram_entry(a, b)));
+        }
+        system.extend(support.iter().map(|&j| xty[j]));
+        self.factor_flops += design.gather_flops(support.len());
+    }
+
+    /// Factor `G_AA` (no ridge, no jitter: a pivot at or below
+    /// [`POLISH_MIN_PIVOT`] of its diagonal rejects the polish, and the
+    /// factorisation stops there), solve `G_AA β_A = c_A - λ s` and check
+    /// `sign(β_A) = s`. On success `z` holds `β` and the caller refreshes
+    /// the gradient for [`AdmmState::polish_settle`]; on failure the
+    /// pattern is recorded as rejected and `z` is untouched.
+    pub(crate) fn polish_solve(&mut self, pl: &mut Polish, lambda: f64, src: PolishSystem) -> bool {
+        let Polish {
+            pos,
+            support,
+            system,
+            beta,
+            factor,
+        } = pl;
+        let a = support.len();
+        let (tri, c) = system.split_at(system.len().min(a * (a + 1) / 2));
+        let entry = |i: usize, j: usize| match src {
+            PolishSystem::Design(design, _) => design.gram_entry(support[j], support[i]),
+            PolishSystem::Gathered => tri[i * (i + 1) / 2 + j],
+        };
+        let factored = factor.refactor_with_floor(a, entry, POLISH_MIN_PIVOT);
+        let rows = factored.as_ref().map_or_else(|e| e.pivot + 1, |_| a);
+        self.factor_flops += admm_sub_factor_flops(rows);
+        if let PolishSystem::Design(design, _) = src {
+            self.factor_flops += design.gather_flops(rows);
+        }
+        if factored.is_ok() {
+            beta.clear();
+            beta.extend(pos.iter().enumerate().map(|(k, &at)| {
+                let ck = match src {
+                    PolishSystem::Design(_, xty) => xty[support[k]],
+                    PolishSystem::Gathered => c[k],
+                };
+                ck - lambda * f64::from(sign_of(self.zs[at]))
+            }));
+            factor.solve_in_place(beta);
+            if pos
+                .iter()
+                .zip(&*beta)
+                .all(|(&k, &b)| sign_of(b) == sign_of(self.zs[k]))
+            {
+                for (&j, &b) in support.iter().zip(&*beta) {
+                    self.z[j] = b;
+                }
+                return true;
+            }
+        }
+        self.reject_pattern();
+        false
+    }
+
+    /// The KKT half of a polish, on a gradient refreshed at `β`:
+    /// `|c_j| <= λ` for every `j` off `A` (where `z` is zero), to
+    /// round-off ([`POLISH_KKT_SLACK`]). Accepted,
+    /// `β` becomes the solution — the state is converged and its gradient
+    /// fresh for the next transition. Rejected, `z` returns to the ADMM
+    /// iterate and the pattern is recorded.
+    pub(crate) fn polish_settle(&mut self, pl: &Polish, lambda: f64) -> bool {
+        let bound = lambda * (1.0 + POLISH_KKT_SLACK);
+        let kkt = self
+            .z
+            .iter()
+            .zip(&self.grad)
+            .all(|(&b, g)| b != 0.0 || g.abs() <= bound);
+        if kkt {
+            for (&k, &b) in pl.pos.iter().zip(&pl.beta) {
+                self.zs[k] = b;
+            }
+            self.converged = true;
+            self.polished = true;
+        } else {
+            for (&k, &j) in pl.pos.iter().zip(&pl.support) {
+                self.z[j] = self.zs[k];
+            }
+            self.grad_fresh = false;
+            self.reject_pattern();
+        }
+        kkt
+    }
+
+    /// Record the current pattern as rejected.
+    pub(crate) fn reject_pattern(&mut self) {
+        self.rejected.clear();
+        self.rejected.extend(self.zs.iter().map(|&v| sign_of(v)));
+        self.has_rejected = true;
+    }
+}
+
+/// Where a polish reads its reduced system.
+#[derive(Clone, Copy)]
+pub(crate) enum PolishSystem<'a> {
+    /// Straight from the solver's design and `X^T y`, entry by entry as
+    /// the factorisation asks for them (serial solvers).
+    Design(&'a DesignStore, &'a [f64]),
+    /// From the gathered `Polish::system`, summed across ranks
+    /// (consensus solves).
+    Gathered,
+}
+
+/// A polish pivot at or below this fraction of its diagonal entry marks
+/// `G_AA` singular (a support column within ~1e-5 radians of the span of
+/// the others, as with duplicated columns): the reduced system has no
+/// unique solution, so the polish is rejected rather than regularised.
+const POLISH_MIN_PIVOT: f64 = 1e-10;
+
+/// Relative round-off allowance of the polish's off-support check
+/// `|c_j| <= λ`: a gradient summed in another order (a consensus
+/// allreduce) may land an ulp past a feature that sits exactly on the
+/// boundary, as the argmax does at `λ_max`.
+const POLISH_KKT_SLACK: f64 = 1e-12;
+
+/// `-1`, `0` or `1`: one entry of a sign pattern.
+fn sign_of(v: f64) -> i8 {
+    i8::from(v > 0.0) - i8::from(v < 0.0)
+}
+
+/// Scratch of one polish attempt: the support `A` of the iterate, its
+/// reduced system and the exact solution `β_A`. Nothing in it outlives an
+/// attempt, so the serial solver shares one per thread across every state
+/// it steps, and a consensus path keeps one per rank.
+#[derive(Debug, Default)]
+pub(crate) struct Polish {
+    /// Positions in `S` of the support, and their features.
+    pos: Vec<usize>,
+    support: Vec<usize>,
+    /// A consensus solve's gathered system: the lower triangle of `G_AA`
+    /// packed row by row, then `c_A` — one allreduce payload of
+    /// `|A|(|A|+1)/2 + |A|` words.
+    system: Vec<f64>,
+    /// `c_A - λ s`, solved in place into `β_A`.
+    beta: Vec<f64>,
+    /// Cholesky factor of `G_AA`.
+    factor: PackedCholesky,
+}
+
+impl Polish {
+    /// Size of the gathered support `A`.
+    pub(crate) fn support_len(&self) -> usize {
+        self.support.len()
+    }
+
+    /// The gathered system, for a consensus solve to sum across ranks.
+    pub(crate) fn system_mut(&mut self) -> &mut [f64] {
+        &mut self.system
+    }
+}
+
+thread_local! {
+    /// The serial solvers' polish scratch, shared by every state stepped
+    /// on the thread, so per-column states carry none.
+    static POLISH: RefCell<Polish> = RefCell::new(Polish::default());
 }
 
 /// `out = xty_S + rho (z_S - u_S)` over the sorted active set `S`.
@@ -695,11 +909,12 @@ pub struct StepTask<'a> {
 /// How a solver holds its problem — the serial solver's whole design, or
 /// one rank's block of a consensus solve.
 pub(crate) enum DesignStore {
-    /// The pristine upper-stored Gram `X^T X` — from
-    /// [`LassoAdmm::from_gram`] (the zero-copy bootstrap path, where the
-    /// resample is only ever materialised as weighted Gram/rhs products)
-    /// or formed by [`LassoAdmm::new`] for a `p <= n` design, which is
-    /// then kept for the response entry points.
+    /// The pristine Gram `X^T X`, mirrored to full symmetric storage
+    /// ([`DesignStore::gram`]) — from [`LassoAdmm::from_gram`] (the
+    /// zero-copy bootstrap path, where the resample is only ever
+    /// materialised as weighted Gram/rhs products) or formed by
+    /// [`LassoAdmm::new`] for a `p <= n` design, which is then kept for
+    /// the response entry points.
     Gram { gram: Matrix, x: Option<Matrix> },
     /// A wide dense design (`p > n`): the full factor takes the Woodbury
     /// form and active-set Grams are formed from the design's columns.
@@ -707,6 +922,14 @@ pub(crate) enum DesignStore {
 }
 
 impl DesignStore {
+    /// A Gram store. Only the upper triangle of `gram` is read; it is
+    /// mirrored into the lower one, so that every row is a whole Gram
+    /// column and gradients stream contiguous rows.
+    pub(crate) fn gram(mut gram: Matrix, x: Option<Matrix>) -> Self {
+        mirror_upper(&mut gram);
+        DesignStore::Gram { gram, x }
+    }
+
     /// Number of coefficients.
     pub(crate) fn n_coefficients(&self) -> usize {
         match self {
@@ -758,6 +981,23 @@ impl DesignStore {
         match self {
             DesignStore::Gram { .. } => 0.0,
             DesignStore::Wide(x) => (x.rows() * m * (m + 1)) as f64,
+        }
+    }
+}
+
+/// Copy the upper triangle of a square matrix into its strict lower half,
+/// in square tiles so that the column reads stay cache-resident.
+fn mirror_upper(g: &mut Matrix) {
+    const TILE: usize = 32;
+    let p = g.rows();
+    let data = g.as_mut_slice();
+    for ib in (0..p).step_by(TILE) {
+        for jb in (0..=ib).step_by(TILE) {
+            for i in ib..(ib + TILE).min(p) {
+                for j in jb..(jb + TILE).min(i) {
+                    data[i * p + j] = data[j * p + i];
+                }
+            }
         }
     }
 }
@@ -830,8 +1070,8 @@ impl LassoAdmm {
     ///
     /// Only the **upper** triangle (and the diagonal) of `gram` is read,
     /// so upper-stored matrices from the batched Gram engine
-    /// (`uoi_linalg::gram`) can be passed directly, mirror skipped; a full
-    /// symmetric matrix gives the same bits.
+    /// (`uoi_linalg::gram`) can be passed directly; a full symmetric
+    /// matrix gives the same bits. The solver mirrors it in place.
     pub fn from_gram(gram: Matrix, cfg: AdmmConfig) -> Self {
         assert!(cfg.rho > 0.0, "rho must be positive");
         let p = gram.rows();
@@ -839,7 +1079,7 @@ impl LassoAdmm {
         let diag_sum: f64 = (0..p).map(|i| gram[(i, i)]).sum();
         Self {
             rho: effective_rho(cfg.rho, diag_sum, p),
-            design: DesignStore::Gram { gram, x: None },
+            design: DesignStore::gram(gram, None),
             full: OnceLock::new(),
             cfg,
             metrics: None,
@@ -864,7 +1104,7 @@ impl LassoAdmm {
     /// health) and for rho restarts under an escalated penalty.
     pub(crate) fn from_factor(gram: Matrix, chol: Cholesky, cfg: AdmmConfig, rho: f64) -> Self {
         Self {
-            design: DesignStore::Gram { gram, x: None },
+            design: DesignStore::gram(gram, None),
             full: OnceLock::from(Factorization::Primal(chol)),
             cfg,
             rho,
@@ -1253,13 +1493,22 @@ impl LassoAdmm {
     /// iterations with communication — the distributed `UoI_VAR` solver
     /// steps many per-column problems in lockstep and allreduces between
     /// rounds. A `lambda` other than the state's current one first runs
-    /// the [`LassoAdmm::begin_lambda`] transition. When the sub-problem
-    /// meets tolerance, the KKT conditions are checked over the
-    /// complement of the active set: violators join it (the factor is
-    /// rebuilt; continuing members keep their duals, newcomers start at
-    /// zero) and stepping continues; otherwise the state is converged. Callers cap the
-    /// steps per λ at `max_iter`, re-solves included. No-op once
-    /// converged; allocation-free once the state is warm.
+    /// the [`LassoAdmm::begin_lambda`] transition.
+    ///
+    /// When the iterate's sign pattern over `S` is the previous
+    /// iterate's, and was not rejected before, the λ is *polished*: with
+    /// `A = supp(z_S)` and `s` its signs, `G_AA β_A = c_A - λ s` is solved
+    /// exactly and accepted iff `sign(β_A) = s` and `|c_j - G_jA β_A| <=
+    /// λ` for every `j` off `A` — over all `p` features, so an accepted
+    /// `β` is the full problem's KKT point and the state is converged on
+    /// it. A singular `G_AA` rejects the polish. When the sub-problem
+    /// meets tolerance, the pattern gets one last polish attempt; failing
+    /// that, the KKT conditions are checked over the complement of the
+    /// active set: violators join it (the factor is rebuilt; continuing
+    /// members keep their duals, newcomers start at zero) and stepping
+    /// continues; otherwise the state is converged on the ADMM iterate.
+    /// Callers cap the steps per λ at `max_iter`, re-solves included.
+    /// No-op once converged; allocation-free once the state is warm.
     pub fn step(&self, xty: &[f64], lambda: f64, st: &mut AdmmState) {
         if st.lambda.to_bits() != lambda.to_bits() {
             self.begin_lambda(xty, lambda, st);
@@ -1268,10 +1517,30 @@ impl LassoAdmm {
             return;
         }
         let (r_norm, s_norm, conv) = self.iterate_active(xty, lambda, st);
-        if conv && !self.admit_violators(xty, lambda, st) {
+        let due = st.polish_due((!conv).then_some(&st.scratch.z_old));
+        if due && self.polish(xty, lambda, st) || conv && !self.admit_violators(xty, lambda, st) {
             st.converged = true;
             self.note_solve(st.iterations, true, r_norm, s_norm);
         }
+    }
+
+    /// One polish attempt on the state's current sign pattern (see
+    /// [`LassoAdmm::step`]), through the thread's shared scratch.
+    fn polish(&self, xty: &[f64], lambda: f64, st: &mut AdmmState) -> bool {
+        let accepted = POLISH.with_borrow_mut(|pl| {
+            st.polish_support(pl);
+            if !st.polish_solve(pl, lambda, PolishSystem::Design(&self.design, xty)) {
+                return false;
+            }
+            st.refresh_gradient(&self.design, xty);
+            st.factor_flops += self.design.gradient_cost(pl.support_len()).0;
+            st.polish_settle(pl, lambda)
+        });
+        if let Some(m) = &self.metrics {
+            m.incr("admm.polish.attempts", 1);
+            m.incr("admm.polish.accepted", u64::from(accepted));
+        }
+        accepted
     }
 
     /// Advance every unconverged task one screened iteration

@@ -33,13 +33,19 @@
 //! collectives stay aligned. Each rank factors its own `G_i,SS + rho I`;
 //! the x/z/u iteration then runs on `|S|`-vectors, with one `|S|`-wide
 //! consensus allreduce and one 3-scalar residual allreduce per step.
-//! Single-λ solves and OLS iterate on all `p` coefficients against the
-//! full local factor. See DESIGN.md §3.
+//! Each λ ends with the serial solver's polish
+//! ([`LassoAdmm::step`](crate::LassoAdmm::step)): the consensus `z` is the
+//! same on every rank, so every rank sees the same sign pattern, and one
+//! allreduce of the local packed `G_i,AA` triangle and `c_i,A` gives
+//! every rank the same reduced system; the KKT check reads the p-wide
+//! gradient allreduce at the polished `β`. Every rank decides alike and
+//! makes the same collectives. Single-λ solves and OLS iterate on all `p`
+//! coefficients against the full local factor. See DESIGN.md §3.
 
 use crate::admm::{
     admm_active_iter_flops, admm_iter_flops, decimate_curve, effective_rho, factor_ridged_pristine,
-    try_factorize, AdmmConfig, AdmmSolution, AdmmState, DesignStore, Factorization,
-    CURVE_MAX_POINTS,
+    try_factorize, AdmmConfig, AdmmSolution, AdmmState, DesignStore, Factorization, Polish,
+    PolishSystem, CURVE_MAX_POINTS,
 };
 use crate::prox::soft_threshold_vec;
 use crate::resilience::FactorHealth;
@@ -57,6 +63,9 @@ pub struct DistLassoAdmm {
     design: DesignStore,
     /// Rows of the local block.
     n_rows: usize,
+    /// Rows summed over the communicator: no support larger than this
+    /// has a nonsingular `G_AA`, so a polish never gathers one.
+    global_rows: usize,
     factor: Factorization,
     cfg: AdmmConfig,
     /// Effective penalty shared by every rank: `cfg.rho` scaled by the
@@ -104,19 +113,21 @@ struct Consensus {
 }
 
 impl DistLassoAdmm {
-    /// Allreduce the local Gram-diagonal sum and derive the shared
-    /// effective penalty — a 1-scalar collective, so every rank factors
-    /// its block with the same data-scaled `rho`.
+    /// Allreduce the local Gram-diagonal sum and row count and derive
+    /// the shared effective penalty — a 2-scalar collective, so every
+    /// rank factors its block with the same data-scaled `rho` — and the
+    /// global row count.
     fn global_rho(
         ctx: &mut RankCtx,
         comm: &Comm,
         local_diag_sum: f64,
+        n_rows: usize,
         p: usize,
         cfg_rho: f64,
-    ) -> f64 {
-        let mut v = vec![local_diag_sum];
+    ) -> (f64, usize) {
+        let mut v = vec![local_diag_sum, n_rows as f64];
         comm.allreduce_sum(ctx, &mut v);
-        effective_rho(cfg_rho, v[0], p)
+        (effective_rho(cfg_rho, v[0], p), v[1] as usize)
     }
 
     /// Factor the local system and charge the setup flops. Collective
@@ -154,31 +165,29 @@ impl DistLassoAdmm {
             (dim * dim * dim) as f64 / 3.0,
             uoi_linalg::gram::gram_kernel_ws(dim),
         );
-        let (rho, factor, health, design) = if p <= n {
+        let (rho, global_rows, factor, health, design) = if p <= n {
             // Mirror `from_gram`: diagonal read off the local Gram before
             // the ridge is added, and the Gram kept pristine, so
             // `from_gram(syrk_t(&x_local), ..)` stays bit-identical for
             // p <= n_local blocks.
             let mut gram = uoi_linalg::syrk_t_upper(&x_local).into_upper();
             let local_diag: f64 = (0..p).map(|i| gram[(i, i)]).sum();
-            let rho = Self::global_rho(ctx, comm, local_diag, p, cfg.rho);
+            let (rho, rows) = Self::global_rho(ctx, comm, local_diag, n, p, cfg.rho);
             let (chol, health) = factor_ridged_pristine(&mut gram, rho)?;
-            let design = DesignStore::Gram {
-                gram,
-                x: Some(x_local),
-            };
-            (rho, Factorization::Primal(chol), health, design)
+            let design = DesignStore::gram(gram, Some(x_local));
+            (rho, rows, Factorization::Primal(chol), health, design)
         } else {
             let local_diag: f64 = x_local.as_slice().iter().map(|v| v * v).sum();
-            let rho = Self::global_rho(ctx, comm, local_diag, p, cfg.rho);
+            let (rho, rows) = Self::global_rho(ctx, comm, local_diag, n, p, cfg.rho);
             let (factor, health) = try_factorize(&x_local, rho)?;
-            (rho, factor, health, DesignStore::Wide(x_local))
+            (rho, rows, factor, health, DesignStore::Wide(x_local))
         };
         let metrics = ctx.telemetry().metrics();
         ctx.span_exit(sp);
         Ok(Self {
             design,
             n_rows: n,
+            global_rows,
             factor,
             cfg,
             rho,
@@ -227,7 +236,7 @@ impl DistLassoAdmm {
             uoi_linalg::gram::gram_kernel_ws(p),
         );
         let local_diag: f64 = (0..p).map(|i| gram[(i, i)]).sum();
-        let rho = Self::global_rho(ctx, comm, local_diag, p, cfg.rho);
+        let (rho, global_rows) = Self::global_rho(ctx, comm, local_diag, n_rows, p, cfg.rho);
         // Reads only the upper triangle: upper-stored Grams from the
         // batched engine (and the checkpoint warm path that round-trips
         // them) need no mirror.
@@ -235,8 +244,9 @@ impl DistLassoAdmm {
         let metrics = ctx.telemetry().metrics();
         ctx.span_exit(sp);
         Ok(Self {
-            design: DesignStore::Gram { gram, x: None },
+            design: DesignStore::gram(gram, None),
             n_rows,
+            global_rows,
             factor: Factorization::Primal(chol),
             cfg,
             rho,
@@ -494,7 +504,7 @@ impl DistLassoAdmm {
     /// `X_i^T y_i` — the one path entry point for dense and Gram-built
     /// solvers. Collective over `comm`. Solves largest-first, each λ a
     /// screened active-set solve warm-started from the previous λ's
-    /// solution (see the module docs).
+    /// solution and ended by a polish (see the module docs).
     pub fn solve_path_with_rhs(
         &self,
         ctx: &mut RankCtx,
@@ -509,6 +519,7 @@ impl DistLassoAdmm {
         let mut st = AdmmState::new(p);
         let mut local = Local::default();
         let mut cons = Consensus::default();
+        let mut polish = Polish::default();
         let mut curve = Vec::new();
         let mut out = Vec::with_capacity(lambdas.len());
         for &lam in lambdas {
@@ -548,6 +559,10 @@ impl DistLassoAdmm {
                 if self.cfg.capture_curve {
                     curve.push(r_norm);
                 }
+                let due = st.polish_due((!conv).then_some(&cons.z_old));
+                if due && self.polish(ctx, comm, xty, lam, &mut st, &mut polish) {
+                    break;
+                }
                 if conv {
                     // KKT check over the complement of S, on the summed
                     // gradient; violators join S and the solve goes on.
@@ -585,6 +600,44 @@ impl DistLassoAdmm {
             });
         }
         out
+    }
+
+    /// One polish attempt on the consensus iterate's sign pattern: the
+    /// local `G_i,AA` and `c_i,A` are summed by one allreduce, every rank
+    /// solves the same reduced system, and — signs agreeing — the KKT
+    /// check reads the allreduced gradient at `β`. A support larger than
+    /// the global row count is singular and rejected before any
+    /// collective. Charged as the gather, an `|A|^3 / 3` factorisation and
+    /// the gradient refresh.
+    fn polish(
+        &self,
+        ctx: &mut RankCtx,
+        comm: &Comm,
+        xty: &[f64],
+        lambda: f64,
+        st: &mut AdmmState,
+        pl: &mut Polish,
+    ) -> bool {
+        st.polish_support(pl);
+        let a = pl.support_len();
+        let solved = if a > self.global_rows {
+            st.reject_pattern();
+            false
+        } else {
+            st.polish_gather(&self.design, xty, pl);
+            comm.allreduce_sum(ctx, pl.system_mut());
+            st.polish_solve(pl, lambda, PolishSystem::Gathered)
+        };
+        ctx.compute_flops(st.take_factor_flops(), (a * a * 8) as f64);
+        let accepted = solved && {
+            self.reduce_gradient(ctx, comm, xty, st);
+            st.polish_settle(pl, lambda)
+        };
+        if let (0, Some(reg)) = (comm.rank(), &self.metrics) {
+            reg.incr("admm.polish.attempts", 1);
+            reg.incr("admm.polish.accepted", u64::from(accepted));
+        }
+        accepted
     }
 
     /// Refresh this rank's gradient `X_i^T y_i - G_i z` (support columns

@@ -2,8 +2,8 @@
 //! caller's buffers and [`AdmmWorkspace`] are warm, `LassoAdmm::solve_warm_with`
 //! performs zero heap allocations per solve, and once an [`AdmmState`] is
 //! warm, a whole screened λ path driven through `begin_lambda`/`step` —
-//! active-set gathers, sub-factorisations and KKT re-entries included —
-//! performs none either. A counting global allocator makes the claim
+//! active-set gathers, sub-factorisations, polish attempts and KKT
+//! re-entries included — performs none either. A counting global allocator makes the claim
 //! falsifiable rather than aspirational.
 //!
 //! Allocations are counted per thread: the harness runs tests on sibling
@@ -246,5 +246,45 @@ fn warm_screened_path_is_allocation_free_across_kkt_reentry() {
     assert!(
         metrics.counter("admm.kkt_reentries") > warm_reentries,
         "the measured pass must re-enter too"
+    );
+}
+
+/// Polish attempts — accepted and rejected, their reduced systems
+/// gathered, factored and checked in the thread's shared scratch — add
+/// no allocation to a warm screened path.
+#[test]
+fn warm_screened_path_is_allocation_free_across_polish_attempts() {
+    let x = deterministic_design(60, 20);
+    let y: Vec<f64> = (0..60)
+        .map(|i| x[(i, 2)] - 0.5 * x[(i, 7)] + 0.3 * x[(i, 11)] + 0.05 * (i as f64 * 0.7).sin())
+        .collect();
+    let gram = uoi_linalg::syrk_t(&x);
+    let xty = uoi_linalg::gemv_t(&x, &y);
+    let lmax = xty.iter().fold(0.0_f64, |m, v| m.max(v.abs()));
+    let lambdas: Vec<f64> = (0..10).map(|k| lmax * 0.7_f64.powi(k)).collect();
+    let solver = LassoAdmm::from_gram(gram.clone(), AdmmConfig::default());
+    let mut st = solver.init_state();
+    drive_path(&solver, &xty, &lambdas, &mut st);
+    let before = allocations();
+    drive_path(&solver, &xty, &lambdas, &mut st);
+    assert_eq!(allocations() - before, 0, "warm polished path allocated");
+
+    // The measured pass polishes every λ, after rejecting some patterns.
+    let metrics = Arc::new(MetricsRegistry::new());
+    let twin = LassoAdmm::from_gram(gram, AdmmConfig::default()).with_metrics(metrics.clone());
+    let mut st = twin.init_state();
+    drive_path(&twin, &xty, &lambdas, &mut st);
+    let (attempts, accepted) = (
+        metrics.counter("admm.polish.attempts"),
+        metrics.counter("admm.polish.accepted"),
+    );
+    drive_path(&twin, &xty, &lambdas, &mut st);
+    assert_eq!(
+        metrics.counter("admm.polish.accepted") - accepted,
+        lambdas.len() as u64
+    );
+    assert!(
+        metrics.counter("admm.polish.attempts") - attempts > lambdas.len() as u64,
+        "the measured pass must reject a pattern too"
     );
 }

@@ -1,10 +1,10 @@
 //! Correctness gate for the screened consensus λ path
 //! (`DistLassoAdmm::solve_path_with_rhs`).
 //! Every solution must meet the *global* LASSO KKT conditions of the
-//! stacked problem, select the supports the serial screened solver and
-//! cold unscreened consensus solves select on well-separated designs, and
-//! come back bit-identical on every rank after the same number of
-//! collectives.
+//! stacked problem — every polished λ to a relative bound of 1e-9 —,
+//! select the supports the serial screened solver and cold unscreened
+//! consensus solves select on well-separated designs, and come back
+//! bit-identical on every rank after the same number of collectives.
 //! Two cases are pinned explicitly: a row split on which each rank's own
 //! gradient would pick a different strong set (the rule must run on the
 //! allreduced gradient), and a grid on which the strong rule misses a
@@ -352,6 +352,91 @@ fn coarse_grid_forces_kkt_reentry_on_every_rank_count() {
                 metrics.counter("admm_dist.kkt_reentries") > 0,
                 "seed {seed}, {ranks} ranks: the strong rule must miss a feature on this grid"
             );
+        }
+    }
+}
+
+/// Rank 0's solutions and polish counters of a metered consensus path.
+fn metered_path(
+    x: &Matrix,
+    y: &[f64],
+    split: &[Range<usize>],
+    lambdas: &[f64],
+    build: Build,
+) -> (Vec<AdmmSolution>, u64, u64) {
+    let metrics = Arc::new(MetricsRegistry::new());
+    let telemetry = Telemetry::with_metrics(metrics.clone());
+    let sols = consensus_path(x, y, split, lambdas, &cfg(), build, Some(telemetry));
+    (
+        sols,
+        metrics.counter("admm.polish.attempts"),
+        metrics.counter("admm.polish.accepted"),
+    )
+}
+
+/// On 1–3 ranks with uneven splits, Gram and dense blocks alike, every
+/// λ ends on a polish of the allreduced reduced system and meets the
+/// global KKT conditions to 1e-9 relative to λ; `consensus_path` checks
+/// that every rank made the same collectives to get there.
+#[test]
+fn polished_consensus_lambdas_meet_relative_kkt_1e9() {
+    for seed in [2, 3] {
+        let x = testgen::random_design(seed, 48, 10);
+        let y = testgen::matched_response(seed, &x);
+        let lambdas = grid(lambda_max(&x, &y), 0.6, 8);
+        for split in [blocks(&[], 48), blocks(&[13], 48), blocks(&[7, 30], 48)] {
+            for build in [Build::Gram, Build::Dense] {
+                let (sols, attempts, accepted) = metered_path(&x, &y, &split, &lambdas, build);
+                let ranks = split.len();
+                assert_eq!(
+                    accepted,
+                    lambdas.len() as u64,
+                    "seed {seed}, {ranks} ranks, {build:?}: every λ polishes"
+                );
+                assert!(attempts >= accepted);
+                for (sol, &lam) in sols.iter().zip(&lambdas) {
+                    let rel = lasso_kkt_violation(&x, &y, &sol.beta, lam) / lam;
+                    assert!(
+                        rel <= 1e-9,
+                        "seed {seed}, {ranks} ranks, lambda {lam}: {rel:.3e}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// The consensus twin of screening.rs's check: a ratio-1/2 grid keeps
+/// every feature in S, a fine grid through the same λs screens, and the
+/// polished solutions agree to 1e-9.
+#[test]
+fn screened_and_unscreened_consensus_paths_agree_to_1e9() {
+    let x = testgen::random_design(12, 60, 16);
+    let y = testgen::matched_response(12, &x);
+    let lmax = lambda_max(&x, &y);
+    let coarse: Vec<f64> = [0.5, 0.25, 0.125].iter().map(|r| r * lmax).collect();
+    let step = 0.5_f64.powf(1.0 / 6.0);
+    let mut fine: Vec<f64> = [1.0, 0.5, 0.25]
+        .iter()
+        .flat_map(|r| (0..6).map(move |m| r * lmax * step.powi(m)))
+        .collect();
+    fine.push(coarse[2]);
+    for split in [blocks(&[], 60), blocks(&[23], 60), blocks(&[11, 40], 60)] {
+        let (full, _, full_polished) = metered_path(&x, &y, &split, &coarse, Build::Gram);
+        let (screened, _, screened_polished) = metered_path(&x, &y, &split, &fine, Build::Gram);
+        assert_eq!(full_polished, coarse.len() as u64);
+        assert_eq!(screened_polished, fine.len() as u64);
+        for (k, &lam) in coarse.iter().enumerate() {
+            let at = fine.iter().position(|&l| l == lam).unwrap();
+            let (a, b) = (&full[k].beta, &screened[at].beta);
+            let scale = 1.0 + a.iter().fold(0.0_f64, |m, v| m.max(v.abs()));
+            for (u, v) in a.iter().zip(b) {
+                assert!(
+                    (u - v).abs() <= 1e-9 * scale,
+                    "{} ranks: {u} vs {v}",
+                    split.len()
+                );
+            }
         }
     }
 }

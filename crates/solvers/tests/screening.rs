@@ -1,17 +1,18 @@
 //! Correctness gate for the screened Sequential λ path: every solution
 //! must satisfy the LASSO KKT conditions to a bound derived from the ADMM
-//! stopping tolerances, and on well-separated designs its supports must
-//! match the independent coordinate-descent solver's. The edge cases —
-//! an empty strong set, a strong set of every feature, `p > n`, a
-//! singular active-set Gram, and a grid on which the strong rule is wrong
-//! and the KKT check must re-admit a feature — are pinned explicitly.
+//! stopping tolerances, every polished λ to a relative bound of 1e-9,
+//! and on well-separated designs its supports must match the independent
+//! coordinate-descent solver's. The edge cases — an empty strong set, a
+//! strong set of every feature, `p > n`, a singular active-set Gram, and
+//! a grid on which the strong rule is wrong and the KKT check must
+//! re-admit a feature — are pinned explicitly.
 
 use proptest::prelude::*;
 use std::sync::Arc;
 use uoi_linalg::{gemv_t, syrk_t, testgen, Matrix};
 use uoi_solvers::{
-    lasso_cd, lasso_kkt_violation, lasso_objective, support_of, AdmmConfig, AdmmSolution, CdConfig,
-    LassoAdmm,
+    lasso_cd, lasso_kkt_violation, lasso_objective, support_of, AdmmConfig, AdmmSolution,
+    AdmmState, CdConfig, LassoAdmm, ResilienceConfig, ResilientLasso, StepTask,
 };
 use uoi_telemetry::MetricsRegistry;
 
@@ -78,6 +79,57 @@ fn assert_path_optimal(
     }
 }
 
+/// The relative KKT bound a polished λ meets: the violation over `λ`,
+/// as the benchmark's `solvers.kkt_rel_max` reads it.
+const POLISHED_KKT_REL: f64 = 1e-9;
+
+fn kkt_rel(x: &Matrix, y: &[f64], beta: &[f64], lambda: f64) -> f64 {
+    lasso_kkt_violation(x, y, beta, lambda) / lambda
+}
+
+/// Drive a screened path through `begin_lambda`/`step`, as
+/// `solve_path_with_rhs` does: per λ, the solution, whether it ended on
+/// an accepted polish, and the active-set size the transition chose.
+fn drive(solver: &LassoAdmm, xty: &[f64], lambdas: &[f64]) -> Vec<(Vec<f64>, bool, usize)> {
+    let mut st = solver.init_state();
+    lambdas
+        .iter()
+        .map(|&lam| {
+            solver.begin_lambda(xty, lam, &mut st);
+            let screened = st.active_len();
+            for _ in 0..solver.config().max_iter {
+                solver.step(xty, lam, &mut st);
+                if st.converged {
+                    break;
+                }
+            }
+            (st.z.clone(), st.polished, screened)
+        })
+        .collect()
+}
+
+/// Every polished λ of `path` meets the 1e-9 relative KKT bound; returns
+/// how many were polished.
+fn assert_polished_exact(
+    x: &Matrix,
+    y: &[f64],
+    lambdas: &[f64],
+    path: &[(Vec<f64>, bool, usize)],
+) -> usize {
+    let mut polished = 0;
+    for ((beta, is_polished, _), &lam) in path.iter().zip(lambdas) {
+        if *is_polished {
+            polished += 1;
+            let rel = kkt_rel(x, y, beta, lam);
+            assert!(
+                rel <= POLISHED_KKT_REL,
+                "lambda {lam}: polished KKT violation {rel:.3e} relative to lambda"
+            );
+        }
+    }
+    polished
+}
+
 fn problem_strategy() -> impl Strategy<Value = (Matrix, Vec<f64>)> {
     // Both p <= n and p > n shapes.
     (8usize..40, 4usize..48, 0u64..10_000).prop_map(|(n, p, seed)| {
@@ -97,6 +149,19 @@ proptest! {
         let lambdas = grid(lambda_max(&xty), ratio, 8);
         let sols = solver.solve_path_with_rhs(&xty, &lambdas);
         assert_path_optimal(&x, &y, &lambdas, &sols, &cfg);
+    }
+
+    #[test]
+    fn polished_lambdas_meet_relative_kkt_1e9((x, y) in problem_strategy(), ratio in 0.4..0.9f64) {
+        let (solver, xty) = gram_solver(&x, &y, cfg());
+        let lambdas = grid(lambda_max(&xty), ratio, 8);
+        let path = drive(&solver, &xty, &lambdas);
+        // The driven path is the public one, bit for bit.
+        for (sol, (beta, _, _)) in solver.solve_path_with_rhs(&xty, &lambdas).iter().zip(&path) {
+            prop_assert!(sol.beta.iter().zip(beta).all(|(a, b)| a.to_bits() == b.to_bits()));
+        }
+        // λ_max itself always polishes: its support is empty.
+        prop_assert!(assert_polished_exact(&x, &y, &lambdas, &path) >= 1);
     }
 
     #[test]
@@ -205,14 +270,33 @@ fn wide_designs_agree_with_cd() {
 #[test]
 fn duplicate_columns_singular_active_gram() {
     // Exactly duplicated columns make every active-set Gram containing a
-    // pair singular; the rho ridge keeps the sub-system factorable.
+    // pair singular; the rho ridge keeps the sub-system factorable. The
+    // polish system G_AA has no ridge: a support holding a pair rejects
+    // the polish (no jitter, which would certify a regularised solution)
+    // and the λ keeps the ADMM iterate, which splits the pair evenly.
     let cfg = cfg();
-    let x = testgen::duplicated_columns_design(21, 30, 12, 3);
+    let (p, dups) = (12, 3);
+    let x = testgen::duplicated_columns_design(21, 30, p, dups);
     let y = testgen::matched_response(21, &x);
     let (solver, xty) = gram_solver(&x, &y, cfg.clone());
     let lambdas = grid(lambda_max(&xty), 0.5, 6);
     let sols = solver.solve_path_with_rhs(&xty, &lambdas);
     assert_path_optimal(&x, &y, &lambdas, &sols, &cfg);
+    let mut paired = 0;
+    for (beta, polished, _) in drive(&solver, &xty, &lambdas) {
+        for d in 0..dups {
+            let (a, b) = (beta[d], beta[p - 1 - d]);
+            if a != 0.0 && b != 0.0 {
+                paired += 1;
+                assert!(!polished, "a singular G_AA must reject the polish");
+                assert!(
+                    (a - b).abs() <= 1e-6 * (a.abs() + b.abs()),
+                    "the ADMM iterate splits a duplicated pair evenly: {a} vs {b}"
+                );
+            }
+        }
+    }
+    assert!(paired > 0, "the path must activate a duplicated pair");
     for (sol, &lam) in sols.iter().zip(&lambdas) {
         let cd = lasso_cd(&x, &y, lam, &tight_cd());
         let (oa, oc) = (
@@ -247,5 +331,110 @@ fn coarse_grid_forces_kkt_reentry() {
             metrics.counter("admm.kkt_reentries") > 0,
             "seed {seed}: the strong rule must miss a feature on this grid"
         );
+    }
+}
+
+/// A ratio-1/2 grid keeps every feature in the strong set (its cut
+/// `2 λ_k - λ_{k-1}` is zero); a fine grid through the same λs screens.
+/// Polished, both are the unique LASSO solution, so they agree to 1e-9
+/// where a stopping tolerance alone would leave them ~1e-6 apart.
+#[test]
+fn screened_and_unscreened_paths_agree_to_1e9() {
+    for seed in [4, 5, 6] {
+        let x = testgen::random_design(seed, 60, 20);
+        let y = testgen::matched_response(seed, &x);
+        let (solver, xty) = gram_solver(&x, &y, cfg());
+        let lmax = lambda_max(&xty);
+        let coarse: Vec<f64> = [0.5, 0.25, 0.125].iter().map(|r| r * lmax).collect();
+        let step = 0.5_f64.powf(1.0 / 6.0);
+        let mut fine: Vec<f64> = [1.0, 0.5, 0.25]
+            .iter()
+            .flat_map(|r| (0..6).map(move |m| r * lmax * step.powi(m)))
+            .collect();
+        fine.push(coarse[2]);
+        let full = drive(&solver, &xty, &coarse);
+        let screened = drive(&solver, &xty, &fine);
+        assert!(full.iter().all(|(_, _, m)| *m == x.cols()), "S = all");
+        assert!(screened.iter().any(|(_, _, m)| *m < x.cols()), "screened");
+        for (k, &lam) in coarse.iter().enumerate() {
+            let at = fine.iter().position(|&l| l == lam).unwrap();
+            let ((a, pa, _), (b, pb, _)) = (&full[k], &screened[at]);
+            assert!(*pa && *pb, "seed {seed}, lambda {lam}: both polished");
+            let scale = 1.0 + a.iter().fold(0.0_f64, |m, v| m.max(v.abs()));
+            for (u, v) in a.iter().zip(b) {
+                assert!((u - v).abs() <= 1e-9 * scale, "seed {seed}: {u} vs {v}");
+            }
+        }
+    }
+}
+
+/// Lockstep `step_many` columns polish as stepping each alone does, so
+/// every polished column-λ meets the 1e-9 bound.
+#[test]
+fn lockstep_columns_polish_exactly() {
+    let x = testgen::random_design(8, 50, 16);
+    let ys: Vec<Vec<f64>> = (0..4)
+        .map(|k| testgen::matched_response(30 + k, &x))
+        .collect();
+    let solver = LassoAdmm::from_gram(syrk_t(&x), cfg());
+    let rhs: Vec<Vec<f64>> = ys.iter().map(|y| gemv_t(&x, y)).collect();
+    let lmax = rhs.iter().map(|r| lambda_max(r)).fold(0.0, f64::max);
+    let lambdas = grid(lmax, 0.6, 6);
+    let mut states: Vec<AdmmState> = rhs.iter().map(|_| solver.init_state()).collect();
+    let mut polished = 0;
+    for &lam in &lambdas {
+        for (st, xty) in states.iter_mut().zip(&rhs) {
+            solver.begin_lambda(xty, lam, st);
+        }
+        for _ in 0..solver.config().max_iter {
+            let mut tasks: Vec<StepTask<'_>> = states
+                .iter_mut()
+                .zip(&rhs)
+                .map(|(state, xty)| StepTask {
+                    xty,
+                    lambda: lam,
+                    state,
+                })
+                .collect();
+            solver.step_many(&mut tasks);
+            if states.iter().all(|st| st.converged) {
+                break;
+            }
+        }
+        for (st, y) in states.iter().zip(&ys) {
+            assert!(st.converged);
+            if st.polished {
+                polished += 1;
+                let rel = kkt_rel(&x, y, &st.z, lam);
+                assert!(rel <= POLISHED_KKT_REL, "lambda {lam}: {rel:.3e}");
+            }
+        }
+    }
+    assert!(polished > lambdas.len(), "most column-λs must polish");
+}
+
+/// The guarded path steps through the same polish: on a clean design
+/// every λ is polished and exact.
+#[test]
+fn guarded_path_polishes_every_lambda() {
+    let x = testgen::random_design(9, 40, 12);
+    let y = testgen::matched_response(9, &x);
+    let metrics = Arc::new(MetricsRegistry::new());
+    let mut guarded = ResilientLasso::from_gram(syrk_t(&x), cfg(), ResilienceConfig::default())
+        .expect("a clean Gram factors")
+        .with_metrics(metrics.clone());
+    let xty = gemv_t(&x, &y);
+    let lambdas = grid(lambda_max(&xty), 0.6, 8);
+    let (sols, health) = guarded.solve_path_with_rhs(&xty, &lambdas);
+    assert!(health.is_clean());
+    assert_eq!(
+        metrics.counter("admm.polish.accepted"),
+        lambdas.len() as u64,
+        "every λ ends on an accepted polish"
+    );
+    assert!(metrics.counter("admm.polish.attempts") >= lambdas.len() as u64);
+    for (sol, &lam) in sols.iter().zip(&lambdas) {
+        let rel = kkt_rel(&x, &y, &sol.beta, lam);
+        assert!(rel <= POLISHED_KKT_REL, "lambda {lam}: {rel:.3e}");
     }
 }
