@@ -3,11 +3,12 @@
 //! per-bootstrap weighted-SYRK loop it replaces and (b) the materialise-
 //! then-SYRK baseline the zero-copy path already beat. Shapes follow the
 //! fig2 (LASSO single node, tall n x p) and fig7 (VAR, square-ish dp)
-//! pipeline workloads.
+//! pipeline workloads, plus the `lasso_gram` shape of the repository
+//! benchmark (`uoi_benchmark`), where most of its measured time sits.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
-use uoi_linalg::{syrk_t_weighted, syrk_t_weighted_batch, Matrix};
+use uoi_linalg::{gram_rhs_batch, syrk_t_weighted, syrk_t_weighted_batch, Matrix};
 
 fn matrix(n: usize, p: usize, seed: usize) -> Matrix {
     Matrix::from_fn(n, p, |i, j| {
@@ -72,5 +73,28 @@ fn bench_gram_batch(c: &mut Criterion) {
     }
 }
 
-criterion_group!(benches, bench_gram_batch);
+/// The selection-stage Gram of `uoi_benchmark`'s `lasso_gram` workload:
+/// `gram_rhs_batch` over n = 4096, p = 256 with B = 5 bootstrap weightings.
+/// The throughput counts flops as the benchmark's traced run does (the
+/// upper triangle, `n p (p + 1)`, plus the rhs, `2 n p`, per resample),
+/// so the printed elem/s read as flop/s: divide by 1e9 for GFLOP/s.
+fn bench_lasso_gram_shape(c: &mut Criterion) {
+    const B: usize = 5;
+    let (n, p) = (4096usize, 256usize);
+    let a = matrix(n, p, 11);
+    let y: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
+    let ws: Vec<Vec<f64>> = (0..B).map(|k| weights(n, 21 + k as u64)).collect();
+    let wrefs: Vec<&[f64]> = ws.iter().map(|w| w.as_slice()).collect();
+    let mut g = c.benchmark_group("gram_batch/lasso_gram");
+    g.sample_size(10);
+    g.throughput(Throughput::Elements(
+        (B * (n * p * (p + 1) + 2 * n * p)) as u64,
+    ));
+    g.bench_with_input(BenchmarkId::new("gram_rhs_batch", B), &B, |bench, _| {
+        bench.iter(|| gram_rhs_batch(black_box(&a), black_box(&y), black_box(&wrefs)))
+    });
+    g.finish();
+}
+
+criterion_group!(benches, bench_gram_batch, bench_lasso_gram_shape);
 criterion_main!(benches);

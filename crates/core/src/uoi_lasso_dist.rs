@@ -321,9 +321,7 @@ impl LassoDist<'_> {
             .map(|&j| self.centring.lambdas[j])
             .collect();
         if !self.cfg.numerical.enabled {
-            let solver = sys
-                .try_solver(ctx, comm, self.admm.clone())
-                .expect("local ADMM system must factor (is the design non-finite?)");
+            let solver = sys.solver(ctx, comm, self.admm.clone());
             return Some(solver.solve_path_with_rhs(ctx, comm, &sys.xty, &lambdas));
         }
         // Guarded construction. The solver's only collective (the
@@ -527,8 +525,26 @@ enum LocalSource {
 }
 
 impl LocalSystem {
-    /// Build the consensus solver (collective: penalty allreduce). Also
-    /// the rebuild path of the rho restarts, so the system is borrowed.
+    /// Build the unguarded consensus solver (collective: penalty
+    /// allreduce). A Gram-backed solver factors its full local system
+    /// only if a screened path needs it; a breakdown panics.
+    fn solver(
+        &self,
+        ctx: &mut RankCtx,
+        comm: &Comm,
+        admm: uoi_solvers::AdmmConfig,
+    ) -> DistLassoAdmm {
+        match &self.source {
+            LocalSource::Gram(gram, n_rows) => {
+                DistLassoAdmm::from_gram(ctx, comm, gram.clone(), *n_rows, admm)
+            }
+            LocalSource::Dense(x) => DistLassoAdmm::new(ctx, comm, x.clone(), admm),
+        }
+    }
+
+    /// Build the guarded consensus solver, its full local system factored
+    /// eagerly so the breakdown agreement can read its health. Also the
+    /// rebuild path of the rho restarts, so the system is borrowed.
     fn try_solver(
         &self,
         ctx: &mut RankCtx,

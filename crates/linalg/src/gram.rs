@@ -57,6 +57,17 @@
 //! one final add into the output. Tile shape and vector width only change
 //! how many elements advance side by side, so every variant matches the
 //! portable kernel bit for bit.
+//!
+//! Each term is `(w_r · x_rj) · x_rc`. The weighted factor `w_r · x_rj`
+//! depends only on the row and the band column `j`, so once per
+//! `(panel, band, resample)` the task writes it for the panel's nonzero
+//! rows into a scratch buffer (at most `64 × 64` doubles, carved from the
+//! task's packing buffer), and the tile reads it back with a broadcast
+//! load: its inner loop is load, multiply, add, instead of redoing the
+//! weight product once per column tile. The scratch holds exactly the
+//! products the tile used to form, and the sum over rows keeps its order
+//! and its brackets, so no bit of any Gram moves. Unit weights
+//! (`None`) store `1 · x_rj`, which is `x_rj` exactly.
 
 use crate::dense::Matrix;
 use crate::kernels;
@@ -97,12 +108,13 @@ pub fn pack_count() -> u64 {
 
 /// Identifier recorded in run reports, so a benchmark snapshot states
 /// which Gram engine — and which vector ISA — produced it, e.g.
-/// `"gram-batched-tiled-v2+avx512f"`.
+/// `"gram-batched-tiled-v3+avx512f"`. v3 reads the row-tile operand
+/// pre-scaled by the bootstrap weight (see the module's *Determinism*).
 pub fn kernel_variant() -> &'static str {
     match Kernel::detect() {
-        Kernel::Portable => "gram-batched-tiled-v2+portable",
+        Kernel::Portable => "gram-batched-tiled-v3+portable",
         #[cfg(target_arch = "x86_64")]
-        Kernel::Avx512 => "gram-batched-tiled-v2+avx512f",
+        Kernel::Avx512 => "gram-batched-tiled-v3+avx512f",
     }
 }
 
@@ -251,8 +263,13 @@ fn band_body_tiled<const TR: usize, const TC: usize>(
     let (n, p) = a.shape();
     let (j0, j1) = (task.j0, task.j1);
     let stride = p - j0;
+    let bw = j1 - j0;
     let b = weights.len();
-    let mut packed = vec![0.0f64; GRAM_PANEL_ROWS.min(n.max(1)) * stride];
+    let panel_rows = GRAM_PANEL_ROWS.min(n.max(1));
+    // One buffer per task: the packed panel, then the pre-scaled row-tile
+    // operand of the current resample (at most 64 × 64 doubles).
+    let mut scratch = vec![0.0f64; panel_rows * (stride + bw)];
+    let (packed, scaled) = scratch.split_at_mut(panel_rows * stride);
     // Nonzero (local row, weight) pairs of the current panel, per resample.
     let mut nz: Vec<Vec<(u32, f64)>> = vec![Vec::new(); b];
 
@@ -282,13 +299,21 @@ fn band_body_tiled<const TR: usize, const TC: usize>(
             if nz[k].is_empty() {
                 continue;
             }
-            tile_sweep::<TR, TC>(&packed, stride, &nz[k], j0, j1, p, task.blocks[k]);
+            // `w_r · x[r, j]` for the band's columns, once per resample:
+            // the same products the tile would form, so no bit moves.
+            for (&(r, wv), dst) in nz[k].iter().zip(scaled.chunks_exact_mut(bw)) {
+                let src = &packed[r as usize * stride..][..bw];
+                for (d, &x) in dst.iter_mut().zip(src) {
+                    *d = wv * x;
+                }
+            }
+            tile_sweep::<TR, TC>(packed, stride, scaled, &nz[k], j0, j1, task.blocks[k]);
             if let Some(y) = y {
                 let seg = &mut *task.rhs[k];
                 for &(r, wv) in &nz[k] {
                     let c = wv * y[i0 + r as usize];
                     if c != 0.0 {
-                        let row = &packed[r as usize * stride..r as usize * stride + (j1 - j0)];
+                        let row = &packed[r as usize * stride..r as usize * stride + bw];
                         kernels::axpy(c, row, seg);
                     }
                 }
@@ -301,16 +326,23 @@ fn band_body_tiled<const TR: usize, const TC: usize>(
 /// `TR × TC` register-tiled sweep of one packed panel over the band's
 /// upper-triangle tiles for a single resample. Square tiles only
 /// (`TR == TC`), so each row's column tiles start at the row tile itself.
+/// A packed row holds columns `j0..p`, so `p = j0 + stride`.
+///
+/// `scaled` holds, for the `i`-th entry of `nz`, the pre-scaled row-tile
+/// operand `w_r · x[r, j0..j1]` at `scaled[i * (j1 - j0)..]`; the column
+/// operand is read unscaled from `packed`.
 #[inline(always)]
 fn tile_sweep<const TR: usize, const TC: usize>(
     packed: &[f64],
     stride: usize,
+    scaled: &[f64],
     nz: &[(u32, f64)],
     j0: usize,
     j1: usize,
-    p: usize,
     block: &mut [f64],
 ) {
+    let p = j0 + stride;
+    let bw = j1 - j0;
     let mut jt = j0;
     while jt < j1 {
         let jh = (jt + TR).min(j1);
@@ -320,18 +352,18 @@ fn tile_sweep<const TR: usize, const TC: usize>(
             let ch = (ct + TC).min(p);
             let nw = ch - ct;
             if mh == TR && nw == TC {
-                // Full tile: TR × TC register accumulators, unrolled lanes.
+                // Full tile: TR × TC register accumulators, unrolled lanes;
+                // each step is a broadcast load, a multiply and an add.
                 let mut acc = [[0.0f64; TC]; TR];
-                for &(r, wv) in nz {
-                    let base = r as usize * stride;
-                    let lj: &[f64; TR] = packed[base + (jt - j0)..][..TR]
+                for (&(r, _), srow) in nz.iter().zip(scaled.chunks_exact(bw)) {
+                    let lj: &[f64; TR] = srow[jt - j0..][..TR]
                         .try_into()
                         .expect("row-tile slice has TR elements");
-                    let lc: &[f64; TC] = packed[base + (ct - j0)..][..TC]
+                    let lc: &[f64; TC] = packed[r as usize * stride + (ct - j0)..][..TC]
                         .try_into()
                         .expect("column-tile slice has TC elements");
                     for rr in 0..TR {
-                        let s = wv * lj[rr];
+                        let s = lj[rr];
                         for cc in 0..TC {
                             acc[rr][cc] += s * lc[cc];
                         }
@@ -341,10 +373,10 @@ fn tile_sweep<const TR: usize, const TC: usize>(
             } else {
                 // Ragged edge tile: same bracketing, generic bounds.
                 let mut acc = [[0.0f64; TC]; TR];
-                for &(r, wv) in nz {
+                for (&(r, _), srow) in nz.iter().zip(scaled.chunks_exact(bw)) {
                     let base = r as usize * stride;
                     for rr in 0..mh {
-                        let s = wv * packed[base + (jt - j0) + rr];
+                        let s = srow[(jt - j0) + rr];
                         for cc in 0..nw {
                             acc[rr][cc] += s * packed[base + (ct - j0) + cc];
                         }
@@ -727,28 +759,146 @@ mod tests {
         assert_eq!(solo_packs, (bands * panels) as u64);
     }
 
+    /// Weight patterns: 0 dense integer multiplicities, 1 sparse (about
+    /// one row in eight kept, fractional), 2 all zero, 3 unweighted.
+    fn weight_pattern(n: usize, seed: u64, mode: u8) -> Option<Vec<f64>> {
+        match mode {
+            0 => Some(demo_weights(n, seed)),
+            1 => Some(
+                demo_weights(n, seed)
+                    .iter()
+                    .zip(demo_weights(n, seed + 1))
+                    .map(|(&w, v)| if v == 0.0 { w * 0.75 } else { 0.0 })
+                    .collect(),
+            ),
+            2 => Some(vec![0.0; n]),
+            _ => None,
+        }
+    }
+
+    /// Every kernel against a scalar statement of the bracketing the
+    /// module's *Determinism* section promises, bit for bit.
+    mod oracle {
+        use super::*;
+
+        /// Scalar reference: for every upper element `(j, c)`, a fresh sum
+        /// per panel of `GRAM_PANEL_ROWS` rows over the panel's
+        /// nonzero-weight rows in ascending order, each term
+        /// `(w_r · x_rj) · x_rc`, added to the output once per panel. The
+        /// rhs adds `(w_r · y_r) · x_rj` row by row, skipping zero
+        /// coefficients. `None` weights are unit weights.
+        fn bracketing_oracle(a: &Matrix, w: WeightOpt<'_>, y: &[f64]) -> (Vec<f64>, Vec<f64>) {
+            let (n, p) = a.shape();
+            let weight = |r: usize| w.map_or(1.0, |w| w[r]);
+            let mut gram = vec![0.0f64; p * p];
+            let mut rhs = vec![0.0f64; p];
+            for i0 in (0..n).step_by(GRAM_PANEL_ROWS) {
+                let rows: Vec<usize> = (i0..(i0 + GRAM_PANEL_ROWS).min(n))
+                    .filter(|&r| weight(r) != 0.0)
+                    .collect();
+                if rows.is_empty() {
+                    continue;
+                }
+                for j in 0..p {
+                    for c in j..p {
+                        let mut sum = 0.0f64;
+                        for &r in &rows {
+                            sum += (weight(r) * a[(r, j)]) * a[(r, c)];
+                        }
+                        gram[j * p + c] += sum;
+                    }
+                }
+                for &r in &rows {
+                    let coeff = weight(r) * y[r];
+                    if coeff != 0.0 {
+                        for (j, out) in rhs.iter_mut().enumerate() {
+                            *out += coeff * a[(r, j)];
+                        }
+                    }
+                }
+            }
+            (gram, rhs)
+        }
+
+        /// `kernel`'s Grams and rhs, for dense, sparse, all-zero and unit
+        /// weights, must equal the oracle's `to_bits`.
+        fn matches_oracle(kernel: Kernel, n: usize, p: usize, seed: u64) -> Result<(), String> {
+            let a = demo_matrix(n, p, seed);
+            let y: Vec<f64> = (0..n)
+                .map(|i| (i as f64 * 0.17 + seed as f64).cos())
+                .collect();
+            let ws: Vec<Option<Vec<f64>>> = (0..4u8)
+                .map(|mode| weight_pattern(n, seed + 300, mode))
+                .collect();
+            let opts: Vec<WeightOpt<'_>> = ws.iter().map(|w| w.as_deref()).collect();
+            let (grams, rhs) = batch_core_scheduled(kernel, &a, &opts, Some(&y), None);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+            for (mode, (g, r)) in grams.into_iter().zip(&rhs).enumerate() {
+                let (want_g, want_r) = bracketing_oracle(&a, opts[mode], &y);
+                if bits(g.upper().as_slice()) != bits(&want_g) {
+                    return Err(format!(
+                        "{kernel:?} Gram differs from the oracle at n={n}, p={p}, weights {mode}"
+                    ));
+                }
+                if bits(r) != bits(&want_r) {
+                    return Err(format!(
+                        "{kernel:?} rhs differs from the oracle at n={n}, p={p}, weights {mode}"
+                    ));
+                }
+            }
+            Ok(())
+        }
+
+        /// The portable kernel and, when it differs, the one this CPU runs.
+        fn kernels() -> Vec<Kernel> {
+            let mut ks = vec![Kernel::Portable];
+            if Kernel::detect() != Kernel::Portable {
+                ks.push(Kernel::detect());
+            }
+            ks
+        }
+
+        #[test]
+        fn kernels_match_bracketing_oracle_on_edge_shapes() {
+            let shapes = [
+                (0, 5),     // no rows: every Gram is zero
+                (1, 1),     // one element
+                (37, 3),    // p below every tile edge, n < GRAM_PANEL_ROWS
+                (50, 13),   // p not a multiple of 4 or 8
+                (64, 64),   // one full band, one full panel
+                (65, 66),   // one row and two columns past a panel and a band
+                (130, 30),  // ragged last panel
+                (200, 150), // three bands, the last one ragged
+                (97, 203),  // four bands; p not a multiple of 8
+            ];
+            for kernel in kernels() {
+                for (i, &(n, p)) in shapes.iter().enumerate() {
+                    matches_oracle(kernel, n, p, 41 + i as u64).unwrap_or_else(|e| panic!("{e}"));
+                }
+            }
+        }
+
+        proptest::proptest! {
+            #![proptest_config(proptest::ProptestConfig::with_cases(24))]
+
+            #[test]
+            fn kernels_match_bracketing_oracle_on_random_shapes(
+                n in 1usize..180,
+                p in 1usize..150,
+                seed in 0u64..1000,
+            ) {
+                for kernel in kernels() {
+                    proptest::prop_assert_eq!(matches_oracle(kernel, n, p, seed), Ok(()));
+                }
+            }
+        }
+    }
+
     /// Each wide variant against the portable kernel, one test per
     /// variant so the test list names what ran.
     #[cfg(target_arch = "x86_64")]
     mod variants {
         use super::*;
-
-        /// Weight patterns: 0 dense integer multiplicities, 1 sparse (about
-        /// one row in eight kept, fractional), 2 all zero, 3 unweighted.
-        fn weight_pattern(n: usize, seed: u64, mode: u8) -> Option<Vec<f64>> {
-            match mode {
-                0 => Some(demo_weights(n, seed)),
-                1 => Some(
-                    demo_weights(n, seed)
-                        .iter()
-                        .zip(demo_weights(n, seed + 1))
-                        .map(|(&w, v)| if v == 0.0 { w * 0.75 } else { 0.0 })
-                        .collect(),
-                ),
-                2 => Some(vec![0.0; n]),
-                _ => None,
-            }
-        }
 
         /// Gram and rhs bits of `kernel` must equal the portable kernel's.
         fn matches_portable(kernel: Kernel, n: usize, p: usize, seed: u64) -> Result<(), String> {

@@ -43,19 +43,20 @@
 //! coefficients against the full local factor. See DESIGN.md §3.
 
 use crate::admm::{
-    admm_active_iter_flops, admm_iter_flops, decimate_curve, effective_rho, factor_ridged_pristine,
-    try_factorize, AdmmConfig, AdmmSolution, AdmmState, DesignStore, Factorization, Polish,
-    PolishSystem, CURVE_MAX_POINTS,
+    admm_active_iter_flops, admm_iter_flops, decimate_curve, effective_rho, factor_ridged,
+    factor_ridged_pristine, try_factorize, AdmmConfig, AdmmSolution, AdmmState, DesignStore,
+    Factorization, Polish, PolishSystem, CURVE_MAX_POINTS,
 };
 use crate::prox::soft_threshold_vec;
 use crate::resilience::FactorHealth;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use uoi_linalg::{gemv_into, gemv_t, gemv_t_into, norm_inf, FactorBreakdown, Matrix};
 use uoi_mpisim::{Comm, RankCtx};
 use uoi_telemetry::MetricsRegistry;
 
-/// A distributed LASSO/OLS solver bound to one rank's local data block,
-/// with the x-update factorisation cached across lambda values.
+/// A distributed LASSO/OLS solver bound to one rank's local data block.
+/// The full x-update factorisation is cached across lambda values; a
+/// solver built with [`DistLassoAdmm::from_gram`] factors it on first use.
 pub struct DistLassoAdmm {
     /// The rank's block: its pristine upper Gram `X_i^T X_i` (plus the
     /// design when built from one, for the response entry points), or a
@@ -66,7 +67,10 @@ pub struct DistLassoAdmm {
     /// Rows summed over the communicator: no support larger than this
     /// has a nonsingular `G_AA`, so a polish never gathers one.
     global_rows: usize,
-    factor: Factorization,
+    /// The full local factor of `X_i^T X_i + rho I` and how it went
+    /// (jitter attempts consumed by the escalation ladder; 0 on the clean
+    /// path). Screened paths read it only when `S` holds every feature.
+    full: OnceLock<(Factorization, FactorHealth)>,
     cfg: AdmmConfig,
     /// Effective penalty shared by every rank: `cfg.rho` scaled by the
     /// mean diagonal of the *global* Gram (allreduced at construction),
@@ -77,9 +81,6 @@ pub struct DistLassoAdmm {
     /// record `admm_dist.*` metrics (communicator rank 0 only, so a
     /// collective solve counts once, not once per rank).
     metrics: Option<Arc<MetricsRegistry>>,
-    /// How the local factorisation went (jitter attempts consumed by the
-    /// escalation ladder; 0 on the clean path).
-    factor_health: FactorHealth,
 }
 
 /// Buffers of the local x-update, reused across iterations and λs.
@@ -188,11 +189,10 @@ impl DistLassoAdmm {
             design,
             n_rows: n,
             global_rows,
-            factor,
+            full: OnceLock::from((factor, health)),
             cfg,
             rho,
             metrics,
-            factor_health: health,
         })
     }
 
@@ -200,9 +200,11 @@ impl DistLassoAdmm {
     /// pristine; screened paths gather their active-set Grams from it) and
     /// the row count that produced it. Collective over `comm` (penalty
     /// allreduce). Solves must then go through the `*_with_rhs` entry
-    /// points with the matching local `X_i^T y_i`. Charges only the
-    /// Cholesky flops — the Gram itself was the caller's (already-charged)
-    /// work.
+    /// points with the matching local `X_i^T y_i`. The full local factor
+    /// is built on first use — a screened path whose `S` never holds every
+    /// feature never builds it — and its Cholesky flops are charged then;
+    /// the Gram itself was the caller's (already-charged) work. A
+    /// breakdown of that factor panics.
     pub fn from_gram(
         ctx: &mut RankCtx,
         comm: &Comm,
@@ -210,55 +212,87 @@ impl DistLassoAdmm {
         n_rows: usize,
         cfg: AdmmConfig,
     ) -> Self {
-        Self::try_from_gram(ctx, comm, gram, n_rows, cfg)
-            .expect("local ADMM system must factor (is the Gram non-finite?)")
-    }
-
-    /// Fallible [`DistLassoAdmm::from_gram`]: singular local Grams climb
-    /// the deterministic jitter ladder instead of panicking; clean Grams
-    /// stay bit-identical (`attempts == 0`).
-    pub fn try_from_gram(
-        ctx: &mut RankCtx,
-        comm: &Comm,
-        mut gram: Matrix,
-        n_rows: usize,
-        cfg: AdmmConfig,
-    ) -> Result<Self, FactorBreakdown> {
         assert!(cfg.rho > 0.0);
         let sp = ctx.span_enter("gram_build.cholesky");
         let p = gram.rows();
         assert_eq!(p, gram.cols(), "from_gram: Gram matrix must be square");
-        // One streaming read of the Gram plus panel-blocked factor flops
-        // (CHOL_NB-wide panels share the packed-kernel footprint).
+        let local_diag: f64 = (0..p).map(|i| gram[(i, i)]).sum();
+        let (rho, global_rows) = Self::global_rho(ctx, comm, local_diag, n_rows, p, cfg.rho);
+        let metrics = ctx.telemetry().metrics();
+        ctx.span_exit(sp);
+        Self {
+            // Mirrors the upper triangle, so upper-stored Grams from the
+            // batched engine (and the checkpoint warm path that round-trips
+            // them) are taken as they are.
+            design: DesignStore::gram(gram, None),
+            n_rows,
+            global_rows,
+            full: OnceLock::new(),
+            cfg,
+            rho,
+            metrics,
+        }
+    }
+
+    /// [`DistLassoAdmm::from_gram`] that factors the full local system
+    /// eagerly, so [`DistLassoAdmm::factor_health`] reports it: singular
+    /// local Grams climb the deterministic jitter ladder instead of
+    /// panicking; clean Grams stay bit-identical (`attempts == 0`).
+    pub fn try_from_gram(
+        ctx: &mut RankCtx,
+        comm: &Comm,
+        gram: Matrix,
+        n_rows: usize,
+        cfg: AdmmConfig,
+    ) -> Result<Self, FactorBreakdown> {
+        let solver = Self::from_gram(ctx, comm, gram, n_rows, cfg);
+        let built = solver.build_full_factor(ctx)?;
+        let _ = solver.full.set(built);
+        Ok(solver)
+    }
+
+    /// Factor a Gram-backed solver's full local system `G_i + rho I`
+    /// through the jitter ladder, charged as one streaming read of the
+    /// Gram plus panel-blocked `p^3 / 3` flops (CHOL_NB-wide panels share
+    /// the packed-kernel footprint) under a `gram_build` span.
+    fn build_full_factor(
+        &self,
+        ctx: &mut RankCtx,
+    ) -> Result<(Factorization, FactorHealth), FactorBreakdown> {
+        let DesignStore::Gram { gram, .. } = &self.design else {
+            unreachable!("a wide block's factor is built at construction");
+        };
+        let sp = ctx.span_enter("gram_build.cholesky");
+        let p = gram.rows();
         ctx.compute_membound((p * p * 8) as f64);
         ctx.compute_flops(
             (p * p * p) as f64 / 3.0,
             uoi_linalg::gram::gram_kernel_ws(p),
         );
-        let local_diag: f64 = (0..p).map(|i| gram[(i, i)]).sum();
-        let (rho, global_rows) = Self::global_rho(ctx, comm, local_diag, n_rows, p, cfg.rho);
-        // Reads only the upper triangle: upper-stored Grams from the
-        // batched engine (and the checkpoint warm path that round-trips
-        // them) need no mirror.
-        let (chol, factor_health) = factor_ridged_pristine(&mut gram, rho)?;
-        let metrics = ctx.telemetry().metrics();
+        let built = factor_ridged(gram.clone(), self.rho);
         ctx.span_exit(sp);
-        Ok(Self {
-            design: DesignStore::gram(gram, None),
-            n_rows,
-            global_rows,
-            factor: Factorization::Primal(chol),
-            cfg,
-            rho,
-            metrics,
-            factor_health,
-        })
+        built.map(|(chol, health)| (Factorization::Primal(chol), health))
     }
 
-    /// How this rank's factorisation went: jitter attempts consumed by
-    /// the escalation ladder, 0 on the clean path.
+    /// The full local factor, built (and charged) on first use.
+    fn full_factor(&self, ctx: &mut RankCtx) -> &Factorization {
+        &self
+            .full
+            .get_or_init(|| {
+                self.build_full_factor(ctx)
+                    .expect("local ADMM system must factor (is the Gram non-finite?)")
+            })
+            .0
+    }
+
+    /// How this rank's full factorisation went: jitter attempts consumed
+    /// by the escalation ladder, 0 on the clean path. A solver from
+    /// [`DistLassoAdmm::from_gram`] reports the clean default until its
+    /// factor is built.
     pub fn factor_health(&self) -> FactorHealth {
-        self.factor_health
+        self.full
+            .get()
+            .map_or_else(FactorHealth::clean, |(_, health)| *health)
     }
 
     fn local_shape(&self) -> (usize, usize) {
@@ -344,7 +378,7 @@ impl DistLassoAdmm {
             iterations = it + 1;
             // Local x-update.
             local.build_rhs(xty, &z, &u, rho);
-            self.x_update(&mut local);
+            self.x_update(ctx, &mut local);
             ctx.compute_flops(admm_iter_flops(n, p), working_set);
 
             let (r, s, conv) =
@@ -542,7 +576,7 @@ impl DistLassoAdmm {
                 let m = st.active_len();
                 st.active_rhs(xty, rho, &mut local.rhs);
                 let (flops, bytes) = if full {
-                    self.x_update(&mut local);
+                    self.x_update(ctx, &mut local);
                     let k = n.min(m);
                     (admm_iter_flops(n, m), (k * k + n * m) * 8)
                 } else {
@@ -651,9 +685,9 @@ impl DistLassoAdmm {
     }
 
     /// `x_i = (X_i^T X_i + rho I)^{-1} rhs` through the full local factor.
-    fn x_update(&self, local: &mut Local) {
+    fn x_update(&self, ctx: &mut RankCtx, local: &mut Local) {
         let Local { rhs, x_i, wn, wt } = local;
-        match &self.factor {
+        match self.full_factor(ctx) {
             Factorization::Primal(ch) => {
                 x_i.clear();
                 x_i.extend_from_slice(rhs);

@@ -440,3 +440,92 @@ fn screened_and_unscreened_consensus_paths_agree_to_1e9() {
         }
     }
 }
+
+/// One rank's outcome of a Gram-built consensus path: its solutions and
+/// its modeled compute seconds.
+type RankPath = (Vec<AdmmSolution>, f64);
+
+/// Solve the path over the row `blocks` with `from_gram` (lazy full
+/// factor) or `try_from_gram` (eager), one rank per block.
+fn factor_path(
+    x: &Matrix,
+    y: &[f64],
+    blocks: &[Range<usize>],
+    lambdas: &[f64],
+    eager: bool,
+) -> Vec<RankPath> {
+    let cluster = Cluster::new(blocks.len(), MachineModel::deterministic());
+    cluster
+        .run(|ctx, comm| {
+            let rows = blocks[comm.rank()].clone();
+            let x_local = x.rows_range(rows.start, rows.end);
+            let xty = gemv_t(&x_local, &y[rows]);
+            let gram = syrk_t_upper(&x_local).into_upper();
+            let n = x_local.rows();
+            let solver = if eager {
+                DistLassoAdmm::try_from_gram(ctx, comm, gram, n, cfg()).unwrap()
+            } else {
+                DistLassoAdmm::from_gram(ctx, comm, gram, n, cfg())
+            };
+            let sols = solver.solve_path_with_rhs(ctx, comm, &xty, lambdas);
+            (sols, ctx.ledger().compute)
+        })
+        .results
+}
+
+fn same_bits(a: &[AdmmSolution], b: &[AdmmSolution]) -> bool {
+    a.len() == b.len()
+        && a.iter().zip(b).all(|(u, v)| {
+            u.iterations == v.iterations
+                && u.beta
+                    .iter()
+                    .zip(&v.beta)
+                    .all(|(s, t)| s.to_bits() == t.to_bits())
+        })
+}
+
+/// A screened consensus path whose `S` never holds every feature reads
+/// only active-set factors, so `from_gram` never builds the p × p local
+/// factor and its modeled compute lacks that charge; the eager
+/// constructor pays it, and the two return the same bits.
+#[test]
+fn screened_consensus_path_builds_no_full_factor() {
+    let x = testgen::random_design(12, 60, 16);
+    let y = testgen::matched_response(12, &x);
+    let lmax = lambda_max(&x, &y);
+    let step = 0.5_f64.powf(1.0 / 6.0);
+    let lambdas: Vec<f64> = (0..6).map(|m| lmax * step.powi(m)).collect();
+    for split in [blocks(&[], 60), blocks(&[23], 60), blocks(&[11, 40], 60)] {
+        let lazy = factor_path(&x, &y, &split, &lambdas, false);
+        let eager = factor_path(&x, &y, &split, &lambdas, true);
+        for (r, ((ls, lcompute), (es, ecompute))) in lazy.iter().zip(&eager).enumerate() {
+            assert!(
+                lcompute < ecompute,
+                "rank {r}: lazy compute {lcompute} not below eager {ecompute}"
+            );
+            assert!(same_bits(ls, es), "rank {r}: lazy and eager paths differ");
+        }
+    }
+}
+
+/// When `S` holds every feature (a ratio-1/2 grid keeps them all), the
+/// lazy solver builds and charges the full factor on first use: it
+/// matches the eager one bit for bit, with the same modeled compute.
+#[test]
+fn full_support_path_builds_the_factor_lazily_with_eager_bits() {
+    let x = testgen::random_design(12, 60, 16);
+    let y = testgen::matched_response(12, &x);
+    let lmax = lambda_max(&x, &y);
+    let lambdas: Vec<f64> = [0.5, 0.25, 0.125].iter().map(|r| r * lmax).collect();
+    for split in [blocks(&[], 60), blocks(&[23], 60)] {
+        let lazy = factor_path(&x, &y, &split, &lambdas, false);
+        let eager = factor_path(&x, &y, &split, &lambdas, true);
+        for (r, ((ls, lcompute), (es, ecompute))) in lazy.iter().zip(&eager).enumerate() {
+            assert!(
+                (lcompute - ecompute).abs() <= 1e-12 * ecompute,
+                "rank {r}: lazy compute {lcompute} vs eager {ecompute}"
+            );
+            assert!(same_bits(ls, es), "rank {r}: lazy and eager paths differ");
+        }
+    }
+}
