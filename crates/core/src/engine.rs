@@ -32,6 +32,7 @@
 
 use crate::degraded::{fingerprint, BootstrapFaultPlan, CheckpointStore, DegradationReport};
 use crate::error::UoiError;
+use crate::numerical::NumericalLedger;
 use crate::recovery::{
     decode_index_lists, degraded_fallback_plan, encode_index_lists, exchange_blobs,
     parse_task_records, RecoveryConfig, RecoveryReport, TaskOwnership,
@@ -407,25 +408,20 @@ pub(crate) fn selection_record(
     }
 }
 
-/// The [`TraceEvent::Convergence`] record of estimation task `k`: the
-/// worst `(iterations, converged)` of its iterative OLS solves with their
-/// `max_iter` cap, or — for a direct OLS solve — zero iterations under a
-/// zero cap.
-pub(crate) fn estimation_record(
-    k: usize,
-    solve: Option<((usize, bool), usize)>,
-    (rank, t): (usize, f64),
-) -> TraceEvent {
-    let ((iterations, converged), max_iter) = solve.unwrap_or(((0, true), 0));
+/// The [`TraceEvent::Convergence`] record of estimation task `k`. Every
+/// executor solves its candidates directly, so the record reports zero
+/// iterations under a zero cap and always converges; it exists so
+/// progress tracking and the task census cover both stages.
+pub(crate) fn estimation_record(k: usize, (rank, t): (usize, f64)) -> TraceEvent {
     TraceEvent::Convergence {
         rank,
         stage: "estimation",
         bootstrap: k,
         lambda_idx: 0,
         lambda: 0.0,
-        iterations,
-        max_iter,
-        converged,
+        iterations: 0,
+        max_iter: 0,
+        converged: true,
         primal_residual: 0.0,
         dual_residual: 0.0,
         support: Vec::new(),
@@ -552,6 +548,7 @@ fn estimation_score<P: UoiProblem>(
     let cfg = prob.cfg();
     let ncols = prob.responses().len();
     let u = est.union.len();
+    let guard = (cfg.numerical.enabled).then(|| (cfg.numerical.ledger(), &cfg.telemetry));
     let mut best: Option<(f64, Vec<f64>)> = None;
     for (c, per_col) in est.family.iter().enumerate() {
         let mut beta_u = vec![0.0; ncols * u];
@@ -559,19 +556,7 @@ fn estimation_score<P: UoiProblem>(
             if cols.is_empty() {
                 continue;
             }
-            // `ols_on_support_gram` is this solve without the health
-            // report: both paths get the same bits, and only a guarded
-            // fit reports a singular sub-Gram's jitter ladder.
-            let (bi, health) = ols_on_support_gram_health(&sys.gram, &sys.rhs[i], cols, rs.n_train);
-            if cfg.numerical.enabled && health != FactorHealth::clean() {
-                cfg.numerical.ledger().note_candidate_factor(
-                    &cfg.telemetry,
-                    "estimation",
-                    k,
-                    c,
-                    &health,
-                );
-            }
+            let bi = solve_candidate(&sys.gram, &sys.rhs[i], cols, rs.n_train, guard, (k, c));
             beta_u[i * u..(i + 1) * u].copy_from_slice(&bi);
         }
         let support = per_col.iter().map(Vec::len).sum();
@@ -590,12 +575,28 @@ fn estimation_score<P: UoiProblem>(
             }
         }
     }
-    // The estimation step is a direct OLS solve, so its record reports
-    // zero iterations and always converges; it exists so progress
-    // tracking and the task census cover both stages.
-    cfg.telemetry
-        .record_with(|| estimation_record(k, None, (0, 0.0)));
+    cfg.telemetry.record_with(|| estimation_record(k, (0, 0.0)));
     full
+}
+
+/// Candidate `c`'s exact OLS on estimation resample `k`: the sub-system
+/// of the upper-stored `gram` and `rhs` on `cols`, embedded into the
+/// Gram's coordinates. Every executor estimates through here. A guarded
+/// fit passes its `(ledger, telemetry)` and notes a singular sub-Gram's
+/// jitter ladder; the solve's bits do not depend on it.
+pub(crate) fn solve_candidate(
+    gram: &Matrix,
+    rhs: &[f64],
+    cols: &[usize],
+    n_train: usize,
+    guard: Option<(&NumericalLedger, &Telemetry)>,
+    (k, c): (usize, usize),
+) -> Vec<f64> {
+    let (beta, health) = ols_on_support_gram_health(gram, rhs, cols, n_train);
+    if let Some((ledger, tel)) = guard.filter(|_| health != FactorHealth::clean()) {
+        ledger.note_candidate_factor(tel, "estimation", k, c, &health);
+    }
+    beta
 }
 
 /// Estimation resample `k` end to end: a batch of one.

@@ -19,16 +19,6 @@ use uoi_solvers::{support_of, AdmmSolution};
 /// Receives each finished task `k` of a stage, with the rank context.
 pub(crate) type Emit<'e, T> = dyn FnMut(&mut RankCtx, usize, T) + 'e;
 
-/// One estimation task's outcome on a rank.
-pub(crate) struct Scored {
-    /// The winning candidate's vectorised estimate; `None` for an empty
-    /// family.
-    pub best: Option<Vec<f64>>,
-    /// The worst `(iterations, converged)` of the candidates' iterative
-    /// OLS solves; `None` when the solves are direct.
-    pub solve: Option<(usize, bool)>,
-}
-
 /// What a problem's distributed pipeline does differently: its data
 /// placement, the Map and Solve of both stages, and its fit.
 pub(crate) trait DistProblem<'a>: Sized {
@@ -65,15 +55,16 @@ pub(crate) trait DistProblem<'a>: Sized {
         lambda_ids: &[usize],
         emit: &mut Emit<Vec<AdmmSolution>>,
     );
-    /// Score every candidate of `family` on each of the live resamples
-    /// `ks` and emit the winner.
+    /// Solve every candidate of `family` exactly on each of the live
+    /// resamples `ks` ([`super::solve_candidate`]) and emit the winner's
+    /// vectorised estimate (`None` for an empty family).
     fn estimate(
         &mut self,
         ctx: &mut RankCtx,
         comm: &Comm,
         family: &[Vec<usize>],
         ks: &[usize],
-        emit: &mut Emit<Scored>,
+        emit: &mut Emit<Option<Vec<f64>>>,
     );
     /// The fit from the averaged winning coefficients.
     fn assemble(self, coef: Vec<f64>, parts: FitParts) -> (Self::Fit, Self::Stats);
@@ -148,15 +139,13 @@ pub(crate) fn fit_dist<'a, P: DistProblem<'a>>(
         .filter(|&k| k % groups == my_group && !est_dead(k))
         .collect();
     let mut sum = vec![0.0; len];
-    let mut emit = |ctx: &mut RankCtx, k: usize, scored: Scored| {
+    let mut emit = |ctx: &mut RankCtx, k: usize, best: Option<Vec<f64>>| {
         if !leader {
             return;
         }
-        let solve = scored.solve.map(|s| (s, cfg.admm.max_iter));
         let at = (ctx.world_rank(), ctx.clock());
-        ctx.telemetry()
-            .record_with(|| estimation_record(k, solve, at));
-        for (s, b) in sum.iter_mut().zip(scored.best.iter().flatten()) {
+        ctx.telemetry().record_with(|| estimation_record(k, at));
+        for (s, b) in sum.iter_mut().zip(best.iter().flatten()) {
             *s += b;
         }
     };

@@ -537,16 +537,8 @@ impl UoiProblem for LassoProblem<'_> {
         match self.cfg.score {
             EstimationScore::Mse => engine::mean_column_mse(est, self.responses(), rs, beta_u),
             EstimationScore::Bic => {
-                // Weighted training RSS identity:
-                // ||X_b b - y_b||^2 = b'Gb - 2 b'(X^T y)_w + sum_i w_i y_i^2.
-                // The Gram is symmetric, so the cache-blocked symv halves
-                // the memory traffic of the quad form against a general
-                // gemv (agreement ~1e-12, well inside BIC's resolution).
-                let mut gb = vec![0.0; beta_u.len()];
-                kernels::symv(&sys.gram, beta_u, &mut gb);
-                let quad = dot(beta_u, &gb);
                 let ysq_w = weighted_sumsq(&rs.w, &self.yc);
-                let rss = (quad - 2.0 * dot(beta_u, &sys.rhs[0]) + ysq_w).max(0.0);
+                let rss = gram_rss(&sys.gram, &sys.rhs[0], ysq_w, beta_u);
                 bic_from_rss(rss, rs.n_train, support)
             }
         }
@@ -585,6 +577,15 @@ pub fn bic(x: &Matrix, beta: &[f64], y: &[f64], k: usize) -> f64 {
 pub fn bic_from_rss(rss: f64, n: usize, k: usize) -> f64 {
     let n = n.max(1) as f64;
     n * (rss / n).max(1e-300).ln() + k as f64 * n.ln()
+}
+
+/// Training RSS of `b` from the weighted system's RSS identity
+/// `b'Gb - 2 b'(X^T y)_w + Σ w y²`, clamped at 0. The Gram is upper-stored;
+/// symv halves a gemv's traffic (agreement ~1e-12).
+pub(crate) fn gram_rss(gram: &Matrix, xty: &[f64], ysq_w: f64, b: &[f64]) -> f64 {
+    let mut gb = vec![0.0; b.len()];
+    kernels::symv(gram, b, &mut gb);
+    (dot(b, &gb) - 2.0 * dot(b, xty) + ysq_w).max(0.0)
 }
 
 /// A bootstrap training resample plus its out-of-bag evaluation rows.

@@ -19,8 +19,8 @@
 //! estimates via `MPI_Allreduce`" communication pattern while staying
 //! numerically identical to the serial path (tested).
 
-use crate::engine::dist::{DistProblem, Emit, Scored};
-use crate::engine::{family_union, FitParts};
+use crate::engine::dist::{DistProblem, Emit};
+use crate::engine::{family_union, solve_candidate, FitParts};
 use crate::fitter::DistOptions;
 use crate::numerical::NumericalLedger;
 use crate::parallelism::LayoutComms;
@@ -31,9 +31,7 @@ use uoi_data::bootstrap::{block_bootstrap, resample_weights};
 use uoi_data::rng::substream;
 use uoi_linalg::{gemv_t_weighted_multi, syrk_t_upper, syrk_t_weighted_upper, Matrix};
 use uoi_mpisim::{Comm, Phase, RankCtx, Window};
-use uoi_solvers::{
-    admm_active_iter_flops, ols_on_support_gram, AdmmConfig, AdmmSolution, LassoAdmm,
-};
+use uoi_solvers::{admm_active_iter_flops, AdmmConfig, AdmmSolution, LassoAdmm};
 use uoi_telemetry::Telemetry;
 use uoi_tieredio::distribution::{block_owner, block_range};
 
@@ -62,8 +60,10 @@ pub(crate) struct VarDist<'a> {
     /// This rank's contiguous band of response columns within its group.
     cols: Range<usize>,
     kron: KronStats,
-    /// Holds the validation findings only: the lockstep VAR path has no
-    /// solver-level guards (DESIGN.md §7).
+    /// The validation findings, and a guarded fit's estimation jitter on
+    /// this rank's own response columns (the lockstep selection path has
+    /// no solver-level guards, DESIGN.md §7): the trace carries each
+    /// event once, and each rank's report covers its own column band.
     ledger: NumericalLedger,
     /// Prediction scratch of the estimation score.
     pred: Vec<f64>,
@@ -189,9 +189,11 @@ impl<'a> DistProblem<'a> for VarDist<'a> {
         comm: &Comm,
         family: &[Vec<usize>],
         ks: &[usize],
-        emit: &mut Emit<Scored>,
+        emit: &mut Emit<Option<Vec<f64>>>,
     ) {
         let (n, dp) = (self.input.reg.samples(), self.input.reg.x.cols());
+        let tel = ctx.telemetry().clone();
+        let guarded = self.input.cfg.base.numerical.enabled;
         let (union, pos) = family_union(family, dp);
         let (total, u_len) = (self.coef_len(), union.len());
         for &k in ks {
@@ -225,7 +227,7 @@ impl<'a> DistProblem<'a> for VarDist<'a> {
             let xe_u = eval.x.gather_cols(&union);
 
             let mut best: Option<(f64, Vec<f64>)> = None;
-            for support in family {
+            for (c, support) in family.iter().enumerate() {
                 // Per-owned-column restricted OLS in Gram space.
                 let mut beta_local = vec![0.0; total];
                 let mut local_sse = 0.0;
@@ -239,7 +241,8 @@ impl<'a> DistProblem<'a> for VarDist<'a> {
                     let mut bu = vec![0.0; u_len];
                     if !cols.is_empty() {
                         let sp_ols = ctx.span_enter("ols_estimation.col");
-                        bu = ols_on_support_gram(&gram_u, &xty_u[slot], &cols, n_train);
+                        let guard = guarded.then_some((&self.ledger, &tel));
+                        bu = solve_candidate(&gram_u, &xty_u[slot], &cols, n_train, guard, (k, c));
                         ctx.compute_flops(
                             (cols.len() * cols.len()) as f64
                                 + (cols.len() * cols.len() * cols.len()) as f64 / 3.0,
@@ -278,8 +281,7 @@ impl<'a> DistProblem<'a> for VarDist<'a> {
                     best = Some((loss, payload));
                 }
             }
-            let best = best.map(|(_, beta)| beta);
-            emit(ctx, k, Scored { best, solve: None });
+            emit(ctx, k, best.map(|(_, beta)| beta));
         }
     }
 

@@ -428,3 +428,90 @@ fn var_guarded_clean_identity_and_nan_recovery() {
     // The unguarded path rejects the same series outright.
     assert!(UoiVarFitter::new(var_cfg()).fit(&corrupt).is_err());
 }
+
+/// Small-integer design whose column 7 duplicates column 0, with every
+/// row mirrored by its negation: each column and the response sum to
+/// exactly zero, so centring is exact and every weighted Gram is an
+/// integer sum. The serial and distributed fits then see bit-identical,
+/// exactly singular sub-Grams on any candidate holding both copies.
+fn duplicated_column_exact() -> (Matrix, Vec<f64>) {
+    let (half, p) = (32, 8);
+    let cell = |i: usize, j: usize| ((i * 31 + j * 17 + i * j * 7) % 7) as f64 - 3.0;
+    let mirror = |i: usize| if i < half { (i, 1.0) } else { (i - half, -1.0) };
+    let x = Matrix::from_fn(2 * half, p, |i, j| {
+        let (r, sign) = mirror(i);
+        sign * cell(r, if j == 7 { 0 } else { j })
+    });
+    let y = (0..2 * half)
+        .map(|i| {
+            let (r, sign) = mirror(i);
+            let noise = sign * ((r % 3) as f64 - 1.0);
+            3.0 * x[(i, 0)] + 2.0 * x[(i, 1)] - 2.0 * x[(i, 2)] + noise
+        })
+        .collect();
+    (x, y)
+}
+
+/// The `(bootstrap, candidate, attempts, jitter bits)` of every
+/// estimation-stage jitter event in a trace, sorted.
+fn estimation_jitter(events: Vec<uoi_telemetry::TraceEvent>) -> Vec<(usize, usize, usize, u64)> {
+    let mut out: Vec<_> = events
+        .into_iter()
+        .filter_map(|ev| match ev {
+            uoi_telemetry::TraceEvent::Numerical {
+                stage: "estimation",
+                action,
+                bootstrap,
+                lambda_idx,
+                attempts,
+                value,
+                ..
+            } if action == "jitter" => Some((bootstrap, lambda_idx, attempts, value.to_bits())),
+            _ => None,
+        })
+        .collect();
+    out.sort_unstable();
+    out
+}
+
+/// Both executors estimate through the same guarded candidate solve, so
+/// a singular candidate sub-Gram leaves the same `estimation` jitter
+/// events in the serial and the distributed trace. The adversarial
+/// `dup_columns` design is singular too, but its fractional sums round
+/// differently in the two executors, and the sign of a near-zero pivot
+/// (so whether the ladder fires) follows the rounding.
+#[test]
+fn dist_and_serial_report_the_same_estimation_jitter() {
+    use std::sync::Arc;
+    use uoi_telemetry::{MemorySink, Telemetry};
+    let (x, y) = duplicated_column_exact();
+    let mut cfg = lasso_cfg();
+    cfg.numerical = NumericalConfig::guarded();
+
+    let serial_sink = Arc::new(MemorySink::new());
+    let mut scfg = cfg.clone();
+    scfg.telemetry = Telemetry::with_sink(serial_sink.clone());
+    let serial = UoiFitter::new(scfg).fit(&x, &y).unwrap();
+
+    let dist_sink = Arc::new(MemorySink::new());
+    let dist = Cluster::new(4, MachineModel::deterministic())
+        .with_telemetry(Telemetry::with_sink(dist_sink.clone()))
+        .run(move |ctx, world| {
+            UoiFitter::new(cfg.clone())
+                .mode(ExecMode::Dist(DistOptions {
+                    layout: ParallelLayout::admm_only(),
+                    ..Default::default()
+                }))
+                .fit_on(ctx, world, &x, &y)
+        })
+        .results
+        .remove(0);
+
+    assert_eq!(dist.support_family, serial.support_family);
+    let want = estimation_jitter(serial_sink.snapshot());
+    assert!(
+        !want.is_empty(),
+        "a candidate holding both copies must climb the jitter ladder"
+    );
+    assert_eq!(estimation_jitter(dist_sink.snapshot()), want);
+}

@@ -113,8 +113,10 @@ fn nested_layout_preserves_statistics() {
     let four = run(4, 2);
     assert_eq!(flat.supports_per_lambda, two.supports_per_lambda);
     assert_eq!(flat.supports_per_lambda, four.supports_per_lambda);
-    for (a, b) in flat.beta.iter().zip(&two.beta) {
-        assert!((a - b).abs() < 0.05);
+    for other in [&two, &four] {
+        for (a, b) in flat.beta.iter().zip(&other.beta) {
+            assert!((a - b).abs() < 1e-9, "{a} vs {b}");
+        }
     }
 }
 
