@@ -1,7 +1,8 @@
 //! Criterion microbenchmarks of the optimisation layer: soft threshold,
 //! serial LASSO-ADMM (cold / warm / OLS), the screened serial λ path at
-//! the `UoI_VAR` column shape, the screened consensus λ path, coordinate
-//! descent, and the bootstrap samplers feeding the UoI maps.
+//! the `UoI_VAR` column shape, the screened consensus λ path, the packed
+//! active-set factor's rebuild and in-place updates, coordinate descent,
+//! and the bootstrap samplers feeding the UoI maps.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -9,7 +10,7 @@ use uoi_core::VarRegression;
 use uoi_data::bootstrap::{block_bootstrap, row_bootstrap};
 use uoi_data::rng::seeded;
 use uoi_data::{VarConfig, VarProcess};
-use uoi_linalg::{gemv_t, syrk_t_upper, testgen, Matrix};
+use uoi_linalg::{gemv_t, syrk_t_upper, testgen, Matrix, PackedCholesky};
 use uoi_mpisim::{Cluster, MachineModel};
 use uoi_solvers::{
     geometric_grid, lasso_cd, soft_threshold_vec, AdmmConfig, CdConfig, DistLassoAdmm, LassoAdmm,
@@ -145,6 +146,48 @@ fn bench_consensus_path(c: &mut Criterion) {
     g.finish();
 }
 
+/// The active-set factor of a screened λ path at the median `|S|` of the
+/// `var_dist` (m = 28) and `lasso_path` (m = 131) benchmark paths, on an
+/// SPD matrix of condition 1e3: a full rebuild of the order-m factor,
+/// appending 7 rows to it (then dropping them again from the back, which
+/// moves nothing), and deleting the middle row (then appending it again
+/// at the end, so the order is restored).
+fn bench_packed_chol(c: &mut Criterion) {
+    let mut g = c.benchmark_group("packed_chol");
+    for m in [28usize, 131] {
+        let a = testgen::spd_with_condition(5, m + 7, 1e3);
+        let mut rows: Vec<usize> = (0..m + 7).collect();
+        let mut f = PackedCholesky::new();
+        g.bench_with_input(BenchmarkId::new("refactor", m), &m, |b, &m| {
+            b.iter(|| {
+                f.refactor_with(m, |i, j| a[(i, j)]).unwrap();
+                black_box(f.diag(m - 1))
+            })
+        });
+        f.refactor_with(m, |i, j| a[(i, j)]).unwrap();
+        g.bench_with_input(BenchmarkId::new("append7", m), &m, |b, &m| {
+            b.iter(|| {
+                f.extend_with(m + 7, |i, j| a[(i, j)]).unwrap();
+                let last = black_box(f.diag(m + 6));
+                for k in (m..m + 7).rev() {
+                    f.delete(k);
+                }
+                last
+            })
+        });
+        g.bench_with_input(BenchmarkId::new("delete_mid", m), &m, |b, &m| {
+            b.iter(|| {
+                f.delete(m / 2);
+                let left = rows.remove(m / 2);
+                rows.insert(m - 1, left);
+                f.extend_with(m, |i, j| a[(rows[i], rows[j])]).unwrap();
+                black_box(f.diag(m - 1))
+            })
+        });
+    }
+    g.finish();
+}
+
 fn bench_cd(c: &mut Criterion) {
     let (x, y) = problem(200, 50);
     let lam = uoi_solvers::lambda_max(&x, &y) * 0.1;
@@ -169,7 +212,7 @@ fn bench_bootstrap(c: &mut Criterion) {
 criterion_group! {
     name = solvers;
     config = Criterion::default().sample_size(20);
-    targets = bench_prox, bench_admm, bench_screened_path, bench_consensus_path, bench_cd,
-        bench_bootstrap
+    targets = bench_prox, bench_admm, bench_screened_path, bench_consensus_path,
+        bench_packed_chol, bench_cd, bench_bootstrap
 }
 criterion_main!(solvers);

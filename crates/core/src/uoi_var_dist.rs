@@ -494,10 +494,12 @@ fn dist_lasso_path(
     out
 }
 
-/// Charge the active-set factorisations and polish attempts the columns
-/// performed since the last charge (per-lambda transitions, KKT
-/// re-entries, and each polish's `|A|^3 / 3` factor plus its `2 p |A|`
-/// KKT gradient), each against its `|S| x |S|` working set.
+/// Charge the active-set factor updates and polish attempts the columns
+/// performed since the last charge — per-lambda transitions and KKT
+/// re-entries, priced by the rows each appended or deleted (a full
+/// `|S|^3 / 3` only when the factor was rebuilt), and each polish's
+/// `|A|^3 / 3` factor plus its `2 p |A|` KKT gradient — each against its
+/// `|S| x |S|` working set.
 fn charge_sub_factors(ctx: &mut RankCtx, states: &mut [uoi_solvers::AdmmState]) {
     for st in states {
         let flops = st.take_factor_flops();

@@ -237,17 +237,22 @@ impl Cholesky {
 }
 
 /// A Cholesky factor in packed lower-triangular storage (row `i` holds
-/// `L[i][0..=i]` at offset `i (i + 1) / 2`), refactored in place: the
+/// `L[i][0..=i]` at offset `i (i + 1) / 2`), updated in place: the
 /// reusable factor of a system that changes shape inside a hot loop, such
-/// as an ADMM active-set sub-problem. Half the memory of a square factor,
-/// and once its storage has held an order-`m` factor, refactoring at
-/// order `<= m` and solving never allocate. Both the factorisation and
-/// the triangular solves stream contiguous rows (the back substitution
-/// in `axpy` form).
+/// as an ADMM active-set sub-problem. Half the memory of a square factor.
+/// Rows can be appended ([`PackedCholesky::extend_with`]) or a row and
+/// column deleted ([`PackedCholesky::delete`]) without refactoring the
+/// rest, and once its storage has held an order-`m` factor, refactoring,
+/// updating and solving at order `<= m` never allocate. The
+/// factorisation, the deletion and the triangular solves all stream
+/// contiguous rows (the back substitution in `axpy` form).
 #[derive(Debug, Clone, Default)]
 pub struct PackedCholesky {
     order: usize,
     l: Vec<f64>,
+    /// Rotations `(c, s)` of a [`PackedCholesky::delete`]; reserved to
+    /// the order on every extension, so a deletion never allocates.
+    rot: Vec<(f64, f64)>,
 }
 
 impl PackedCholesky {
@@ -262,8 +267,9 @@ impl PackedCholesky {
     }
 
     /// Factor the order-`m` SPD matrix whose lower triangle is
-    /// `entry(i, j)` (`j <= i`), replacing the current factor. On error
-    /// the factor is left in an unspecified state.
+    /// `entry(i, j)` (`j <= i`), replacing the current factor: clear,
+    /// then [`PackedCholesky::extend_with`]. On error the factor is left
+    /// in an unspecified state.
     pub fn refactor_with(
         &mut self,
         m: usize,
@@ -279,13 +285,45 @@ impl PackedCholesky {
     pub fn refactor_with_floor(
         &mut self,
         m: usize,
+        entry: impl FnMut(usize, usize) -> f64,
+        rel_floor: f64,
+    ) -> Result<(), NotPositiveDefinite> {
+        self.order = 0;
+        self.extend_floor(m, entry, rel_floor)
+    }
+
+    /// Grow the factor from its current order `k` to `m >= k`: the
+    /// matrix keeps its leading `k x k` block and gains the rows
+    /// `k..m` whose lower-triangle entries are `entry(i, j)` (`j <= i`,
+    /// `i >= k`). Only the new rows are computed — `O(m^2 - k^2)` per
+    /// row band instead of `O(m^3)` — and the result is bit-identical to
+    /// a one-shot [`PackedCholesky::refactor_with`] of the order-`m`
+    /// matrix. On error the factor keeps the rows before the failing
+    /// pivot (its order is the pivot index).
+    pub fn extend_with(
+        &mut self,
+        m: usize,
+        entry: impl FnMut(usize, usize) -> f64,
+    ) -> Result<(), NotPositiveDefinite> {
+        self.extend_floor(m, entry, 0.0)
+    }
+
+    /// The row loop behind every factorisation: rows `order..m`.
+    fn extend_floor(
+        &mut self,
+        m: usize,
         mut entry: impl FnMut(usize, usize) -> f64,
         rel_floor: f64,
     ) -> Result<(), NotPositiveDefinite> {
-        self.order = m;
-        self.l.clear();
+        let start = self.order;
+        assert!(
+            m >= start,
+            "PackedCholesky::extend_with: order {m} < {start}"
+        );
         self.l.resize(m * (m + 1) / 2, 0.0);
-        for i in 0..m {
+        self.rot.clear();
+        self.rot.reserve(m);
+        for i in start..m {
             let (done, rest) = self.l.split_at_mut(i * (i + 1) / 2);
             let row_i = &mut rest[..=i];
             for j in 0..i {
@@ -296,11 +334,47 @@ impl PackedCholesky {
             let diag = entry(i, i);
             let d = diag - crate::kernels::dot(&row_i[..i], &row_i[..i]);
             if d <= rel_floor * diag || !d.is_finite() {
+                self.order = i;
                 return Err(NotPositiveDefinite { pivot: i, value: d });
             }
             row_i[i] = d.sqrt();
         }
+        self.order = m;
         Ok(())
+    }
+
+    /// Drop row and column `k` of the factored matrix, in place.
+    ///
+    /// Rows before `k` are untouched. With `v` the removed column of `L`
+    /// below the diagonal, the trailing block of the reduced matrix is
+    /// `L_33 L_33^T + v v^T`, so its factor is a rank-one *update* of
+    /// `L_33` (Givens-style rotations, row by row): no downdate, and so no
+    /// loss of definiteness, at about `3 (m - k)^2` flops. `v` is read
+    /// from the dead column as the rows shift up one place.
+    pub fn delete(&mut self, k: usize) {
+        let m = self.order;
+        assert!(k < m, "PackedCholesky::delete: row {k} of order {m}");
+        let PackedCholesky { l, rot, .. } = self;
+        rot.clear();
+        for i in k + 1..m {
+            // Old row i (length i + 1) becomes new row i - 1 (length i),
+            // which ends exactly where the old row starts.
+            let new = (i - 1) * i / 2;
+            let old = new + i;
+            l.copy_within(old..old + k, new);
+            let mut x = l[old + k];
+            for (j, &(c, s)) in (k + 1..i).zip(&*rot) {
+                let lij = (l[old + j] + s * x) / c;
+                x = c * x - s * lij;
+                l[new + j - 1] = lij;
+            }
+            let d = l[old + i];
+            let r = (d * d + x * x).sqrt();
+            rot.push((r / d, x / d));
+            l[new + i - 1] = r;
+        }
+        self.order = m - 1;
+        self.l.truncate((m - 1) * m / 2);
     }
 
     /// Diagonal entry `L_ii` of the factor: the square root of the
@@ -520,6 +594,154 @@ mod tests {
         let not_spd = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 1.0]]);
         let err = packed.refactor_with(2, |i, j| not_spd[(i, j)]).unwrap_err();
         assert_eq!(err.pivot, 1);
+    }
+
+    /// The packed factor's rows, `L[i][0..=i]` for every `i`.
+    fn packed_rows(f: &PackedCholesky) -> Vec<Vec<f64>> {
+        (0..f.order())
+            .map(|i| f.l[i * (i + 1) / 2..][..=i].to_vec())
+            .collect()
+    }
+
+    /// Largest entrywise gap between two packed factors of one order,
+    /// relative to the largest entry of `want`.
+    fn packed_rel_gap(got: &PackedCholesky, want: &PackedCholesky) -> f64 {
+        assert_eq!(got.order(), want.order());
+        let scale = want.l.iter().fold(0.0_f64, |m, v| m.max(v.abs()));
+        let gap = got
+            .l
+            .iter()
+            .zip(&want.l)
+            .fold(0.0_f64, |m, (g, w)| m.max((g - w).abs()));
+        if want.l.is_empty() {
+            0.0
+        } else {
+            gap / scale
+        }
+    }
+
+    /// A fresh factor of `a` restricted to `rows`, in that order.
+    fn factor_of(a: &Matrix, rows: &[usize]) -> PackedCholesky {
+        let mut f = PackedCholesky::new();
+        f.refactor_with(rows.len(), |i, j| a[(rows[i], rows[j])])
+            .unwrap();
+        f
+    }
+
+    #[test]
+    fn extend_from_any_order_is_bit_identical_to_one_shot() {
+        for n in [1, 9, 57, 150] {
+            let a = spd_test_matrix(n);
+            let whole = factor_of(&a, &(0..n).collect::<Vec<_>>());
+            for k in [0, 1, n / 2, n - 1, n] {
+                let mut grown = PackedCholesky::new();
+                grown.refactor_with(k, |i, j| a[(i, j)]).unwrap();
+                grown.extend_with(n, |i, j| a[(i, j)]).unwrap();
+                assert_eq!(grown.order(), n);
+                for (g, w) in grown.l.iter().zip(&whole.l) {
+                    assert_eq!(g.to_bits(), w.to_bits(), "n={n}, k={k}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn failed_extension_keeps_the_rows_before_the_pivot() {
+        let a = spd_test_matrix(6);
+        let mut f = PackedCholesky::new();
+        f.refactor_with(3, |i, j| a[(i, j)]).unwrap();
+        let err = f
+            .extend_with(6, |i, j| if i == 4 && j == 4 { -1.0 } else { a[(i, j)] })
+            .unwrap_err();
+        assert_eq!((err.pivot, f.order()), (4, 4));
+        let want = factor_of(&a, &[0, 1, 2, 3]);
+        assert_eq!(packed_rows(&f), packed_rows(&want));
+    }
+
+    #[test]
+    fn delete_at_every_position_matches_a_refactor() {
+        for n in [1, 2, 7, 40] {
+            let a = spd_test_matrix(n);
+            let all: Vec<usize> = (0..n).collect();
+            for k in 0..n {
+                let mut f = factor_of(&a, &all);
+                f.delete(k);
+                let rest: Vec<usize> = all.iter().copied().filter(|&j| j != k).collect();
+                let want = factor_of(&a, &rest);
+                let gap = packed_rel_gap(&f, &want);
+                assert!(gap <= 1e-12, "n={n}, k={k}: gap {gap:.3e}");
+                // Rows before the deleted one are untouched.
+                assert_eq!(packed_rows(&f)[..k], packed_rows(&want)[..k]);
+            }
+        }
+    }
+
+    #[test]
+    fn delete_then_extend_solves_the_new_system() {
+        let a = spd_test_matrix(30);
+        let mut rows: Vec<usize> = (0..20).collect();
+        let mut f = factor_of(&a, &rows);
+        for k in [17, 9, 0] {
+            f.delete(k);
+            rows.remove(k);
+        }
+        rows.extend([25, 21, 28]);
+        f.extend_with(rows.len(), |i, j| a[(rows[i], rows[j])])
+            .unwrap();
+        let b: Vec<f64> = (0..rows.len()).map(|i| (i as f64 * 0.3).cos()).collect();
+        let mut x = b.clone();
+        f.solve_in_place(&mut x);
+        for (i, bi) in b.iter().enumerate() {
+            let ax: f64 = (0..rows.len()).map(|j| a[(rows[i], rows[j])] * x[j]).sum();
+            assert!((ax - bi).abs() <= 1e-10 * (1.0 + bi.abs()), "{ax} vs {bi}");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(24))]
+
+        /// Random delete/append sequences up to order 150 — each step
+        /// deleting one row or appending a run of unused features —
+        /// track a fresh factor of the same rows in the same order, and
+        /// the factor can be deleted down to order 0.
+        #[test]
+        fn random_updates_track_a_fresh_factor(
+            ops in proptest::prop::collection::vec((0u8..3, 0usize..1000, 1usize..40), 1..40),
+        ) {
+            const POOL: usize = 160;
+            let a = spd_test_matrix(POOL);
+            let mut rows: Vec<usize> = Vec::new();
+            let mut f = PackedCholesky::new();
+            for (op, at, count) in ops {
+                if op == 0 && !rows.is_empty() {
+                    let k = at % rows.len();
+                    f.delete(k);
+                    rows.remove(k);
+                } else {
+                    let mut unused: Vec<usize> = (0..POOL).filter(|j| !rows.contains(j)).collect();
+                    for t in 0..count.min(150 - rows.len()) {
+                        rows.push(unused.remove((at + 7 * t) % unused.len()));
+                    }
+                    f.extend_with(rows.len(), |i, j| a[(rows[i], rows[j])]).unwrap();
+                }
+                proptest::prop_assert!(rows.len() <= 150);
+                proptest::prop_assert_eq!(f.order(), rows.len());
+                if !rows.is_empty() {
+                    let gap = packed_rel_gap(&f, &factor_of(&a, &rows));
+                    proptest::prop_assert!(gap <= 1e-10, "gap {:.3e}", gap);
+                }
+            }
+            while f.order() > 0 {
+                let k = f.order() / 2;
+                f.delete(k);
+                rows.remove(k);
+                if !rows.is_empty() {
+                    let gap = packed_rel_gap(&f, &factor_of(&a, &rows));
+                    proptest::prop_assert!(gap <= 1e-10, "gap {:.3e}", gap);
+                }
+            }
+            proptest::prop_assert!(f.l.is_empty());
+        }
     }
 
     #[test]

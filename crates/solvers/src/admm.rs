@@ -50,7 +50,7 @@ use uoi_telemetry::MetricsRegistry;
 /// screened active-set solves with KKT re-entry, each λ ended by a
 /// sign-pattern polish — for checkpoint fingerprints and run reports:
 /// results from another path algorithm must not mix with this one's.
-pub const PATH_VARIANT: &str = "strong-rule-active-set-polish-v2";
+pub const PATH_VARIANT: &str = "strong-rule-active-set-polish-v3";
 
 /// A configuration value failed validation (builder `build()` or a
 /// `validate()` call). Carries a human-readable description of the
@@ -408,15 +408,21 @@ pub struct AdmmState {
     /// `X^T y - G z`, valid for the current `z` when `grad_fresh`.
     grad: Vec<f64>,
     grad_fresh: bool,
-    /// The active set `S`, sorted, and its membership mask.
+    /// The active set `S` in admission order — survivors of the previous
+    /// λ keep their places and newcomers are appended, so the factor
+    /// below is updated rather than rebuilt; index order once `S` holds
+    /// every feature — and its membership mask.
     active: Vec<usize>,
     in_active: Vec<bool>,
     /// Compact iterates `z_S` and scaled dual `u_S`.
     zs: Vec<f64>,
     us: Vec<f64>,
-    /// Cholesky factor of `G_SS + rho I` and the set it was built for.
+    /// Cholesky factor of `G_SS + rho I`, the set its rows stand for (in
+    /// row order), and whether it carries a jitter-ladder shift, which
+    /// an incremental update would not reproduce for new rows.
     factor: PackedCholesky,
     factored: Vec<usize>,
+    factor_has_jitter: bool,
     /// Modeled flops of the sub-factorisations and polish attempts
     /// performed since the last [`AdmmState::take_factor_flops`].
     factor_flops: f64,
@@ -448,6 +454,7 @@ impl AdmmState {
             us: Vec::with_capacity(p),
             factor: PackedCholesky::new(),
             factored: Vec::with_capacity(p),
+            factor_has_jitter: false,
             factor_flops: 0.0,
             rejected: Vec::with_capacity(p),
             has_rejected: false,
@@ -460,10 +467,17 @@ impl AdmmState {
         self.active.len()
     }
 
-    /// Flops of the active-set factorisations and polish attempts since
-    /// the last call (`m^3 / 3` per factor of order `m`, plus each
-    /// polish's `G_AA` gather and serial KKT gradient), for virtual-time
-    /// charging.
+    /// The active set the in-flight solve iterates on, in admission
+    /// order (index order when it holds every feature).
+    pub fn active_set(&self) -> &[usize] {
+        &self.active
+    }
+
+    /// Flops of the active-set factor updates and polish attempts since
+    /// the last call (the rows factored, the deletions and the entries
+    /// gathered — see [`AdmmState::factor_active`] — plus the rows of
+    /// each polish's factor, its `G_AA` gather and its serial KKT
+    /// gradient), for virtual-time charging.
     pub fn take_factor_flops(&mut self) -> f64 {
         std::mem::take(&mut self.factor_flops)
     }
@@ -514,9 +528,11 @@ impl AdmmState {
     /// The rule half of the per-λ transition, on the gradient in `grad`
     /// (fresh for `z`; the allreduced one in a consensus solve, so every
     /// rank selects the same set):
-    /// `S = supp(z) ∪ { j : |c_j| >= 2 λ - λ_prev }`. Gathers `z_S`,
-    /// zeroes `u_S` and resets the per-λ counters; the caller factors
-    /// `G_SS + rho I` ([`AdmmState::factor_active`]).
+    /// `S = supp(z) ∪ { j : |c_j| >= 2 λ - λ_prev }`, in admission
+    /// order: members of the previous `S` that stay keep their order and
+    /// newcomers follow in index order. Gathers `z_S`, zeroes `u_S` and
+    /// resets the per-λ counters; the caller factors `G_SS + rho I`
+    /// ([`AdmmState::factor_active`]).
     pub(crate) fn screen(&mut self, lambda: f64, prev: f64) {
         let cut = 2.0 * lambda - prev;
         let AdmmState {
@@ -528,14 +544,22 @@ impl AdmmState {
             us,
             ..
         } = self;
-        active.clear();
+        // Non-finite gradients are kept, so corrupted inputs still reach
+        // the iteration and its divergence tripwire.
+        let keep = |j: usize| z[j] != 0.0 || grad[j].is_nan() || grad[j].abs() >= cut;
+        active.retain(|&j| {
+            in_active[j] = keep(j);
+            in_active[j]
+        });
         for (j, member) in in_active.iter_mut().enumerate() {
-            // Non-finite gradients are kept, so corrupted inputs still
-            // reach the iteration and its divergence tripwire.
-            *member = z[j] != 0.0 || grad[j].is_nan() || grad[j].abs() >= cut;
-            if *member {
+            if !*member && keep(j) {
+                *member = true;
                 active.push(j);
             }
+        }
+        if active.len() == in_active.len() {
+            // Every feature: index order (see `index_order`).
+            active.iter_mut().enumerate().for_each(|(k, j)| *j = k);
         }
         zs.clear();
         zs.extend(active.iter().map(|&j| z[j]));
@@ -552,11 +576,10 @@ impl AdmmState {
     }
 
     /// The merge half of the KKT re-entry, on the gradient in `grad`
-    /// (fresh for `z`): every `j` off `S` with `|c_j| > λ` joins it.
-    /// Returns whether `S` grew; if so the compact iterates are
-    /// re-gathered over the enlarged (still sorted) set — continuing
-    /// members keep their `z`/`u`, newcomers start at zero — and the
-    /// caller refactors.
+    /// (fresh for `z`): every `j` off `S` with `|c_j| > λ` joins it,
+    /// appended in index order with `z`/`u` at zero — continuing members
+    /// keep their places and iterates. Returns whether `S` grew; if so
+    /// the caller refactors.
     pub(crate) fn admit(&mut self, lambda: f64) -> bool {
         let AdmmState {
             grad,
@@ -566,37 +589,23 @@ impl AdmmState {
             us,
             ..
         } = self;
-        let mut added = 0;
-        for (member, g) in in_active.iter_mut().zip(&*grad) {
+        let before = active.len();
+        for (j, (member, g)) in in_active.iter_mut().zip(&*grad).enumerate() {
             // Non-finite gradients count as violators (see `screen`).
             if !*member && (g.is_nan() || g.abs() > lambda) {
                 *member = true;
-                added += 1;
+                active.push(j);
             }
         }
-        if added == 0 {
+        if active.len() == before {
             return false;
         }
-        self.has_rejected = false;
-        // Merge from the back, in place: the new set is a superset, so
-        // each write lands at or after the old entry it may displace.
-        let mut old = active.len();
-        let mut k = old + added;
-        active.resize(k, 0);
-        zs.resize(k, 0.0);
-        us.resize(k, 0.0);
-        for j in (0..in_active.len()).rev().filter(|&j| in_active[j]) {
-            k -= 1;
-            if old > 0 && active[old - 1] == j {
-                old -= 1;
-                zs[k] = zs[old];
-                us[k] = us[old];
-            } else {
-                zs[k] = 0.0;
-                us[k] = 0.0;
-            }
-            active[k] = j;
+        zs.resize(active.len(), 0.0);
+        us.resize(active.len(), 0.0);
+        if active.len() == in_active.len() {
+            index_order(active, zs, us);
         }
+        self.has_rejected = false;
         true
     }
 
@@ -640,24 +649,38 @@ impl AdmmState {
         &mut self.grad
     }
 
-    /// Factor `G_SS + rho I` of `design` for the active set into the
-    /// reusable factor buffer, unless it already holds that set's factor.
-    /// A breakdown (possible only when the ridge is negligible against the
-    /// Gram's scale) walks the deterministic jitter ladder.
-    pub(crate) fn factor_active(&mut self, design: &DesignStore, rho: f64) {
+    /// Bring the reusable factor to `G_SS + rho I` of `design` for the
+    /// active set. Unless it already holds that set's factor, the held
+    /// factor is *updated*: leavers are deleted from the back
+    /// ([`PackedCholesky::delete`], ~`3 r^2` flops with `r` rows after
+    /// the leaver) and newcomers appended
+    /// ([`PackedCholesky::extend_with`], `i^2` flops for the `i`-th row,
+    /// counting from 1) — which `screen` and `admit` make possible by
+    /// keeping `S` in admission order. The whole factor is rebuilt
+    /// instead when the survivors are not a prefix of `S` (it was last
+    /// built for another order), when that is cheaper, when the held
+    /// factor carries a jitter shift, or when an appended pivot breaks
+    /// down; a breakdown of the rebuild walks the deterministic jitter
+    /// ladder (possible only when the ridge is negligible against the
+    /// Gram's scale). The flops done and the entries gathered are added
+    /// to the state's charge.
+    pub(crate) fn factor_active(&mut self, design: &DesignStore, rho: f64) -> FactorUpdate {
+        let mut update = FactorUpdate::default();
         if self.factored == self.active {
-            return;
+            return update;
         }
         let AdmmState {
             active,
+            in_active,
             factor,
             factored,
+            factor_has_jitter,
             factor_flops,
             ..
         } = self;
         let m = active.len();
-        // Entry (i, j), j <= i: upper storage, and S is sorted, so
-        // S_j <= S_i.
+        // Entry (i, j), j <= i, in the compact order of S. Admission
+        // order puts no bound on S_j vs S_i; `gram_entry` is symmetric.
         let entry = |i: usize, j: usize, tau: f64| {
             let g = design.gram_entry(active[j], active[i]);
             if i == j {
@@ -666,6 +689,33 @@ impl AdmmState {
                 g
             }
         };
+        if !*factor_has_jitter {
+            if let Some((kept, delete_flops)) = update_plan(factored, in_active, active) {
+                if delete_flops + factor_rows_flops(kept, m) < factor_rows_flops(0, m) {
+                    for k in (0..factored.len()).rev() {
+                        if !in_active[factored[k]] {
+                            factor.delete(k);
+                            factored.remove(k);
+                            update.deleted += 1;
+                        }
+                    }
+                    *factor_flops += delete_flops;
+                    let extended = factor.extend_with(m, |i, j| entry(i, j, 0.0));
+                    // A breakdown stops after the failing row.
+                    let rows = (factor.order() + usize::from(extended.is_err())).min(m);
+                    *factor_flops += factor_rows_flops(kept, rows) + design.gather_flops(rows)
+                        - design.gather_flops(kept);
+                    if extended.is_ok() {
+                        update.appended = m - kept;
+                        factored.clear();
+                        factored.extend_from_slice(active);
+                        return update;
+                    }
+                }
+            }
+        }
+        update.refactored = true;
+        *factor_has_jitter = false;
         if factor.refactor_with(m, |i, j| entry(i, j, 0.0)).is_err() {
             let trace: f64 = (0..m).map(|i| entry(i, i, 0.0)).sum();
             let ladder = JitterLadder::for_gram(trace, m);
@@ -677,10 +727,12 @@ impl AdmmState {
                 recovered,
                 "ADMM active-set system must factor (is the Gram non-finite?)"
             );
+            *factor_has_jitter = true;
         }
         factored.clear();
         factored.extend_from_slice(active);
-        *factor_flops += admm_sub_factor_flops(m);
+        *factor_flops += factor_rows_flops(0, m) + design.gather_flops(m);
+        update
     }
 
     /// Whether a polish is due: every `z_S` is finite, its sign pattern
@@ -748,7 +800,7 @@ impl AdmmState {
         };
         let factored = factor.refactor_with_floor(a, entry, POLISH_MIN_PIVOT);
         let rows = factored.as_ref().map_or_else(|e| e.pivot + 1, |_| a);
-        self.factor_flops += admm_sub_factor_flops(rows);
+        self.factor_flops += factor_rows_flops(0, rows);
         if let PolishSystem::Design(design, _) = src {
             self.factor_flops += design.gather_flops(rows);
         }
@@ -879,7 +931,7 @@ thread_local! {
     static POLISH: RefCell<Polish> = RefCell::new(Polish::default());
 }
 
-/// `out = xty_S + rho (z_S - u_S)` over the sorted active set `S`.
+/// `out = xty_S + rho (z_S - u_S)` over the active set `S`, in its order.
 fn gather_active_rhs(
     active: &[usize],
     xty: &[f64],
@@ -892,6 +944,78 @@ fn gather_active_rhs(
     out.extend(active.iter().map(|&j| xty[j]));
     for ((r, zi), ui) in out.iter_mut().zip(zs).zip(us) {
         *r += rho * (zi - ui);
+    }
+}
+
+/// Put an active set of every feature back in index order, carrying the
+/// compact iterates along — in place, one swap per misplaced feature. A
+/// consensus solve applies its full local factor, built in index order,
+/// to an `S` of every feature.
+fn index_order(active: &mut [usize], zs: &mut [f64], us: &mut [f64]) {
+    for k in 0..active.len() {
+        while active[k] != k {
+            let t = active[k];
+            active.swap(k, t);
+            zs.swap(k, t);
+            us.swap(k, t);
+        }
+    }
+}
+
+/// The incremental update of a factor held for `factored` to the active
+/// set `active` (membership `in_active`): `Some((kept, delete_flops))`
+/// when the members of `factored` that stay are, in order, the first
+/// `kept` entries of `active` — deleting the others, from the back, then
+/// costs `delete_flops` and appending the rest of `active` finishes the
+/// update — and `None` when the factor must be rebuilt.
+fn update_plan(factored: &[usize], in_active: &[bool], active: &[usize]) -> Option<(usize, f64)> {
+    let kept = factored.iter().filter(|&&j| in_active[j]).count();
+    let mut at = kept;
+    let mut delete_flops = 0.0;
+    for &j in factored.iter().rev() {
+        if in_active[j] {
+            at -= 1;
+            if active[at] != j {
+                return None;
+            }
+        } else {
+            let after = (kept - at) as f64;
+            delete_flops += 3.0 * after * after;
+        }
+    }
+    Some((kept, delete_flops))
+}
+
+/// Flops of factoring rows `from..to` of a packed Cholesky factor: the
+/// `i`-th row (counting from 1) takes `i^2`, so a fresh order-`m` factor
+/// costs `m (m + 1) (2 m + 1) / 6 ≈ m^3 / 3`.
+fn factor_rows_flops(from: usize, to: usize) -> f64 {
+    let squares = |m: usize| (m * (m + 1) * (2 * m + 1)) as f64 / 6.0;
+    squares(to) - squares(from)
+}
+
+/// What one [`AdmmState::factor_active`] did to the held factor, for the
+/// `admm.factor.*` counters.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct FactorUpdate {
+    /// Rows appended to the held factor (a rebuild counts none).
+    pub(crate) appended: usize,
+    /// Rows deleted from it.
+    pub(crate) deleted: usize,
+    /// Whether the factor was rebuilt: a fresh factor or a fallback.
+    pub(crate) refactored: bool,
+}
+
+impl FactorUpdate {
+    /// Add the update to `admm.factor.rows_appended`,
+    /// `admm.factor.rows_deleted` and `admm.factor.refactors`; an
+    /// update that touched nothing records nothing.
+    pub(crate) fn record(self, metrics: &MetricsRegistry) {
+        if self.appended + self.deleted > 0 || self.refactored {
+            metrics.incr("admm.factor.rows_appended", self.appended as u64);
+            metrics.incr("admm.factor.rows_deleted", self.deleted as u64);
+            metrics.incr("admm.factor.refactors", u64::from(self.refactored));
+        }
     }
 }
 
@@ -948,7 +1072,10 @@ impl DesignStore {
         }
     }
 
-    /// Entry `(a, b)`, `a <= b`, of `G = X^T X` (upper storage).
+    /// Entry `(a, b)` of `G = X^T X`, in either order: a Gram store is
+    /// mirrored ([`DesignStore::gram`]), so `(a, b)` and `(b, a)` are the
+    /// same bits, and a wide design's column dot product multiplies the
+    /// same pairs either way. Active sets in admission order rely on it.
     fn gram_entry(&self, a: usize, b: usize) -> f64 {
         match self {
             DesignStore::Gram { gram, .. } => gram[(a, b)],
@@ -974,9 +1101,10 @@ impl DesignStore {
         }
     }
 
-    /// Modeled flops of gathering an order-`m` active-set Gram: free for
-    /// a stored Gram (a copy), one column dot product per upper entry for
-    /// a wide design.
+    /// Modeled flops of gathering an order-`m` active-set Gram (the
+    /// difference of two calls prices the rows appended between them):
+    /// free for a stored Gram (a copy), one column dot product per upper
+    /// entry for a wide design.
     pub(crate) fn gather_flops(&self, m: usize) -> f64 {
         match self {
             DesignStore::Gram { .. } => 0.0,
@@ -1180,6 +1308,14 @@ impl LassoAdmm {
             m.observe("admm.dual_residual", s_norm);
             m.observe("solver.iterations", iterations as f64);
             m.incr("solver.nonconverged", u64::from(!converged));
+        }
+    }
+
+    /// The `admm.factor.*` counters of one active-set factor update
+    /// (metrics only).
+    fn note_factor(&self, update: FactorUpdate) {
+        if let Some(m) = &self.metrics {
+            update.record(m);
         }
     }
 
@@ -1485,7 +1621,8 @@ impl LassoAdmm {
         }
         let prev = st.previous_lambda().unwrap_or_else(|| norm_inf(xty));
         st.screen(lambda, prev);
-        st.factor_active(&self.design, self.rho);
+        let update = st.factor_active(&self.design, self.rho);
+        self.note_factor(update);
     }
 
     /// One screened ADMM iteration (x-, z-, u-updates plus convergence
@@ -1504,8 +1641,9 @@ impl LassoAdmm {
     /// it. A singular `G_AA` rejects the polish. When the sub-problem
     /// meets tolerance, the pattern gets one last polish attempt; failing
     /// that, the KKT conditions are checked over the complement of the
-    /// active set: violators join it (the factor is rebuilt; continuing
-    /// members keep their duals, newcomers start at zero) and stepping
+    /// active set: violators join it at its end (the factor gains their
+    /// rows; continuing members keep their duals, newcomers start at
+    /// zero) and stepping
     /// continues; otherwise the state is converged on the ADMM iterate.
     /// Callers cap the steps per λ at `max_iter`, re-solves included.
     /// No-op once converged; allocation-free once the state is warm.
@@ -1579,14 +1717,16 @@ impl LassoAdmm {
 
     /// KKT check over the complement of the active set, run when the
     /// sub-problem meets tolerance: every `j` off `S` with `|c_j| > λ`
-    /// joins it ([`AdmmState::admit`]) and the factor is rebuilt. Returns
+    /// joins it ([`AdmmState::admit`]) and the factor gains their rows
+    /// ([`AdmmState::factor_active`]). Returns
     /// whether `S` grew. Leaves `grad` fresh for the next transition.
     fn admit_violators(&self, xty: &[f64], lambda: f64, st: &mut AdmmState) -> bool {
         st.refresh_gradient(&self.design, xty);
         if !st.admit(lambda) {
             return false;
         }
-        st.factor_active(&self.design, self.rho);
+        let update = st.factor_active(&self.design, self.rho);
+        self.note_factor(update);
         if let Some(m) = &self.metrics {
             m.incr("admm.kkt_reentries", 1);
         }
@@ -1736,13 +1876,6 @@ pub fn lockstep_round_charges(active: usize, threads: usize) -> usize {
 /// active set: the primal-form iteration of an `m`-coefficient problem.
 pub fn admm_active_iter_flops(m: usize) -> f64 {
     admm_iter_flops(m, m)
-}
-
-/// Approximate flop count of factoring an order-`m` active-set system
-/// (Cholesky, `m^3 / 3`); the gather and the KKT check are lower order.
-pub fn admm_sub_factor_flops(m: usize) -> f64 {
-    let m = m as f64;
-    m * m * m / 3.0
 }
 
 /// Approximate flop count of the one-time factorisation.
@@ -2232,6 +2365,55 @@ mod tests {
             for (va, vb) in a.us.iter().zip(&b.us) {
                 assert_eq!(va.to_bits(), vb.to_bits());
             }
+        }
+    }
+
+    /// The held active-set factor is updated in place — newcomers
+    /// appended, leavers deleted, each charged the rows it computes —
+    /// unless an appended pivot breaks down or the factor carries a
+    /// jitter shift; both rebuild it in full.
+    #[test]
+    fn active_factor_updates_and_falls_back_to_a_rebuild() {
+        // Features 0 and 1 are the same column; 2 and 3 are orthogonal
+        // to both, so with rho = 0 the pivot of whichever of 0 and 1
+        // comes second is exactly zero.
+        let x = Matrix::from_fn(6, 4, |i, j| match j {
+            0 | 1 => f64::from(u8::from(i < 4)),
+            _ => f64::from(u8::from(i == j + 2)),
+        });
+        let design = DesignStore::gram(uoi_linalg::syrk_t(&x), None);
+        let mut st = AdmmState::new(4);
+        let set = |st: &mut AdmmState, s: &[usize]| {
+            st.in_active.iter_mut().for_each(|m| *m = false);
+            s.iter().for_each(|&j| st.in_active[j] = true);
+            st.active.clear();
+            st.active.extend_from_slice(s);
+            let update = st.factor_active(&design, 0.0);
+            let flops = st.take_factor_flops();
+            (update.appended, update.deleted, update.refactored, flops)
+        };
+        // A fresh factor of order 2 costs 1 + 4 flops; its third row 9.
+        assert_eq!(set(&mut st, &[2, 3]), (0, 0, true, 5.0));
+        assert_eq!(set(&mut st, &[2, 3, 0]), (1, 0, false, 9.0));
+        // Appending the duplicate breaks down: rebuilt on the ladder.
+        let (_, _, rebuilt, _) = set(&mut st, &[2, 3, 0, 1]);
+        assert!(rebuilt && st.factor_has_jitter);
+        assert_eq!(set(&mut st, &[2, 3, 0, 1]), (0, 0, false, 0.0));
+        // A jittered factor is rebuilt rather than updated.
+        let (_, _, rebuilt, _) = set(&mut st, &[2, 3, 0]);
+        assert!(rebuilt && !st.factor_has_jitter);
+        // Deleting row 1 of 3 updates the row after it (3 * 1^2 flops);
+        // deleting row 0 would cost 3 * 2^2, more than a rebuild's 5.
+        assert_eq!(set(&mut st, &[2, 0]), (0, 1, false, 3.0));
+        let mut fresh = PackedCholesky::new();
+        fresh
+            .refactor_with(2, |i, j| design.gram_entry(st.active[j], st.active[i]))
+            .unwrap();
+        let (mut got, mut want) = (vec![1.0, -2.0], vec![1.0, -2.0]);
+        st.factor.solve_in_place(&mut got);
+        fresh.solve_in_place(&mut want);
+        for (g, w) in got.iter().zip(&want) {
+            assert!((g - w).abs() <= 1e-12 * w.abs().max(1.0), "{g} vs {w}");
         }
     }
 }

@@ -565,7 +565,7 @@ impl DistLassoAdmm {
                 self.reduce_gradient(ctx, comm, xty, &mut st);
             }
             st.screen(lam, prev.unwrap_or_else(|| norm_inf(st.gradient().0)));
-            let mut full = self.factor_active(ctx, &mut st);
+            let mut full = self.factor_active(ctx, comm, &mut st);
             let kappa = lam / (rho * b);
             curve.clear();
             for _ in 0..self.cfg.max_iter {
@@ -606,7 +606,7 @@ impl DistLassoAdmm {
                         st.converged = true;
                         break;
                     }
-                    full = self.factor_active(ctx, &mut st);
+                    full = self.factor_active(ctx, comm, &mut st);
                     if let (0, Some(reg)) = (comm.rank(), &self.metrics) {
                         reg.incr("admm_dist.kkt_reentries", 1);
                     }
@@ -700,22 +700,27 @@ impl DistLassoAdmm {
         }
     }
 
-    /// Factor this rank's `G_i,SS + rho I` for the state's active set (a
-    /// no-op when `S` is unchanged) and charge the gather and the
-    /// factorisation — gathered from the kept Gram, or from a wide
-    /// block's columns, as the serial solver does. Returns whether `S`
-    /// holds every feature; the full local factor is applied then and
-    /// nothing is factored. The choice is local: both yield the same
-    /// `|S|`-long x-update, so the collectives do not depend on it.
-    fn factor_active(&self, ctx: &mut RankCtx, st: &mut AdmmState) -> bool {
+    /// Bring this rank's factor of `G_i,SS + rho I` to the state's active
+    /// set — updated in place, deleting leavers and appending newcomers,
+    /// or rebuilt ([`AdmmState::factor_active`]) — and charge the rows
+    /// factored and deleted and the entries gathered, from the kept Gram
+    /// or a wide block's columns, as the serial solver does. Returns
+    /// whether `S` holds every feature (then in index order); the full
+    /// local factor is applied then and nothing is factored. The choice
+    /// is local: both yield the same `|S|`-long x-update, so the
+    /// collectives do not depend on it.
+    fn factor_active(&self, ctx: &mut RankCtx, comm: &Comm, st: &mut AdmmState) -> bool {
         let m = st.active_len();
         if m == self.design.n_coefficients() {
             return true;
         }
-        st.factor_active(&self.design, self.rho);
+        let update = st.factor_active(&self.design, self.rho);
+        if let (0, Some(reg)) = (comm.rank(), &self.metrics) {
+            update.record(reg);
+        }
         let flops = st.take_factor_flops();
         if flops > 0.0 {
-            ctx.compute_flops(flops + self.design.gather_flops(m), (m * m * 8) as f64);
+            ctx.compute_flops(flops, (m * m * 8) as f64);
         }
         false
     }

@@ -31,9 +31,9 @@ pub mod prox;
 pub mod resilience;
 
 pub use admm::{
-    admm_active_iter_flops, admm_factor_flops, admm_iter_flops, admm_sub_factor_flops,
-    lockstep_round_charges, tripped, AdmmConfig, AdmmConfigBuilder, AdmmSolution, AdmmState,
-    AdmmStatus, AdmmWorkspace, InvalidConfig, LassoAdmm, StepTask, PATH_VARIANT,
+    admm_active_iter_flops, admm_factor_flops, admm_iter_flops, lockstep_round_charges, tripped,
+    AdmmConfig, AdmmConfigBuilder, AdmmSolution, AdmmState, AdmmStatus, AdmmWorkspace,
+    InvalidConfig, LassoAdmm, StepTask, PATH_VARIANT,
 };
 pub use admm_dist::DistLassoAdmm;
 pub use cd::{lasso_cd, lasso_cd_warm, mcp_cd, ridge, scad_cd, CdConfig};

@@ -288,3 +288,50 @@ fn warm_screened_path_is_allocation_free_across_polish_attempts() {
         "the measured pass must reject a pattern too"
     );
 }
+
+/// A path down, back up and down again: at the rise, features leave `S`
+/// and the held factor deletes their rows (its rotation scratch was
+/// reserved when the factor grew); on the way back down they are
+/// admitted again and appended. A warm pass over it allocates nothing.
+#[test]
+fn warm_screened_path_is_allocation_free_across_delete_and_readmission() {
+    let x = deterministic_design(60, 24);
+    let y: Vec<f64> = (0..60)
+        .map(|i| {
+            x[(i, 1)] - 0.8 * x[(i, 5)] + 0.6 * x[(i, 9)] - 0.4 * x[(i, 14)]
+                + 0.3 * x[(i, 20)]
+                + 0.05 * (i as f64 * 0.9).sin()
+        })
+        .collect();
+    let gram = uoi_linalg::syrk_t(&x);
+    let xty = uoi_linalg::gemv_t(&x, &y);
+    let lmax = xty.iter().fold(0.0_f64, |m, v| m.max(v.abs()));
+    let lambdas: Vec<f64> = [0.8, 0.5, 0.3, 0.15, 0.08, 0.4, 0.2, 0.1, 0.05]
+        .iter()
+        .map(|r| r * lmax)
+        .collect();
+    let solver = LassoAdmm::from_gram(gram.clone(), AdmmConfig::default());
+    let mut st = solver.init_state();
+    drive_path(&solver, &xty, &lambdas, &mut st);
+    let before = allocations();
+    drive_path(&solver, &xty, &lambdas, &mut st);
+    assert_eq!(
+        allocations() - before,
+        0,
+        "warm updated-factor path allocated"
+    );
+
+    // The measured pass deletes rows and appends them again.
+    let metrics = Arc::new(MetricsRegistry::new());
+    let twin = LassoAdmm::from_gram(gram, AdmmConfig::default()).with_metrics(metrics.clone());
+    let mut st = twin.init_state();
+    drive_path(&twin, &xty, &lambdas, &mut st);
+    let counts = |name: &str| metrics.counter(name);
+    let (deleted, appended) = (
+        counts("admm.factor.rows_deleted"),
+        counts("admm.factor.rows_appended"),
+    );
+    drive_path(&twin, &xty, &lambdas, &mut st);
+    assert!(counts("admm.factor.rows_deleted") > deleted, "no delete");
+    assert!(counts("admm.factor.rows_appended") > appended, "no append");
+}

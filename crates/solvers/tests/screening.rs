@@ -438,3 +438,94 @@ fn guarded_path_polishes_every_lambda() {
         assert!(rel <= POLISHED_KKT_REL, "lambda {lam}: {rel:.3e}");
     }
 }
+
+/// The sequential strong rule computed from scratch, sorted: with `beta`
+/// the previous λ's solution and `c = X^T y - G beta` (the Gram's rows
+/// read as the solver reads them, in the same order), the features with
+/// `beta_j != 0` or `|c_j| >= 2 λ - λ_prev`.
+fn strong_set(gram: &Matrix, xty: &[f64], beta: &[f64], lambda: f64, prev: f64) -> Vec<usize> {
+    let p = xty.len();
+    let mut c = xty.to_vec();
+    for (s, &b) in beta.iter().enumerate() {
+        if b != 0.0 {
+            for (i, ci) in c.iter_mut().enumerate() {
+                *ci += -b * gram[(s.min(i), s.max(i))];
+            }
+        }
+    }
+    (0..p)
+        .filter(|&j| beta[j] != 0.0 || c[j].abs() >= 2.0 * lambda - prev)
+        .collect()
+}
+
+/// A path down, back up and down again: features that enter at the
+/// small λs leave `S` once the rise zeroes them and return on the way
+/// back down, so the held factor is updated by deletes and appends. At
+/// every λ the active set — kept in admission order — is, as a set,
+/// exactly what the sorted rule selects from scratch, and every polished
+/// λ meets the 1e-9 relative KKT bound.
+#[test]
+fn features_leave_and_return_with_the_rule_set_at_every_lambda() {
+    let mut returned = 0;
+    for seed in [11, 12, 13] {
+        let x = testgen::random_design(seed, 50, 30);
+        let y = testgen::matched_response(seed, &x);
+        let gram = syrk_t(&x);
+        let metrics = Arc::new(MetricsRegistry::new());
+        let solver = LassoAdmm::from_gram(gram.clone(), cfg()).with_metrics(metrics.clone());
+        let xty = gemv_t(&x, &y);
+        let lmax = lambda_max(&xty);
+        let ratios = [
+            0.9, 0.7, 0.5, 0.35, 0.25, 0.15, 0.1, 0.3, 0.6, 0.45, 0.3, 0.2, 0.12, 0.08,
+        ];
+        let lambdas: Vec<f64> = ratios.iter().map(|r| r * lmax).collect();
+        let mut st = solver.init_state();
+        let mut prev = lmax;
+        let mut membership = vec![Vec::new(); x.cols()];
+        for &lam in &lambdas {
+            let want = strong_set(&gram, &xty, &st.z, lam, prev);
+            solver.begin_lambda(&xty, lam, &mut st);
+            let mut got = st.active_set().to_vec();
+            got.sort_unstable();
+            assert_eq!(
+                got, want,
+                "seed {seed}, lambda {lam}: S differs from the rule"
+            );
+            for (j, history) in membership.iter_mut().enumerate() {
+                history.push(got.binary_search(&j).is_ok());
+            }
+            for _ in 0..solver.config().max_iter {
+                solver.step(&xty, lam, &mut st);
+                if st.converged {
+                    break;
+                }
+            }
+            assert!(st.converged, "seed {seed}, lambda {lam}");
+            if st.polished {
+                let rel = kkt_rel(&x, &y, &st.z, lam);
+                assert!(rel <= POLISHED_KKT_REL, "lambda {lam}: {rel:.3e}");
+            }
+            prev = lam;
+        }
+        returned += membership
+            .iter()
+            .filter(|h| {
+                let left = h.windows(2).position(|w| w[0] && !w[1]);
+                left.is_some_and(|at| h[at + 1..].contains(&true))
+            })
+            .count();
+        assert!(
+            metrics.counter("admm.factor.rows_deleted") > 0,
+            "seed {seed}"
+        );
+        assert!(
+            metrics.counter("admm.factor.rows_appended") > 0,
+            "seed {seed}"
+        );
+        assert!(
+            metrics.counter("admm.factor.refactors") < lambdas.len() as u64,
+            "seed {seed}: the held factor must be updated, not always rebuilt"
+        );
+    }
+    assert!(returned > 0, "some feature must leave S and return");
+}
