@@ -4,10 +4,12 @@
 //! then-SYRK baseline the zero-copy path already beat. Shapes follow the
 //! fig2 (LASSO single node, tall n x p) and fig7 (VAR, square-ish dp)
 //! pipeline workloads, plus the `lasso_gram` shape of the repository
-//! benchmark (`uoi_benchmark`), where most of its measured time sits.
+//! benchmark (`uoi_benchmark`), where most of its measured time sits, once
+//! on the dispatched micro-kernel and once on each variant forced.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
+use uoi_linalg::gram::{gram_rhs_batch_on, Kernel};
 use uoi_linalg::{gram_rhs_batch, syrk_t_weighted, syrk_t_weighted_batch, Matrix};
 
 fn matrix(n: usize, p: usize, seed: usize) -> Matrix {
@@ -79,6 +81,8 @@ fn bench_gram_batch(c: &mut Criterion) {
 /// upper triangle, `n p (p + 1)`, plus the rhs, `2 n p`, per resample),
 /// so the printed elem/s read as flop/s: divide by 1e9 for GFLOP/s.
 fn bench_lasso_gram_shape(c: &mut Criterion) {
+    // Name the dispatched kernel, so a log says which variant ran.
+    println!("gram kernel: {}", uoi_linalg::gram::kernel_variant());
     const B: usize = 5;
     let (n, p) = (4096usize, 256usize);
     let a = matrix(n, p, 11);
@@ -93,6 +97,22 @@ fn bench_lasso_gram_shape(c: &mut Criterion) {
     g.bench_with_input(BenchmarkId::new("gram_rhs_batch", B), &B, |bench, _| {
         bench.iter(|| gram_rhs_batch(black_box(&a), black_box(&y), black_box(&wrefs)))
     });
+    g.finish();
+
+    // The same batch on each micro-kernel variant this CPU runs, forced,
+    // named by its `kernel_variant` string. All variants give the same
+    // bits; only the time differs.
+    let mut g = c.benchmark_group("gram_batch/lasso_gram_forced");
+    g.sample_size(10);
+    g.throughput(Throughput::Elements(
+        (B * (n * p * (p + 1) + 2 * n * p)) as u64,
+    ));
+    for &kernel in Kernel::ALL.iter().filter(|k| k.supported()) {
+        g.bench_with_input(BenchmarkId::new(kernel.name(), B), &B, |bench, _| {
+            bench
+                .iter(|| gram_rhs_batch_on(kernel, black_box(&a), black_box(&y), black_box(&wrefs)))
+        });
+    }
     g.finish();
 }
 

@@ -159,6 +159,11 @@ impl UoiLassoConfig {
     /// per-bootstrap result *does* depend on: seed, lambda grid inputs,
     /// solver settings, and every data bit.
     pub(crate) fn ckpt_fingerprint(&self, x: &Matrix, y: &[f64]) -> u64 {
+        self.ckpt_fingerprint_of(x, y, generation_word())
+    }
+
+    /// [`Self::ckpt_fingerprint`] with an explicit [`generation_word`].
+    fn ckpt_fingerprint_of(&self, x: &Matrix, y: &[f64], generation: u64) -> u64 {
         let words = [
             self.seed,
             self.q as u64,
@@ -174,7 +179,7 @@ impl UoiLassoConfig {
             // clean path is bit-identical, but a checkpoint cannot know
             // the input was clean), so arming resilience invalidates.
             self.numerical.enabled as u64,
-            path_variant_word(),
+            generation,
             x.rows() as u64,
             x.cols() as u64,
         ];
@@ -187,11 +192,21 @@ impl UoiLassoConfig {
     }
 }
 
-/// Checkpoint-fingerprint word of the solver's lambda-path algorithm
-/// ([`uoi_solvers::PATH_VARIANT`]): checkpoints written by another path
-/// algorithm miss instead of mixing solver generations in one fit.
-pub(crate) fn path_variant_word() -> u64 {
-    fingerprint(uoi_solvers::PATH_VARIANT.bytes().map(u64::from))
+/// Checkpoint-fingerprint word of the numerics that produced a
+/// checkpoint: the solver's lambda-path algorithm
+/// ([`uoi_solvers::PATH_VARIANT`]) and the Gram kernel's floating-point
+/// bracketing ([`uoi_linalg::gram::BRACKETING`], one name for every ISA
+/// variant). Checkpoints written by another path algorithm or bracketing
+/// miss instead of mixing their numbers into one fit.
+pub(crate) fn generation_word() -> u64 {
+    generation_word_of(uoi_solvers::PATH_VARIANT, uoi_linalg::gram::BRACKETING)
+}
+
+/// [`generation_word`] of a given path algorithm and Gram bracketing.
+pub(crate) fn generation_word_of(path: &str, bracketing: &str) -> u64 {
+    // A 0 word, which no name contains, ends the path name.
+    let path = path.bytes().map(u64::from).chain([0]);
+    fingerprint(path.chain(bracketing.bytes().map(u64::from)))
 }
 
 /// Chainable builder for [`UoiLassoConfig`]; `build()` validates.
@@ -367,8 +382,7 @@ pub(crate) fn centre_data(x: &Matrix, y: &[f64]) -> (Matrix, Vec<f64>, Vec<f64>,
     let n = x.rows();
     let x_means = x.col_means();
     let y_mean = y.iter().sum::<f64>() / n as f64;
-    let mut xc = x.clone();
-    xc.center_cols(&x_means);
+    let xc = x.centred(&x_means);
     let yc: Vec<f64> = y.iter().map(|v| v - y_mean).collect();
     (xc, yc, x_means, y_mean)
 }
@@ -745,6 +759,21 @@ mod tests {
             },
             ..Default::default()
         }
+    }
+
+    #[test]
+    fn checkpoint_fingerprint_follows_gram_bracketing() {
+        let ds = dataset();
+        let cfg = quick_cfg();
+        let now = cfg.ckpt_fingerprint(&ds.x, &ds.y);
+        let path = uoi_solvers::PATH_VARIANT;
+        let same = generation_word_of(path, uoi_linalg::gram::BRACKETING);
+        assert_eq!(now, cfg.ckpt_fingerprint_of(&ds.x, &ds.y, same));
+        // A checkpoint of the previous, unfused bracketing must miss.
+        let unfused = generation_word_of(path, "panel64-mul-add");
+        assert_ne!(now, cfg.ckpt_fingerprint_of(&ds.x, &ds.y, unfused));
+        let other_path = generation_word_of("another-path", uoi_linalg::gram::BRACKETING);
+        assert_ne!(now, cfg.ckpt_fingerprint_of(&ds.x, &ds.y, other_path));
     }
 
     #[test]

@@ -271,8 +271,7 @@ pub fn select_var_order(series: &Matrix, max_order: usize) -> usize {
     let (n_raw, p) = series.shape();
     assert!(max_order >= 1 && n_raw > max_order + 2);
     let means = series.col_means();
-    let mut centred = series.clone();
-    centred.center_cols(&means);
+    let centred = series.centred(&means);
     let mut best = (f64::INFINITY, 1usize);
     for d in 1..=max_order {
         // Use a common effective sample count so BICs are comparable.
@@ -338,8 +337,7 @@ impl<'a> VarInput<'a> {
             return Err(UoiError::NonFiniteInput("series"));
         }
         let means = series.col_means();
-        let mut centred = series.as_ref().clone();
-        centred.center_cols(&means);
+        let centred = series.centred(&means);
         let reg = VarRegression::build(&centred, cfg.order);
         let block_len = cfg
             .block_len
@@ -398,6 +396,29 @@ pub(crate) struct VarProblem<'a> {
     store: Option<CheckpointStore>,
 }
 
+/// Checkpoint fingerprint of a VAR fit: the settings that shape its
+/// numbers, the numerics' [`generation_word`](crate::uoi_lasso::generation_word)
+/// `generation`, and every bit of the series.
+fn var_ckpt_fingerprint(input: &VarInput<'_>, generation: u64) -> u64 {
+    let base = &input.cfg.base;
+    let words = [
+        base.seed,
+        base.q as u64,
+        base.lambda_min_ratio.to_bits(),
+        base.support_tol.to_bits(),
+        base.admm.rho.to_bits(),
+        base.admm.max_iter as u64,
+        base.admm.abstol.to_bits(),
+        base.admm.reltol.to_bits(),
+        generation,
+        input.cfg.order as u64,
+        input.block_len as u64,
+        input.series.rows() as u64,
+        input.series.cols() as u64,
+    ];
+    fingerprint(words.into_iter().chain(data_words(input.series.as_slice())))
+}
+
 impl<'a> VarProblem<'a> {
     /// Check ([`VarInput`]) and centre an `N x p` series (row `t` =
     /// observation at time `t`) and build its lag regression; `mu` later
@@ -416,22 +437,7 @@ impl<'a> VarProblem<'a> {
         // The "var_" stage prefixes keep the two algorithms' checkpoints
         // apart in a shared directory.
         let store = engine::open_store(base, || {
-            let words = [
-                base.seed,
-                base.q as u64,
-                base.lambda_min_ratio.to_bits(),
-                base.support_tol.to_bits(),
-                base.admm.rho.to_bits(),
-                base.admm.max_iter as u64,
-                base.admm.abstol.to_bits(),
-                base.admm.reltol.to_bits(),
-                crate::uoi_lasso::path_variant_word(),
-                cfg.order as u64,
-                input.block_len as u64,
-                input.series.rows() as u64,
-                input.series.cols() as u64,
-            ];
-            fingerprint(words.into_iter().chain(data_words(input.series.as_slice())))
+            var_ckpt_fingerprint(&input, crate::uoi_lasso::generation_word())
         })?;
         Ok(Self { input, ys, store })
     }
@@ -765,6 +771,30 @@ mod tests {
             .filter(|(_, x)| x.abs() > 0.0)
             .map(|(i, _)| i)
             .collect()
+    }
+
+    #[test]
+    fn checkpoint_fingerprint_follows_gram_bracketing() {
+        let proc = VarProcess::generate(&VarConfig {
+            p: 6,
+            order: 1,
+            density: 0.2,
+            target_radius: 0.5,
+            noise_std: 1.0,
+            seed: 3,
+        });
+        let series = proc.simulate(120, 20, 4);
+        let cfg = quick_cfg();
+        let input = VarInput::new(&series, &cfg).unwrap();
+        let path = uoi_solvers::PATH_VARIANT;
+        let of = |bracketing| {
+            let word = crate::uoi_lasso::generation_word_of(path, bracketing);
+            var_ckpt_fingerprint(&input, word)
+        };
+        let now = var_ckpt_fingerprint(&input, crate::uoi_lasso::generation_word());
+        assert_eq!(now, of(uoi_linalg::gram::BRACKETING));
+        // A checkpoint of the previous, unfused bracketing must miss.
+        assert_ne!(now, of("panel64-mul-add"));
     }
 
     #[test]

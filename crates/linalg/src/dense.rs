@@ -302,6 +302,18 @@ impl Matrix {
         m
     }
 
+    /// A copy with `means[j]` subtracted from every element of column `j`,
+    /// built in one pass: the bits of a clone followed by
+    /// [`Self::center_cols`], without writing the matrix twice.
+    pub fn centred(&self, means: &[f64]) -> Matrix {
+        assert_eq!(means.len(), self.cols);
+        let mut data = Vec::with_capacity(self.data.len());
+        for row in self.data.chunks_exact(self.cols.max(1)) {
+            data.extend(row.iter().zip(means).map(|(x, m)| x - m));
+        }
+        Matrix::from_vec(self.rows, self.cols, data)
+    }
+
     /// Subtract `means[j]` from every element of column `j` (in place).
     pub fn center_cols(&mut self, means: &[f64]) {
         assert_eq!(means.len(), self.cols);
@@ -463,6 +475,17 @@ mod tests {
         assert_eq!(means, vec![2.0, 20.0]);
         m.center_cols(&means);
         assert_eq!(m.col_means(), vec![0.0, 0.0]);
+    }
+
+    #[test]
+    fn centred_copy_has_the_bits_of_centring_in_place() {
+        let m = Matrix::from_fn(7, 5, |i, j| ((i * 5 + j) as f64 * 0.37).sin() * 1e3);
+        let means = m.col_means();
+        let mut in_place = m.clone();
+        in_place.center_cols(&means);
+        let bits = |a: &Matrix| a.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&m.centred(&means)), bits(&in_place));
+        assert_eq!(Matrix::zeros(3, 0).centred(&[]).shape(), (3, 0));
     }
 
     #[test]

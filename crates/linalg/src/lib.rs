@@ -25,7 +25,8 @@
 // rewrites obscure the math without changing the codegen.
 #![allow(clippy::needless_range_loop)]
 // The only `unsafe` in the library crates: the Gram engine's runtime ISA
-// dispatch (`gram::band_body`). Every other library crate forbids it.
+// dispatch (`gram::band_body`) and its intrinsic register tiles
+// (`gram::x86`). Every other library crate forbids it.
 #![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
 
 pub mod blas;

@@ -35,32 +35,24 @@ impl MetricsRegistry {
 
     /// Add `delta` to a counter (creating it at zero).
     pub fn incr(&self, name: &str, delta: u64) {
-        let mut g = self.lock();
-        *g.counters.entry(name.to_string()).or_insert(0) += delta;
+        update(&mut self.lock().counters, name, |c| *c += delta);
     }
 
     /// Set a gauge to `value` (last write wins).
     pub fn gauge(&self, name: &str, value: f64) {
-        let mut g = self.lock();
-        g.gauges.insert(name.to_string(), value);
+        update(&mut self.lock().gauges, name, |g| *g = value);
     }
 
     /// Append one observation to a histogram/series.
     pub fn observe(&self, name: &str, value: f64) {
-        let mut g = self.lock();
-        g.histograms
-            .entry(name.to_string())
-            .or_default()
-            .push(value);
+        update(&mut self.lock().histograms, name, |h| h.push(value));
     }
 
     /// Append many observations at once (single lock acquisition).
     pub fn observe_all(&self, name: &str, values: &[f64]) {
-        let mut g = self.lock();
-        g.histograms
-            .entry(name.to_string())
-            .or_default()
-            .extend_from_slice(values);
+        update(&mut self.lock().histograms, name, |h| {
+            h.extend_from_slice(values)
+        });
     }
 
     /// Current counter value (0 if never incremented).
@@ -103,6 +95,16 @@ impl MetricsRegistry {
 
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
+    }
+}
+
+/// Apply `f` to the value under `name`, inserting the default first if
+/// the name is new. Only that first insertion allocates the key, so a
+/// repeat recording on a hot path allocates nothing.
+fn update<V: Default>(map: &mut BTreeMap<String, V>, name: &str, f: impl FnOnce(&mut V)) {
+    match map.get_mut(name) {
+        Some(v) => f(v),
+        None => f(map.entry(name.to_owned()).or_default()),
     }
 }
 
