@@ -1,10 +1,10 @@
 //! Criterion microbenchmarks of the linear-algebra kernels the solvers
 //! are built on — the operations the paper's roofline analysis profiles
-//! (gemm / gemv / Cholesky / sparse Kronecker products).
+//! (gemm / gemv / Cholesky / the matrix-free Kronecker product).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
-use uoi_linalg::{gemm, gemv, gemv_t, kernels, syrk_t, Cholesky, CsrMatrix, IdentityKron, Matrix};
+use uoi_linalg::{gemm, gemv, gemv_t, kernels, syrk_t, Cholesky, IdentityKron, Matrix};
 
 fn matrix(n: usize, p: usize, seed: usize) -> Matrix {
     Matrix::from_fn(n, p, |i, j| {
@@ -62,18 +62,14 @@ fn bench_cholesky(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_sparse(c: &mut Criterion) {
-    let mut g = c.benchmark_group("sparse");
+fn bench_kron(c: &mut Criterion) {
+    let mut g = c.benchmark_group("kron");
     // The UoI_VAR block-diagonal structure: I_p ⊗ X with X (2p x p).
     for &p in &[32usize, 64] {
         let x = matrix(2 * p, p, 7);
-        let op = IdentityKron::new(x.clone(), p);
-        let explicit: CsrMatrix = op.explicit();
+        let op = IdentityKron::new(x, p);
         let v: Vec<f64> = (0..p * p).map(|i| (i as f64 * 0.11).sin()).collect();
-        g.bench_with_input(BenchmarkId::new("kron_spmv_explicit", p), &p, |b, _| {
-            b.iter(|| explicit.spmv(black_box(&v)))
-        });
-        g.bench_with_input(BenchmarkId::new("kron_matvec_lazy", p), &p, |b, _| {
+        g.bench_with_input(BenchmarkId::new("matvec", p), &p, |b, _| {
             b.iter(|| op.matvec(black_box(&v)))
         });
     }
@@ -126,7 +122,7 @@ fn bench_symv(c: &mut Criterion) {
 criterion_group! {
     name = kernels;
     config = Criterion::default().sample_size(20);
-    targets = bench_gemm, bench_gemv, bench_cholesky, bench_sparse,
+    targets = bench_gemm, bench_gemv, bench_cholesky, bench_kron,
         bench_inner_kernels, bench_symv
 }
 criterion_main!(kernels);

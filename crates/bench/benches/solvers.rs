@@ -1,5 +1,6 @@
 //! Criterion microbenchmarks of the optimisation layer: soft threshold,
-//! serial LASSO-ADMM (cold / warm / OLS), the screened serial λ path at
+//! serial LASSO-ADMM (one λ, a 10-λ path and OLS at λ = 0, each a
+//! screened path on a precomputed `X^T y`), the screened serial λ path at
 //! the `UoI_VAR` column shape, the screened consensus λ path, the packed
 //! active-set factor's rebuild and in-place updates, coordinate descent,
 //! and the bootstrap samplers feeding the UoI maps.
@@ -45,16 +46,17 @@ fn bench_admm(c: &mut Criterion) {
             b.iter(|| LassoAdmm::new(black_box(x.clone()), AdmmConfig::default()))
         });
         let solver = LassoAdmm::new(x.clone(), AdmmConfig::default());
+        let xty = gemv_t(&x, &y);
         let lam = uoi_solvers::lambda_max(&x, &y) * 0.1;
         g.bench_with_input(BenchmarkId::new("solve", &label), &n, |b, _| {
-            b.iter(|| solver.solve(black_box(&y), lam))
+            b.iter(|| solver.solve_path_with_rhs(black_box(&xty), &[lam]))
         });
         let lambdas = uoi_solvers::lambda_path(&x, &y, 10, 1e-2);
         g.bench_with_input(BenchmarkId::new("path10", &label), &n, |b, _| {
-            b.iter(|| solver.solve_path(black_box(&y), &lambdas))
+            b.iter(|| solver.solve_path_with_rhs(black_box(&xty), &lambdas))
         });
         g.bench_with_input(BenchmarkId::new("ols", &label), &n, |b, _| {
-            b.iter(|| solver.solve_ols(black_box(&y)))
+            b.iter(|| solver.solve_path_with_rhs(black_box(&xty), &[0.0]))
         });
     }
     g.finish();

@@ -1,14 +1,14 @@
 //! Criterion microbenchmarks of the zero-copy bootstrap kernels: the
 //! weighted Gram accumulation that replaces `gather_rows` + `syrk_t`,
-//! the blocked right-looking Cholesky, and the allocation-free
-//! workspace ADMM against the allocating reference path.
+//! the blocked right-looking Cholesky, and the warm screened ADMM λ path
+//! on a precomputed `X^T y`, as in selection.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 use uoi_data::bootstrap::{resample_weights, row_bootstrap};
 use uoi_data::rng::substream;
-use uoi_linalg::{gemv_t_weighted, syrk_t, syrk_t_weighted, Cholesky, Matrix};
-use uoi_solvers::{AdmmConfig, AdmmWorkspace, LassoAdmm};
+use uoi_linalg::{gemv_t, gemv_t_weighted, syrk_t, syrk_t_weighted, Cholesky, Matrix};
+use uoi_solvers::{AdmmConfig, LassoAdmm};
 
 fn matrix(n: usize, p: usize, seed: usize) -> Matrix {
     Matrix::from_fn(n, p, |i, j| {
@@ -58,8 +58,8 @@ fn bench_blocked_cholesky(c: &mut Criterion) {
     g.finish();
 }
 
-/// Warm-path ADMM: the allocation-free workspace solve vs the
-/// allocating per-call path, on a full lambda path as in selection.
+/// Warm-path ADMM: a full screened λ path against a precomputed
+/// `X^T y`, as in selection (allocation-free once its state is warm).
 fn bench_admm_warm_paths(c: &mut Criterion) {
     let mut g = c.benchmark_group("admm_warm");
     let (n, p) = (400usize, 80usize);
@@ -67,32 +67,12 @@ fn bench_admm_warm_paths(c: &mut Criterion) {
     let y: Vec<f64> = (0..n)
         .map(|i| 2.0 * x[(i, 1)] - x[(i, 3)] + 0.1 * ((i % 11) as f64 - 5.0))
         .collect();
+    let xty = gemv_t(&x, &y);
     let solver = LassoAdmm::new(x, AdmmConfig::default());
-    let xty = solver.prepare_rhs(&y);
     let lambdas: Vec<f64> = (0..24).map(|i| 0.5 * 0.8f64.powi(i)).collect();
 
-    g.bench_function("workspace", |b| {
-        b.iter(|| {
-            let mut ws = AdmmWorkspace::new();
-            let mut z = vec![0.0; p];
-            let mut u = vec![0.0; p];
-            for &lam in &lambdas {
-                solver.solve_warm_with(black_box(&xty), lam, &mut z, &mut u, &mut ws);
-            }
-            z
-        })
-    });
-    // The pre-optimisation path: recompute X^T y and allocate fresh
-    // iterate/workspace vectors at every lambda.
-    g.bench_function("allocating", |b| {
-        b.iter(|| {
-            let mut z = vec![0.0; p];
-            for &lam in &lambdas {
-                let sol = solver.solve_warm(black_box(&y), lam, z.clone(), vec![0.0; p]);
-                z = sol.beta;
-            }
-            z
-        })
+    g.bench_function("path", |b| {
+        b.iter(|| solver.solve_path_with_rhs(black_box(&xty), &lambdas))
     });
     g.finish();
 }

@@ -1,5 +1,5 @@
 //! Ablation: the §V mitigation — "one of the ways to avoid the
-//! [distribution] problem is by utilizing `P_B` parallelism" — and the
+//! \[distribution\] problem is by utilizing `P_B` parallelism" — and the
 //! effect of the reader count on the distributed Kronecker build.
 //!
 //! Two sweeps at a fixed problem: (a) `P_B` from 1 to 8 with everything

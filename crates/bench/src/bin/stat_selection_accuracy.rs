@@ -3,7 +3,7 @@
 //! low-variance" estimation, versus LASSO (cross-validated), MCP, and
 //! ridge — on synthetic linear and VAR families with known ground truth.
 //!
-//! This reproduces the comparison the paper inherits from [10]/[11]:
+//! This reproduces the comparison the paper inherits from \[10\]/\[11\]:
 //! UoI should match or beat LASSO's recall while cutting its false
 //! positives, and its OLS-averaged estimates should show far less
 //! shrinkage bias.

@@ -47,7 +47,7 @@ use uoi_linalg::{dot, Matrix};
 use uoi_mpisim::{Cluster, Comm, MachineModel, MpiError, RankCtx, RecoveryContext, RecoveryError};
 use uoi_solvers::{
     ols_on_support_gram_health, support_of, AdmmSolution, FactorHealth, LassoAdmm, PathHealth,
-    ResilientLasso, SolverError,
+    SolverError,
 };
 use uoi_telemetry::{NumericalHealthReport, Telemetry, TraceEvent};
 
@@ -283,46 +283,39 @@ fn solve_selection<P: UoiProblem>(prob: &P, sys: System, k: usize) -> Option<Vec
             .collect()
     } else {
         let ledger = cfg.numerical.ledger();
-        let mut solver = match ResilientLasso::from_gram(sys.gram, admm, cfg.numerical.resilience) {
-            Ok(s) => s,
-            Err(e) => {
-                if let SolverError::Factorization(b) = &e {
-                    let exhausted = FactorHealth {
-                        attempts: u32::MAX,
-                        jitter: b.last_jitter,
-                        condest: None,
-                    };
-                    ledger.note_factor(tel, "selection", k, &exhausted);
-                }
-                ledger.note_task_dropped(tel, "selection", k, &e.to_string());
-                return None;
-            }
-        };
+        let mut solver = LassoAdmm::from_gram(sys.gram, admm);
         if let Some(m) = tel.metrics() {
             solver = solver.with_metrics(m);
         }
         // One shared factorisation: its health once, then the columns'
         // restarts and divergence outcomes folded together (dedup by λ —
         // several columns may trip on the same one).
-        let f = solver.factor_health();
-        let mut health = PathHealth {
-            factor_attempts: f.attempts,
-            factor_jitter: f.jitter,
-            condest: f.condest,
-            ..PathHealth::default()
-        };
+        let mut health = PathHealth::default();
         let (mut recovered, mut diverged) = (BTreeSet::new(), BTreeSet::new());
-        let paths = sys
-            .rhs
-            .iter()
-            .map(|xty| {
-                let (sols, h) = solver.solve_path_with_rhs(xty, lambdas);
-                health.rho_restarts += h.rho_restarts;
-                recovered.extend(h.recovered);
-                diverged.extend(h.diverged);
-                sols
-            })
-            .collect();
+        let mut paths = Vec::with_capacity(sys.rhs.len());
+        for xty in &sys.rhs {
+            match solver.solve_path_guarded(xty, lambdas, &cfg.numerical.resilience) {
+                Ok((sols, h)) => {
+                    health.factor_attempts = h.factor_attempts;
+                    health.factor_jitter = h.factor_jitter;
+                    health.rho_restarts += h.rho_restarts;
+                    recovered.extend(h.recovered);
+                    diverged.extend(h.diverged);
+                    paths.push(sols);
+                }
+                Err(e) => {
+                    if let SolverError::Factorization(b) = &e {
+                        let exhausted = FactorHealth {
+                            attempts: u32::MAX,
+                            jitter: b.last_jitter,
+                        };
+                        ledger.note_factor(tel, "selection", k, &exhausted);
+                    }
+                    ledger.note_task_dropped(tel, "selection", k, &e.to_string());
+                    return None;
+                }
+            }
+        }
         health.recovered = recovered.into_iter().collect();
         health.diverged = diverged.into_iter().collect();
         ledger.note_path(tel, "selection", k, &health);

@@ -9,7 +9,7 @@
 //!    diagonal jitter (`uoi_linalg::JitterLadder`), recorded per task;
 //! 2. **Rho restart** — diverged ADMM lambdas re-solve cold under a
 //!    Boyd-balanced escalated/relaxed penalty
-//!    ([`uoi_solvers::ResilientLasso`]), bounded by
+//!    ([`uoi_solvers::restart_tripped`]), bounded by
 //!    [`ResilienceConfig::max_rho_restarts`];
 //! 3. **Task drop** — a task that exhausts both rungs is dropped into
 //!    the existing degraded-mode quorum accounting (serial pipeline) or
@@ -37,8 +37,7 @@ pub struct NumericalConfig {
     /// path (jitter ladder + divergence tripwire + rho restarts) and
     /// emit a [`NumericalHealthReport`] on the fit.
     pub enabled: bool,
-    /// Solver-level policy: divergence cap, restart budget, optional
-    /// condition estimation.
+    /// Solver-level policy: divergence cap and restart budget.
     pub resilience: ResilienceConfig,
     /// Input-validation pass over the raw `(x, y)` before fitting.
     /// `None` skips the pass (the historical behaviour: non-finite
@@ -174,7 +173,6 @@ impl NumericalLedger {
                     }
                 }
                 "task_dropped" => tel.incr("numerical.dropped_tasks", 1),
-                "condest" => tel.incr("numerical.condest_samples", 1),
                 "data_issue" => tel.incr("numerical.data_issues", *attempts as u64),
                 "sanitize" => tel.incr("numerical.sanitized_cells", *attempts as u64),
                 _ => {}
@@ -186,8 +184,7 @@ impl NumericalLedger {
 
     /// Record a constructor's factorisation health: a `jitter` event
     /// when the ladder had to escalate (exhaustion is marked by
-    /// `attempts == u32::MAX` and recorded with `detail = "exhausted"`),
-    /// plus a `condest` event when an estimate was computed.
+    /// `attempts == u32::MAX` and recorded with `detail = "exhausted"`).
     pub(crate) fn note_factor(
         &self,
         tel: &Telemetry,
@@ -236,12 +233,6 @@ impl NumericalLedger {
                 ),
             );
         }
-        if let Some(c) = health.condest {
-            self.record(
-                tel,
-                numerical_event(stage, "condest", bootstrap, candidate, 0, c, ""),
-            );
-        }
     }
 
     /// Record a guarded path's full health ledger: factorisation, rho
@@ -260,7 +251,6 @@ impl NumericalLedger {
             &FactorHealth {
                 attempts: health.factor_attempts,
                 jitter: health.factor_jitter,
-                condest: health.condest,
             },
         );
         if health.rho_restarts > 0 {
@@ -408,7 +398,6 @@ mod tests {
             &PathHealth {
                 factor_attempts: 2,
                 factor_jitter: 1e-11,
-                condest: Some(1e9),
                 rho_restarts: 1,
                 recovered: vec![4],
                 diverged: vec![],
@@ -436,7 +425,6 @@ mod tests {
             &FactorHealth {
                 attempts: u32::MAX,
                 jitter: 1e-2,
-                condest: None,
             },
         );
         let report = cfg.ledger().drain_report();
@@ -480,7 +468,6 @@ mod tests {
             &PathHealth {
                 factor_attempts: 1,
                 factor_jitter: 1e-12,
-                condest: None,
                 rho_restarts: 2,
                 recovered: vec![0],
                 diverged: vec![1],

@@ -25,6 +25,8 @@ use std::borrow::Cow;
 use uoi_data::bootstrap::{resample_weights, row_bootstrap};
 use uoi_data::rng::substream;
 use uoi_data::ValidationOutcome;
+#[cfg(test)]
+use uoi_linalg::gemv_t;
 use uoi_linalg::{dot, kernels, weighted_sumsq, Matrix};
 #[cfg(test)]
 use uoi_solvers::LassoAdmm;
@@ -646,9 +648,10 @@ pub(crate) fn fit_inner_materialized(x: &Matrix, y: &[f64], cfg: &UoiLassoConfig
             let idx = row_bootstrap(&mut rng, n, n);
             let xb = xc.gather_rows(&idx);
             let yb: Vec<f64> = idx.iter().map(|&i| yc[i]).collect();
+            let xty = gemv_t(&xb, &yb);
             let solver = LassoAdmm::new(xb, cfg.admm.clone());
             solver
-                .solve_path(&yb, &lambdas)
+                .solve_path_with_rhs(&xty, &lambdas)
                 .into_iter()
                 .map(|sol| support_of(&sol.beta, cfg.support_tol))
                 .collect()

@@ -37,9 +37,7 @@ use uoi_data::bootstrap::row_bootstrap;
 use uoi_data::rng::substream;
 use uoi_linalg::{dot, weighted_sumsq, Matrix};
 use uoi_mpisim::{Comm, RankCtx};
-use uoi_solvers::{
-    rho_restarts, tripped, AdmmConfig, AdmmSolution, DistLassoAdmm, FactorHealth, PathHealth,
-};
+use uoi_solvers::{restart_tripped, AdmmConfig, AdmmSolution, DistLassoAdmm, FactorHealth};
 use uoi_telemetry::Telemetry;
 use uoi_tieredio::distribution::{block_range, tier2_shuffle};
 
@@ -340,7 +338,6 @@ impl LassoDist<'_> {
             let health = FactorHealth {
                 attempts: if exhausted { u32::MAX } else { stats[1] as u32 },
                 jitter: if exhausted { 0.0 } else { stats[2] },
-                condest: None,
             };
             self.ledger
                 .note_factor(&self.num_tel, "selection", k, &health);
@@ -357,17 +354,20 @@ impl LassoDist<'_> {
     }
 
     /// Post-hoc divergence detection and bounded-rho recovery for a
-    /// solved distributed selection path.
+    /// solved distributed selection path, on the shared ladder
+    /// ([`restart_tripped`]).
     ///
     /// The residuals in `sols` are consensus (allreduced) quantities, so
     /// every rank detects the same divergences and walks the same restart
     /// rungs — control flow stays collectively aligned. Each rung
     /// rebuilds the consensus solver from the same local system at the
-    /// next penalty of [`rho_restarts`] and cold-solves just the diverged
-    /// lambda, mirroring the serial [`uoi_solvers::ResilientLasso`]
-    /// recovery. A lambda that exhausts the budget degrades to the zero
-    /// iterate — it then contributes no selection votes — and is recorded
-    /// as a dropped divergence.
+    /// rung's penalty and re-solves just the diverged lambda as a one-λ
+    /// screened path. Its factorisation may break on some rank, so every
+    /// rung first agrees on that with an allreduce, as construction does;
+    /// a rung that broke anywhere is skipped everywhere. A lambda that
+    /// exhausts the budget degrades to the zero iterate — it then
+    /// contributes no selection votes — and is recorded as a dropped
+    /// divergence.
     fn recover_diverged(
         &self,
         ctx: &mut RankCtx,
@@ -377,52 +377,29 @@ impl LassoDist<'_> {
         sols: &mut [AdmmSolution],
         k: usize,
     ) {
-        let res = self.cfg.numerical.resilience;
-        let trips = |s: &AdmmSolution| {
-            !s.converged && tripped(s.primal_residual, s.dual_residual, res.divergence_cap)
-        };
-        let diverged: Vec<usize> = (0..sols.len()).filter(|&i| trips(&sols[i])).collect();
-        if diverged.is_empty() {
+        let res = &self.cfg.numerical.resilience;
+        let mut health = restart_tripped(res, self.admm.rho, sols, |i, rho| {
+            let cfg = AdmmConfig {
+                rho,
+                ..self.admm.clone()
+            };
+            let attempt = sys.try_solver(ctx, comm, cfg);
+            let mut broke = vec![if attempt.is_err() { 1.0 } else { 0.0 }];
+            comm.allreduce_sum(ctx, &mut broke);
+            if broke[0] > 0.0 {
+                return None;
+            }
+            let solver = attempt.expect("no rank reported a factor breakdown");
+            let lambda = [self.centring.lambdas[lambda_ids[i]]];
+            solver
+                .solve_path_with_rhs(ctx, comm, &sys.xty, &lambda)
+                .pop()
+        });
+        if health.recovered.is_empty() && health.diverged.is_empty() {
             return;
         }
-        let mut health = PathHealth::default();
-        for &i in &diverged {
-            let j = lambda_ids[i];
-            let mut recovered = false;
-            for rho in rho_restarts(self.admm.rho, &sols[i], res.max_rho_restarts) {
-                health.rho_restarts += 1;
-                // Same agreement protocol as construction: the restarted
-                // factorisation may itself break on some rank.
-                let attempt = sys.try_solver(
-                    ctx,
-                    comm,
-                    AdmmConfig {
-                        rho,
-                        ..self.admm.clone()
-                    },
-                );
-                let mut broke = vec![if attempt.is_err() { 1.0 } else { 0.0 }];
-                comm.allreduce_sum(ctx, &mut broke);
-                if broke[0] > 0.0 {
-                    continue;
-                }
-                let solver = attempt.expect("no rank reported a factor breakdown");
-                let redo =
-                    solver.solve_path_with_rhs(ctx, comm, &sys.xty, &[self.centring.lambdas[j]]);
-                let sol = redo.into_iter().next().expect("one lambda was solved");
-                if !trips(&sol) {
-                    sols[i] = sol;
-                    recovered = true;
-                    break;
-                }
-            }
-            if recovered {
-                health.recovered.push(j);
-            } else {
-                sols[i].beta = vec![0.0; sols[i].beta.len()];
-                sols[i].converged = false;
-                health.diverged.push(j);
-            }
+        for idx in health.recovered.iter_mut().chain(&mut health.diverged) {
+            *idx = lambda_ids[*idx];
         }
         self.ledger
             .note_path(&self.num_tel, "selection", k, &health);

@@ -26,6 +26,8 @@ use std::borrow::Cow;
 use uoi_data::bootstrap::{block_bootstrap, default_block_len, resample_weights};
 use uoi_data::rng::substream;
 use uoi_data::ValidationOutcome;
+#[cfg(test)]
+use uoi_linalg::gemv_t;
 use uoi_linalg::{gemv_t_weighted_multi, Matrix};
 use uoi_solvers::geometric_grid;
 #[cfg(test)]
@@ -642,7 +644,12 @@ pub(crate) fn fit_inner_materialized(series: &Matrix, cfg: &UoiVarConfig) -> Uoi
             let mut supports = vec![Vec::new(); lambdas.len()];
             for i in 0..p {
                 let yi = boot.y.col(i);
-                for (j, sol) in solver.solve_path(&yi, &lambdas).into_iter().enumerate() {
+                let xty = gemv_t(&boot.x, &yi);
+                for (j, sol) in solver
+                    .solve_path_with_rhs(&xty, &lambdas)
+                    .into_iter()
+                    .enumerate()
+                {
                     for idx in support_of(&sol.beta, base.support_tol) {
                         supports[j].push(i * dp + idx);
                     }

@@ -16,7 +16,7 @@ use uoi_core::{
 use uoi_data::{LinearConfig, ValidationPolicy, VarConfig, VarProcess};
 use uoi_linalg::Matrix;
 use uoi_mpisim::{Cluster, MachineModel};
-use uoi_solvers::AdmmConfig;
+use uoi_solvers::{AdmmConfig, ResilienceConfig};
 
 fn lasso_cfg() -> UoiLassoConfig {
     UoiLassoConfig {
@@ -365,6 +365,50 @@ fn adversarial_matrix_cell() {
         report_a, report_b,
         "{name}/{pipeline}: nondeterministic report"
     );
+}
+
+/// A divergence cap the base penalty's first iterations exceed forces
+/// the tripwire, and the shared ρ-restart ladder recovers every tripped
+/// λ — serially, where the in-loop tripwire ends the λ, and on 4
+/// consensus ranks, where the allreduced residuals of an unconverged λ
+/// are checked after the path. Three iterations per λ leave the
+/// consensus λs unconverged, so their final residuals are judged.
+#[test]
+fn forced_trips_restart_and_recover_serial_and_dist() {
+    let ds = clean_dataset();
+    let mut cfg = lasso_cfg();
+    cfg.admm.max_iter = 3;
+    cfg.numerical = NumericalConfig::guarded();
+    cfg.numerical.resilience = ResilienceConfig::default().divergence_cap(10.0);
+    let restarted = |r: &uoi_telemetry::NumericalHealthReport, who: &str| {
+        assert!(r.rho_restarts > 0, "{who}: the cap must trip: {r:?}");
+        assert!(r.divergences > 0, "{who}: {r:?}");
+        assert_eq!(r.recovered, r.divergences, "{who}: every trip recovers");
+        assert_eq!(r.dropped_tasks, 0, "{who}: {r:?}");
+    };
+
+    let serial = UoiFitter::new(cfg.clone())
+        .fit(&ds.x, &ds.y)
+        .expect("serial guarded fit completes");
+    restarted(&serial.numerical.expect("report attached"), "serial");
+
+    let (x, y) = (ds.x, ds.y);
+    let ranks = Cluster::new(4, MachineModel::deterministic())
+        .run(move |ctx, world| {
+            let fit = UoiFitter::new(cfg.clone())
+                .mode(ExecMode::Dist(DistOptions {
+                    layout: ParallelLayout::admm_only(),
+                    ..Default::default()
+                }))
+                .fit_on(ctx, world, &x, &y);
+            (fit.beta, fit.numerical.expect("report attached"))
+        })
+        .results;
+    restarted(&ranks[0].1, "dist");
+    for (r, rank) in ranks.iter().enumerate().skip(1) {
+        assert_eq!(rank.0, ranks[0].0, "rank {r} disagrees on beta");
+        assert_eq!(rank.1, ranks[0].1, "rank {r} disagrees on the report");
+    }
 }
 
 fn var_cfg() -> UoiVarConfig {

@@ -12,7 +12,7 @@ use uoi_core::{EstimationScore, UoiFitter, UoiLassoConfig};
 use uoi_data::bootstrap::row_bootstrap;
 use uoi_data::rng::substream;
 use uoi_data::LinearConfig;
-use uoi_linalg::Matrix;
+use uoi_linalg::{gemv_t, Matrix};
 use uoi_solvers::{lambda_path, ols_on_support, support_of, LassoAdmm};
 
 /// The paper's original materialising pipeline, reconstructed from the
@@ -39,9 +39,10 @@ fn materialized_fit(
             let idx = row_bootstrap(&mut rng, n, n);
             let xb = xc.gather_rows(&idx);
             let yb: Vec<f64> = idx.iter().map(|&i| yc[i]).collect();
+            let xty = gemv_t(&xb, &yb);
             let solver = LassoAdmm::new(xb, cfg.admm.clone());
             solver
-                .solve_path(&yb, &lambdas)
+                .solve_path_with_rhs(&xty, &lambdas)
                 .into_iter()
                 .map(|sol| support_of(&sol.beta, cfg.support_tol))
                 .collect()

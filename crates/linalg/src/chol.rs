@@ -427,11 +427,6 @@ pub fn back_substitute_transposed(l: &Matrix, b: &mut [f64]) {
     }
 }
 
-/// Convenience: solve the SPD system `a x = b` with a one-shot factorisation.
-pub fn solve_spd(a: &Matrix, b: &[f64]) -> Result<Vec<f64>, NotPositiveDefinite> {
-    Ok(Cholesky::factor(a)?.solve(b))
-}
-
 /// Solve the regularised normal equations `(X^T X + ridge I) beta = X^T y`.
 ///
 /// With `ridge = 0` this is ordinary least squares (requires full column
@@ -448,7 +443,7 @@ pub fn solve_normal_equations(
         }
     }
     let rhs = crate::blas::gemv_t(x, y);
-    solve_spd(&gram, &rhs)
+    Ok(Cholesky::factor(&gram)?.solve(&rhs))
 }
 
 #[cfg(test)]
@@ -480,7 +475,7 @@ mod tests {
         let a = spd_test_matrix(10);
         let x_true: Vec<f64> = (0..10).map(|i| (i as f64) - 4.5).collect();
         let b = gemv(&a, &x_true);
-        let x = solve_spd(&a, &b).unwrap();
+        let x = Cholesky::factor(&a).unwrap().solve(&b);
         for (xi, ti) in x.iter().zip(&x_true) {
             assert!((xi - ti).abs() < 1e-9, "{xi} vs {ti}");
         }

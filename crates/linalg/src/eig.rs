@@ -103,12 +103,6 @@ pub fn companion_matrix(a_mats: &[Matrix]) -> Matrix {
     c
 }
 
-/// True when the VAR(d) process with coefficients `a_mats` is stable
-/// (companion spectral radius strictly below `1 - margin`).
-pub fn var_is_stable(a_mats: &[Matrix], margin: f64) -> bool {
-    spectral_radius(&companion_matrix(a_mats), 60) < 1.0 - margin
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -156,13 +150,5 @@ mod tests {
         assert_eq!(c[(2, 0)], 1.0); // identity block
         assert_eq!(c[(3, 1)], 1.0);
         assert_eq!(c[(2, 2)], 0.0);
-    }
-
-    #[test]
-    fn stability_check() {
-        let stable = Matrix::from_rows(&[&[0.3, 0.0], &[0.1, 0.2]]);
-        assert!(var_is_stable(&[stable], 0.01));
-        let unstable = Matrix::from_rows(&[&[1.1, 0.0], &[0.0, 0.5]]);
-        assert!(!var_is_stable(&[unstable], 0.01));
     }
 }

@@ -150,7 +150,7 @@ pub fn soft_threshold(src: &[f64], kappa: f64, out: &mut [f64]) {
 /// Each super-diagonal block contributes twice — once as `A[i][j] x[j]`
 /// into `out[i]`, once as `A[i][j] x[i]` into `out[j]` — so every stored
 /// element is touched exactly once and the memory traffic is half a
-/// general `gemv`'s. Blocks of [`SYMV_BLOCK`] columns keep the scattered
+/// general `gemv`'s. Blocks of `SYMV_BLOCK` columns keep the scattered
 /// `out[j]` updates L1-resident. Accumulation order differs from `gemv`;
 /// agreement is ~1e-12 relative, not bitwise.
 pub fn symv(a: &Matrix, x: &[f64], out: &mut [f64]) {

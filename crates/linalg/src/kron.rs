@@ -5,13 +5,10 @@
 //! problem size (≈ p^3): a `(N-d) x dp` lag matrix becomes a
 //! `p(N-d) x dp^2` block-diagonal design. [`IdentityKron`] never
 //! materialises that matrix — it stores `X` once and implements the
-//! matrix-free products the solvers need. [`IdentityKron::explicit`]
-//! produces the explicit CSR form for tests and for the distributed
-//! construction path that mimics the paper's one-sided-window build.
+//! matrix-free products the solvers need.
 
 use crate::blas::{gemv, gemv_t};
 use crate::dense::Matrix;
-use crate::sparse::CsrMatrix;
 
 /// Matrix-free representation of `I_m ⊗ X`.
 #[derive(Debug, Clone)]
@@ -96,11 +93,6 @@ impl IdentityKron {
         crate::blas::syrk_t(&self.x)
     }
 
-    /// Explicit CSR form (block diagonal). Memory: `m * nnz(X)` values.
-    pub fn explicit(&self) -> CsrMatrix {
-        CsrMatrix::block_diag(&self.x, self.copies)
-    }
-
     /// The `(row, col)` ranges of block `k` within the explicit operator.
     pub fn block_ranges(&self, k: usize) -> (std::ops::Range<usize>, std::ops::Range<usize>) {
         let (n, q) = self.x.shape();
@@ -108,70 +100,43 @@ impl IdentityKron {
     }
 }
 
-/// Dense Kronecker product `A ⊗ B` (general form — test oracle and small
-/// problems only; memory is `(ra*rb) x (ca*cb)`).
-pub fn kron_dense(a: &Matrix, b: &Matrix) -> Matrix {
-    let (ra, ca) = a.shape();
-    let (rb, cb) = b.shape();
-    let mut out = Matrix::zeros(ra * rb, ca * cb);
-    for i in 0..ra {
-        for j in 0..ca {
-            let aij = a[(i, j)];
-            if aij != 0.0 {
-                for bi in 0..rb {
-                    for bj in 0..cb {
-                        out[(i * rb + bi, j * cb + bj)] = aij * b[(bi, bj)];
-                    }
-                }
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::blas::gemm;
 
-    #[test]
-    fn kron_dense_small() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0]]);
-        let b = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]);
-        let k = kron_dense(&a, &b);
-        assert_eq!(k.shape(), (2, 4));
-        assert_eq!(k.row(0), &[0.0, 1.0, 0.0, 2.0]);
-        assert_eq!(k.row(1), &[1.0, 0.0, 2.0, 0.0]);
+    /// The operator materialised densely: `X` on each diagonal block.
+    fn dense(op: &IdentityKron) -> Matrix {
+        let (r, c) = op.shape();
+        let (n, q) = op.block().shape();
+        Matrix::from_fn(r, c, |i, j| {
+            if i / n == j / q {
+                op.block()[(i % n, j % q)]
+            } else {
+                0.0
+            }
+        })
     }
 
     #[test]
-    fn identity_kron_explicit_matches_dense_kron() {
-        let x = Matrix::from_fn(3, 2, |i, j| (i * 2 + j + 1) as f64);
-        let op = IdentityKron::new(x.clone(), 4);
-        let explicit = op.explicit().to_dense();
-        let expected = kron_dense(&Matrix::identity(4), &x);
-        assert!(explicit.approx_eq(&expected, 0.0));
-        assert_eq!(op.shape(), (12, 8));
-    }
-
-    #[test]
-    fn matvec_matches_explicit() {
+    fn matvec_matches_dense() {
         let x = Matrix::from_fn(4, 3, |i, j| ((i * 3 + j) % 5) as f64 - 2.0);
         let op = IdentityKron::new(x, 5);
         let v: Vec<f64> = (0..15).map(|i| (i as f64) * 0.3 - 2.0).collect();
         let fast = op.matvec(&v);
-        let slow = op.explicit().spmv(&v);
+        let slow = gemv(&dense(&op), &v);
         for (f, s) in fast.iter().zip(&slow) {
             assert!((f - s).abs() < 1e-12);
         }
     }
 
     #[test]
-    fn matvec_t_matches_explicit() {
+    fn matvec_t_matches_dense() {
         let x = Matrix::from_fn(4, 3, |i, j| ((i + j) % 3) as f64);
         let op = IdentityKron::new(x, 2);
         let v: Vec<f64> = (0..8).map(|i| i as f64 - 4.0).collect();
         let fast = op.matvec_t(&v);
-        let slow = op.explicit().spmv_t(&v);
+        let slow = gemv_t(&dense(&op), &v);
         for (f, s) in fast.iter().zip(&slow) {
             assert!((f - s).abs() < 1e-12);
         }
@@ -182,9 +147,9 @@ mod tests {
         let x = Matrix::from_fn(5, 3, |i, j| ((i * 7 + j) % 4) as f64 - 1.5);
         let op = IdentityKron::new(x, 3);
         // Full Gram of the explicit operator should be I ⊗ (X^T X).
-        let explicit = op.explicit().to_dense();
-        let full_gram = crate::blas::gemm(&explicit.transpose(), &explicit);
-        let expected = kron_dense(&Matrix::identity(3), &op.gram_block());
+        let explicit = dense(&op);
+        let full_gram = gemm(&explicit.transpose(), &explicit);
+        let expected = dense(&IdentityKron::new(op.gram_block(), 3));
         assert!(full_gram.approx_eq(&expected, 1e-10));
     }
 
@@ -193,7 +158,9 @@ mod tests {
         let x = Matrix::filled(2, 2, 1.0);
         let op = IdentityKron::new(x, 10);
         assert!((op.sparsity() - 0.9).abs() < 1e-15);
-        assert!((op.explicit().sparsity() - 0.9).abs() < 1e-15);
+        let explicit = dense(&op);
+        let zeros = explicit.as_slice().iter().filter(|&&v| v == 0.0).count();
+        assert!((zeros as f64 / explicit.as_slice().len() as f64 - 0.9).abs() < 1e-15);
     }
 
     #[test]
@@ -209,6 +176,7 @@ mod tests {
     fn block_ranges_cover_operator() {
         let x = Matrix::zeros(3, 2);
         let op = IdentityKron::new(x, 4);
+        assert_eq!(op.shape(), (12, 8));
         let (r, c) = op.block_ranges(2);
         assert_eq!(r, 6..9);
         assert_eq!(c, 4..6);

@@ -1,6 +1,6 @@
 //! # uoi-linalg
 //!
-//! Dense and sparse linear-algebra kernels for the UoI workspace — the
+//! Dense linear-algebra kernels for the UoI workspace — the
 //! substrate the reference implementation obtained from Eigen3 and Intel
 //! MKL (paper §IV). The solvers only require a narrow BLAS surface:
 //!
@@ -13,10 +13,11 @@
 //!   one coherent naming scheme; `blas::dot`/`blas::axpy` delegate here;
 //! * [`chol`] — Cholesky factorisation with cached solves (the ADMM
 //!   x-update) and regularised normal equations;
-//! * [`sparse::CsrMatrix`] — CSR kernels for the block-diagonal `UoI_VAR`
-//!   path (the paper's Eigen-Sparse substitute);
-//! * [`kron::IdentityKron`] — the matrix-free `I ⊗ X` operator of eq. 9,
-//!   with its explicit CSR form and the `I ⊗ (X^T X)` Gram identity;
+//! * [`qr`] — Householder least squares for the estimation step's
+//!   collinear supports;
+//! * [`kron::IdentityKron`] — the matrix-free `I ⊗ X` operator of eq. 9
+//!   and the `I ⊗ (X^T X)` Gram identity; the block-diagonal `UoI_VAR`
+//!   design is never formed explicitly;
 //! * [`eig`] — companion-matrix spectral radius for the VAR stability
 //!   constraint of eq. 6.
 
@@ -38,7 +39,6 @@ pub mod kernels;
 pub mod kron;
 pub mod qr;
 pub mod resilience;
-pub mod sparse;
 pub mod testgen;
 
 pub use blas::{
@@ -46,17 +46,16 @@ pub use blas::{
     norm2, norm2_diff, norm2_scaled, norm2_scaled_diff, norm_inf, r_squared, r_squared_into,
     syrk_t, syrk_t_weighted, weighted_sumsq,
 };
-pub use chol::{solve_normal_equations, solve_spd, Cholesky, NotPositiveDefinite, PackedCholesky};
+pub use chol::{solve_normal_equations, Cholesky, NotPositiveDefinite, PackedCholesky};
 pub use dense::Matrix;
-pub use eig::{companion_matrix, spectral_radius, var_is_stable};
+pub use eig::{companion_matrix, spectral_radius};
 pub use gram::{
     gemv_t_weighted_multi, gram_batch, gram_rhs_batch, syrk_t_upper, syrk_t_weighted_batch,
     syrk_t_weighted_upper, UpperGram,
 };
-pub use kron::{kron_dense, IdentityKron};
-pub use qr::{qr_least_squares, Qr};
+pub use kron::IdentityKron;
+pub use qr::qr_least_squares;
 pub use resilience::{
-    condest_1norm, factor_jittered, factor_upper_jittered, sym_norm1_upper, FactorBreakdown,
-    JitterLadder, JitteredFactor, JITTER_GROWTH, JITTER_MAX_ATTEMPTS,
+    factor_jittered, factor_upper_jittered, FactorBreakdown, JitterLadder, JitteredFactor,
+    JITTER_GROWTH, JITTER_MAX_ATTEMPTS,
 };
-pub use sparse::CsrMatrix;

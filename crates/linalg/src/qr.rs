@@ -12,7 +12,7 @@ use crate::dense::Matrix;
 /// Stores `R` in the upper triangle and the Householder vectors below the
 /// diagonal (LAPACK-style), with the scalar factors in `tau`.
 #[derive(Debug, Clone)]
-pub struct Qr {
+struct Qr {
     qr: Matrix,
     tau: Vec<f64>,
 }
@@ -31,7 +31,7 @@ impl std::error::Error for UnderDetermined {}
 
 impl Qr {
     /// Factor `a` (`m x n`, `m >= n`).
-    pub fn factor(a: &Matrix) -> Result<Qr, UnderDetermined> {
+    fn factor(a: &Matrix) -> Result<Qr, UnderDetermined> {
         let (m, n) = a.shape();
         if m < n {
             return Err(UnderDetermined);
@@ -98,7 +98,7 @@ impl Qr {
     ///
     /// Exactly singular `R` diagonals (within `tol`) get zero
     /// coefficients (basic solution).
-    pub fn solve_least_squares(&self, b: &[f64], tol: f64) -> Vec<f64> {
+    fn solve_least_squares(&self, b: &[f64], tol: f64) -> Vec<f64> {
         let (m, n) = self.qr.shape();
         assert_eq!(b.len(), m);
         let mut rhs = b.to_vec();
@@ -116,13 +116,15 @@ impl Qr {
     }
 
     /// The `R` factor (upper-triangular `n x n`).
-    pub fn r(&self) -> Matrix {
+    #[cfg(test)]
+    fn r(&self) -> Matrix {
         let n = self.qr.cols();
         Matrix::from_fn(n, n, |i, j| if j >= i { self.qr[(i, j)] } else { 0.0 })
     }
 
     /// Absolute R-diagonal values — a cheap numerical-rank witness.
-    pub fn r_diag_abs(&self) -> Vec<f64> {
+    #[cfg(test)]
+    fn r_diag_abs(&self) -> Vec<f64> {
         (0..self.qr.cols()).map(|i| self.qr[(i, i)].abs()).collect()
     }
 }

@@ -5,12 +5,6 @@
 //! centring, p > n supports). This module turns Cholesky breakdown from a
 //! fit-aborting panic into a bounded, deterministic recovery:
 //!
-//! * [`sym_norm1_upper`] — the 1-norm of a symmetric matrix whose
-//!   canonical storage is the upper triangle (as produced by
-//!   [`crate::gram`]), read without mirroring;
-//! * [`Cholesky::condest_1norm`] (here as [`condest_1norm`]) — Hager's
-//!   1-norm condition estimate from a few triangular solves against the
-//!   cached factor — O(p²) instead of the O(p³) exact inverse;
 //! * [`JitterLadder`] — the deterministic ridge-jitter escalation
 //!   schedule `tau_k = tau0 * growth^k` with `tau0 = eps * tr(G)/p`,
 //!   bounded by `max_attempts`;
@@ -32,82 +26,11 @@ pub const JITTER_GROWTH: f64 = 10.0;
 /// anything that survives past that is not meaningfully a Gram any more.
 pub const JITTER_MAX_ATTEMPTS: u32 = 8;
 
-/// 1-norm (max column abs-sum) of a symmetric matrix whose canonical
-/// storage is the upper triangle: entry `(i, j)` is read from
-/// `(min(i,j), max(i,j))`, so garbage in the strict lower triangle (as
-/// left by the batched SYRK engine) is ignored.
-pub fn sym_norm1_upper(a: &Matrix) -> f64 {
-    let n = a.rows();
-    assert_eq!(n, a.cols(), "sym_norm1_upper: matrix must be square");
-    let mut best = 0.0f64;
-    for i in 0..n {
-        let mut s = 0.0;
-        for j in 0..n {
-            let v = if i <= j { a[(i, j)] } else { a[(j, i)] };
-            s += v.abs();
-        }
-        if s > best {
-            best = s;
-        }
-    }
-    best
-}
-
 /// Trace of a square matrix (diagonal is shared by both triangles, so
 /// this is storage-convention agnostic).
 pub fn trace(a: &Matrix) -> f64 {
     debug_assert_eq!(a.rows(), a.cols());
     (0..a.rows()).map(|i| a[(i, i)]).sum()
-}
-
-/// Hager/Higham 1-norm condition estimate `kappa_1(A) ≈ ||A||_1 *
-/// est(||A^{-1}||_1)` using solves against a cached Cholesky factor.
-///
-/// The estimator iterates `x -> sign(A^{-1} x) -> e_j` at most five
-/// times; each step costs two triangular solve pairs (O(p²)). For SPD
-/// systems the estimate is typically within a small factor of the true
-/// condition number — enough to histogram Gram health, not a substitute
-/// for an SVD. Deterministic: the starting vector and tie-breaks are
-/// fixed.
-pub fn condest_1norm(chol: &Cholesky, a_norm1: f64) -> f64 {
-    let n = chol.order();
-    if n == 0 {
-        return 1.0;
-    }
-    let mut x = vec![1.0 / n as f64; n];
-    let mut est = 0.0f64;
-    let mut last_j = usize::MAX;
-    for _ in 0..5 {
-        chol.solve_in_place(&mut x); // x <- A^{-1} x
-        let new_est: f64 = x.iter().map(|v| v.abs()).sum();
-        if !new_est.is_finite() {
-            return f64::INFINITY;
-        }
-        // xi = sign(x); A symmetric, so A^{-T} = A^{-1}.
-        for v in x.iter_mut() {
-            *v = if *v >= 0.0 { 1.0 } else { -1.0 };
-        }
-        chol.solve_in_place(&mut x); // x <- A^{-1} sign
-        let (mut j_max, mut v_max) = (0usize, 0.0f64);
-        for (j, v) in x.iter().enumerate() {
-            if v.abs() > v_max {
-                v_max = v.abs();
-                j_max = j;
-            }
-        }
-        if new_est <= est || j_max == last_j {
-            est = est.max(new_est);
-            break;
-        }
-        est = new_est;
-        last_j = j_max;
-        // Next iterate: the unit vector at the maximising coordinate.
-        for v in x.iter_mut() {
-            *v = 0.0;
-        }
-        x[j_max] = 1.0;
-    }
-    a_norm1 * est
 }
 
 /// Deterministic ridge-jitter escalation schedule.
@@ -342,45 +265,6 @@ mod tests {
         {
             assert_eq!(g.to_bits(), w.to_bits());
         }
-    }
-
-    #[test]
-    fn norm1_reads_canonical_upper_triangle() {
-        let a = spd(7);
-        let mut upper_only = a.clone();
-        for i in 0..7 {
-            for j in 0..i {
-                upper_only[(i, j)] = f64::NAN;
-            }
-        }
-        let full = sym_norm1_upper(&a);
-        let upper = sym_norm1_upper(&upper_only);
-        assert_eq!(full.to_bits(), upper.to_bits());
-        // Against the brute-force column-sum on the symmetric matrix.
-        let brute = (0..7)
-            .map(|j| (0..7).map(|i| a[(i.min(j), i.max(j))].abs()).sum::<f64>())
-            .fold(0.0f64, f64::max);
-        assert!((full - brute).abs() < 1e-12);
-    }
-
-    #[test]
-    fn condest_tracks_true_condition_number() {
-        // Diagonal matrix: kappa_1 is exactly max/min.
-        let mut a = Matrix::identity(6);
-        a[(0, 0)] = 1.0e4;
-        a[(5, 5)] = 1.0e-2;
-        let chol = Cholesky::factor(&a).unwrap();
-        let est = condest_1norm(&chol, sym_norm1_upper(&a));
-        let truth = 1.0e4 / 1.0e-2;
-        assert!(est >= 0.1 * truth && est <= 10.0 * truth, "est={est}");
-    }
-
-    #[test]
-    fn condest_well_conditioned_is_small() {
-        let a = Matrix::identity(9);
-        let chol = Cholesky::factor(&a).unwrap();
-        let est = condest_1norm(&chol, sym_norm1_upper(&a));
-        assert!((est - 1.0).abs() < 1e-12);
     }
 
     #[test]

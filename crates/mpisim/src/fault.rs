@@ -13,10 +13,10 @@
 //!   fault-injection test is reproducible bit-for-bit.
 //! * [`MpiError`] — the structured error surviving ranks observe when a
 //!   peer dies or a collective times out, instead of a condvar deadlock.
-//! * [`AbortState`] — the cluster-wide failure flag a dying rank raises
+//! * `AbortState` — the cluster-wide failure flag a dying rank raises
 //!   (via the `catch_unwind` wrapper in [`crate::cluster::Cluster`])
 //!   so peers blocked in collectives wake promptly.
-//! * [`FtBarrier`] — a generation-counting barrier whose waits poll the
+//! * `FtBarrier` — a generation-counting barrier whose waits poll the
 //!   abort flag in short slices under a configurable watchdog timeout.
 //!   A dead or absent peer surfaces as [`MpiError::RankFailed`] or
 //!   [`MpiError::WatchdogTimeout`]; the runtime never hangs.

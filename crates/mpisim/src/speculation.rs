@@ -487,7 +487,7 @@ impl SpeculationBoard {
     /// has called [`SpeculationBoard::finish`] for this stage, then
     /// return the complete timing record (sorted by `expected` order).
     ///
-    /// Polls in [`WAIT_SLICE`] increments like every other blocking wait
+    /// Polls in `WAIT_SLICE` increments like every other blocking wait
     /// in the runtime: a peer failure surfaces as
     /// [`MpiError::RankFailed`], a revocation as [`MpiError::Revoked`],
     /// and silence past the rank's watchdog as

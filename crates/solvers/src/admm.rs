@@ -11,22 +11,25 @@
 //! u^{k+1} = u^k + x^{k+1} - z^{k+1}
 //! ```
 //!
-//! The LHS of the x-update is fixed across iterations *and* across lambda
-//! values, so its Cholesky factorisation is computed once per design
-//! matrix and cached — with the matrix-inversion-lemma (Woodbury) form
-//! factoring the `n x n` system when `p > n`, as is typical for the
-//! bootstrap resamples of high-dimensional problems. Setting `lambda = 0`
-//! turns the z-update into the identity and the iteration converges to
-//! OLS, exactly how the paper implements model estimation (§II-C).
-//!
-//! Lambda paths are *screened*: each lambda solves the problem
-//! restricted to a sequential-strong-rule active set (Tibshirani et al.
-//! 2012) against a factor of the `|S| x |S|` sub-system, with a KKT check
-//! over the remaining features re-admitting any violator, so the result
-//! is the full problem's solution at the solver's tolerance while each
-//! iteration costs `O(|S|^2)` instead of `O(p^2)`. The full factor above
-//! is then only built for single-lambda solves. See
+//! Every solve runs on a λ path (largest λ first, each warm-started from
+//! the previous solution), and every λ is *screened*: it solves the
+//! problem restricted to a sequential-strong-rule active set (Tibshirani
+//! et al. 2012) against a Cholesky factor of the `|S| x |S|` sub-system
+//! `G_SS + rho I`, with a KKT check over the remaining features
+//! re-admitting any violator, so the result is the full problem's
+//! solution at the solver's tolerance while each iteration costs
+//! `O(|S|^2)` instead of `O(p^2)`. The factor is carried across λs and
+//! updated as `S` changes. Setting `lambda = 0` turns the z-update into
+//! the identity and the iteration converges to OLS (paper §II-C). See
 //! [`LassoAdmm::begin_lambda`] and DESIGN.md §3.
+//!
+//! The solver has one unguarded path ([`LassoAdmm::solve_path_with_rhs`]),
+//! one guarded path ([`LassoAdmm::solve_path_guarded`]: a factor-health
+//! probe, a divergence tripwire and bounded ρ restarts, see
+//! [`crate::resilience`]) and the lockstep API ([`LassoAdmm::init_state`],
+//! [`LassoAdmm::begin_lambda`], [`LassoAdmm::step`],
+//! [`LassoAdmm::step_many`]) that the distributed `UoI_VAR` fit drives
+//! column by column.
 //!
 //! Each screened λ ends with a *polish* (OSQP's solution polishing,
 //! Stellato et al. 2020): once the iterate's sign pattern settles, the
@@ -36,13 +39,14 @@
 //! meets the LASSO KKT conditions to round-off and ends the λ; a rejected
 //! one leaves the ADMM iterate to run on. See [`LassoAdmm::step`].
 
-use crate::resilience::FactorHealth;
+use crate::resilience::{
+    restart_tripped, tripped, FactorHealth, PathHealth, ResilienceConfig, SolverError,
+};
 use std::cell::RefCell;
 use std::sync::{Arc, OnceLock};
 use uoi_linalg::{
-    factor_upper_jittered, gemv_into, gemv_t, gemv_t_into, kernels, norm2, norm2_diff,
-    norm2_scaled, norm2_scaled_diff, norm_inf, Cholesky, FactorBreakdown, JitterLadder, Matrix,
-    PackedCholesky,
+    factor_upper_jittered, gemv_t_into, kernels, norm2, norm2_diff, norm2_scaled,
+    norm2_scaled_diff, norm_inf, Cholesky, FactorBreakdown, JitterLadder, Matrix, PackedCholesky,
 };
 use uoi_telemetry::MetricsRegistry;
 
@@ -325,52 +329,27 @@ fn factor_jittered(ridged: &Matrix) -> Result<(Cholesky, FactorHealth), FactorBr
         FactorHealth {
             attempts: jf.attempts,
             jitter: jf.jitter,
-            condest: None,
         },
     ))
 }
 
-/// Reusable scratch buffers for the ADMM inner loop: once warm, an
-/// iteration performs zero heap allocations. Obtain one from
-/// [`LassoAdmm::workspace`] (or `Default`) and thread it through
-/// [`LassoAdmm::solve_warm_with`].
+/// Scratch buffers of a state's iterations: once warm, an iteration
+/// performs zero heap allocations.
 #[derive(Debug, Clone, Default)]
-pub struct AdmmWorkspace {
-    /// x-update right-hand side (p).
-    rhs: Vec<f64>,
-    /// Primal iterate `x` (p).
+pub(crate) struct AdmmWorkspace {
+    /// Primal iterate `x` over the active set.
     x_var: Vec<f64>,
-    /// Previous consensus iterate (p), for the dual residual.
+    /// Previous consensus iterate, for the dual residual.
     z_old: Vec<f64>,
-    /// Woodbury scratch: `X v` then the inner solve (n).
+    /// Wide-design gradient scratch: `X z` (n).
     wn: Vec<f64>,
-    /// Woodbury scratch: `X^T inner` (p).
+    /// Wide-design gradient scratch: `X^T (X z)` (p).
     wt: Vec<f64>,
-    /// z-update argument `x + u` (p), fed to the vectorised prox.
+    /// z-update argument `x + u`, fed to the vectorised prox.
     xu: Vec<f64>,
     /// Per-iteration primal residuals of the in-flight solve; only
     /// pushed to when [`AdmmConfig::capture_curve`] is set.
     curve: Vec<f64>,
-}
-
-impl AdmmWorkspace {
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-/// Scalar outcome of an in-place solve ([`LassoAdmm::solve_warm_with`]);
-/// the coefficient vector is left in the caller's `z` buffer.
-#[derive(Debug, Clone, Copy)]
-pub struct AdmmStatus {
-    /// Iterations performed.
-    pub iterations: usize,
-    /// Final primal residual `||x - z||`.
-    pub primal_residual: f64,
-    /// Final dual residual `||rho (z - z_prev)||`.
-    pub dual_residual: f64,
-    /// Whether both residuals met tolerance before the cap.
-    pub converged: bool,
 }
 
 /// Per-problem state of a screened Sequential λ path, advanced by
@@ -458,7 +437,7 @@ impl AdmmState {
             factor_flops: 0.0,
             rejected: Vec::with_capacity(p),
             has_rejected: false,
-            scratch: AdmmWorkspace::new(),
+            scratch: AdmmWorkspace::default(),
         }
     }
 
@@ -475,7 +454,7 @@ impl AdmmState {
 
     /// Flops of the active-set factor updates and polish attempts since
     /// the last call (the rows factored, the deletions and the entries
-    /// gathered — see [`AdmmState::factor_active`] — plus the rows of
+    /// gathered by the active-set factor updates, plus the rows of
     /// each polish's factor, its `G_AA` gather and its serial KKT
     /// gradient), for virtual-time charging.
     pub fn take_factor_flops(&mut self) -> f64 {
@@ -1032,13 +1011,14 @@ pub struct StepTask<'a> {
 
 /// How a solver holds its problem — the serial solver's whole design, or
 /// one rank's block of a consensus solve.
+#[derive(Clone)]
 pub(crate) enum DesignStore {
     /// The pristine Gram `X^T X`, mirrored to full symmetric storage
     /// ([`DesignStore::gram`]) — from [`LassoAdmm::from_gram`] (the
     /// zero-copy bootstrap path, where the resample is only ever
     /// materialised as weighted Gram/rhs products) or formed by
-    /// [`LassoAdmm::new`] for a `p <= n` design, which is then kept for
-    /// the response entry points.
+    /// [`LassoAdmm::new`] for a `p <= n` design. A consensus block built
+    /// from its design keeps that too, for its response entry points.
     Gram { gram: Matrix, x: Option<Matrix> },
     /// A wide dense design (`p > n`): the full factor takes the Woodbury
     /// form and active-set Grams are formed from the design's columns.
@@ -1059,6 +1039,15 @@ impl DesignStore {
         match self {
             DesignStore::Gram { gram, .. } => gram.rows(),
             DesignStore::Wide(x) => x.cols(),
+        }
+    }
+
+    /// Sum of the Gram diagonal: read off a stored Gram, or the sum of
+    /// squares of a wide design's entries.
+    fn diag_sum(&self) -> f64 {
+        match self {
+            DesignStore::Gram { gram, .. } => (0..gram.rows()).map(|i| gram[(i, i)]).sum(),
+            DesignStore::Wide(x) => x.as_slice().iter().map(|v| v * v).sum(),
         }
     }
 
@@ -1130,153 +1119,78 @@ fn mirror_upper(g: &mut Matrix) {
     }
 }
 
-/// A LASSO-ADMM solver for a fixed design. λ paths solve
-/// screened active-set sub-problems (see [`LassoAdmm::begin_lambda`]);
-/// the full x-update factor is built lazily, on the first single-λ solve,
-/// and cached.
+/// A LASSO-ADMM solver for a fixed design. Every λ is a screened
+/// active-set solve (see [`LassoAdmm::begin_lambda`]).
 pub struct LassoAdmm {
     design: DesignStore,
-    full: OnceLock<Factorization>,
     cfg: AdmmConfig,
     /// Effective penalty: `cfg.rho` scaled by the mean Gram diagonal
     /// ([`effective_rho`]) of the full problem, fixed at construction and
     /// shared by every active-set sub-problem.
     rho: f64,
+    /// How the full system `G + rho I` factors through the jitter ladder:
+    /// probed by the first guarded path and reported by every one.
+    probe: OnceLock<Result<FactorHealth, FactorBreakdown>>,
     metrics: Option<Arc<MetricsRegistry>>,
 }
 
 impl LassoAdmm {
-    /// Build the solver. The effective penalty is `cfg.rho` times the
-    /// mean Gram diagonal ([`effective_rho`]), so convergence behaviour is
-    /// invariant to the overall scale of the design. For `p <= n` the
-    /// upper Gram is formed here; no factorisation happens until a solve
-    /// needs one.
+    /// Build the solver from a dense design. The effective penalty is
+    /// `cfg.rho` times the mean Gram diagonal (clamped to at least 1), so
+    /// convergence behaviour is invariant to the overall scale of the
+    /// design. For `p <= n` the upper Gram is formed here and the design
+    /// dropped, so `new(x, cfg)` is bit-identical to
+    /// `from_gram(syrk_t(&x), cfg)`; a wide design (`p > n`) is kept, and
+    /// active-set Grams are formed from its columns.
     pub fn new(x: Matrix, cfg: AdmmConfig) -> Self {
-        assert!(cfg.rho > 0.0, "rho must be positive");
         let (n, p) = x.shape();
         if p <= n {
-            // The exact Gram `from_gram(syrk_t(&x), cfg)` receives, which
-            // keeps the two constructors bit-identical for p <= n.
-            let gram = uoi_linalg::syrk_t_upper(&x).into_upper();
-            let mut solver = Self::from_gram(gram, cfg);
-            if let DesignStore::Gram { x: slot, .. } = &mut solver.design {
-                *slot = Some(x);
-            }
-            solver
+            Self::from_gram(uoi_linalg::syrk_t_upper(&x).into_upper(), cfg)
         } else {
-            // Woodbury path never forms the p x p Gram; its diagonal is
-            // the per-column sum of squares, i.e. the sum over every entry.
-            let diag_sum: f64 = x.as_slice().iter().map(|v| v * v).sum();
-            Self {
-                rho: effective_rho(cfg.rho, diag_sum, p),
-                design: DesignStore::Wide(x),
-                full: OnceLock::new(),
-                cfg,
-                metrics: None,
-            }
+            Self::with_design(DesignStore::Wide(x), cfg)
         }
-    }
-
-    /// Fallible [`LassoAdmm::new`] that factors the full x-update system
-    /// eagerly: rank-deficient systems climb the deterministic jitter
-    /// ladder instead of panicking, and the consumed attempts/jitter are
-    /// reported (`attempts == 0` on clean designs).
-    pub fn try_new(x: Matrix, cfg: AdmmConfig) -> Result<(Self, FactorHealth), FactorBreakdown> {
-        let solver = Self::new(x, cfg);
-        let health = solver.try_full_factor()?;
-        Ok((solver, health))
     }
 
     /// Build the solver from a precomputed Gram matrix `X^T X` (consumed
     /// and kept pristine; active-set sub-Grams are gathered from it).
-    ///
-    /// Solves must then go through the `*_with_rhs` / [`Self::solve_warm_with`]
-    /// entry points with a caller-supplied `X^T y`. For `p <= n` designs,
-    /// `from_gram(syrk_t(&x), cfg)` is bit-identical to `new(x, cfg)`: the
-    /// same Gram is kept, the same penalty derived from its diagonal, and
-    /// the same factorisations taken.
+    /// Paths take the matching `X^T y`.
     ///
     /// Only the **upper** triangle (and the diagonal) of `gram` is read,
     /// so upper-stored matrices from the batched Gram engine
     /// (`uoi_linalg::gram`) can be passed directly; a full symmetric
     /// matrix gives the same bits. The solver mirrors it in place.
     pub fn from_gram(gram: Matrix, cfg: AdmmConfig) -> Self {
+        assert_eq!(
+            gram.rows(),
+            gram.cols(),
+            "from_gram: Gram matrix must be square"
+        );
+        Self::with_design(DesignStore::gram(gram, None), cfg)
+    }
+
+    fn with_design(design: DesignStore, cfg: AdmmConfig) -> Self {
         assert!(cfg.rho > 0.0, "rho must be positive");
-        let p = gram.rows();
-        assert_eq!(p, gram.cols(), "from_gram: Gram matrix must be square");
-        let diag_sum: f64 = (0..p).map(|i| gram[(i, i)]).sum();
         Self {
-            rho: effective_rho(cfg.rho, diag_sum, p),
-            design: DesignStore::gram(gram, None),
-            full: OnceLock::new(),
+            rho: effective_rho(cfg.rho, design.diag_sum(), design.n_coefficients()),
+            design,
             cfg,
+            probe: OnceLock::new(),
             metrics: None,
         }
     }
 
-    /// Fallible [`LassoAdmm::from_gram`] that factors the full system
-    /// eagerly: singular Grams climb the deterministic jitter ladder
-    /// instead of panicking. Clean Grams take the plain factorisation
-    /// first (`attempts == 0`).
-    pub fn try_from_gram(
-        gram: Matrix,
-        cfg: AdmmConfig,
-    ) -> Result<(Self, FactorHealth), FactorBreakdown> {
-        let solver = Self::from_gram(gram, cfg);
-        let health = solver.try_full_factor()?;
-        Ok((solver, health))
-    }
-
-    /// Rebuild a Gram-backed solver around an already-factored full
-    /// system — the resilient wrapper factors eagerly (to report its
-    /// health) and for rho restarts under an escalated penalty.
-    pub(crate) fn from_factor(gram: Matrix, chol: Cholesky, cfg: AdmmConfig, rho: f64) -> Self {
-        Self {
-            design: DesignStore::gram(gram, None),
-            full: OnceLock::from(Factorization::Primal(chol)),
-            cfg,
-            rho,
-            metrics: None,
-        }
-    }
-
-    /// The pristine Gram of a Gram-backed solver.
-    pub(crate) fn gram(&self) -> &Matrix {
+    /// Factor the full x-update system `G + rho I` (Woodbury form for a
+    /// wide design) through the jitter ladder and report how it went. The
+    /// factor itself is dropped: paths factor their active sets.
+    fn probe_factor(&self) -> Result<FactorHealth, FactorBreakdown> {
         match &self.design {
-            DesignStore::Gram { gram, .. } => gram,
-            DesignStore::Wide(_) => panic!("this solver holds a wide design, not a Gram"),
+            DesignStore::Gram { gram, .. } => factor_ridged(gram.clone(), self.rho).map(|f| f.1),
+            DesignStore::Wide(x) => try_factorize(x, self.rho).map(|f| f.1),
         }
     }
 
-    /// Factor the full x-update system `X^T X + rho I` (Woodbury form for
-    /// wide designs) through the jitter ladder.
-    fn build_full_factor(&self) -> Result<(Factorization, FactorHealth), FactorBreakdown> {
-        match &self.design {
-            DesignStore::Gram { gram, .. } => {
-                let (chol, health) = factor_ridged(gram.clone(), self.rho)?;
-                Ok((Factorization::Primal(chol), health))
-            }
-            DesignStore::Wide(x) => try_factorize(x, self.rho),
-        }
-    }
-
-    /// Factor the full system now and cache it, reporting its health.
-    fn try_full_factor(&self) -> Result<FactorHealth, FactorBreakdown> {
-        let (factor, health) = self.build_full_factor()?;
-        let _ = self.full.set(factor);
-        Ok(health)
-    }
-
-    /// The full factor, built on first use.
-    fn full_factor(&self) -> &Factorization {
-        self.full.get_or_init(|| {
-            self.build_full_factor()
-                .map(|(f, _)| f)
-                .expect("ADMM system must factor (is the design non-finite?)")
-        })
-    }
-
-    /// The effective (data-scaled) penalty in force; see [`effective_rho`].
+    /// The effective (data-scaled) penalty in force: `cfg.rho` times the
+    /// mean Gram diagonal, clamped to at least 1.
     pub fn penalty(&self) -> f64 {
         self.rho
     }
@@ -1339,16 +1253,6 @@ impl LassoAdmm {
         }
     }
 
-    /// The design matrix. Panics for a solver built with
-    /// [`LassoAdmm::from_gram`], which never sees the design.
-    pub fn design(&self) -> &Matrix {
-        self.dense()
-    }
-
-    fn dense(&self) -> &Matrix {
-        self.design.dense()
-    }
-
     /// Number of coefficients.
     pub fn n_coefficients(&self) -> usize {
         self.design.n_coefficients()
@@ -1357,48 +1261,6 @@ impl LassoAdmm {
     /// The configuration in force.
     pub fn config(&self) -> &AdmmConfig {
         &self.cfg
-    }
-
-    /// One full-problem ADMM iteration (x-, z-, u-updates and residual
-    /// norms) operating entirely in caller/workspace buffers. Returns
-    /// `(r_norm, s_norm, converged_now)`. Every arithmetic operation
-    /// matches the historical allocating implementation in order and
-    /// association, so iterates and convergence decisions are
-    /// bit-identical to it.
-    fn iterate(
-        &self,
-        xty: &[f64],
-        lambda: f64,
-        z: &mut [f64],
-        u: &mut [f64],
-        ws: &mut AdmmWorkspace,
-    ) -> (f64, f64, bool) {
-        let rho = self.rho;
-        // x-update: apply `(X^T X + rho I)^{-1}` to `X^T y + rho (z - u)`.
-        let AdmmWorkspace {
-            rhs, x_var, wn, wt, ..
-        } = &mut *ws;
-        rhs.clear();
-        rhs.extend_from_slice(xty);
-        for ((r, zi), ui) in rhs.iter_mut().zip(&*z).zip(&*u) {
-            *r += rho * (zi - ui);
-        }
-        match self.full_factor() {
-            Factorization::Primal(ch) => {
-                x_var.clear();
-                x_var.extend_from_slice(rhs);
-                ch.solve_in_place(x_var);
-            }
-            Factorization::Woodbury(ch) => {
-                let x = self.dense();
-                gemv_into(x, rhs, wn);
-                ch.solve_in_place(wn);
-                gemv_t_into(x, wn, wt);
-                x_var.clear();
-                x_var.extend(rhs.iter().zip(&*wt).map(|(vi, wi)| (vi - wi) / rho));
-            }
-        }
-        self.finish_iterate(lambda / rho, z, u, ws)
     }
 
     /// The rest of an iteration: z-/u-updates, residual norms (Boyd §3.3.1,
@@ -1449,146 +1311,6 @@ impl LassoAdmm {
         let eps_pri = sqrt_p * self.cfg.abstol + self.cfg.reltol * norm2(x_var).max(norm2(z));
         let eps_dual = sqrt_p * self.cfg.abstol + self.cfg.reltol * norm2_scaled(rho, u);
         (r_norm, s_norm, r_norm <= eps_pri && s_norm <= eps_dual)
-    }
-
-    /// In-place warm solve of the full problem against a precomputed
-    /// `X^T y`: iterates in the caller's `z`/`u` buffers (the solution is
-    /// left in `z`) using `ws` scratch, performing zero heap allocations
-    /// once the workspace (and the lazily built full factor) is warm.
-    pub fn solve_warm_with(
-        &self,
-        xty: &[f64],
-        lambda: f64,
-        z: &mut [f64],
-        u: &mut [f64],
-        ws: &mut AdmmWorkspace,
-    ) -> AdmmStatus {
-        self.solve_warm_guarded(xty, lambda, z, u, ws, None).0
-    }
-
-    /// [`LassoAdmm::solve_warm_with`] with a divergence tripwire: the
-    /// iteration aborts (returning `diverged = true`) as soon as either
-    /// residual is non-finite or exceeds `cap`. The check is a pair of
-    /// comparisons per iteration — no allocations, no arithmetic on the
-    /// iterates — and runs *after* the convergence test, so any solve
-    /// that never trips is bit-identical to the unguarded entry point.
-    pub fn solve_warm_with_guard(
-        &self,
-        xty: &[f64],
-        lambda: f64,
-        z: &mut [f64],
-        u: &mut [f64],
-        ws: &mut AdmmWorkspace,
-        cap: f64,
-    ) -> (AdmmStatus, bool) {
-        self.solve_warm_guarded(xty, lambda, z, u, ws, Some(cap))
-    }
-
-    fn solve_warm_guarded(
-        &self,
-        xty: &[f64],
-        lambda: f64,
-        z: &mut [f64],
-        u: &mut [f64],
-        ws: &mut AdmmWorkspace,
-        guard: Option<f64>,
-    ) -> (AdmmStatus, bool) {
-        let p = self.n_coefficients();
-        assert_eq!(xty.len(), p, "rhs length mismatch");
-        assert_eq!(z.len(), p);
-        assert_eq!(u.len(), p);
-        assert!(lambda >= 0.0);
-
-        ws.curve.clear();
-        let (mut r_norm, mut s_norm) = (f64::INFINITY, f64::INFINITY);
-        let mut iterations = 0;
-        let mut converged = false;
-        let mut diverged = false;
-        for it in 0..self.cfg.max_iter {
-            iterations = it + 1;
-            let (r, s, conv) = self.iterate(xty, lambda, z, u, ws);
-            r_norm = r;
-            s_norm = s;
-            self.note_iteration(r_norm, s_norm);
-            if conv {
-                converged = true;
-                break;
-            }
-            if guard.is_some_and(|cap| tripped(r_norm, s_norm, cap)) {
-                diverged = true;
-                break;
-            }
-        }
-        self.note_solve(iterations, converged, r_norm, s_norm);
-        (
-            AdmmStatus {
-                iterations,
-                primal_residual: r_norm,
-                dual_residual: s_norm,
-                converged,
-            },
-            diverged,
-        )
-    }
-
-    /// Solve for one `lambda` from a cold start.
-    pub fn solve(&self, y: &[f64], lambda: f64) -> AdmmSolution {
-        let p = self.n_coefficients();
-        self.solve_warm(y, lambda, vec![0.0; p], vec![0.0; p])
-    }
-
-    /// Solve for one `lambda` from a cold start against a precomputed
-    /// `X^T y` (the only solve entry point a [`LassoAdmm::from_gram`]
-    /// solver needs).
-    pub fn solve_with_rhs(&self, xty: &[f64], lambda: f64) -> AdmmSolution {
-        let p = self.n_coefficients();
-        let mut z = vec![0.0; p];
-        let mut u = vec![0.0; p];
-        let mut ws = AdmmWorkspace::new();
-        let st = self.solve_warm_with(xty, lambda, &mut z, &mut u, &mut ws);
-        AdmmSolution {
-            beta: z,
-            iterations: st.iterations,
-            primal_residual: st.primal_residual,
-            dual_residual: st.dual_residual,
-            converged: st.converged,
-            curve: self.take_curve(&mut ws),
-        }
-    }
-
-    /// Solve with warm-started `z` and `u`.
-    pub fn solve_warm(
-        &self,
-        y: &[f64],
-        lambda: f64,
-        mut z: Vec<f64>,
-        mut u: Vec<f64>,
-    ) -> AdmmSolution {
-        let xty = self.prepare_rhs(y);
-        let mut ws = AdmmWorkspace::new();
-        let st = self.solve_warm_with(&xty, lambda, &mut z, &mut u, &mut ws);
-        AdmmSolution {
-            beta: z,
-            iterations: st.iterations,
-            primal_residual: st.primal_residual,
-            dual_residual: st.dual_residual,
-            converged: st.converged,
-            curve: self.take_curve(&mut ws),
-        }
-    }
-
-    /// Precompute the `X^T y` right-hand side reused by every
-    /// [`LassoAdmm::step`] for this response.
-    pub fn prepare_rhs(&self, y: &[f64]) -> Vec<f64> {
-        let x = self.dense();
-        assert_eq!(y.len(), x.rows(), "response length mismatch");
-        gemv_t(x, y)
-    }
-
-    /// A fresh workspace (separate from any state, so several solves can
-    /// interleave on one solver).
-    pub fn workspace(&self) -> AdmmWorkspace {
-        AdmmWorkspace::new()
     }
 
     /// Fresh screened-path state for [`LassoAdmm::begin_lambda`] /
@@ -1733,44 +1455,66 @@ impl LassoAdmm {
         true
     }
 
-    /// Solve an entire lambda path (largest lambda first) with warm
-    /// starts; returns one solution per lambda, in path order.
+    /// Solve an entire λ path (largest λ first) against a precomputed
+    /// `X^T y`; returns one solution per λ, in path order. Each λ is a
+    /// screened active-set solve ([`LassoAdmm::begin_lambda`] then
+    /// [`LassoAdmm::step`] up to `max_iter` times), warm-started from the
+    /// previous λ's solution.
     ///
-    /// With metrics attached, each path step records
-    /// `admm.path.iterations`; a step counts as a *warm-start hit*
-    /// (`admm.path.warm_hits`) when it converges in no more iterations
-    /// than the first step did.
-    pub fn solve_path(&self, y: &[f64], lambdas: &[f64]) -> Vec<AdmmSolution> {
-        // X^T y is shared by the whole path: compute it once per
-        // (design, response), not once per lambda.
-        let xty = self.prepare_rhs(y);
-        self.solve_path_with_rhs(&xty, lambdas)
+    /// With metrics attached, each λ records `admm.path.iterations`; it
+    /// counts as a *warm-start hit* (`admm.path.warm_hits`) when it
+    /// converges in no more iterations than the first λ did.
+    pub fn solve_path_with_rhs(&self, xty: &[f64], lambdas: &[f64]) -> Vec<AdmmSolution> {
+        self.path(xty, lambdas, None)
     }
 
-    /// [`LassoAdmm::solve_path`] against a precomputed `X^T y` — the entry
-    /// point for solvers built with [`LassoAdmm::from_gram`], where the rhs
-    /// comes from a weighted `gemv_t` over the unsampled design.
+    /// [`LassoAdmm::solve_path_with_rhs`] under the numerical guards of
+    /// `res`:
     ///
-    /// Each λ is a screened active-set solve ([`LassoAdmm::begin_lambda`]
-    /// then [`LassoAdmm::step`] up to `max_iter` times), warm-started from
-    /// the previous λ's solution.
-    pub fn solve_path_with_rhs(&self, xty: &[f64], lambdas: &[f64]) -> Vec<AdmmSolution> {
-        self.solve_path_guarded(xty, lambdas, None).0
+    /// * the first guarded path probes the full system `G + rho I`
+    ///   through the deterministic jitter ladder; a breakdown that
+    ///   survives the ladder is `Err`, and the attempts and jitter it
+    ///   consumed ride in every path's [`PathHealth`];
+    /// * every iteration checks the divergence tripwire (a non-finite
+    ///   residual, or one above [`ResilienceConfig::divergence_cap`]); a
+    ///   tripped λ ends there and the next λ restarts from `z = 0`;
+    /// * each tripped λ is then re-solved under bounded ρ restarts
+    ///   ([`restart_tripped`]), each rung a one-λ guarded path on a
+    ///   solver rebuilt at the rung's `cfg.rho`.
+    ///
+    /// A path that never trips is bit-identical to the unguarded one.
+    pub fn solve_path_guarded(
+        &self,
+        xty: &[f64],
+        lambdas: &[f64],
+        res: &ResilienceConfig,
+    ) -> Result<(Vec<AdmmSolution>, PathHealth), SolverError> {
+        let factor = self.probe.get_or_init(|| self.probe_factor()).clone()?;
+        let cap = Some(res.divergence_cap);
+        let mut sols = self.path(xty, lambdas, cap);
+        let mut health = restart_tripped(res, self.cfg.rho, &mut sols, |i, rho| {
+            // Restart solvers are cold re-solves outside the warm-start
+            // accounting, so they stay unregistered.
+            let cfg = AdmmConfig {
+                rho,
+                ..self.cfg.clone()
+            };
+            let solver = Self::with_design(self.design.clone(), cfg);
+            solver.probe_factor().ok()?;
+            solver.path(xty, &lambdas[i..=i], cap).pop()
+        });
+        health.factor_attempts = factor.attempts;
+        health.factor_jitter = factor.jitter;
+        Ok((sols, health))
     }
 
     /// The screened path, with the divergence tripwire armed when `guard`
     /// is set.
-    fn solve_path_guarded(
-        &self,
-        xty: &[f64],
-        lambdas: &[f64],
-        guard: Option<f64>,
-    ) -> (Vec<AdmmSolution>, Vec<usize>) {
+    fn path(&self, xty: &[f64], lambdas: &[f64], guard: Option<f64>) -> Vec<AdmmSolution> {
         let mut st = self.init_state();
         let mut out = Vec::with_capacity(lambdas.len());
-        let mut diverged_idx = Vec::new();
         let mut first_iters = None;
-        for (idx, &lam) in lambdas.iter().enumerate() {
+        for &lam in lambdas {
             self.begin_lambda(xty, lam, &mut st);
             let mut trip = false;
             for _ in 0..self.cfg.max_iter {
@@ -1810,44 +1554,12 @@ impl LassoAdmm {
             if trip {
                 // Restart the next λ from a defined state instead of the
                 // diverged garbage.
-                diverged_idx.push(idx);
                 st.z.iter_mut().for_each(|v| *v = 0.0);
                 st.grad_fresh = false;
             }
         }
-        (out, diverged_idx)
+        out
     }
-
-    /// OLS through the same machinery (`lambda = 0`), as the paper's
-    /// estimation step does.
-    pub fn solve_ols(&self, y: &[f64]) -> AdmmSolution {
-        self.solve(y, 0.0)
-    }
-
-    /// [`LassoAdmm::solve_path_with_rhs`] with the divergence tripwire
-    /// armed on every solve. Returns the solutions plus the indices of
-    /// lambdas whose iteration tripped the guard (non-finite residuals or
-    /// either residual above `cap`); a tripped entry comes back with
-    /// `converged = false` and whatever iterate the abort left behind.
-    ///
-    /// The consensus iterate is reset to zero after a trip, so the next
-    /// lambda warm-starts from a defined state instead of the diverged
-    /// garbage — keeping the remainder of the path deterministic. Solves
-    /// that never trip are bit-identical to the unguarded path.
-    pub fn solve_path_guarded_with_rhs(
-        &self,
-        xty: &[f64],
-        lambdas: &[f64],
-        cap: f64,
-    ) -> (Vec<AdmmSolution>, Vec<usize>) {
-        self.solve_path_guarded(xty, lambdas, Some(cap))
-    }
-}
-
-/// The divergence tripwire: a non-finite residual, or either residual
-/// above `cap`.
-pub fn tripped(r_norm: f64, s_norm: f64, cap: f64) -> bool {
-    !r_norm.is_finite() || !s_norm.is_finite() || r_norm > cap || s_norm > cap
 }
 
 /// Approximate flop count of one ADMM iteration for a dense `n x p`
@@ -1889,8 +1601,7 @@ pub fn admm_factor_flops(n: usize, p: usize) -> f64 {
 mod tests {
     use super::*;
     use crate::diagnostics::lasso_kkt_violation;
-    use crate::prox::soft_threshold_vec;
-    use uoi_linalg::{gemv, solve_normal_equations};
+    use uoi_linalg::{gemv_t, solve_normal_equations};
 
     fn toy_problem() -> (Matrix, Vec<f64>) {
         // y depends on features 0 and 2 only.
@@ -1905,142 +1616,10 @@ mod tests {
         (x, y)
     }
 
-    /// Apply `(X^T X + rho I)^{-1}` to `v` through a cached factorisation.
-    fn apply_inverse(x: &Matrix, factor: &Factorization, rho: f64, v: &[f64]) -> Vec<f64> {
-        match factor {
-            Factorization::Primal(ch) => ch.solve(v),
-            Factorization::Woodbury(ch) => {
-                let xv = gemv(x, v);
-                let inner = ch.solve(&xv);
-                let xt_inner = gemv_t(x, &inner);
-                v.iter()
-                    .zip(&xt_inner)
-                    .map(|(vi, wi)| (vi - wi) / rho)
-                    .collect()
-            }
-        }
-    }
-
-    /// The pre-workspace allocating `solve_warm`, kept verbatim as the
-    /// reference implementation the zero-allocation rewrite must match
-    /// bit-for-bit (same iterates, same convergence decisions).
-    fn solve_warm_reference(
-        solver: &LassoAdmm,
-        y: &[f64],
-        lambda: f64,
-        mut z: Vec<f64>,
-        mut u: Vec<f64>,
-    ) -> AdmmSolution {
-        let x = solver.dense();
-        let (n, p) = x.shape();
-        assert_eq!(y.len(), n);
-        let rho = solver.rho;
-        let xty = gemv_t(x, y);
-        let kappa = lambda / rho;
-        let mut x_var = vec![0.0; p];
-        let mut z_old = vec![0.0; p];
-        let (mut r_norm, mut s_norm) = (f64::INFINITY, f64::INFINITY);
-        let mut iterations = 0;
-        let mut converged = false;
-        for it in 0..solver.cfg.max_iter {
-            iterations = it + 1;
-            let mut rhs = xty.clone();
-            for ((r, zi), ui) in rhs.iter_mut().zip(&z).zip(&u) {
-                *r += rho * (zi - ui);
-            }
-            x_var = apply_inverse(x, solver.full_factor(), rho, &rhs);
-            z_old.copy_from_slice(&z);
-            let xu: Vec<f64> = x_var.iter().zip(&u).map(|(a, b)| a + b).collect();
-            if kappa > 0.0 {
-                soft_threshold_vec(&xu, kappa, &mut z);
-            } else {
-                z.copy_from_slice(&xu);
-            }
-            for ((ui, xi), zi) in u.iter_mut().zip(&x_var).zip(&z) {
-                *ui += xi - zi;
-            }
-            let r: Vec<f64> = x_var.iter().zip(&z).map(|(a, b)| a - b).collect();
-            r_norm = norm2(&r);
-            let s: Vec<f64> = z.iter().zip(&z_old).map(|(a, b)| rho * (a - b)).collect();
-            s_norm = norm2(&s);
-            let sqrt_p = (p as f64).sqrt();
-            let eps_pri =
-                sqrt_p * solver.cfg.abstol + solver.cfg.reltol * norm2(&x_var).max(norm2(&z));
-            let mut rho_u = u.clone();
-            for v in &mut rho_u {
-                *v *= rho;
-            }
-            let eps_dual = sqrt_p * solver.cfg.abstol + solver.cfg.reltol * norm2(&rho_u);
-            if r_norm <= eps_pri && s_norm <= eps_dual {
-                converged = true;
-                break;
-            }
-        }
-        let _ = &x_var;
-        AdmmSolution {
-            beta: z,
-            iterations,
-            primal_residual: r_norm,
-            dual_residual: s_norm,
-            converged,
-            curve: Vec::new(),
-        }
-    }
-
-    #[test]
-    fn workspace_solve_bit_identical_to_reference() {
-        let (x, y) = toy_problem();
-        let solver = LassoAdmm::new(
-            x,
-            AdmmConfig {
-                max_iter: 4000,
-                abstol: 1e-9,
-                reltol: 1e-8,
-                ..Default::default()
-            },
-        );
-        let p = solver.n_coefficients();
-        for lam in [0.0, 0.1, 0.5, 2.0] {
-            let reference = solve_warm_reference(&solver, &y, lam, vec![0.0; p], vec![0.0; p]);
-            let new = solver.solve(&y, lam);
-            assert_eq!(new.iterations, reference.iterations, "lambda {lam}");
-            assert_eq!(new.converged, reference.converged);
-            assert_eq!(
-                new.primal_residual.to_bits(),
-                reference.primal_residual.to_bits()
-            );
-            assert_eq!(
-                new.dual_residual.to_bits(),
-                reference.dual_residual.to_bits()
-            );
-            for (a, b) in new.beta.iter().zip(&reference.beta) {
-                assert_eq!(a.to_bits(), b.to_bits(), "lambda {lam}: {a} vs {b}");
-            }
-        }
-    }
-
-    #[test]
-    fn workspace_solve_bit_identical_to_reference_woodbury() {
-        // p > n exercises the Woodbury apply path of the workspace rewrite.
-        let n = 10;
-        let p = 25;
-        let x = Matrix::from_fn(n, p, |i, j| (((i * 31 + j * 17) % 13) as f64 - 6.0) / 6.0);
-        let y: Vec<f64> = (0..n).map(|i| x[(i, 1)] * 3.0 - x[(i, 4)]).collect();
-        let solver = LassoAdmm::new(
-            x,
-            AdmmConfig {
-                max_iter: 3000,
-                ..Default::default()
-            },
-        );
-        for lam in [0.05, 0.3] {
-            let reference = solve_warm_reference(&solver, &y, lam, vec![0.0; p], vec![0.0; p]);
-            let new = solver.solve(&y, lam);
-            assert_eq!(new.iterations, reference.iterations);
-            for (a, b) in new.beta.iter().zip(&reference.beta) {
-                assert_eq!(a.to_bits(), b.to_bits(), "{a} vs {b}");
-            }
-        }
+    /// One λ as a one-λ screened path against `X^T y`.
+    fn one(solver: &LassoAdmm, x: &Matrix, y: &[f64], lambda: f64) -> AdmmSolution {
+        let mut path = solver.solve_path_with_rhs(&gemv_t(x, y), &[lambda]);
+        path.pop().expect("one λ solved")
     }
 
     #[test]
@@ -2056,9 +1635,9 @@ mod tests {
         };
         let dense = LassoAdmm::new(x.clone(), cfg.clone());
         let gram_solver = LassoAdmm::from_gram(uoi_linalg::syrk_t(&x), cfg);
-        let xty = dense.prepare_rhs(&y);
+        let xty = gemv_t(&x, &y);
         let lambdas = [2.0, 1.0, 0.5, 0.25, 0.0];
-        let a = dense.solve_path(&y, &lambdas);
+        let a = dense.solve_path_with_rhs(&xty, &lambdas);
         let b = gram_solver.solve_path_with_rhs(&xty, &lambdas);
         assert_eq!(a.len(), b.len());
         for (sa, sb) in a.iter().zip(&b) {
@@ -2068,20 +1647,6 @@ mod tests {
                 assert_eq!(va.to_bits(), vb.to_bits(), "{va} vs {vb}");
             }
         }
-        // Single solves agree too.
-        let sa = dense.solve(&y, 0.4);
-        let sb = gram_solver.solve_with_rhs(&xty, 0.4);
-        for (va, vb) in sa.beta.iter().zip(&sb.beta) {
-            assert_eq!(va.to_bits(), vb.to_bits());
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "holds no design")]
-    fn from_gram_rejects_response_entry_points() {
-        let (x, y) = toy_problem();
-        let solver = LassoAdmm::from_gram(uoi_linalg::syrk_t(&x), AdmmConfig::default());
-        let _ = solver.solve(&y, 0.1);
     }
 
     #[test]
@@ -2094,7 +1659,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        let sol = solver.solve_ols(&y);
+        let sol = one(&solver, &x, &y, 0.0);
         let exact = solve_normal_equations(&x, &y, 0.0).unwrap();
         for (a, b) in sol.beta.iter().zip(&exact) {
             assert!((a - b).abs() < 1e-4, "{a} vs {b}");
@@ -2115,7 +1680,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        let sol = solver.solve(&y, lambda);
+        let sol = one(&solver, &x, &y, lambda);
         assert!(sol.converged);
         let viol = lasso_kkt_violation(&x, &y, &sol.beta, lambda);
         assert!(viol < 1e-3, "KKT violation {viol}");
@@ -2125,8 +1690,8 @@ mod tests {
     fn lambda_max_gives_zero_solution() {
         let (x, y) = toy_problem();
         let lmax = crate::lambda::lambda_max(&x, &y);
-        let solver = LassoAdmm::new(x, AdmmConfig::default());
-        let sol = solver.solve(&y, lmax * 1.01);
+        let solver = LassoAdmm::new(x.clone(), AdmmConfig::default());
+        let sol = one(&solver, &x, &y, lmax * 1.01);
         assert!(sol.beta.iter().all(|&b| b.abs() < 1e-6), "{:?}", sol.beta);
     }
 
@@ -2134,15 +1699,14 @@ mod tests {
     fn sparsity_increases_with_lambda() {
         let (x, y) = toy_problem();
         let solver = LassoAdmm::new(
-            x,
+            x.clone(),
             AdmmConfig {
                 max_iter: 2000,
                 ..Default::default()
             },
         );
         let nnz = |lam: f64| {
-            solver
-                .solve(&y, lam)
+            one(&solver, &x, &y, lam)
                 .beta
                 .iter()
                 .filter(|b| b.abs() > 1e-8)
@@ -2153,15 +1717,15 @@ mod tests {
     }
 
     #[test]
-    fn woodbury_path_matches_primal() {
-        // p > n exercises Woodbury; compare against the primal form on a
-        // padded problem with identical solution.
+    fn wide_design_path_satisfies_kkt() {
+        // p > n: the kept design forms the active-set Grams from its
+        // columns.
         let n = 10;
         let p = 25;
         let x = Matrix::from_fn(n, p, |i, j| (((i * 31 + j * 17) % 13) as f64 - 6.0) / 6.0);
         let y: Vec<f64> = (0..n).map(|i| x[(i, 1)] * 3.0 - x[(i, 4)]).collect();
         let lam = 0.3;
-        let wood = LassoAdmm::new(
+        let wide = LassoAdmm::new(
             x.clone(),
             AdmmConfig {
                 max_iter: 8000,
@@ -2170,16 +1734,16 @@ mod tests {
                 ..Default::default()
             },
         );
-        let sol = wood.solve(&y, lam);
+        let sol = one(&wide, &x, &y, lam);
         let viol = lasso_kkt_violation(&x, &y, &sol.beta, lam);
-        assert!(viol < 1e-3, "Woodbury KKT violation {viol}");
+        assert!(viol < 1e-3, "wide-design KKT violation {viol}");
     }
 
     #[test]
     fn warm_start_path_consistent_with_cold() {
         let (x, y) = toy_problem();
         let solver = LassoAdmm::new(
-            x,
+            x.clone(),
             AdmmConfig {
                 max_iter: 4000,
                 abstol: 1e-9,
@@ -2188,9 +1752,9 @@ mod tests {
             },
         );
         let lambdas = [2.0, 1.0, 0.5, 0.25];
-        let path = solver.solve_path(&y, &lambdas);
+        let path = solver.solve_path_with_rhs(&gemv_t(&x, &y), &lambdas);
         for (i, &lam) in lambdas.iter().enumerate() {
-            let cold = solver.solve(&y, lam);
+            let cold = one(&solver, &x, &y, lam);
             for (a, b) in path[i].beta.iter().zip(&cold.beta) {
                 assert!((a - b).abs() < 1e-4, "lambda {lam}: {a} vs {b}");
             }
@@ -2207,9 +1771,9 @@ mod tests {
             reltol: 1e-8,
             ..Default::default()
         };
-        let solver = LassoAdmm::new(x, cfg);
-        let direct = solver.solve(&y, lam);
-        let xty = solver.prepare_rhs(&y);
+        let solver = LassoAdmm::new(x.clone(), cfg);
+        let direct = one(&solver, &x, &y, lam);
+        let xty = gemv_t(&x, &y);
         let mut st = solver.init_state();
         for _ in 0..5000 {
             solver.step(&xty, lam, &mut st);
@@ -2255,7 +1819,7 @@ mod tests {
         let (x, y) = toy_problem();
         let metrics = Arc::new(MetricsRegistry::new());
         let solver = LassoAdmm::new(
-            x,
+            x.clone(),
             AdmmConfig {
                 max_iter: 4000,
                 abstol: 1e-9,
@@ -2265,7 +1829,7 @@ mod tests {
         )
         .with_metrics(metrics.clone());
         let lambdas = [2.0, 1.0, 0.5, 0.25];
-        let path = solver.solve_path(&y, &lambdas);
+        let path = solver.solve_path_with_rhs(&gemv_t(&x, &y), &lambdas);
         assert!(path.iter().all(|s| s.converged));
         assert_eq!(metrics.counter("admm.solves"), lambdas.len() as u64);
         assert_eq!(metrics.counter("admm.converged"), lambdas.len() as u64);
@@ -2328,8 +1892,8 @@ mod tests {
     #[test]
     fn step_many_bit_identical_to_individual_steps() {
         let (x, y) = toy_problem();
+        let xty = gemv_t(&x, &y);
         let solver = LassoAdmm::new(x, AdmmConfig::default());
-        let xty = solver.prepare_rhs(&y);
         // Distinct per-column problems: scaled rhs, distinct lambdas.
         let rhs_cols: Vec<Vec<f64>> = (0..5)
             .map(|k| xty.iter().map(|v| v * (1.0 + 0.2 * k as f64)).collect())

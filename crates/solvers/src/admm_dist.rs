@@ -41,9 +41,13 @@
 //! allreduce of the local packed `G_i,AA` triangle and `c_i,A` gives
 //! every rank the same reduced system; the KKT check reads the p-wide
 //! gradient allreduce at the polished `β`. Every rank decides alike and
-//! makes the same collectives. Single-λ solves and the proxy's OLS
-//! iterate on all `p` coefficients against the full local factor. See
-//! DESIGN.md §3.
+//! makes the same collectives. The proxy's OLS
+//! ([`DistLassoAdmm::solve_ols`]) iterates on all `p` coefficients
+//! against the full local factor. See DESIGN.md §3.
+//!
+//! The solver has no guarded path of its own: the distributed `UoI_LASSO`
+//! fit checks the allreduced residuals of a path after the fact and runs
+//! the shared ρ-restart ladder ([`crate::resilience::restart_tripped`]).
 
 use crate::admm::{
     admm_active_iter_flops, admm_iter_flops, decimate_curve, effective_rho, factor_ridged,
@@ -308,35 +312,9 @@ impl DistLassoAdmm {
         self.design.dense()
     }
 
-    /// Solve for one lambda from a cold start. Collective over `comm`.
-    pub fn solve(
-        &self,
-        ctx: &mut RankCtx,
-        comm: &Comm,
-        y_local: &[f64],
-        lambda: f64,
-    ) -> AdmmSolution {
-        let p = self.local_shape().1;
-        self.solve_warm(ctx, comm, y_local, lambda, vec![0.0; p], vec![0.0; p])
-    }
-
-    /// Warm-started solve (z carried across a lambda path).
-    pub fn solve_warm(
-        &self,
-        ctx: &mut RankCtx,
-        comm: &Comm,
-        y_local: &[f64],
-        lambda: f64,
-        z: Vec<f64>,
-        u: Vec<f64>,
-    ) -> AdmmSolution {
-        let xty = self.prepare_local_rhs(ctx, y_local);
-        self.solve_warm_with_rhs(ctx, comm, &xty, lambda, z, u)
-    }
-
     /// The local `X_i^T y_i`, computed once per (design, response) and
     /// charged to the rank's virtual clock.
-    pub fn prepare_local_rhs(&self, ctx: &mut RankCtx, y_local: &[f64]) -> Vec<f64> {
+    fn prepare_local_rhs(&self, ctx: &mut RankCtx, y_local: &[f64]) -> Vec<f64> {
         let x = self.design.dense();
         let (n, p) = x.shape();
         assert_eq!(y_local.len(), n, "local response length mismatch");
@@ -345,12 +323,14 @@ impl DistLassoAdmm {
         xty
     }
 
-    /// Warm-started full-problem solve against a precomputed local
-    /// `X_i^T y_i` — the single-λ entry point of the Gram-built
-    /// estimation solvers. The local arithmetic reuses its buffers across
-    /// iterations; each allreduce still copies its payload into the
-    /// communicator (and, on more than one rank, records a collective
-    /// event).
+    /// Warm-started full-problem solve of one λ against a precomputed
+    /// local `X_i^T y_i`: every iteration runs on all `p` coefficients
+    /// against the full local factor, unscreened. It is the body of
+    /// [`DistLassoAdmm::solve_ols`] and the unscreened reference the
+    /// screened path is tested against. The local arithmetic reuses its
+    /// buffers across iterations; each allreduce still copies its payload
+    /// into the communicator (and, on more than one rank, records a
+    /// collective event).
     pub fn solve_warm_with_rhs(
         &self,
         ctx: &mut RankCtx,
@@ -511,14 +491,17 @@ impl DistLassoAdmm {
     /// phase, not to LASSO.
     pub fn solve_ols(&self, ctx: &mut RankCtx, comm: &Comm, y_local: &[f64]) -> AdmmSolution {
         let sp = ctx.span_enter("ols_estimation.solve");
-        let sol = self.solve(ctx, comm, y_local, 0.0);
+        let xty = self.prepare_local_rhs(ctx, y_local);
+        let p = xty.len();
+        let sol = self.solve_warm_with_rhs(ctx, comm, &xty, 0.0, vec![0.0; p], vec![0.0; p]);
         ctx.span_exit(sp);
         sol
     }
 
-    /// Solve a whole lambda path from a local response:
-    /// [`DistLassoAdmm::prepare_local_rhs`] once for the whole path, then
-    /// [`DistLassoAdmm::solve_path_with_rhs`].
+    /// Solve a whole lambda path from a local response: the local
+    /// `X_i^T y_i` once for the whole path, then
+    /// [`DistLassoAdmm::solve_path_with_rhs`]. Kept with
+    /// [`DistLassoAdmm::solve_ols`] for the fig4/fig6 scaling proxy.
     pub fn solve_path(
         &self,
         ctx: &mut RankCtx,
@@ -763,7 +746,9 @@ mod tests {
                     ..Default::default()
                 },
             );
-            solver.solve(ctx, comm, &y_local, lambda).beta
+            solver.solve_path(ctx, comm, &y_local, &[lambda])[0]
+                .beta
+                .clone()
         });
         (report.results[0].clone(), x, y)
     }
@@ -781,8 +766,8 @@ mod tests {
                 ..Default::default()
             },
         )
-        .solve(&y, lambda);
-        for (a, b) in beta_dist.iter().zip(&serial.beta) {
+        .solve_path_with_rhs(&gemv_t(&x, &y), &[lambda]);
+        for (a, b) in beta_dist.iter().zip(&serial[0].beta) {
             assert!((a - b).abs() < 5e-3, "dist {a} vs serial {b}");
         }
         // And the distributed solution satisfies global KKT.
@@ -797,7 +782,9 @@ mod tests {
             let x_local = x.rows_range(r * 8, (r + 1) * 8);
             let y_local = y[r * 8..(r + 1) * 8].to_vec();
             let solver = DistLassoAdmm::new(ctx, comm, x_local, AdmmConfig::default());
-            solver.solve(ctx, comm, &y_local, 0.5).beta
+            solver.solve_path(ctx, comm, &y_local, &[0.5])[0]
+                .beta
+                .clone()
         });
         for r in 1..4 {
             assert_eq!(report.results[0], report.results[r], "consensus broken");
@@ -842,7 +829,7 @@ mod tests {
                 x.rows_range(r * 8, (r + 1) * 8),
                 AdmmConfig::default(),
             );
-            let _ = solver.solve(ctx, comm, &y[r * 8..(r + 1) * 8], 0.5);
+            let _ = solver.solve_path(ctx, comm, &y[r * 8..(r + 1) * 8], &[0.5]);
             ctx.ledger()
         });
         for l in &report.results {

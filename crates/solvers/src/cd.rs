@@ -1,6 +1,6 @@
 //! Coordinate-descent solvers: the plain-LASSO statistical baseline the
 //! paper's UoI methods are compared against, and the MCP non-convex
-//! baseline (§I cites the [11] comparison against LASSO and MCP).
+//! baseline (§I cites the \[11\] comparison against LASSO and MCP).
 //!
 //! These are reference solvers: simple, sequential, covariance-update
 //! coordinate descent. They double as independent oracles for the ADMM
@@ -193,6 +193,7 @@ mod tests {
         let (x, y) = toy();
         let lam = 0.8;
         let beta_cd = lasso_cd(&x, &y, lam, &CdConfig::default());
+        let xty = uoi_linalg::gemv_t(&x, &y);
         let admm = crate::admm::LassoAdmm::new(
             x,
             crate::admm::AdmmConfig {
@@ -202,7 +203,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        let beta_admm = admm.solve(&y, lam).beta;
+        let beta_admm = admm.solve_path_with_rhs(&xty, &[lam])[0].beta.clone();
         for (a, b) in beta_cd.iter().zip(&beta_admm) {
             assert!((a - b).abs() < 1e-4, "cd {a} vs admm {b}");
         }

@@ -3,14 +3,16 @@
 //! The constrained-convex-optimisation layer of the UoI workspace
 //! (paper §II-C):
 //!
-//! * [`admm::LassoAdmm`] — serial LASSO-ADMM with warm-started,
-//!   strong-rule screened lambda paths on active-set factors, a lazily
-//!   cached full Cholesky / Woodbury factorisation for single-lambda
-//!   solves, and OLS via `lambda = 0`;
+//! * [`admm::LassoAdmm`] — serial LASSO-ADMM: warm-started, strong-rule
+//!   screened lambda paths on active-set factors, unguarded or guarded
+//!   (jitter probe, divergence tripwire, ρ restarts), plus the lockstep
+//!   stepping API of the distributed `UoI_VAR` fit;
 //! * [`admm_dist::DistLassoAdmm`] — consensus ADMM with row-wise sample
 //!   splitting over a simulated communicator (the paper's
 //!   `MPI_Allreduce`-dominated solver), its lambda paths screened by the
 //!   serial solver's strong rule run on the allreduced gradient;
+//! * [`resilience`] — the divergence tripwire and the ρ-restart ladder
+//!   both executors share, and the numerical-health ledger;
 //! * [`cd`] — cyclic coordinate descent for LASSO and MCP, plus ridge:
 //!   the statistical baselines and independent test oracles;
 //! * [`ols`] — support-restricted OLS for the UoI estimation step;
@@ -31,9 +33,8 @@ pub mod prox;
 pub mod resilience;
 
 pub use admm::{
-    admm_active_iter_flops, admm_factor_flops, admm_iter_flops, lockstep_round_charges, tripped,
-    AdmmConfig, AdmmConfigBuilder, AdmmSolution, AdmmState, AdmmStatus, AdmmWorkspace,
-    InvalidConfig, LassoAdmm, StepTask, PATH_VARIANT,
+    admm_active_iter_flops, admm_factor_flops, admm_iter_flops, lockstep_round_charges, AdmmConfig,
+    AdmmConfigBuilder, AdmmSolution, AdmmState, InvalidConfig, LassoAdmm, StepTask, PATH_VARIANT,
 };
 pub use admm_dist::DistLassoAdmm;
 pub use cd::{lasso_cd, lasso_cd_warm, mcp_cd, ridge, scad_cd, CdConfig};
@@ -44,6 +45,6 @@ pub use ols::{
 };
 pub use prox::{mcp_threshold, scad_threshold, soft_threshold, soft_threshold_vec};
 pub use resilience::{
-    rho_restarts, FactorHealth, PathHealth, ResilienceConfig, ResilientLasso, SolverError,
+    restart_tripped, FactorHealth, PathHealth, ResilienceConfig, SolverError,
     DEFAULT_DIVERGENCE_CAP, DEFAULT_MAX_RHO_RESTARTS,
 };

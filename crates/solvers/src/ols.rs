@@ -126,7 +126,6 @@ pub fn ols_on_support_gram_health(
                 FactorHealth {
                     attempts: jf.attempts,
                     jitter: jf.jitter,
-                    condest: None,
                 },
             )
         }
@@ -135,7 +134,6 @@ pub fn ols_on_support_gram_health(
             FactorHealth {
                 attempts: u32::MAX,
                 jitter: b.last_jitter,
-                condest: None,
             },
         ),
     }

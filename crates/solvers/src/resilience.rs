@@ -3,17 +3,17 @@
 //!
 //! The serial/distributed solvers defend *factorisation* breakdown with
 //! the deterministic jitter ladder in `uoi_linalg::resilience`; this
-//! module adds the *iteration*-level defenses:
+//! module adds the *iteration*-level defenses both executors share:
 //!
-//! * [`FactorHealth`] — how much jitter a constructor had to consume,
-//!   plus an optional Hager 1-norm condition estimate of the factored
-//!   system;
+//! * [`FactorHealth`] — how much jitter a factorisation had to consume;
 //! * [`ResilienceConfig`] — the divergence cap and the bounded
 //!   rho-restart budget;
-//! * [`ResilientLasso`] — a wrapper around [`LassoAdmm`] that keeps the
-//!   pristine (un-ridged) Gram so diverged lambdas can be re-solved under
-//!   an escalated/relaxed penalty (Boyd residual balancing, §3.4.1),
-//!   bounded and deterministic;
+//! * [`restart_tripped`] — the one ρ-restart ladder: a λ whose residuals
+//!   tripped the divergence cap is re-solved under an escalated or
+//!   relaxed penalty (Boyd residual balancing, §3.4.1), bounded and
+//!   deterministic. [`LassoAdmm::solve_path_guarded`] and the
+//!   distributed `UoI_LASSO` fit both run it, each passing the one-λ
+//!   re-solve of its executor;
 //! * [`PathHealth`] — the per-path ledger (jitter attempts, restarts,
 //!   recovered and dropped lambdas) the pipeline layers fold into the
 //!   run-level `NumericalHealthReport`.
@@ -22,11 +22,10 @@
 //! bit-identical to the unguarded solver, and the guard itself adds no
 //! allocations to the inner loop (a pair of comparisons per iteration).
 
-use crate::admm::{effective_rho, AdmmConfig, AdmmSolution, LassoAdmm};
-use std::collections::BTreeMap;
-use uoi_linalg::{
-    condest_1norm, factor_upper_jittered, sym_norm1_upper, FactorBreakdown, JitterLadder, Matrix,
-};
+use crate::admm::AdmmSolution;
+#[cfg(doc)]
+use crate::admm::LassoAdmm;
+use uoi_linalg::FactorBreakdown;
 
 /// Default bound on rho restarts per diverged lambda.
 pub const DEFAULT_MAX_RHO_RESTARTS: u32 = 3;
@@ -38,8 +37,7 @@ pub const DEFAULT_DIVERGENCE_CAP: f64 = 1.0e150;
 
 /// How a solver's factorisation went: jitter attempts consumed by the
 /// escalation ladder (0 = clean plain factorisation, bit-identical to
-/// the historical behaviour) and, when requested, a cheap 1-norm
-/// condition estimate of the system actually factored.
+/// the historical behaviour) and the jitter they added.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FactorHealth {
     /// Jittered attempts consumed; 0 means the plain factorisation
@@ -47,33 +45,26 @@ pub struct FactorHealth {
     pub attempts: u32,
     /// Diagonal jitter that was added; 0.0 on the clean path.
     pub jitter: f64,
-    /// Hager 1-norm condition estimate of the (ridged) system, when
-    /// estimation was enabled.
-    pub condest: Option<f64>,
 }
 
 impl FactorHealth {
-    /// A clean factorisation: no jitter, no estimate.
+    /// A clean factorisation: no jitter.
     pub fn clean() -> Self {
         Self {
             attempts: 0,
             jitter: 0.0,
-            condest: None,
         }
     }
 }
 
 /// Numerical-resilience policy knobs. The defaults arm the tripwire and
-/// a small restart budget; condition estimation is off (it costs a few
-/// O(p²) solves per factorisation).
+/// a small restart budget.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResilienceConfig {
     /// Residual cap for the divergence tripwire.
     pub divergence_cap: f64,
     /// Bounded rho-restart budget per diverged lambda.
     pub max_rho_restarts: u32,
-    /// Compute a Hager 1-norm condition estimate at construction.
-    pub estimate_condition: bool,
 }
 
 impl Default for ResilienceConfig {
@@ -81,7 +72,6 @@ impl Default for ResilienceConfig {
         Self {
             divergence_cap: DEFAULT_DIVERGENCE_CAP,
             max_rho_restarts: DEFAULT_MAX_RHO_RESTARTS,
-            estimate_condition: false,
         }
     }
 }
@@ -94,11 +84,6 @@ impl ResilienceConfig {
 
     pub fn max_rho_restarts(mut self, n: u32) -> Self {
         self.max_rho_restarts = n;
-        self
-    }
-
-    pub fn estimate_condition(mut self, on: bool) -> Self {
-        self.estimate_condition = on;
         self
     }
 }
@@ -146,12 +131,10 @@ impl From<FactorBreakdown> for SolverError {
 /// layers into the run-level report.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PathHealth {
-    /// Jittered factorisation attempts consumed at construction.
+    /// Jittered attempts the factor-health probe of `G + rho I` consumed.
     pub factor_attempts: u32,
-    /// Diagonal jitter consumed at construction (0.0 = clean).
+    /// Diagonal jitter the probe consumed (0.0 = clean).
     pub factor_jitter: f64,
-    /// Condition estimate of the factored system, when enabled.
-    pub condest: Option<f64>,
     /// Total rho-restart solves performed across the path.
     pub rho_restarts: u32,
     /// Lambda indices that diverged but recovered under a restarted rho.
@@ -190,11 +173,7 @@ impl PathHealth {
 /// (larger rho = more SPD, more damping). Rung `k` of
 /// `1..=max_restarts` is `rho * 10^k` when increasing, `rho / 10^k`
 /// otherwise.
-pub fn rho_restarts(
-    rho: f64,
-    failed: &AdmmSolution,
-    max_restarts: u32,
-) -> impl Iterator<Item = f64> {
+fn rho_restarts(rho: f64, failed: &AdmmSolution, max_restarts: u32) -> impl Iterator<Item = f64> {
     let (r, s) = (failed.primal_residual, failed.dual_residual);
     let increase = !s.is_finite() || !r.is_finite() || r >= s;
     (1..=max_restarts).map(move |rung| {
@@ -207,211 +186,130 @@ pub fn rho_restarts(
     })
 }
 
-/// A Gram-backed LASSO-ADMM solver with the full numerical-resilience
-/// ladder: jitter-defended factorisation, per-solve divergence
-/// tripwires, and bounded rho restarts for diverged lambdas.
-///
-/// Factors the full system eagerly, so breakdown and conditioning are
-/// known (and reported) at construction; clean paths then run the same
-/// screened Sequential solves as [`LassoAdmm`]. The wrapped solver keeps
-/// the pristine (un-ridged) Gram, so restart factors can be rebuilt
-/// under an escalated or relaxed penalty without access to the design.
-pub struct ResilientLasso {
-    /// The wrapped solver; it keeps the un-ridged Gram, which restart
-    /// refactorisations read.
-    inner: LassoAdmm,
-    cfg: AdmmConfig,
-    res: ResilienceConfig,
-    factor_health: FactorHealth,
-    /// Base effective penalty (`effective_rho` of the pristine Gram).
-    base_rho: f64,
-    /// Restart solvers, keyed by the bits of their penalty; rebuilt
-    /// factors are cached so many diverged lambdas share one
-    /// refactorisation.
-    restarts: BTreeMap<u64, LassoAdmm>,
+/// The divergence tripwire: a non-finite residual, or either residual
+/// above `cap`.
+pub(crate) fn tripped(r_norm: f64, s_norm: f64, cap: f64) -> bool {
+    !r_norm.is_finite() || !s_norm.is_finite() || r_norm > cap || s_norm > cap
 }
 
-impl ResilientLasso {
-    /// Build from a precomputed Gram (consumed). Equivalent to
-    /// [`LassoAdmm::from_gram`] on the clean path: same penalty, same
-    /// factorisations, same bits.
-    pub fn from_gram(
-        gram: Matrix,
-        cfg: AdmmConfig,
-        res: ResilienceConfig,
-    ) -> Result<Self, SolverError> {
-        assert!(cfg.rho > 0.0, "rho must be positive");
-        let p = gram.rows();
-        assert_eq!(p, gram.cols(), "from_gram: Gram matrix must be square");
-        let diag_sum: f64 = (0..p).map(|i| gram[(i, i)]).sum();
-        let base_rho = effective_rho(cfg.rho, diag_sum, p);
-        let mut ridged = gram.clone();
-        for i in 0..p {
-            ridged[(i, i)] += base_rho;
+/// The ρ-restart ladder of a guarded path. Every solution in `sols` that
+/// tripped — not converged, with a residual over
+/// [`ResilienceConfig::divergence_cap`] or non-finite — is re-solved by
+/// `resolve(i, rho)` under the penalties of `rho_restarts`, in order,
+/// `rho` being the rung's `AdmmConfig::rho`: the configured multiplier
+/// `cfg_rho` times `10^±k`. `resolve` returns `None` when the rung's
+/// system does not factor; the rung still counts against the budget.
+///
+/// The first re-solve that does not trip replaces the solution, and its
+/// path index goes to [`PathHealth::recovered`]. A λ that exhausts
+/// [`ResilienceConfig::max_rho_restarts`] gets a zero iterate with
+/// `converged = false`, and its index goes to [`PathHealth::diverged`];
+/// the pipeline layers feed those into the degraded-mode quorum
+/// accounting. The health's factor fields are left to the caller.
+pub fn restart_tripped(
+    res: &ResilienceConfig,
+    cfg_rho: f64,
+    sols: &mut [AdmmSolution],
+    mut resolve: impl FnMut(usize, f64) -> Option<AdmmSolution>,
+) -> PathHealth {
+    let trips = |s: &AdmmSolution| {
+        !s.converged && tripped(s.primal_residual, s.dual_residual, res.divergence_cap)
+    };
+    let mut health = PathHealth::default();
+    for (i, sol) in sols.iter_mut().enumerate() {
+        if !trips(sol) {
+            continue;
         }
-        let ladder = JitterLadder::for_matrix(&ridged);
-        let jf = factor_upper_jittered(&ridged, &ladder)?;
-        let condest = if res.estimate_condition {
-            // The norm of the un-jittered ridged system; for jittered
-            // factors the estimate is within O(jitter/trace) of exact.
-            Some(condest_1norm(&jf.chol, sym_norm1_upper(&ridged)))
+        let mut recovered = false;
+        for rho in rho_restarts(cfg_rho, sol, res.max_rho_restarts) {
+            health.rho_restarts += 1;
+            if let Some(redo) = resolve(i, rho).filter(|s| !trips(s)) {
+                *sol = redo;
+                recovered = true;
+                break;
+            }
+        }
+        if recovered {
+            health.recovered.push(i);
         } else {
-            None
-        };
-        let factor_health = FactorHealth {
-            attempts: jf.attempts,
-            jitter: jf.jitter,
-            condest,
-        };
-        let inner = LassoAdmm::from_factor(gram, jf.chol, cfg.clone(), base_rho);
-        Ok(Self {
-            inner,
-            cfg,
-            res,
-            factor_health,
-            base_rho,
-            restarts: BTreeMap::new(),
-        })
-    }
-
-    /// The wrapped solver (for unguarded entry points and metrics).
-    pub fn inner(&self) -> &LassoAdmm {
-        &self.inner
-    }
-
-    /// Attach a metrics registry to the wrapped solver (chainable).
-    /// Restart solvers are cold re-solves outside the warm-start
-    /// accounting, so they deliberately stay unregistered.
-    pub fn with_metrics(mut self, metrics: std::sync::Arc<uoi_telemetry::MetricsRegistry>) -> Self {
-        self.inner = self.inner.with_metrics(metrics);
-        self
-    }
-
-    /// How the construction-time factorisation went.
-    pub fn factor_health(&self) -> FactorHealth {
-        self.factor_health
-    }
-
-    /// The effective (data-scaled) base penalty in force.
-    pub fn penalty(&self) -> f64 {
-        self.base_rho
-    }
-
-    /// Number of coefficients.
-    pub fn n_coefficients(&self) -> usize {
-        self.inner.n_coefficients()
-    }
-
-    /// Fetch (building and caching on first use) the restart solver at
-    /// penalty `rho`. Returns `None` when even the jitter ladder cannot
-    /// factor the restarted system.
-    fn restart_solver(&mut self, rho: f64) -> Option<&LassoAdmm> {
-        if !self.restarts.contains_key(&rho.to_bits()) {
-            let gram = self.inner.gram().clone();
-            let mut ridged = gram.clone();
-            for i in 0..ridged.rows() {
-                ridged[(i, i)] += rho;
-            }
-            let ladder = JitterLadder::for_matrix(&ridged);
-            let jf = factor_upper_jittered(&ridged, &ladder).ok()?;
-            let solver = LassoAdmm::from_factor(gram, jf.chol, self.cfg.clone(), rho);
-            self.restarts.insert(rho.to_bits(), solver);
+            sol.beta.iter_mut().for_each(|b| *b = 0.0);
+            sol.converged = false;
+            health.diverged.push(i);
         }
-        self.restarts.get(&rho.to_bits())
     }
-
-    /// Re-solve one diverged lambda cold under restarted penalties.
-    /// Returns the recovered solution and the restarts consumed, or
-    /// `None` with the count if the budget is exhausted.
-    fn recover_lambda(
-        &mut self,
-        xty: &[f64],
-        lambda: f64,
-        failed: &AdmmSolution,
-    ) -> (Option<AdmmSolution>, u32) {
-        let mut used = 0u32;
-        let cap = self.res.divergence_cap;
-        for rho in rho_restarts(self.base_rho, failed, self.res.max_rho_restarts) {
-            used += 1;
-            let Some(solver) = self.restart_solver(rho) else {
-                continue;
-            };
-            let p = solver.n_coefficients();
-            let mut z = vec![0.0; p];
-            let mut u = vec![0.0; p];
-            let mut ws = solver.workspace();
-            let (st, tripped) =
-                solver.solve_warm_with_guard(xty, lambda, &mut z, &mut u, &mut ws, cap);
-            if !tripped {
-                return (
-                    Some(AdmmSolution {
-                        beta: z,
-                        iterations: st.iterations,
-                        primal_residual: st.primal_residual,
-                        dual_residual: st.dual_residual,
-                        converged: st.converged,
-                        curve: Vec::new(),
-                    }),
-                    used,
-                );
-            }
-        }
-        (None, used)
-    }
-
-    /// Solve a lambda path with the tripwire armed and bounded rho
-    /// restarts on divergence. Clean paths are bit-identical to
-    /// [`LassoAdmm::solve_path_with_rhs`].
-    ///
-    /// Diverged-and-recovered lambdas come back with the recovered
-    /// (restarted-rho) solution and their index in
-    /// [`PathHealth::recovered`]; lambdas that exhaust the restart
-    /// budget come back with a zero iterate, `converged = false`, and
-    /// their index in [`PathHealth::diverged`] — the pipeline layers
-    /// feed those into the degraded-mode quorum accounting.
-    pub fn solve_path_with_rhs(
-        &mut self,
-        xty: &[f64],
-        lambdas: &[f64],
-    ) -> (Vec<AdmmSolution>, PathHealth) {
-        let (mut out, tripped) =
-            self.inner
-                .solve_path_guarded_with_rhs(xty, lambdas, self.res.divergence_cap);
-        let mut health = PathHealth {
-            factor_attempts: self.factor_health.attempts,
-            factor_jitter: self.factor_health.jitter,
-            condest: self.factor_health.condest,
-            ..PathHealth::default()
-        };
-        for idx in tripped {
-            let (recovered, used) = self.recover_lambda(xty, lambdas[idx], &out[idx]);
-            health.rho_restarts += used;
-            match recovered {
-                Some(sol) => {
-                    out[idx] = sol;
-                    health.recovered.push(idx);
-                }
-                None => {
-                    // Exhausted: surface a defined (zero) iterate rather
-                    // than diverged garbage.
-                    let p = self.inner.n_coefficients();
-                    out[idx].beta = vec![0.0; p];
-                    out[idx].converged = false;
-                    health.diverged.push(idx);
-                }
-            }
-        }
-        (out, health)
-    }
+    health
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use uoi_linalg::{gemv_t, syrk_t, testgen};
+    use crate::admm::{AdmmConfig, LassoAdmm};
+    use uoi_linalg::{gemv_t, syrk_t, testgen, Matrix};
 
-    fn admm_cfg() -> AdmmConfig {
-        AdmmConfig::default()
+    fn guarded(gram: Matrix, xty: &[f64], lambdas: &[f64]) -> (Vec<AdmmSolution>, PathHealth) {
+        LassoAdmm::from_gram(gram, AdmmConfig::default())
+            .solve_path_guarded(xty, lambdas, &ResilienceConfig::default())
+            .expect("the Gram factors")
+    }
+
+    fn scripted(r: f64, s: f64, converged: bool) -> AdmmSolution {
+        AdmmSolution {
+            beta: vec![1.0, -2.0],
+            iterations: 7,
+            primal_residual: r,
+            dual_residual: s,
+            converged,
+            curve: Vec::new(),
+        }
+    }
+
+    /// The ladder on scripted re-solves: a primal-dominant (or
+    /// non-finite) failure climbs `rho * 10^k`, a dual-dominant one
+    /// descends `rho / 10^k`; the first rung that does not trip recovers
+    /// the λ, a rung whose system does not factor still counts, and an
+    /// exhausted λ keeps a zero, unconverged iterate.
+    #[test]
+    fn ladder_walks_the_rungs_then_recovers_or_zeroes() {
+        let res = ResilienceConfig::default().divergence_cap(1e3);
+        let mut sols = vec![
+            scripted(1.0, 1.0, true),
+            scripted(1e4, 1.0, false),
+            scripted(1.0, 1e4, false),
+            scripted(f64::NAN, f64::INFINITY, false),
+            // Converged: large residuals alone are no trip.
+            scripted(1e4, 1e4, true),
+        ];
+        let mut calls = Vec::new();
+        let health = restart_tripped(&res, 2.0, &mut sols, |i, rho| {
+            calls.push((i, rho));
+            match (i, calls.iter().filter(|c| c.0 == i).count()) {
+                (1, 1) => None,
+                (1, 2) => Some(scripted(0.5, 0.25, true)),
+                _ => Some(scripted(1e4, 1e4, false)),
+            }
+        });
+        assert_eq!(
+            calls,
+            [
+                (1, 20.0),
+                (1, 200.0),
+                (2, 0.2),
+                (2, 0.02),
+                (2, 0.002),
+                (3, 20.0),
+                (3, 200.0),
+                (3, 2000.0),
+            ]
+        );
+        assert_eq!(health.rho_restarts, 8);
+        assert_eq!(health.recovered, [1]);
+        assert_eq!(health.diverged, [2, 3]);
+        assert!(sols[1].converged && sols[1].primal_residual == 0.5);
+        for s in &sols[2..4] {
+            assert!(!s.converged && s.beta.iter().all(|&b| b == 0.0));
+        }
+        assert_eq!(sols[0].beta, [1.0, -2.0]);
+        assert_eq!(sols[4].beta, [1.0, -2.0]);
     }
 
     #[test]
@@ -422,12 +320,9 @@ mod tests {
         let xty = gemv_t(&x, &y);
         let lambdas = [0.5, 0.2, 0.05, 0.01];
 
-        let plain = LassoAdmm::from_gram(gram.clone(), admm_cfg());
-        let base = plain.solve_path_with_rhs(&xty, &lambdas);
-
-        let mut resilient =
-            ResilientLasso::from_gram(gram, admm_cfg(), ResilienceConfig::default()).unwrap();
-        let (sols, health) = resilient.solve_path_with_rhs(&xty, &lambdas);
+        let base = LassoAdmm::from_gram(gram.clone(), AdmmConfig::default())
+            .solve_path_with_rhs(&xty, &lambdas);
+        let (sols, health) = guarded(gram, &xty, &lambdas);
 
         assert!(health.is_clean(), "clean input must not trip: {health:?}");
         for (a, b) in base.iter().zip(&sols) {
@@ -443,36 +338,14 @@ mod tests {
         // Exactly singular Gram (duplicated columns, p close to n).
         let x = testgen::duplicated_columns_design(7, 12, 8, 3);
         let y = testgen::matched_response(7, &x);
-        let gram = syrk_t(&x);
-        let xty = gemv_t(&x, &y);
-
-        let mut solver =
-            ResilientLasso::from_gram(gram, admm_cfg(), ResilienceConfig::default()).unwrap();
         // Note: the effective-rho ridge usually rescues singular Grams
         // on its own; jitter fires only when even the ridge is not
         // enough, so attempts may legitimately be zero here.
-        let (sols, health) = resilient_finite(&mut solver, &xty);
+        let (sols, health) = guarded(syrk_t(&x), &gemv_t(&x, &y), &[0.3, 0.1, 0.03]);
         assert!(health.diverged.is_empty());
         for s in &sols {
             assert!(s.beta.iter().all(|v| v.is_finite()));
         }
-    }
-
-    fn resilient_finite(
-        solver: &mut ResilientLasso,
-        xty: &[f64],
-    ) -> (Vec<AdmmSolution>, PathHealth) {
-        solver.solve_path_with_rhs(xty, &[0.3, 0.1, 0.03])
-    }
-
-    #[test]
-    fn condition_estimate_reported_when_enabled() {
-        let x = testgen::random_design(11, 30, 6);
-        let gram = syrk_t(&x);
-        let res = ResilienceConfig::default().estimate_condition(true);
-        let solver = ResilientLasso::from_gram(gram, admm_cfg(), res).unwrap();
-        let est = solver.factor_health().condest.expect("condest requested");
-        assert!(est.is_finite() && est >= 1.0, "condest = {est}");
     }
 
     #[test]
@@ -481,11 +354,7 @@ mod tests {
         let y = testgen::matched_response(5, &x);
         let gram = syrk_t(&x);
         let xty = gemv_t(&x, &y);
-        let run = |gram: Matrix| {
-            let mut s =
-                ResilientLasso::from_gram(gram, admm_cfg(), ResilienceConfig::default()).unwrap();
-            s.solve_path_with_rhs(&xty, &[1e8, 1e4, 1.0])
-        };
+        let run = |gram: Matrix| guarded(gram, &xty, &[1e8, 1e4, 1.0]);
         let (a, ha) = run(gram.clone());
         let (b, hb) = run(gram);
         assert_eq!(ha, hb);
@@ -493,6 +362,29 @@ mod tests {
             assert_eq!(sa.converged, sb.converged);
             for (x, y) in sa.beta.iter().zip(&sb.beta) {
                 assert_eq!(x.to_bits(), y.to_bits());
+            }
+        }
+    }
+
+    /// A cap the base penalty's first iterations exceed trips every λ;
+    /// each recovers on a restarted penalty, at the same solution.
+    #[test]
+    fn tripped_lambdas_restart_and_recover() {
+        let x = testgen::random_design(3, 40, 8);
+        let y = testgen::matched_response(3, &x);
+        let xty = gemv_t(&x, &y);
+        let lambdas = [0.5, 0.2, 0.05];
+        let solver = LassoAdmm::from_gram(syrk_t(&x), AdmmConfig::default());
+        let base = solver.solve_path_with_rhs(&xty, &lambdas);
+        let res = ResilienceConfig::default().divergence_cap(10.0);
+        let (sols, health) = solver.solve_path_guarded(&xty, &lambdas, &res).unwrap();
+        assert!(health.rho_restarts > 0, "{health:?}");
+        assert_eq!(health.recovered, [0, 1, 2]);
+        assert!(health.diverged.is_empty());
+        for (a, b) in base.iter().zip(&sols) {
+            assert!(b.converged);
+            for (u, v) in a.beta.iter().zip(&b.beta) {
+                assert!((u - v).abs() < 1e-6, "{u} vs {v}");
             }
         }
     }

@@ -1,9 +1,9 @@
-//! Enforces the allocation contract of the ADMM inner loops: once the
-//! caller's buffers and [`AdmmWorkspace`] are warm, `LassoAdmm::solve_warm_with`
-//! performs zero heap allocations per solve, and once an [`AdmmState`] is
-//! warm, a whole screened λ path driven through `begin_lambda`/`step` —
-//! active-set gathers, sub-factorisations, polish attempts and KKT
-//! re-entries included — performs none either. A counting global allocator makes the claim
+//! Enforces the allocation contract of the ADMM inner loop: once an
+//! [`AdmmState`] is warm, a whole screened λ path driven through
+//! `begin_lambda`/`step` — active-set gathers, sub-factorisations, polish
+//! attempts and KKT re-entries included — performs zero heap
+//! allocations, and the guarded path allocates no more than the
+//! unguarded one. A counting global allocator makes the claim
 //! falsifiable rather than aspirational.
 //!
 //! Allocations are counted per thread: the harness runs tests on sibling
@@ -15,9 +15,7 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 use uoi_linalg::Matrix;
-use uoi_solvers::{
-    AdmmConfig, AdmmState, AdmmWorkspace, LassoAdmm, ResilienceConfig, ResilientLasso,
-};
+use uoi_solvers::{AdmmConfig, AdmmState, LassoAdmm, ResilienceConfig};
 use uoi_telemetry::MetricsRegistry;
 
 struct CountingAlloc;
@@ -61,56 +59,6 @@ fn deterministic_design(n: usize, p: usize) -> Matrix {
     })
 }
 
-fn warm_then_count(solver: &LassoAdmm, xty: &[f64], p: usize) -> usize {
-    let mut ws = AdmmWorkspace::new();
-    let mut z = vec![0.0; p];
-    let mut u = vec![0.0; p];
-
-    // First solve grows the workspace buffers to their steady-state size
-    // (and builds the lazily factored full system).
-    let warm = solver.solve_warm_with(xty, 0.1, &mut z, &mut u, &mut ws);
-    assert!(warm.iterations > 0);
-
-    let before = allocations();
-    for lambda in [0.3, 0.1, 0.05, 0.01, 0.0] {
-        let status = solver.solve_warm_with(xty, lambda, &mut z, &mut u, &mut ws);
-        assert!(status.iterations > 0);
-    }
-    allocations() - before
-}
-
-#[test]
-fn warm_solve_is_allocation_free_primal() {
-    // p <= n: Primal factorisation (the zero-copy bootstrap path).
-    let (n, p) = (48, 12);
-    let x = deterministic_design(n, p);
-    let y: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.11).cos()).collect();
-    let solver = LassoAdmm::new(x, AdmmConfig::default());
-    let xty = solver.prepare_rhs(&y);
-
-    let allocs = warm_then_count(&solver, &xty, p);
-    assert_eq!(
-        allocs, 0,
-        "primal solve_warm_with allocated on the warm path"
-    );
-}
-
-#[test]
-fn warm_solve_is_allocation_free_from_gram() {
-    let (n, p) = (48, 12);
-    let x = deterministic_design(n, p);
-    let y: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.23).sin()).collect();
-    let gram = uoi_linalg::syrk_t(&x);
-    let xty = uoi_linalg::gemv_t(&x, &y);
-    let solver = LassoAdmm::from_gram(gram, AdmmConfig::default());
-
-    let allocs = warm_then_count(&solver, &xty, p);
-    assert_eq!(
-        allocs, 0,
-        "gram-built solve_warm_with allocated on the warm path"
-    );
-}
-
 /// The divergence tripwire on the clean path costs zero extra heap
 /// allocations: a guarded whole-path solve allocates exactly what the
 /// unguarded one does (output solutions only; the empty trip list and
@@ -124,21 +72,23 @@ fn clean_guarded_path_allocates_no_more_than_unguarded() {
     let xty = uoi_linalg::gemv_t(&x, &y);
     let lambdas = [0.3, 0.1, 0.05, 0.01];
 
+    let res = ResilienceConfig::default();
     let plain = LassoAdmm::from_gram(gram.clone(), AdmmConfig::default());
-    let mut guarded =
-        ResilientLasso::from_gram(gram, AdmmConfig::default(), ResilienceConfig::default())
-            .expect("well-conditioned gram factors cleanly");
+    let guarded = LassoAdmm::from_gram(gram, AdmmConfig::default());
 
-    // One warm-up round each so lazily-grown buffers reach steady state.
+    // One warm-up round each so lazily-grown buffers reach steady state
+    // (and the guarded solver has probed its factor).
     let _ = plain.solve_path_with_rhs(&xty, &lambdas);
-    let _ = guarded.solve_path_with_rhs(&xty, &lambdas);
+    let _ = guarded.solve_path_guarded(&xty, &lambdas, &res);
 
     let before = allocations();
     let base = plain.solve_path_with_rhs(&xty, &lambdas);
     let plain_allocs = allocations() - before;
 
     let before = allocations();
-    let (sols, health) = guarded.solve_path_with_rhs(&xty, &lambdas);
+    let (sols, health) = guarded
+        .solve_path_guarded(&xty, &lambdas, &res)
+        .expect("well-conditioned gram factors cleanly");
     let guarded_allocs = allocations() - before;
 
     assert!(health.is_clean());
@@ -146,22 +96,6 @@ fn clean_guarded_path_allocates_no_more_than_unguarded() {
     assert_eq!(
         guarded_allocs, plain_allocs,
         "guards must add no allocations on the clean path"
-    );
-}
-
-#[test]
-fn warm_solve_is_allocation_free_woodbury() {
-    // p > n: Woodbury factorisation with its own scratch vectors.
-    let (n, p) = (10, 24);
-    let x = deterministic_design(n, p);
-    let y: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.31).cos()).collect();
-    let solver = LassoAdmm::new(x, AdmmConfig::default());
-    let xty = solver.prepare_rhs(&y);
-
-    let allocs = warm_then_count(&solver, &xty, p);
-    assert_eq!(
-        allocs, 0,
-        "woodbury solve_warm_with allocated on the warm path"
     );
 }
 

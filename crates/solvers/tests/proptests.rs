@@ -6,9 +6,15 @@ use proptest::prelude::*;
 use uoi_linalg::{testgen, Matrix};
 use uoi_solvers::{
     lasso_cd, lasso_kkt_violation, lasso_objective, mcp_threshold, ols_on_support,
-    ols_on_support_gram, soft_threshold, support_of, AdmmConfig, CdConfig, LassoAdmm,
-    ResilienceConfig, ResilientLasso,
+    ols_on_support_gram, soft_threshold, support_of, AdmmConfig, AdmmSolution, CdConfig, LassoAdmm,
+    ResilienceConfig,
 };
+
+/// One λ as a one-λ screened path against `X^T y`.
+fn solve_one(solver: &LassoAdmm, x: &Matrix, y: &[f64], lam: f64) -> AdmmSolution {
+    let mut path = solver.solve_path_with_rhs(&uoi_linalg::gemv_t(x, y), &[lam]);
+    path.pop().expect("one λ solved")
+}
 
 fn problem_strategy() -> impl Strategy<Value = (Matrix, Vec<f64>)> {
     (4usize..20, 2usize..8, 0u64..500).prop_map(|(n, p, seed)| {
@@ -61,11 +67,11 @@ proptest! {
     fn admm_matches_cd((x, y) in problem_strategy(), lam_frac in 0.05..0.6f64) {
         let lam = uoi_solvers::lambda_max(&x, &y).max(1e-9) * lam_frac;
         let cd = lasso_cd(&x, &y, lam, &CdConfig { max_sweeps: 3000, tol: 1e-11 });
-        let admm = LassoAdmm::new(
+        let solver = LassoAdmm::new(
             x.clone(),
             AdmmConfig { max_iter: 8000, abstol: 1e-10, reltol: 1e-9, ..Default::default() },
-        )
-        .solve(&y, lam);
+        );
+        let admm = solve_one(&solver, &x, &y, lam);
         // Objectives agree even when near-degenerate coordinates differ.
         let o_cd = lasso_objective(&x, &y, &cd, lam);
         let o_admm = lasso_objective(&x, &y, &admm.beta, lam);
@@ -108,8 +114,8 @@ proptest! {
             x.clone(),
             AdmmConfig { max_iter: 4000, abstol: 1e-10, reltol: 1e-9, ..Default::default() },
         );
-        let lo = solver.solve(&y, 0.05 * lmax);
-        let hi = solver.solve(&y, 0.8 * lmax);
+        let lo = solve_one(&solver, &x, &y, 0.05 * lmax);
+        let hi = solve_one(&solver, &x, &y, 0.8 * lmax);
         let nnz = |b: &[f64]| b.iter().filter(|v| v.abs() > 1e-7).count();
         // Not strictly guaranteed pointwise for LASSO, but holds for the
         // objective-level check: higher lambda gives smaller L1 norm.
@@ -127,7 +133,7 @@ proptest! {
         let cfg = AdmmConfig::default();
         let dense = LassoAdmm::new(x.clone(), cfg.clone());
         let gram = LassoAdmm::from_gram(uoi_linalg::syrk_t(&x), cfg);
-        let xty = dense.prepare_rhs(&y);
+        let xty = uoi_linalg::gemv_t(&x, &y);
         let lmax = uoi_solvers::lambda_max(&x, &y).max(1e-9);
         let lambdas = [0.5 * lmax, 0.1 * lmax, 0.0];
         let a = dense.solve_path_with_rhs(&xty, &lambdas);
@@ -201,9 +207,9 @@ proptest! {
         let gram = uoi_linalg::syrk_t(&x);
         let xty = uoi_linalg::gemv_t(&x, &y);
         let lambdas = [0.5, 0.1, 0.02];
-        match ResilientLasso::from_gram(gram, AdmmConfig::default(), ResilienceConfig::default()) {
-            Ok(mut solver) => {
-                let (sols, health) = solver.solve_path_with_rhs(&xty, &lambdas);
+        let solver = LassoAdmm::from_gram(gram, AdmmConfig::default());
+        match solver.solve_path_guarded(&xty, &lambdas, &ResilienceConfig::default()) {
+            Ok((sols, health)) => {
                 prop_assert_eq!(sols.len(), lambdas.len());
                 for s in &sols {
                     prop_assert!(s.beta.iter().all(|v| v.is_finite()));
@@ -232,10 +238,9 @@ proptest! {
         let lambdas = [0.4, 0.1, 0.01];
         let plain = LassoAdmm::from_gram(gram.clone(), AdmmConfig::default());
         let base = plain.solve_path_with_rhs(&xty, &lambdas);
-        let mut res =
-            ResilientLasso::from_gram(gram, AdmmConfig::default(), ResilienceConfig::default())
-                .unwrap();
-        let (sols, health) = res.solve_path_with_rhs(&xty, &lambdas);
+        let guarded = LassoAdmm::from_gram(gram, AdmmConfig::default());
+        let (sols, health) =
+            guarded.solve_path_guarded(&xty, &lambdas, &ResilienceConfig::default()).unwrap();
         prop_assert!(health.is_clean(), "clean design tripped: {:?}", health);
         for (a, b) in base.iter().zip(&sols) {
             prop_assert_eq!(a.iterations, b.iterations);

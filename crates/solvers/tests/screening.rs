@@ -12,7 +12,7 @@ use std::sync::Arc;
 use uoi_linalg::{gemv_t, syrk_t, testgen, Matrix};
 use uoi_solvers::{
     lasso_cd, lasso_kkt_violation, lasso_objective, support_of, AdmmConfig, AdmmSolution,
-    AdmmState, CdConfig, LassoAdmm, ResilienceConfig, ResilientLasso, StepTask,
+    AdmmState, CdConfig, LassoAdmm, ResilienceConfig, StepTask,
 };
 use uoi_telemetry::MetricsRegistry;
 
@@ -212,7 +212,7 @@ fn lambda_at_or_above_lambda_max_gives_empty_set_and_zero() {
 }
 
 #[test]
-fn tiny_lambda_screens_in_every_feature_and_matches_the_full_solve() {
+fn tiny_lambda_screens_in_every_feature_and_matches_cd() {
     let x = testgen::random_design(5, 40, 10);
     let y = testgen::matched_response(5, &x);
     let cfg = cfg();
@@ -228,10 +228,10 @@ fn tiny_lambda_screens_in_every_feature_and_matches_the_full_solve() {
         "every feature must be screened in"
     );
     let screened = solver.solve_path_with_rhs(&xty, &[lam]);
-    let full = solver.solve_with_rhs(&xty, lam);
-    assert!(screened[0].converged && full.converged);
-    for (a, b) in screened[0].beta.iter().zip(&full.beta) {
-        assert!((a - b).abs() < 1e-5, "screened {a} vs full {b}");
+    let cd = lasso_cd(&x, &y, lam, &tight_cd());
+    assert!(screened[0].converged);
+    for (a, b) in screened[0].beta.iter().zip(&cd) {
+        assert!((a - b).abs() < 1e-5, "screened {a} vs CD {b}");
     }
     assert_path_optimal(&x, &y, &[lam], &screened, &cfg);
 }
@@ -249,7 +249,7 @@ fn wide_designs_agree_with_cd() {
         let lambdas = grid(lambda_max(&xty), 0.6, 6);
         for sols in [
             solver.solve_path_with_rhs(&xty, &lambdas),
-            dense.solve_path(&y, &lambdas),
+            dense.solve_path_with_rhs(&xty, &lambdas),
         ] {
             assert_path_optimal(&x, &y, &lambdas, &sols, &cfg);
             for (sol, &lam) in sols.iter().zip(&lambdas) {
@@ -420,12 +420,12 @@ fn guarded_path_polishes_every_lambda() {
     let x = testgen::random_design(9, 40, 12);
     let y = testgen::matched_response(9, &x);
     let metrics = Arc::new(MetricsRegistry::new());
-    let mut guarded = ResilientLasso::from_gram(syrk_t(&x), cfg(), ResilienceConfig::default())
-        .expect("a clean Gram factors")
-        .with_metrics(metrics.clone());
+    let guarded = LassoAdmm::from_gram(syrk_t(&x), cfg()).with_metrics(metrics.clone());
     let xty = gemv_t(&x, &y);
     let lambdas = grid(lambda_max(&xty), 0.6, 8);
-    let (sols, health) = guarded.solve_path_with_rhs(&xty, &lambdas);
+    let (sols, health) = guarded
+        .solve_path_guarded(&xty, &lambdas, &ResilienceConfig::default())
+        .expect("a clean Gram factors");
     assert!(health.is_clean());
     assert_eq!(
         metrics.counter("admm.polish.accepted"),

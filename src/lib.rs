@@ -86,7 +86,7 @@ pub use uoi_tieredio as tieredio;
 ///
 /// Covers the fitters, their validated config builders, the error type,
 /// the simulated cluster, the synthetic data generators, the vectorised
-/// [`kernels`] module, and the telemetry types (tracing sinks, metrics
+/// [`kernels`](uoi_linalg::kernels) module, and the telemetry types (tracing sinks, metrics
 /// registry, run reports).
 pub mod prelude {
     pub use uoi_core::{
