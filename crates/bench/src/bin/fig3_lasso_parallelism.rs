@@ -9,10 +9,10 @@
 //! evaluated at the paper's core counts.
 
 use uoi_bench::setups::{machine, LASSO_FEATURES};
+use uoi_bench::workload::LassoScalingFit;
 use uoi_bench::{emit_run_report, fmt_bytes, quick_mode, BenchTrace, Table};
-use uoi_core::{DistOptions, ExecMode, ParallelLayout, UoiFitter, UoiLassoConfig};
-use uoi_data::LinearConfig;
-use uoi_mpisim::{Cluster, Phase};
+use uoi_core::{ParallelLayout, UoiLassoConfig};
+use uoi_mpisim::Phase;
 use uoi_solvers::AdmmConfig;
 
 fn main() {
@@ -48,18 +48,8 @@ fn main() {
         // Per-core rows are constant across the sweep (both axes double).
         let rows_per_core =
             ((bytes / (8.0 * LASSO_FEATURES as f64 * cores as f64)).round() as usize).max(8);
-        let ds = LinearConfig {
-            n_samples: rows_per_core, // one modeled core's block per rank
-            n_features: p,
-            n_nonzero: 10,
-            snr: 8.0,
-            seed: 3,
-            ..Default::default()
-        }
-        .generate();
 
         for &(p_b, p_l) in configs {
-            let layout = ParallelLayout { p_b, p_lambda: p_l };
             let cfg = UoiLassoConfig {
                 b1: b,
                 b2: b,
@@ -73,18 +63,20 @@ fn main() {
                 seed: 5,
                 ..Default::default()
             };
-            let (x, y) = (ds.x.clone(), ds.y.clone());
             let trace =
                 BenchTrace::from_env(&format!("fig3_lasso_parallelism.c{cores}_pb{p_b}_pl{p_l}"));
-            let report = Cluster::new(exec, machine())
-                .modeled_ranks(cores)
-                .with_telemetry(trace.telemetry())
-                .run(move |ctx, world| {
-                    let fitter = UoiFitter::new(cfg.clone())
-                        .mode(ExecMode::Dist(DistOptions::default().layout(layout)));
-                    let _ = fitter.fit_on(ctx, world, &x, &y);
-                    ctx.ledger()
-                });
+            let report = LassoScalingFit {
+                rows_per_core,
+                features: p,
+                modeled_cores: cores,
+                exec_ranks: exec,
+                layout: ParallelLayout { p_b, p_lambda: p_l },
+                cfg,
+                data_seed: 3,
+                io_bytes: None,
+                model: machine(),
+            }
+            .execute(trace.telemetry());
             let l = report.phase_max();
             last_summary = Some(report.run_summary());
             last_trace = Some(trace);

@@ -6,10 +6,13 @@
 //! rise at 8 TB); communication (`MPI_Allreduce`-dominated) grows with
 //! the core count.
 
+use std::sync::Arc;
 use uoi_bench::setups::{lasso_rows, lasso_weak, machine, LASSO_FEATURES};
-use uoi_bench::workload::LassoScalingRun;
+use uoi_bench::workload::{lasso_scaling_cfg, LassoScalingFit};
 use uoi_bench::{emit_run_report, exec_ranks, fmt_bytes, quick_mode, Table};
+use uoi_core::ParallelLayout;
 use uoi_mpisim::Phase;
+use uoi_telemetry::{HistogramSummary, MetricsRegistry, Telemetry};
 
 fn main() {
     let (b1, b2, q) = if quick_mode() { (1, 1, 2) } else { (2, 2, 4) };
@@ -24,25 +27,28 @@ fn main() {
             "distribution (s)",
             "data I/O (s)",
             "total (s)",
+            "median |S|",
+            "max |S|",
         ],
     );
     let mut last_summary = None;
     for point in lasso_weak() {
         let rows_per_core = (lasso_rows(point.bytes) as f64 / point.cores as f64).round() as usize;
-        let run = LassoScalingRun {
+        let metrics = Arc::new(MetricsRegistry::new());
+        let report = LassoScalingFit {
             rows_per_core,
             features: LASSO_FEATURES,
             modeled_cores: point.cores,
             exec_ranks: exec_ranks(),
-            b1,
-            b2,
-            q,
-            io_bytes: point.bytes,
+            layout: ParallelLayout::admm_only(),
+            cfg: lasso_scaling_cfg(b1, b2, q, 7),
+            data_seed: 7,
+            io_bytes: Some(point.bytes),
             model: machine(),
-            seed: 7,
-        };
-        let report = run.execute();
+        }
+        .execute(Telemetry::with_metrics(metrics.clone()));
         let l = report.phase_max();
+        let active = HistogramSummary::from_samples(&metrics.samples("admm_dist.active_size"));
         last_summary = Some(report.run_summary());
         t.row(&[
             fmt_bytes(point.bytes),
@@ -53,6 +59,8 @@ fn main() {
             format!("{:.3}", l.get(Phase::Distribution)),
             format!("{:.3}", l.get(Phase::DataIo)),
             format!("{:.3}", l.total()),
+            format!("{}", active.p50),
+            format!("{}", active.max),
         ]);
     }
     t.emit("fig4_lasso_weak");
@@ -62,6 +70,7 @@ fn main() {
     }
     emit_run_report(&rep);
     println!(
-        "paper shape check: computation ~flat across the sweep; communication grows with core count."
+        "paper shape check: computation ~flat across the sweep; communication grows with core count.\n\
+         |S| is each consensus lambda's final active set, against rows/core = n_local."
     );
 }

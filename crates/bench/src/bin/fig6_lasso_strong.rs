@@ -7,10 +7,13 @@
 //! through its cache-speedup term. Communication grows with core count
 //! but the solver converges faster at the largest scale.
 
+use std::sync::Arc;
 use uoi_bench::setups::{lasso_rows, lasso_strong, machine, LASSO_FEATURES};
-use uoi_bench::workload::LassoScalingRun;
+use uoi_bench::workload::{lasso_scaling_cfg, LassoScalingFit};
 use uoi_bench::{emit_run_report, exec_ranks, fmt_bytes, quick_mode, Table};
+use uoi_core::ParallelLayout;
 use uoi_mpisim::Phase;
+use uoi_telemetry::{HistogramSummary, MetricsRegistry, Telemetry};
 
 fn main() {
     let (bytes, cores_list) = lasso_strong();
@@ -27,26 +30,29 @@ fn main() {
             "communication (s)",
             "distribution (s)",
             "total (s)",
+            "median |S|",
+            "max |S|",
         ],
     );
     let mut base_compute = None;
     let mut last_summary = None;
     for &cores in &cores_list {
         let rows_per_core = (total_rows as f64 / cores as f64).round() as usize;
-        let run = LassoScalingRun {
+        let metrics = Arc::new(MetricsRegistry::new());
+        let report = LassoScalingFit {
             rows_per_core,
             features: LASSO_FEATURES,
             modeled_cores: cores,
             exec_ranks: exec_ranks(),
-            b1,
-            b2,
-            q,
-            io_bytes: bytes,
+            layout: ParallelLayout::admm_only(),
+            cfg: lasso_scaling_cfg(b1, b2, q, 9),
+            data_seed: 9,
+            io_bytes: Some(bytes),
             model: machine(),
-            seed: 9,
-        };
-        let report = run.execute();
+        }
+        .execute(Telemetry::with_metrics(metrics.clone()));
         let l = report.phase_max();
+        let active = HistogramSummary::from_samples(&metrics.samples("admm_dist.active_size"));
         last_summary = Some(report.run_summary());
         let compute = l.get(Phase::Compute);
         let base = *base_compute.get_or_insert(compute * cores_list[0] as f64);
@@ -59,6 +65,8 @@ fn main() {
             format!("{:.3}", l.get(Phase::Comm)),
             format!("{:.3}", l.get(Phase::Distribution)),
             format!("{:.3}", l.total()),
+            format!("{}", active.p50),
+            format!("{}", active.max),
         ]);
     }
     t.emit("fig6_lasso_strong");
@@ -71,7 +79,8 @@ fn main() {
     emit_run_report(&rep);
     println!(
         "paper shape check: computation near-ideal 1/P, dipping below ideal at the largest\n\
-         core count (cache effect); communication grows with P. Problem: {} fixed.",
+         core count (cache effect); communication grows with P. Problem: {} fixed.\n\
+         |S| is each consensus lambda's final active set, against rows/core = n_local.",
         fmt_bytes(bytes)
     );
 }

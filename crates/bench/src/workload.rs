@@ -14,19 +14,20 @@ use std::sync::{Arc, Mutex};
 
 use uoi_core::uoi_lasso::UoiLassoConfig;
 use uoi_core::uoi_var::UoiVarConfig;
-use uoi_core::{DistOptions, ExecMode, UoiVarFitter};
-use uoi_data::rng::{normal_vec, substream};
-use uoi_data::{VarConfig, VarProcess};
-use uoi_linalg::Matrix;
-use uoi_mpisim::{Cluster, MachineModel, PhaseLedger, SimReport};
-use uoi_solvers::{AdmmConfig, DistLassoAdmm};
+use uoi_core::{DistOptions, ExecMode, ParallelLayout, UoiFitter, UoiVarFitter};
+use uoi_data::{LinearConfig, VarConfig, VarProcess};
+use uoi_mpisim::{Cluster, MachineModel, PhaseLedger, RankCtx, SimReport};
+use uoi_solvers::AdmmConfig;
 use uoi_telemetry::{Json, Telemetry};
-use uoi_tieredio::distribution::tier2_shuffle;
 
-/// Parameters of one representative `UoI_LASSO` scaling run.
+/// One Table I point of the `UoI_LASSO` scaling figures (3, 4 and 6):
+/// the real distributed fit ([`UoiFitter::fit_on`]) on a synthetic
+/// `LinearConfig` dataset, under [`Cluster::modeled_ranks`].
 #[derive(Debug, Clone)]
-pub struct LassoScalingRun {
-    /// Rows resident on each (modeled) core.
+pub struct LassoScalingFit {
+    /// Rows resident on each (modeled) core. The dataset holds one
+    /// core's block per executed rank of an ADMM communicator:
+    /// `rows_per_core × exec_ranks / (P_B × P_lambda)` rows.
     pub rows_per_core: usize,
     /// Feature count (paper: 20,101).
     pub features: usize,
@@ -34,137 +35,78 @@ pub struct LassoScalingRun {
     pub modeled_cores: usize,
     /// Executed ranks.
     pub exec_ranks: usize,
-    /// Selection bootstraps.
-    pub b1: usize,
-    /// Estimation bootstraps.
-    pub b2: usize,
-    /// Lambda count.
-    pub q: usize,
-    /// Aggregate dataset bytes charged to the parallel read.
-    pub io_bytes: f64,
+    /// `P_B x P_lambda x ADMM` decomposition of the executed ranks.
+    pub layout: ParallelLayout,
+    /// The fit's configuration (`b1`, `b2`, `q`, solver, seed).
+    pub cfg: UoiLassoConfig,
+    /// Seed of the synthetic dataset.
+    pub data_seed: u64,
+    /// Aggregate dataset bytes charged to the modeled parallel read (and
+    /// the coefficients to the write); `None` charges no I/O.
+    pub io_bytes: Option<f64>,
     /// Machine model.
     pub model: MachineModel,
-    /// Seed.
-    pub seed: u64,
 }
 
-impl LassoScalingRun {
-    /// Execute the run and return the simulation report (per-rank phase
-    /// ledgers evaluated at the modeled core count).
-    pub fn execute(&self) -> SimReport<PhaseLedger> {
-        self.execute_traced(Telemetry::disabled())
-    }
-
-    /// [`execute`](Self::execute) with a telemetry handle attached, so
-    /// harnesses running under `UOI_TRACE=1` capture the run's timeline.
-    pub fn execute_traced(&self, telemetry: Telemetry) -> SimReport<PhaseLedger> {
-        let rows = self.rows_per_core.max(2);
-        let p = self.features;
-        let (b1, b2, q) = (self.b1, self.b2, self.q);
-        let io_bytes = self.io_bytes;
-        let seed = self.seed;
+impl LassoScalingFit {
+    /// Execute the run with `telemetry` attached (pass
+    /// [`Telemetry::disabled`] for none) and return the simulation
+    /// report: per-rank phase ledgers evaluated at the modeled core
+    /// count.
+    pub fn execute(&self, telemetry: Telemetry) -> SimReport<PhaseLedger> {
+        let admm_ranks = self.exec_ranks / (self.layout.p_b * self.layout.p_lambda);
+        let ds = LinearConfig {
+            n_samples: self.rows_per_core * admm_ranks,
+            n_features: self.features,
+            n_nonzero: 10,
+            snr: 8.0,
+            seed: self.data_seed,
+            ..Default::default()
+        }
+        .generate();
+        let fitter = UoiFitter::new(self.cfg.clone())
+            .mode(ExecMode::Dist(DistOptions::default().layout(self.layout)));
+        let (io_bytes, p) = (self.io_bytes, self.features);
         Cluster::new(self.exec_ranks, self.model.clone())
             .modeled_ranks(self.modeled_cores)
             .with_telemetry(telemetry)
             .run(move |ctx, world| {
-                let c = world.size();
-                let n_local_total = rows; // per executed rank (== per core)
-                let n_global = n_local_total * c;
-
-                // --- Data I/O: striped parallel read of the dataset. ---
-                let t_read = ctx
-                    .model()
-                    .io
-                    .parallel_read_time(world.modeled_size(ctx), io_bytes);
-                ctx.charge_io(t_read);
-
-                // --- Resident Tier-1 block: synthetic rows. ---
-                let mut rng = substream(seed, world.rank() as u64);
-                let x_data = normal_vec(&mut rng, n_local_total * p, 0.0, 1.0);
-                let block = {
-                    // y = first 10 features sum + noise, appended as last col.
-                    let mut b = Matrix::zeros(n_local_total, p + 1);
-                    for i in 0..n_local_total {
-                        let row = &x_data[i * p..(i + 1) * p];
-                        let y: f64 =
-                            row.iter().take(10).sum::<f64>() + 0.1 * ((i % 7) as f64 - 3.0);
-                        b.row_mut(i)[..p].copy_from_slice(row);
-                        b.row_mut(i)[p] = y;
-                    }
-                    b
+                // Data I/O: the striped parallel read of the dataset, and
+                // the coefficient write.
+                let io = |ctx: &mut RankCtx, bytes| {
+                    let t = ctx
+                        .model()
+                        .io
+                        .parallel_read_time(world.modeled_size(ctx), bytes);
+                    ctx.charge_io(t);
                 };
-                ctx.compute_membound((n_local_total * p * 8) as f64);
-
-                // Shared lambda grid from a local estimate of lambda_max,
-                // averaged across ranks (one tiny allreduce).
-                let xt_local = {
-                    let cols: Vec<usize> = (0..p).collect();
-                    block.gather_cols(&cols)
-                };
-                let y_local = block.col(p);
-                let mut lmax = vec![uoi_linalg::norm_inf(&uoi_linalg::gemv_t(
-                    &xt_local, &y_local,
-                ))];
-                ctx.compute_flops(2.0 * (n_local_total * p) as f64, 0.0);
-                world.allreduce_sum(ctx, &mut lmax);
-                let lmax = (lmax[0] / c as f64).max(1e-9);
-                let lambdas = uoi_solvers::geometric_grid(lmax, 0.05 * lmax, q);
-
-                let admm = AdmmConfig {
-                    max_iter: 80,
-                    ..Default::default()
-                };
-                let mut last_support: Vec<usize> = (0..10.min(p)).collect();
-
-                // --- Selection: b1 bootstraps x q lambdas. ---
-                for k in 0..b1 {
-                    let mut rng = substream(seed ^ 0xB001, k as u64);
-                    let my_rows: Vec<usize> = (0..n_local_total)
-                        .map(|_| uoi_data::bootstrap::row_bootstrap(&mut rng, n_global, 1)[0])
-                        .collect();
-                    let (boot, _) = tier2_shuffle(ctx, world, block.clone(), n_global, &my_rows);
-                    let cols: Vec<usize> = (0..p).collect();
-                    let xb = boot.gather_cols(&cols);
-                    let yb = boot.col(p);
-                    let solver = DistLassoAdmm::new(ctx, world, xb, admm.clone());
-                    let sols = solver.solve_path(ctx, world, &yb, &lambdas);
-                    if let Some(s) = sols.last() {
-                        let sup = uoi_solvers::support_of(&s.beta, 1e-6);
-                        if !sup.is_empty() {
-                            last_support = sup;
-                        }
-                    }
+                if let Some(bytes) = io_bytes {
+                    io(ctx, bytes);
                 }
-
-                // --- Estimation: b2 OLS fits on the running support. ---
-                for k in 0..b2 {
-                    let mut rng = substream(seed ^ 0xE571, k as u64);
-                    let my_rows: Vec<usize> = (0..n_local_total)
-                        .map(|_| uoi_data::bootstrap::row_bootstrap(&mut rng, n_global, 1)[0])
-                        .collect();
-                    let (boot, _) = tier2_shuffle(ctx, world, block.clone(), n_global, &my_rows);
-                    let cols: Vec<usize> = (0..p).collect();
-                    let xb = boot.gather_cols(&cols).gather_cols(&last_support);
-                    let yb = boot.col(p);
-                    let solver = DistLassoAdmm::new(ctx, world, xb, admm.clone());
-                    let sol = solver.solve_ols(ctx, world, &yb);
-                    let mut loss = vec![uoi_linalg::mse(
-                        &boot.gather_cols(&cols).gather_cols(&last_support),
-                        &sol.beta,
-                        &yb,
-                    )];
-                    world.allreduce_sum(ctx, &mut loss);
+                let _ = fitter.fit_on(ctx, world, &ds.x, &ds.y);
+                if io_bytes.is_some() {
+                    io(ctx, (p * 8) as f64);
                 }
-
-                // --- Output save. ---
-                let t_write = ctx
-                    .model()
-                    .io
-                    .parallel_read_time(world.modeled_size(ctx), (p * 8) as f64);
-                ctx.charge_io(t_write);
-
                 ctx.ledger()
             })
+    }
+}
+
+/// The fit configuration of a fig4/fig6 point: `b1`/`b2`/`q` from the
+/// harness, a λ grid down to 5 % of `λ_max`, and 80 ADMM iterations per λ.
+pub fn lasso_scaling_cfg(b1: usize, b2: usize, q: usize, seed: u64) -> UoiLassoConfig {
+    UoiLassoConfig {
+        b1,
+        b2,
+        q,
+        lambda_min_ratio: 5e-2,
+        admm: AdmmConfig {
+            max_iter: 80,
+            ..Default::default()
+        },
+        support_tol: 1e-6,
+        seed,
+        ..Default::default()
     }
 }
 

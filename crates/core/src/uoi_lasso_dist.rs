@@ -347,23 +347,25 @@ impl LassoDist<'_> {
                 .note_task_dropped(&self.num_tel, "selection", k, "factorization_exhausted");
             return None;
         }
-        let solver = attempt.expect("no rank reported a factor breakdown");
+        let solver = attempt
+            .expect("no rank reported a factor breakdown")
+            .divergence_cap(self.cfg.numerical.resilience.divergence_cap);
         let mut sols = solver.solve_path_with_rhs(ctx, comm, &sys.xty, &lambdas);
         self.recover_diverged(ctx, comm, sys, lambda_ids, &mut sols, k);
         Some(sols)
     }
 
-    /// Post-hoc divergence detection and bounded-rho recovery for a
-    /// solved distributed selection path, on the shared ladder
+    /// Bounded-rho recovery for the λs of a distributed selection path
+    /// that tripped the divergence cap, on the shared ladder
     /// ([`restart_tripped`]).
     ///
-    /// The residuals in `sols` are consensus (allreduced) quantities, so
-    /// every rank detects the same divergences and walks the same restart
-    /// rungs — control flow stays collectively aligned. Each rung
-    /// rebuilds the consensus solver from the same local system at the
-    /// rung's penalty and re-solves just the diverged lambda as a one-λ
-    /// screened path. Its factorisation may break on some rank, so every
-    /// rung first agrees on that with an allreduce, as construction does;
+    /// The tripwire reads consensus (allreduced) residuals on every
+    /// iteration, so every rank trips on the same λs and walks the same
+    /// restart rungs — control flow stays collectively aligned. Each rung
+    /// rebuilds the armed consensus solver from the same local system at
+    /// the rung's penalty and re-solves just the diverged lambda as a
+    /// one-λ screened path. Its factorisation may break on some rank, so
+    /// every rung first agrees on that with an allreduce, as construction does;
     /// a rung that broke anywhere is skipped everywhere. A lambda that
     /// exhausts the budget degrades to the zero iterate — it then
     /// contributes no selection votes — and is recorded as a dropped
@@ -389,7 +391,9 @@ impl LassoDist<'_> {
             if broke[0] > 0.0 {
                 return None;
             }
-            let solver = attempt.expect("no rank reported a factor breakdown");
+            let solver = attempt
+                .expect("no rank reported a factor breakdown")
+                .divergence_cap(res.divergence_cap);
             let lambda = [self.centring.lambdas[lambda_ids[i]]];
             solver
                 .solve_path_with_rhs(ctx, comm, &sys.xty, &lambda)

@@ -559,3 +559,40 @@ fn dist_and_serial_report_the_same_estimation_jitter() {
     );
     assert_eq!(estimation_jitter(dist_sink.snapshot()), want);
 }
+
+/// The Dist fit checks the tripwire on every consensus iteration's
+/// allreduced residuals, as the serial guarded path does, so a cap that
+/// only a λ's early iterations cross trips even when the λ would go on
+/// to converge within `max_iter`. At cap 0.1 every trip stays diverged
+/// through the restarts; at cap 10 both executors trip and recover every
+/// trip.
+#[test]
+fn dist_tripwire_checks_every_iteration_like_serial() {
+    let ds = clean_dataset();
+    let fit = |cap: f64, mode: ExecMode| {
+        let mut cfg = lasso_cfg();
+        cfg.numerical = NumericalConfig::guarded();
+        cfg.numerical.resilience = ResilienceConfig::default().divergence_cap(cap);
+        UoiFitter::new(cfg).mode(mode).fit(&ds.x, &ds.y)
+    };
+    let dist = || {
+        ExecMode::Dist(DistOptions {
+            layout: ParallelLayout::admm_only(),
+            ..Default::default()
+        })
+    };
+
+    let tight = fit(0.1, dist()).expect("dist fit completes");
+    let report = tight.numerical.expect("report attached");
+    assert!(report.rho_restarts > 0, "cap 0.1 must trip: {report:?}");
+    assert!(report.divergences > 0, "{report:?}");
+
+    for (who, mode) in [("serial", ExecMode::Serial), ("dist", dist())] {
+        let fitted = fit(10.0, mode).unwrap_or_else(|e| panic!("{who}: {e}"));
+        let r = fitted.numerical.expect("report attached");
+        assert!(r.rho_restarts > 0, "{who}: cap 10 must trip: {r:?}");
+        assert!(r.divergences > 0, "{who}: {r:?}");
+        assert_eq!(r.recovered, r.divergences, "{who}: every trip recovers");
+        assert_eq!(r.dropped_tasks, 0, "{who}: {r:?}");
+    }
+}

@@ -141,12 +141,6 @@ pub fn vsub(a: &[f64], b: &[f64]) -> Vec<f64> {
     a.iter().zip(b).map(|(x, y)| x - y).collect()
 }
 
-/// `a + b` as a fresh vector.
-pub fn vadd(a: &[f64], b: &[f64]) -> Vec<f64> {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b).map(|(x, y)| x + y).collect()
-}
-
 /// Matrix-vector product `A * x`.
 ///
 /// Row-major layout makes this a sequence of dot products; rows are

@@ -268,14 +268,6 @@ impl Matrix {
         }
     }
 
-    /// `self += other` (elementwise).
-    pub fn add_assign(&mut self, other: &Matrix) {
-        assert_eq!(self.shape(), other.shape());
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
-            *a += b;
-        }
-    }
-
     /// `self -= other` (elementwise).
     pub fn sub_assign(&mut self, other: &Matrix) {
         assert_eq!(self.shape(), other.shape());

@@ -17,8 +17,8 @@ use uoi_telemetry::{PhaseTotals, RunSummary, Telemetry};
 pub const DEFAULT_WATCHDOG: Duration = Duration::from_secs(10);
 
 /// Environment variable overriding the epoch-watchdog timeout, in whole
-/// milliseconds. Unset, unparsable, or zero values fall back to the
-/// builder-configured (or default) timeout.
+/// milliseconds. Unset, unparsable, or zero values fall back to
+/// [`DEFAULT_WATCHDOG`]; [`Cluster::with_watchdog`] overrides either.
 pub const UOI_WATCHDOG_ENV: &str = "UOI_WATCHDOG_MS";
 
 /// Parse a watchdog override in milliseconds. Returns `None` for values
@@ -133,7 +133,9 @@ pub struct Cluster {
 }
 
 impl Cluster {
-    /// A cluster executing (and modeling) `ranks` ranks.
+    /// A cluster executing (and modeling) `ranks` ranks, under the
+    /// `UOI_WATCHDOG_MS` epoch watchdog when that is set and valid and
+    /// [`DEFAULT_WATCHDOG`] otherwise.
     pub fn new(ranks: usize, model: MachineModel) -> Self {
         assert!(ranks >= 1, "cluster needs at least one rank");
         Self {
@@ -142,7 +144,7 @@ impl Cluster {
             model: Arc::new(model),
             telemetry: Telemetry::disabled(),
             fault_plan: None,
-            watchdog: DEFAULT_WATCHDOG,
+            watchdog: watchdog_from_env().unwrap_or(DEFAULT_WATCHDOG),
         }
     }
 
@@ -155,18 +157,10 @@ impl Cluster {
     }
 
     /// Override the epoch-watchdog timeout applied to every collective and
-    /// point-to-point wait (default [`DEFAULT_WATCHDOG`]).
+    /// point-to-point wait (default: `UOI_WATCHDOG_MS`, else
+    /// [`DEFAULT_WATCHDOG`]).
     pub fn with_watchdog(mut self, timeout: Duration) -> Self {
         self.watchdog = timeout;
-        self
-    }
-
-    /// Apply the `UOI_WATCHDOG_MS` environment override, when present and
-    /// valid; otherwise keep the currently configured timeout.
-    pub fn with_env_watchdog(mut self) -> Self {
-        if let Some(timeout) = watchdog_from_env() {
-            self.watchdog = timeout;
-        }
         self
     }
 

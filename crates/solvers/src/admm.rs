@@ -504,6 +504,19 @@ impl AdmmState {
         self.dual_residual = s_norm;
     }
 
+    /// Whether the last iteration's residuals tripped the divergence
+    /// tripwire armed at `guard` (see [`tripped`]).
+    pub(crate) fn tripped(&self, guard: Option<f64>) -> bool {
+        guard.is_some_and(|cap| tripped(self.primal_residual, self.dual_residual, cap))
+    }
+
+    /// After a tripped λ: restart the next λ from `z = 0`, a defined
+    /// state, instead of the diverged iterate.
+    pub(crate) fn reset_after_trip(&mut self) {
+        self.z.iter_mut().for_each(|v| *v = 0.0);
+        self.grad_fresh = false;
+    }
+
     /// The rule half of the per-λ transition, on the gradient in `grad`
     /// (fresh for `z`; the allreduced one in a consensus solve, so every
     /// rank selects the same set):
@@ -599,7 +612,7 @@ impl AdmmState {
         grad.clear();
         grad.extend_from_slice(xty);
         match design {
-            DesignStore::Gram { gram, .. } => {
+            DesignStore::Gram(gram) => {
                 // Row s of the mirrored Gram is column s.
                 for (s, &b) in z.iter().enumerate() {
                     if b != 0.0 {
@@ -1017,9 +1030,8 @@ pub(crate) enum DesignStore {
     /// ([`DesignStore::gram`]) — from [`LassoAdmm::from_gram`] (the
     /// zero-copy bootstrap path, where the resample is only ever
     /// materialised as weighted Gram/rhs products) or formed by
-    /// [`LassoAdmm::new`] for a `p <= n` design. A consensus block built
-    /// from its design keeps that too, for its response entry points.
-    Gram { gram: Matrix, x: Option<Matrix> },
+    /// [`LassoAdmm::new`] for a `p <= n` design.
+    Gram(Matrix),
     /// A wide dense design (`p > n`): the full factor takes the Woodbury
     /// form and active-set Grams are formed from the design's columns.
     Wide(Matrix),
@@ -1029,15 +1041,15 @@ impl DesignStore {
     /// A Gram store. Only the upper triangle of `gram` is read; it is
     /// mirrored into the lower one, so that every row is a whole Gram
     /// column and gradients stream contiguous rows.
-    pub(crate) fn gram(mut gram: Matrix, x: Option<Matrix>) -> Self {
+    pub(crate) fn gram(mut gram: Matrix) -> Self {
         mirror_upper(&mut gram);
-        DesignStore::Gram { gram, x }
+        DesignStore::Gram(gram)
     }
 
     /// Number of coefficients.
     pub(crate) fn n_coefficients(&self) -> usize {
         match self {
-            DesignStore::Gram { gram, .. } => gram.rows(),
+            DesignStore::Gram(gram) => gram.rows(),
             DesignStore::Wide(x) => x.cols(),
         }
     }
@@ -1046,18 +1058,8 @@ impl DesignStore {
     /// squares of a wide design's entries.
     fn diag_sum(&self) -> f64 {
         match self {
-            DesignStore::Gram { gram, .. } => (0..gram.rows()).map(|i| gram[(i, i)]).sum(),
+            DesignStore::Gram(gram) => (0..gram.rows()).map(|i| gram[(i, i)]).sum(),
             DesignStore::Wide(x) => x.as_slice().iter().map(|v| v * v).sum(),
-        }
-    }
-
-    /// The dense design. Panics for a store built from a Gram matrix.
-    pub(crate) fn dense(&self) -> &Matrix {
-        match self {
-            DesignStore::Gram { x: Some(x), .. } | DesignStore::Wide(x) => x,
-            DesignStore::Gram { x: None, .. } => {
-                panic!("this solver was built from a Gram matrix and holds no design")
-            }
         }
     }
 
@@ -1067,7 +1069,7 @@ impl DesignStore {
     /// same pairs either way. Active sets in admission order rely on it.
     fn gram_entry(&self, a: usize, b: usize) -> f64 {
         match self {
-            DesignStore::Gram { gram, .. } => gram[(a, b)],
+            DesignStore::Gram(gram) => gram[(a, b)],
             DesignStore::Wide(x) => (0..x.rows()).fold(0.0, |acc, r| acc + x[(r, a)] * x[(r, b)]),
         }
     }
@@ -1078,7 +1080,7 @@ impl DesignStore {
     /// non-zeros then `X^T (X z)`.
     pub(crate) fn gradient_cost(&self, nnz: usize) -> (f64, f64) {
         match self {
-            DesignStore::Gram { gram, .. } => {
+            DesignStore::Gram(gram) => {
                 let p = gram.rows();
                 ((2 * p * nnz) as f64, (p * nnz * 8) as f64)
             }
@@ -1096,7 +1098,7 @@ impl DesignStore {
     /// entry for a wide design.
     pub(crate) fn gather_flops(&self, m: usize) -> f64 {
         match self {
-            DesignStore::Gram { .. } => 0.0,
+            DesignStore::Gram(_) => 0.0,
             DesignStore::Wide(x) => (x.rows() * m * (m + 1)) as f64,
         }
     }
@@ -1165,7 +1167,7 @@ impl LassoAdmm {
             gram.cols(),
             "from_gram: Gram matrix must be square"
         );
-        Self::with_design(DesignStore::gram(gram, None), cfg)
+        Self::with_design(DesignStore::gram(gram), cfg)
     }
 
     fn with_design(design: DesignStore, cfg: AdmmConfig) -> Self {
@@ -1184,7 +1186,7 @@ impl LassoAdmm {
     /// factor itself is dropped: paths factor their active sets.
     fn probe_factor(&self) -> Result<FactorHealth, FactorBreakdown> {
         match &self.design {
-            DesignStore::Gram { gram, .. } => factor_ridged(gram.clone(), self.rho).map(|f| f.1),
+            DesignStore::Gram(gram) => factor_ridged(gram.clone(), self.rho).map(|f| f.1),
             DesignStore::Wide(x) => try_factorize(x, self.rho).map(|f| f.1),
         }
     }
@@ -1523,7 +1525,7 @@ impl LassoAdmm {
                 if st.converged {
                     break;
                 }
-                if guard.is_some_and(|cap| tripped(st.primal_residual, st.dual_residual, cap)) {
+                if st.tripped(guard) {
                     trip = true;
                     break;
                 }
@@ -1552,10 +1554,7 @@ impl LassoAdmm {
                 curve: self.take_curve(&mut st.scratch),
             });
             if trip {
-                // Restart the next λ from a defined state instead of the
-                // diverged garbage.
-                st.z.iter_mut().for_each(|v| *v = 0.0);
-                st.grad_fresh = false;
+                st.reset_after_trip();
             }
         }
         out
@@ -1945,7 +1944,7 @@ mod tests {
             0 | 1 => f64::from(u8::from(i < 4)),
             _ => f64::from(u8::from(i == j + 2)),
         });
-        let design = DesignStore::gram(uoi_linalg::syrk_t(&x), None);
+        let design = DesignStore::gram(uoi_linalg::syrk_t(&x));
         let mut st = AdmmState::new(4);
         let set = |st: &mut AdmmState, s: &[usize]| {
             st.in_active.iter_mut().for_each(|m| *m = false);

@@ -21,10 +21,9 @@
 //! The `MPI_Allreduce` of the z-update is the communication the paper's
 //! weak/strong-scaling figures are dominated by; every call here goes
 //! through [`Comm::allreduce_sum`] and is therefore both really executed
-//! and virtually timed. Setting `lambda = 0` yields distributed OLS, the
-//! paper's model-estimation solver; the UoI fits instead estimate every
-//! candidate exactly on an allreduced sub-Gram, and only the fig4/fig6
-//! scaling proxy still runs this iterative OLS.
+//! and virtually timed. The paper also estimates with this solver at
+//! `lambda = 0`; the UoI fits instead estimate every candidate exactly on
+//! an allreduced sub-Gram, so the solver runs only λ paths.
 //!
 //! λ paths are screened with the serial solver's per-λ
 //! transition ([`LassoAdmm::begin_lambda`](crate::LassoAdmm::begin_lambda)):
@@ -41,13 +40,13 @@
 //! allreduce of the local packed `G_i,AA` triangle and `c_i,A` gives
 //! every rank the same reduced system; the KKT check reads the p-wide
 //! gradient allreduce at the polished `β`. Every rank decides alike and
-//! makes the same collectives. The proxy's OLS
-//! ([`DistLassoAdmm::solve_ols`]) iterates on all `p` coefficients
-//! against the full local factor. See DESIGN.md §3.
+//! makes the same collectives. See DESIGN.md §3.
 //!
-//! The solver has no guarded path of its own: the distributed `UoI_LASSO`
-//! fit checks the allreduced residuals of a path after the fact and runs
-//! the shared ρ-restart ladder ([`crate::resilience::restart_tripped`]).
+//! A solver armed with [`DistLassoAdmm::divergence_cap`] checks the
+//! divergence tripwire on every iteration's allreduced residuals, as the
+//! serial guarded path does; the distributed `UoI_LASSO` fit then re-solves
+//! the tripped λs on the shared ρ-restart ladder
+//! ([`crate::resilience::restart_tripped`]).
 
 use crate::admm::{
     admm_active_iter_flops, admm_iter_flops, decimate_curve, effective_rho, factor_ridged,
@@ -57,17 +56,16 @@ use crate::admm::{
 use crate::prox::soft_threshold_vec;
 use crate::resilience::FactorHealth;
 use std::sync::{Arc, OnceLock};
-use uoi_linalg::{gemv_into, gemv_t, gemv_t_into, norm_inf, FactorBreakdown, Matrix};
+use uoi_linalg::{gemv_into, gemv_t_into, norm_inf, FactorBreakdown, Matrix};
 use uoi_mpisim::{Comm, RankCtx};
 use uoi_telemetry::MetricsRegistry;
 
-/// A distributed LASSO/OLS solver bound to one rank's local data block.
+/// A distributed LASSO solver bound to one rank's local data block.
 /// The full x-update factorisation is cached across lambda values; a
 /// solver built with [`DistLassoAdmm::from_gram`] factors it on first use.
 pub struct DistLassoAdmm {
-    /// The rank's block: its pristine upper Gram `X_i^T X_i` (plus the
-    /// design when built from one, for the response entry points), or a
-    /// wide block's design. Screened paths gather `G_i,SS` from it.
+    /// The rank's block: its pristine Gram `X_i^T X_i`, or a wide block's
+    /// design. Screened paths gather `G_i,SS` from it.
     design: DesignStore,
     /// Rows of the local block.
     n_rows: usize,
@@ -84,6 +82,9 @@ pub struct DistLassoAdmm {
     /// so all local factorisations split the consensus problem with one
     /// common, data-scaled `rho`.
     rho: f64,
+    /// The divergence cap of [`DistLassoAdmm::divergence_cap`]; `None`
+    /// leaves the tripwire unarmed.
+    guard: Option<f64>,
     /// Inherited from the rank's telemetry handle at construction; solves
     /// record `admm_dist.*` metrics (communicator rank 0 only, so a
     /// collective solve counts once, not once per rank).
@@ -98,17 +99,6 @@ struct Local {
     /// Woodbury scratch: `X v` then the inner solve, and `X^T inner`.
     wn: Vec<f64>,
     wt: Vec<f64>,
-}
-
-impl Local {
-    /// `rhs = xty + rho (z - u)` over all coefficients.
-    fn build_rhs(&mut self, xty: &[f64], z: &[f64], u: &[f64], rho: f64) {
-        self.rhs.clear();
-        self.rhs.extend_from_slice(xty);
-        for ((r, zi), ui) in self.rhs.iter_mut().zip(z).zip(u) {
-            *r += rho * (zi - ui);
-        }
-    }
 }
 
 /// Buffers of the consensus half of an iteration, reused across
@@ -182,7 +172,7 @@ impl DistLassoAdmm {
             let local_diag: f64 = (0..p).map(|i| gram[(i, i)]).sum();
             let (rho, rows) = Self::global_rho(ctx, comm, local_diag, n, p, cfg.rho);
             let (chol, health) = factor_ridged_pristine(&mut gram, rho)?;
-            let design = DesignStore::gram(gram, Some(x_local));
+            let design = DesignStore::gram(gram);
             (rho, rows, Factorization::Primal(chol), health, design)
         } else {
             let local_diag: f64 = x_local.as_slice().iter().map(|v| v * v).sum();
@@ -199,6 +189,7 @@ impl DistLassoAdmm {
             full: OnceLock::from((factor, health)),
             cfg,
             rho,
+            guard: None,
             metrics,
         })
     }
@@ -231,12 +222,13 @@ impl DistLassoAdmm {
             // Mirrors the upper triangle, so upper-stored Grams from the
             // batched engine (and the checkpoint warm path that round-trips
             // them) are taken as they are.
-            design: DesignStore::gram(gram, None),
+            design: DesignStore::gram(gram),
             n_rows,
             global_rows,
             full: OnceLock::new(),
             cfg,
             rho,
+            guard: None,
             metrics,
         }
     }
@@ -258,6 +250,18 @@ impl DistLassoAdmm {
         Ok(solver)
     }
 
+    /// Arm the divergence tripwire at `cap`
+    /// ([`ResilienceConfig::divergence_cap`](crate::ResilienceConfig)):
+    /// every consensus iteration checks its allreduced residuals — a
+    /// non-finite one, or one above `cap` — so every rank trips alike. A
+    /// tripped λ ends there, unconverged, and the next λ restarts from
+    /// `z = 0`, as the serial guarded path does. A path that never trips
+    /// is bit-identical to the unarmed one.
+    pub fn divergence_cap(mut self, cap: f64) -> Self {
+        self.guard = Some(cap);
+        self
+    }
+
     /// Factor a Gram-backed solver's full local system `G_i + rho I`
     /// through the jitter ladder, charged as one streaming read of the
     /// Gram plus panel-blocked `p^3 / 3` flops (CHOL_NB-wide panels share
@@ -266,7 +270,7 @@ impl DistLassoAdmm {
         &self,
         ctx: &mut RankCtx,
     ) -> Result<(Factorization, FactorHealth), FactorBreakdown> {
-        let DesignStore::Gram { gram, .. } = &self.design else {
+        let DesignStore::Gram(gram) = &self.design else {
             unreachable!("a wide block's factor is built at construction");
         };
         let sp = ctx.span_enter("gram_build.cholesky");
@@ -306,96 +310,12 @@ impl DistLassoAdmm {
         (self.n_rows, self.design.n_coefficients())
     }
 
-    /// The local design block. Panics for a solver built with
-    /// [`DistLassoAdmm::from_gram`].
-    pub fn local_design(&self) -> &Matrix {
-        self.design.dense()
-    }
-
-    /// The local `X_i^T y_i`, computed once per (design, response) and
-    /// charged to the rank's virtual clock.
-    fn prepare_local_rhs(&self, ctx: &mut RankCtx, y_local: &[f64]) -> Vec<f64> {
-        let x = self.design.dense();
-        let (n, p) = x.shape();
-        assert_eq!(y_local.len(), n, "local response length mismatch");
-        let xty = gemv_t(x, y_local);
-        ctx.compute_flops(2.0 * (n * p) as f64, (n * p * 8) as f64);
-        xty
-    }
-
-    /// Warm-started full-problem solve of one λ against a precomputed
-    /// local `X_i^T y_i`: every iteration runs on all `p` coefficients
-    /// against the full local factor, unscreened. It is the body of
-    /// [`DistLassoAdmm::solve_ols`] and the unscreened reference the
-    /// screened path is tested against. The local arithmetic reuses its
-    /// buffers across iterations; each allreduce still copies its payload
-    /// into the communicator (and, on more than one rank, records a
-    /// collective event).
-    pub fn solve_warm_with_rhs(
-        &self,
-        ctx: &mut RankCtx,
-        comm: &Comm,
-        xty: &[f64],
-        lambda: f64,
-        mut z: Vec<f64>,
-        mut u: Vec<f64>,
-    ) -> AdmmSolution {
-        let (n, p) = self.local_shape();
-        assert_eq!(xty.len(), p, "local rhs length mismatch");
-        assert_eq!(z.len(), p);
-        assert_eq!(u.len(), p);
-        let rho = self.rho;
-        let span = ctx.span_enter("admm_dist.solve");
-        // Consensus threshold: lambda / (rho * B).
-        let kappa = lambda / (rho * comm.size() as f64);
-
-        let working_set = ((n.min(p) * n.min(p) + n * p) * 8) as f64;
-        let mut local = Local::default();
-        let mut cons = Consensus::default();
-        let (mut r_norm, mut s_norm) = (f64::INFINITY, f64::INFINITY);
-        let mut iterations = 0;
-        let mut converged = false;
-
-        let mut curve_buf: Vec<f64> = Vec::new();
-        for it in 0..self.cfg.max_iter {
-            iterations = it + 1;
-            // Local x-update.
-            local.build_rhs(xty, &z, &u, rho);
-            self.x_update(ctx, &mut local);
-            ctx.compute_flops(admm_iter_flops(n, p), working_set);
-
-            let (r, s, conv) =
-                self.consensus_update(ctx, comm, kappa, &local.x_i, &mut z, &mut u, &mut cons);
-            r_norm = r;
-            s_norm = s;
-            if self.cfg.capture_curve {
-                curve_buf.push(r_norm);
-            }
-            if conv {
-                converged = true;
-                break;
-            }
-        }
-
-        ctx.span_exit(span);
-        self.note_solve(comm, iterations, converged, r_norm, s_norm);
-        AdmmSolution {
-            beta: z,
-            iterations,
-            primal_residual: r_norm,
-            dual_residual: s_norm,
-            converged,
-            curve: decimate_curve(&curve_buf, CURVE_MAX_POINTS),
-        }
-    }
-
     /// The consensus half of one iteration, given this rank's fresh
     /// `x_i`: allreduce the sum of `x_i + u_i` and threshold the mean
     /// into `z`, update `u_i`, then allreduce the three residual sums
     /// (`||x_i - z||^2` needs the *new* z, so it cannot ride the first
-    /// reduction). The vectors are `p`-long on a full solve and
-    /// `|S|`-long on a screened one, where the absolute tolerance scales
-    /// with `sqrt(B |S|)`. Returns `(r_norm, s_norm, converged)`; every
+    /// reduction). The vectors are `|S|`-long, and the absolute tolerance
+    /// scales with `sqrt(B |S|)`. Returns `(r_norm, s_norm, converged)`; every
     /// input to the decision is allreduced, so all ranks take it alike.
     #[allow(clippy::too_many_arguments)]
     fn consensus_update(
@@ -465,12 +385,15 @@ impl DistLassoAdmm {
     }
 
     /// Per-solve metrics, recorded on communicator rank 0 only.
-    fn note_solve(&self, comm: &Comm, iterations: usize, converged: bool, r: f64, s: f64) {
+    fn note_solve(&self, comm: &Comm, st: &AdmmState) {
         if comm.rank() != 0 {
             return;
         }
+        let (iterations, converged) = (st.iterations, st.converged);
+        let (r, s) = (st.primal_residual, st.dual_residual);
         if let Some(m) = &self.metrics {
             m.incr("admm_dist.solves", 1);
+            m.observe("admm_dist.active_size", st.active_len() as f64);
             if converged {
                 m.incr("admm_dist.converged", 1);
             } else {
@@ -484,40 +407,12 @@ impl DistLassoAdmm {
         }
     }
 
-    /// Distributed OLS (`lambda = 0`) — the paper's estimation solver,
-    /// kept for the fig4/fig6 scaling proxy (the UoI fits solve their
-    /// candidates exactly). Wrapped in an `ols_estimation` span so
-    /// profilers attribute the inner ADMM iterations to the estimation
-    /// phase, not to LASSO.
-    pub fn solve_ols(&self, ctx: &mut RankCtx, comm: &Comm, y_local: &[f64]) -> AdmmSolution {
-        let sp = ctx.span_enter("ols_estimation.solve");
-        let xty = self.prepare_local_rhs(ctx, y_local);
-        let p = xty.len();
-        let sol = self.solve_warm_with_rhs(ctx, comm, &xty, 0.0, vec![0.0; p], vec![0.0; p]);
-        ctx.span_exit(sp);
-        sol
-    }
-
-    /// Solve a whole lambda path from a local response: the local
-    /// `X_i^T y_i` once for the whole path, then
-    /// [`DistLassoAdmm::solve_path_with_rhs`]. Kept with
-    /// [`DistLassoAdmm::solve_ols`] for the fig4/fig6 scaling proxy.
-    pub fn solve_path(
-        &self,
-        ctx: &mut RankCtx,
-        comm: &Comm,
-        y_local: &[f64],
-        lambdas: &[f64],
-    ) -> Vec<AdmmSolution> {
-        let xty = self.prepare_local_rhs(ctx, y_local);
-        self.solve_path_with_rhs(ctx, comm, &xty, lambdas)
-    }
-
     /// Solve a whole lambda path against a precomputed local
     /// `X_i^T y_i` — the one path entry point for dense and Gram-built
     /// solvers. Collective over `comm`. Solves largest-first, each λ a
     /// screened active-set solve warm-started from the previous λ's
-    /// solution and ended by a polish (see the module docs).
+    /// solution and ended by a polish (see the module docs), or ended
+    /// early by the tripwire of [`DistLassoAdmm::divergence_cap`].
     pub fn solve_path_with_rhs(
         &self,
         ctx: &mut RankCtx,
@@ -551,6 +446,7 @@ impl DistLassoAdmm {
             let mut full = self.factor_active(ctx, comm, &mut st);
             let kappa = lam / (rho * b);
             curve.clear();
+            let mut trip = false;
             for _ in 0..self.cfg.max_iter {
                 let m = st.active_len();
                 st.active_rhs(xty, rho, &mut local.rhs);
@@ -594,15 +490,13 @@ impl DistLassoAdmm {
                         reg.incr("admm_dist.kkt_reentries", 1);
                     }
                 }
+                if st.tripped(self.guard) {
+                    trip = true;
+                    break;
+                }
             }
             ctx.span_exit(span);
-            self.note_solve(
-                comm,
-                st.iterations,
-                st.converged,
-                st.primal_residual,
-                st.dual_residual,
-            );
+            self.note_solve(comm, &st);
             out.push(AdmmSolution {
                 beta: st.z.clone(),
                 iterations: st.iterations,
@@ -611,6 +505,9 @@ impl DistLassoAdmm {
                 converged: st.converged,
                 curve: decimate_curve(&curve, CURVE_MAX_POINTS),
             });
+            if trip {
+                st.reset_after_trip();
+            }
         }
         out
     }
@@ -666,14 +563,16 @@ impl DistLassoAdmm {
     /// `x_i = (X_i^T X_i + rho I)^{-1} rhs` through the full local factor.
     fn x_update(&self, ctx: &mut RankCtx, local: &mut Local) {
         let Local { rhs, x_i, wn, wt } = local;
-        match self.full_factor(ctx) {
-            Factorization::Primal(ch) => {
+        match (self.full_factor(ctx), &self.design) {
+            (Factorization::Primal(ch), _) => {
                 x_i.clear();
                 x_i.extend_from_slice(rhs);
                 ch.solve_in_place(x_i);
             }
-            Factorization::Woodbury(ch) => {
-                let x = self.design.dense();
+            (Factorization::Woodbury(_), DesignStore::Gram(_)) => {
+                unreachable!("a Gram block factors in primal form")
+            }
+            (Factorization::Woodbury(ch), DesignStore::Wide(x)) => {
                 gemv_into(x, rhs, wn);
                 ch.solve_in_place(wn);
                 gemv_t_into(x, wn, wt);
@@ -714,6 +613,7 @@ mod tests {
     use super::*;
     use crate::admm::LassoAdmm;
     use crate::diagnostics::lasso_kkt_violation;
+    use uoi_linalg::gemv_t;
     use uoi_mpisim::{Cluster, MachineModel, Phase};
 
     /// Deterministic test problem: y depends on features 0 and 3.
@@ -735,6 +635,7 @@ mod tests {
             let r = comm.rank();
             let x_local = x_ref.rows_range(r * rows_per, (r + 1) * rows_per);
             let y_local = y_ref[r * rows_per..(r + 1) * rows_per].to_vec();
+            let xty = gemv_t(&x_local, &y_local);
             let solver = DistLassoAdmm::new(
                 ctx,
                 comm,
@@ -746,7 +647,7 @@ mod tests {
                     ..Default::default()
                 },
             );
-            solver.solve_path(ctx, comm, &y_local, &[lambda])[0]
+            solver.solve_path_with_rhs(ctx, comm, &xty, &[lambda])[0]
                 .beta
                 .clone()
         });
@@ -780,9 +681,9 @@ mod tests {
         let report = Cluster::new(4, MachineModel::deterministic()).run(move |ctx, comm| {
             let r = comm.rank();
             let x_local = x.rows_range(r * 8, (r + 1) * 8);
-            let y_local = y[r * 8..(r + 1) * 8].to_vec();
+            let xty = gemv_t(&x_local, &y[r * 8..(r + 1) * 8]);
             let solver = DistLassoAdmm::new(ctx, comm, x_local, AdmmConfig::default());
-            solver.solve_path(ctx, comm, &y_local, &[0.5])[0]
+            solver.solve_path_with_rhs(ctx, comm, &xty, &[0.5])[0]
                 .beta
                 .clone()
         });
@@ -792,44 +693,14 @@ mod tests {
     }
 
     #[test]
-    fn distributed_ols_matches_exact() {
-        let (x, y) = problem(40, 4);
-        let (x_ref, y_ref) = (x.clone(), y.clone());
-        let report = Cluster::new(4, MachineModel::deterministic()).run(move |ctx, comm| {
-            let r = comm.rank();
-            let x_local = x_ref.rows_range(r * 10, (r + 1) * 10);
-            let y_local = y_ref[r * 10..(r + 1) * 10].to_vec();
-            let solver = DistLassoAdmm::new(
-                ctx,
-                comm,
-                x_local,
-                AdmmConfig {
-                    max_iter: 8000,
-                    abstol: 1e-11,
-                    reltol: 1e-10,
-                    ..Default::default()
-                },
-            );
-            solver.solve_ols(ctx, comm, &y_local).beta
-        });
-        let exact = uoi_linalg::solve_normal_equations(&x, &y, 0.0).unwrap();
-        for (a, b) in report.results[0].iter().zip(&exact) {
-            assert!((a - b).abs() < 1e-3, "ols dist {a} vs exact {b}");
-        }
-    }
-
-    #[test]
     fn communication_time_recorded() {
         let (x, y) = problem(32, 5);
         let report = Cluster::new(4, MachineModel::deterministic()).run(move |ctx, comm| {
             let r = comm.rank();
-            let solver = DistLassoAdmm::new(
-                ctx,
-                comm,
-                x.rows_range(r * 8, (r + 1) * 8),
-                AdmmConfig::default(),
-            );
-            let _ = solver.solve_path(ctx, comm, &y[r * 8..(r + 1) * 8], &[0.5]);
+            let x_local = x.rows_range(r * 8, (r + 1) * 8);
+            let xty = gemv_t(&x_local, &y[r * 8..(r + 1) * 8]);
+            let solver = DistLassoAdmm::new(ctx, comm, x_local, AdmmConfig::default());
+            let _ = solver.solve_path_with_rhs(ctx, comm, &xty, &[0.5]);
             ctx.ledger()
         });
         for l in &report.results {
@@ -855,8 +726,9 @@ mod tests {
                 reltol: 1e-9,
                 ..Default::default()
             };
+            let xty = gemv_t(&x_local, &y_local);
             let dense = DistLassoAdmm::new(ctx, comm, x_local.clone(), cfg())
-                .solve_path(ctx, comm, &y_local, &lambdas);
+                .solve_path_with_rhs(ctx, comm, &xty, &lambdas);
             let gram = DistLassoAdmm::from_gram(
                 ctx,
                 comm,
@@ -864,7 +736,7 @@ mod tests {
                 x_local.rows(),
                 cfg(),
             )
-            .solve_path_with_rhs(ctx, comm, &gemv_t(&x_local, &y_local), &lambdas);
+            .solve_path_with_rhs(ctx, comm, &xty, &lambdas);
             dense.iter().zip(&gram).all(|(d, g)| {
                 d.iterations == g.iterations
                     && d.beta.len() == g.beta.len()
@@ -880,28 +752,6 @@ mod tests {
     }
 
     #[test]
-    fn gram_built_solver_panics_on_design_access() {
-        let report = Cluster::new(1, MachineModel::deterministic()).run(move |ctx, comm| {
-            let x = Matrix::identity(3);
-            let solver = DistLassoAdmm::from_gram(
-                ctx,
-                comm,
-                uoi_linalg::syrk_t(&x),
-                3,
-                AdmmConfig::default(),
-            );
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let _ = solver.local_design();
-            }))
-            .is_err()
-        });
-        assert!(
-            report.results[0],
-            "local_design must panic for Gram-built solver"
-        );
-    }
-
-    #[test]
     fn path_warm_start_matches_cold() {
         let (x, y) = problem(48, 6);
         let lambdas = [3.0, 1.0, 0.3];
@@ -909,7 +759,7 @@ mod tests {
         let report = Cluster::new(4, MachineModel::deterministic()).run(move |ctx, comm| {
             let r = comm.rank();
             let x_local = x_ref.rows_range(r * 12, (r + 1) * 12);
-            let y_local = y_ref[r * 12..(r + 1) * 12].to_vec();
+            let xty = gemv_t(&x_local, &y_ref[r * 12..(r + 1) * 12]);
             let solver = DistLassoAdmm::new(
                 ctx,
                 comm,
@@ -922,7 +772,7 @@ mod tests {
                 },
             );
             solver
-                .solve_path(ctx, comm, &y_local, &lambdas)
+                .solve_path_with_rhs(ctx, comm, &xty, &lambdas)
                 .into_iter()
                 .map(|s| s.beta)
                 .collect::<Vec<_>>()

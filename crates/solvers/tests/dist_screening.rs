@@ -2,8 +2,8 @@
 //! (`DistLassoAdmm::solve_path_with_rhs`).
 //! Every solution must meet the *global* LASSO KKT conditions of the
 //! stacked problem — every polished λ to a relative bound of 1e-9 —,
-//! select the supports the serial screened solver and cold unscreened
-//! consensus solves select on well-separated designs, and come back
+//! select the supports the serial screened solver and coordinate descent
+//! select on well-separated designs, and come back
 //! bit-identical on every rank after the same number of collectives.
 //! Two cases are pinned explicitly: a row split on which each rank's own
 //! gradient would pick a different strong set (the rule must run on the
@@ -90,17 +90,15 @@ fn consensus_path(
     let report = cluster.run(|ctx, comm| {
         let rows = blocks[comm.rank()].clone();
         let x_local = x.rows_range(rows.start, rows.end);
-        let y_local = &y[rows];
-        let sols = match build {
+        let xty = gemv_t(&x_local, &y[rows]);
+        let solver = match build {
             Build::Gram => {
-                let xty = gemv_t(&x_local, y_local);
                 let gram = syrk_t_upper(&x_local).into_upper();
                 DistLassoAdmm::from_gram(ctx, comm, gram, x_local.rows(), cfg.clone())
-                    .solve_path_with_rhs(ctx, comm, &xty, lambdas)
             }
-            Build::Dense => DistLassoAdmm::new(ctx, comm, x_local, cfg.clone())
-                .solve_path(ctx, comm, y_local, lambdas),
+            Build::Dense => DistLassoAdmm::new(ctx, comm, x_local, cfg.clone()),
         };
+        let sols = solver.solve_path_with_rhs(ctx, comm, &xty, lambdas);
         (sols, ctx.collective_steps())
     });
     let (first, steps) = &report.results[0];
@@ -124,28 +122,6 @@ fn consensus_path(
         }
     }
     first.clone()
-}
-
-/// Unscreened reference: one cold consensus solve from zero at `lambda`
-/// over the row `blocks`, every coefficient iterated; rank 0's solution.
-fn consensus_cold(
-    x: &Matrix,
-    y: &[f64],
-    blocks: &[Range<usize>],
-    lambda: f64,
-    cfg: &AdmmConfig,
-) -> AdmmSolution {
-    let report =
-        Cluster::new(blocks.len(), MachineModel::deterministic()).run(|ctx, comm| {
-            let rows = blocks[comm.rank()].clone();
-            let x_local = x.rows_range(rows.start, rows.end);
-            let xty = gemv_t(&x_local, &y[rows]);
-            let gram = syrk_t_upper(&x_local).into_upper();
-            let p = xty.len();
-            DistLassoAdmm::from_gram(ctx, comm, gram, x_local.rows(), cfg.clone())
-                .solve_warm_with_rhs(ctx, comm, &xty, lambda, vec![0.0; p], vec![0.0; p])
-        });
-    report.results.into_iter().next().unwrap()
 }
 
 /// screening.rs's KKT bound, carried to the consensus problem over `B`
@@ -221,7 +197,7 @@ proptest! {
     }
 
     #[test]
-    fn supports_match_serial_screened_and_cold_on_separated_designs(
+    fn supports_match_serial_screened_and_cd_on_separated_designs(
         seed in 0u64..10_000,
         p in 6usize..20,
         split in split_strategy(60),
@@ -243,12 +219,10 @@ proptest! {
         let serial = LassoAdmm::from_gram(syrk_t(&x), cfg())
             .solve_path_with_rhs(&gemv_t(&x, &y), &lambdas);
         let screened = consensus_path(&x, &y, &split, &lambdas, &cfg(), Build::Gram, None);
-        let cold = consensus_cold(&x, &y, &split, lambdas[1], &cfg());
         let want = support_of(&serial[1].beta, 1e-6);
         prop_assert_eq!(&want, &support_of(&cd, 1e-6));
-        prop_assert!(screened[1].converged && cold.converged);
+        prop_assert!(screened[1].converged);
         prop_assert_eq!(&support_of(&screened[1].beta, 1e-6), &want);
-        prop_assert_eq!(&support_of(&cold.beta, 1e-6), &want);
     }
 }
 

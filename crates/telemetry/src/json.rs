@@ -9,7 +9,6 @@
 //! be re-read programmatically; it accepts exactly the constructs the
 //! writer emits plus arbitrary whitespace.
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// A JSON value. Numbers are `f64`; non-finite values serialise as
@@ -165,11 +164,6 @@ impl Json {
         }
         Ok(value)
     }
-}
-
-/// Build a `Json::Obj` from a `BTreeMap` (sorted key order).
-pub fn obj_from_map<V: Into<Json>>(map: BTreeMap<String, V>) -> Json {
-    Json::Obj(map.into_iter().map(|(k, v)| (k, v.into())).collect())
 }
 
 impl From<f64> for Json {

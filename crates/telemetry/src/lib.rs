@@ -125,12 +125,6 @@ impl Telemetry {
         }
     }
 
-    /// Attach a metrics registry to an existing handle (chainable).
-    pub fn and_metrics(mut self, metrics: Arc<MetricsRegistry>) -> Self {
-        self.metrics = Some(metrics);
-        self
-    }
-
     /// Whether any tracing sink is installed.
     pub fn tracing_enabled(&self) -> bool {
         self.sink.is_some()

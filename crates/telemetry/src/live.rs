@@ -223,12 +223,6 @@ impl ProgressTracker {
         }
     }
 
-    pub fn observe_all<'a>(&mut self, events: impl IntoIterator<Item = &'a TraceEvent>) {
-        for ev in events {
-            self.observe(ev);
-        }
-    }
-
     fn completed(&self) -> usize {
         self.selection_done + self.estimation_done
     }

@@ -48,13 +48,6 @@ impl MetricsRegistry {
         update(&mut self.lock().histograms, name, |h| h.push(value));
     }
 
-    /// Append many observations at once (single lock acquisition).
-    pub fn observe_all(&self, name: &str, values: &[f64]) {
-        update(&mut self.lock().histograms, name, |h| {
-            h.extend_from_slice(values)
-        });
-    }
-
     /// Current counter value (0 if never incremented).
     pub fn counter(&self, name: &str) -> u64 {
         self.lock().counters.get(name).copied().unwrap_or(0)
