@@ -1,392 +1,253 @@
-//! `uoi-trace` — inspect a JSONL trace captured with `UOI_TRACE=1`.
+//! `uoi-trace` — inspect a JSONL trace captured with `UOI_TRACE=1`, and
+//! run the pipeline gates.
 //!
 //! ```text
 //! uoi-trace results/fig2_lasso_single_node.trace.jsonl   # legacy: chrome + report
-//! uoi-trace breakdown run.trace.jsonl --strict           # per-phase report, gate on drops
+//! uoi-trace breakdown run.trace.jsonl                    # per-phase report
 //! uoi-trace convergence run.trace.jsonl [--json]         # solver-quality report
 //! uoi-trace numerical run.trace.jsonl [--json]           # numerical-health report
 //! uoi-trace progress run.trace.jsonl [--json]            # replayed progress/ETA
 //! uoi-trace export-metrics run.trace.jsonl [--out m.prom]
+//! uoi-trace snapshot <trace-dir> [old.json] <name=min_wall_ms>...
+//! uoi-trace compare old.json BENCH_PIPELINE.json
+//! uoi-trace check results/fig2_lasso_single_node
 //! ```
 //!
 //! The legacy single-argument form converts the trace into a Chrome
 //! trace-format JSON (load it at <https://ui.perfetto.dev> or
 //! `chrome://tracing`) and prints the per-rank / per-phase breakdown.
 //! By default the Chrome trace lands next to the input
-//! (`<stem>.chrome.json`). When a sibling run report (`<bench>.json`
-//! for a `<bench>.trace.jsonl` input) records dropped trace records, a
-//! warning is printed — the timeline is then incomplete and per-phase
-//! sums undercount; `breakdown --strict` turns that warning into a
-//! nonzero exit for CI gates.
+//! (`<stem>.chrome.json`). It warns when the sibling run report
+//! (`<bench>.json` for a `<bench>.trace.jsonl`) counts dropped records.
+//!
+//! `snapshot`, `compare` and `check` are the gates of
+//! [`uoi_bench::gates`]. `snapshot` folds the run reports
+//! `scripts/bench_snapshot.sh` leaves in its trace directory into
+//! `BENCH_PIPELINE.json` in the working directory; `compare` diffs two
+//! snapshots; `check` gates the artifacts of one traced run, the Chrome
+//! export of the legacy form included. Each exits 1 when a gate fails.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
+use uoi_bench::gates::{self, load_events, read_json};
 use uoi_telemetry::{
-    analyze, build_timeline, parse_openmetrics, render_openmetrics, to_chrome_trace,
-    ConvergenceReport, Json, JsonlSink, MetricsRegistry, NumericalHealthReport, ProgressPlan,
-    ProgressTracker, TraceEvent,
+    analyze, build_timeline, replay_openmetrics, replay_progress, to_chrome_trace,
+    ConvergenceReport, NumericalHealthReport,
 };
-
-struct Args {
-    input: PathBuf,
-    chrome_out: Option<PathBuf>,
-    report: bool,
-    run_report: Option<PathBuf>,
-}
 
 fn usage() -> ! {
     eprintln!(
-        "usage: uoi-trace <trace.jsonl> [--chrome <out.json>] [--no-report] \
-         [--run-report <report.json>]\n\
-         \x20      uoi-trace breakdown <trace.jsonl> [--strict] [--run-report <report.json>]\n\
+        "usage: uoi-trace <trace.jsonl> [--chrome <out.json>] [--no-report]\n\
+         \x20      uoi-trace breakdown <trace.jsonl>\n\
          \x20      uoi-trace convergence <trace.jsonl> [--json]\n\
          \x20      uoi-trace numerical <trace.jsonl> [--json]\n\
          \x20      uoi-trace progress <trace.jsonl> [--json]\n\
-         \x20      uoi-trace export-metrics <trace.jsonl> [--out <metrics.prom>]"
+         \x20      uoi-trace export-metrics <trace.jsonl> [--out <metrics.prom>]\n\
+         \x20      uoi-trace snapshot <trace-dir> [<baseline.json>] <name=min_wall_ms>...\n\
+         \x20      uoi-trace compare <old.json> <new.json>\n\
+         \x20      uoi-trace check <results-dir>/<bench>"
     );
     std::process::exit(2)
 }
 
-fn parse_args(argv: &[String]) -> Args {
-    let mut input = None;
-    let mut chrome_out = None;
-    let mut report = true;
-    let mut run_report = None;
+fn fail(why: impl std::fmt::Display) -> ExitCode {
+    eprintln!("uoi-trace: {why}");
+    ExitCode::FAILURE
+}
+
+fn exit(ok: bool) -> ExitCode {
+    ExitCode::from(u8::from(!ok))
+}
+
+/// A trace subcommand's options, as `(name, path)` pairs (an empty
+/// path for a switch).
+type Given = Vec<(String, PathBuf)>;
+
+/// `argv` as one trace path plus the `switches` and the `valued`
+/// options, each followed by a path; usage otherwise.
+fn parse(argv: &[String], switches: &[&str], valued: &[&str]) -> (PathBuf, Given) {
+    let (mut input, mut given) = (None, Vec::new());
     let mut it = argv.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--chrome" => chrome_out = Some(PathBuf::from(it.next().unwrap_or_else(|| usage()))),
-            "--no-report" => report = false,
-            "--run-report" => {
-                run_report = Some(PathBuf::from(it.next().unwrap_or_else(|| usage())))
+            s if switches.contains(&s) => given.push((a.clone(), PathBuf::new())),
+            v if valued.contains(&v) => {
+                let value = it.next().unwrap_or_else(|| usage());
+                given.push((a.clone(), PathBuf::from(value)));
             }
-            "-h" | "--help" => usage(),
-            _ if input.is_none() => input = Some(PathBuf::from(a)),
+            _ if input.is_none() && !a.starts_with('-') => input = Some(PathBuf::from(a)),
             _ => usage(),
         }
     }
-    let Some(input) = input else { usage() };
-    Args {
-        input,
-        chrome_out,
-        report,
-        run_report,
-    }
+    (input.unwrap_or_else(|| usage()), given)
 }
 
-/// `results/<bench>.trace.jsonl` → `results/<bench>.json`, the run
-/// report the harness wrote alongside the trace.
-fn sibling_run_report(input: &Path) -> Option<PathBuf> {
-    let name = input.file_name()?.to_str()?;
-    let bench = name.strip_suffix(".trace.jsonl")?;
-    let p = input.with_file_name(format!("{bench}.json"));
-    p.exists().then_some(p)
+fn option<'g>(given: &'g Given, name: &str) -> Option<&'g PathBuf> {
+    given.iter().find(|(n, _)| n == name).map(|(_, path)| path)
 }
 
-/// Dropped-record count recorded under `telemetry.dropped_records` in a
-/// run report, if any.
-fn dropped_records(path: &Path) -> Option<u64> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let json = Json::parse(&text).ok()?;
-    let n = json.get("telemetry")?.get("dropped_records")?.as_num()?;
-    Some(n as u64)
-}
-
-fn load_events(input: &Path) -> Result<Vec<TraceEvent>, ExitCode> {
-    let events = match JsonlSink::read_events(input) {
-        Ok(ev) => ev,
-        Err(e) => {
-            eprintln!("uoi-trace: cannot read {}: {e}", input.display());
-            return Err(ExitCode::FAILURE);
-        }
-    };
-    if events.is_empty() {
-        eprintln!(
-            "uoi-trace: {} holds no trace events (was the run started with UOI_TRACE=1?)",
-            input.display()
-        );
-        return Err(ExitCode::FAILURE);
-    }
-    Ok(events)
-}
-
-/// `(input, flag_present)` for the single-flag subcommands.
-fn subcommand_args(argv: &[String], flag: &str) -> (PathBuf, bool) {
-    let mut input = None;
-    let mut present = false;
-    for a in argv {
-        match a.as_str() {
-            s if s == flag => present = true,
-            "-h" | "--help" => usage(),
-            _ if input.is_none() => input = Some(PathBuf::from(a)),
-            _ => usage(),
-        }
-    }
-    let Some(input) = input else { usage() };
-    (input, present)
-}
-
-/// Replay the trace through a [`ProgressTracker`] whose plan is the
-/// observed task census (the completed trace knows its own totals).
-fn replay_progress(events: &[TraceEvent]) -> Option<ProgressTracker> {
-    let (mut sel, mut est) = (0usize, 0usize);
-    for e in events {
-        if let TraceEvent::Convergence { stage, .. } = e {
-            if *stage == "selection" {
-                sel += 1;
-            } else {
-                est += 1;
-            }
-        }
-    }
-    if sel + est == 0 {
-        return None;
-    }
-    let mut tracker = ProgressTracker::new(ProgressPlan {
-        selection_tasks: sel,
-        estimation_tasks: est,
-    });
-    for e in events {
-        tracker.observe(e);
-    }
-    Some(tracker)
-}
-
-fn cmd_convergence(argv: &[String]) -> ExitCode {
-    let (input, as_json) = subcommand_args(argv, "--json");
+/// `convergence`, `numerical`, `progress` and `breakdown`: one report
+/// of the trace, rendered, or with `--json` as its JSON document.
+fn cmd_report(name: &str, argv: &[String]) -> ExitCode {
+    // Every report but the breakdown also prints as JSON.
+    let switches = &["--json"][..usize::from(name != "breakdown")];
+    let (input, given) = parse(argv, switches, &[]);
     let events = match load_events(&input) {
         Ok(ev) => ev,
-        Err(c) => return c,
+        Err(e) => return fail(e),
     };
-    let report = ConvergenceReport::from_events(&events);
-    if report.tasks == 0 {
-        eprintln!(
-            "uoi-trace: {} holds no convergence records (older trace, or telemetry \
-             was metrics-only)",
-            input.display()
-        );
-        return ExitCode::FAILURE;
-    }
-    if as_json {
-        println!("{}", report.to_json().to_string_pretty());
-    } else {
-        print!("{}", report.render());
-    }
-    ExitCode::SUCCESS
-}
-
-fn cmd_numerical(argv: &[String]) -> ExitCode {
-    let (input, as_json) = subcommand_args(argv, "--json");
-    let events = match load_events(&input) {
-        Ok(ev) => ev,
-        Err(c) => return c,
+    let report = match name {
+        "convergence" => Some(ConvergenceReport::from_events(&events))
+            .filter(|r| r.tasks > 0)
+            .map(|r| (r.to_json(), r.render())),
+        "numerical" => Some(NumericalHealthReport::from_events(&events))
+            .filter(|r| r.events > 0)
+            .map(|r| (r.to_json(), r.render())),
+        "progress" => replay_progress(&events).map(|s| (s.to_json(), s.render() + "\n")),
+        _ => {
+            let breakdown = analyze(&build_timeline(&events));
+            Some((breakdown.to_json(), breakdown.render()))
+        }
     };
-    let report = NumericalHealthReport::from_events(&events);
-    if report.events == 0 {
-        eprintln!(
-            "uoi-trace: {} holds no numerical records (run was clean and unguarded, \
-             or predates the resilience subsystem)",
-            input.display()
-        );
-        return ExitCode::FAILURE;
+    match report {
+        None => fail(format!("{} holds no records for `{name}`", input.display())),
+        Some((json, _)) if option(&given, "--json").is_some() => {
+            println!("{}", json.to_string_pretty());
+            ExitCode::SUCCESS
+        }
+        Some((_, text)) => {
+            print!("{text}");
+            ExitCode::SUCCESS
+        }
     }
-    if as_json {
-        println!("{}", report.to_json().to_string_pretty());
-    } else {
-        print!("{}", report.render());
-    }
-    ExitCode::SUCCESS
-}
-
-fn cmd_progress(argv: &[String]) -> ExitCode {
-    let (input, as_json) = subcommand_args(argv, "--json");
-    let events = match load_events(&input) {
-        Ok(ev) => ev,
-        Err(c) => return c,
-    };
-    let Some(mut tracker) = replay_progress(&events) else {
-        eprintln!(
-            "uoi-trace: {} holds no convergence records to derive progress from",
-            input.display()
-        );
-        return ExitCode::FAILURE;
-    };
-    let snap = tracker.snapshot();
-    if as_json {
-        println!("{}", snap.to_json().to_string_pretty());
-    } else {
-        println!("{}", snap.render());
-    }
-    ExitCode::SUCCESS
 }
 
 fn cmd_export_metrics(argv: &[String]) -> ExitCode {
-    // export-metrics takes `--out <path>`, not a boolean flag.
-    let mut input = None;
-    let mut out = None;
-    let mut it = argv.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--out" => out = Some(PathBuf::from(it.next().unwrap_or_else(|| usage()))),
-            "-h" | "--help" => usage(),
-            _ if input.is_none() => input = Some(PathBuf::from(a)),
-            _ => usage(),
-        }
-    }
-    let Some(input) = input else { usage() };
+    let (input, given) = parse(argv, &[], &["--out"]);
     let events = match load_events(&input) {
         Ok(ev) => ev,
-        Err(c) => return c,
+        Err(e) => return fail(e),
     };
-    // Rebuild the solver-health metrics a live run's registry would
-    // hold, from the convergence records alone.
-    let registry = MetricsRegistry::new();
-    for e in &events {
-        if let TraceEvent::Convergence {
-            stage,
-            iterations,
-            converged,
-            ..
-        } = e
-        {
-            registry.observe("solver.iterations", *iterations as f64);
-            registry.incr("solver.nonconverged", u64::from(!converged));
-            registry.incr(&format!("uoi.tasks.{stage}"), 1);
-        }
+    let text = replay_openmetrics(&events);
+    if let Err(e) = gates::openmetrics_gate(&text) {
+        return fail(format!(
+            "internal error: the exposition fails the lint: {e}"
+        ));
     }
-    let snapshot = registry.snapshot();
-    let progress = replay_progress(&events).map(|mut t| t.snapshot());
-    let text = render_openmetrics(&snapshot, progress.as_ref());
-    if let Err(e) = parse_openmetrics(&text) {
-        eprintln!("uoi-trace: internal error: exposition fails its own lint: {e}");
-        return ExitCode::FAILURE;
-    }
-    match out {
-        Some(path) => {
-            if let Err(e) = std::fs::write(&path, &text) {
-                eprintln!("uoi-trace: cannot write {}: {e}", path.display());
-                return ExitCode::FAILURE;
+    match option(&given, "--out") {
+        Some(path) => match std::fs::write(path, &text) {
+            Ok(()) => {
+                println!("[saved {}]", path.display());
+                ExitCode::SUCCESS
             }
-            println!("[saved {}]", path.display());
+            Err(e) => fail(format!("cannot write {}: {e}", path.display())),
+        },
+        None => {
+            print!("{text}");
+            ExitCode::SUCCESS
         }
-        None => print!("{text}"),
     }
-    ExitCode::SUCCESS
 }
 
-fn cmd_breakdown(argv: &[String]) -> ExitCode {
-    let mut input = None;
-    let mut strict = false;
-    let mut run_report = None;
-    let mut it = argv.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--strict" => strict = true,
-            "--run-report" => {
-                run_report = Some(PathBuf::from(it.next().unwrap_or_else(|| usage())))
-            }
-            "-h" | "--help" => usage(),
-            _ if input.is_none() => input = Some(PathBuf::from(a)),
+/// `snapshot <trace-dir> [<baseline.json>] <name=min_wall_ms>...`: an
+/// argument `name=<integer>` is a pipeline, any other after the trace
+/// directory the baseline.
+fn cmd_snapshot(argv: &[String]) -> ExitCode {
+    let Some((trace_dir, rest)) = argv.split_first() else {
+        usage()
+    };
+    let (mut specs, mut baseline) = (Vec::new(), None);
+    for a in rest {
+        match a.rsplit_once('=').map(|(n, ms)| (n, ms.parse::<u64>())) {
+            Some((name, Ok(ms))) => specs.push((name.to_string(), ms)),
+            _ if baseline.is_none() => baseline = Some(Path::new(a)),
             _ => usage(),
         }
     }
-    let Some(input) = input else { usage() };
-    let events = match load_events(&input) {
-        Ok(ev) => ev,
-        Err(c) => return c,
+    let baseline = match baseline.map(read_json).transpose() {
+        Ok(b) => b,
+        Err(e) => return fail(e),
     };
-    let breakdown = analyze(&build_timeline(&events));
-    print!("{}", breakdown.render());
-
-    let report_path = run_report.or_else(|| sibling_run_report(&input));
-    match report_path.as_deref().and_then(dropped_records) {
-        Some(n) if n > 0 => {
-            eprintln!(
-                "uoi-trace: {} dropped trace record(s) recorded in {}; the timeline is \
-                 incomplete and per-phase sums undercount",
-                n,
-                report_path.as_deref().unwrap_or(&input).display()
-            );
-            if strict {
-                return ExitCode::FAILURE;
-            }
-        }
-        Some(_) => {}
-        None => {
-            if strict {
-                eprintln!(
-                    "uoi-trace: --strict needs a run report with a telemetry.dropped_records \
-                     count (none found next to {})",
-                    input.display()
-                );
-                return ExitCode::FAILURE;
-            }
-        }
+    let (snapshot, failures) = gates::snapshot(Path::new(trace_dir), &specs, baseline.as_ref());
+    if let Err(e) = std::fs::write("BENCH_PIPELINE.json", snapshot.to_string_pretty()) {
+        return fail(format!("cannot write BENCH_PIPELINE.json: {e}"));
     }
-    ExitCode::SUCCESS
+    for f in &failures {
+        eprintln!("GATE: {f}");
+    }
+    exit(failures.is_empty())
+}
+
+fn cmd_compare(argv: &[String]) -> ExitCode {
+    let [old, new] = argv else { usage() };
+    let [old, new] = [old, new].map(|path| read_json(Path::new(path)));
+    match (old, new) {
+        (Ok(old), Ok(new)) => {
+            let (lines, failed) = gates::compare(&old, &new);
+            lines.iter().for_each(|line| println!("{line}"));
+            exit(!failed)
+        }
+        (Err(e), _) | (_, Err(e)) => fail(e),
+    }
+}
+
+fn cmd_check(argv: &[String]) -> ExitCode {
+    let [prefix] = argv else { usage() };
+    let mut ok = true;
+    for (gate, outcome) in gates::check(Path::new(prefix)) {
+        match &outcome {
+            Ok(seen) => println!("ok    {gate}: {seen}"),
+            Err(why) => println!("FAIL  {gate}: {why}"),
+        }
+        ok &= outcome.is_ok();
+    }
+    exit(ok)
 }
 
 fn legacy_main(argv: &[String]) -> ExitCode {
-    let args = parse_args(argv);
-    let events = match load_events(&args.input) {
+    let (input, given) = parse(argv, &["--no-report"], &["--chrome"]);
+    let events = match load_events(&input) {
         Ok(ev) => ev,
-        Err(c) => return c,
+        Err(e) => return fail(e),
     };
-
-    if let Some(report_path) = args
-        .run_report
-        .clone()
-        .or_else(|| sibling_run_report(&args.input))
-    {
-        if let Some(n) = dropped_records(&report_path) {
-            if n > 0 {
-                eprintln!(
-                    "uoi-trace: WARNING: {} reports {n} dropped trace record(s); \
-                     the timeline is incomplete and per-phase sums undercount",
-                    report_path.display()
-                );
-            }
+    let name = input.file_name().and_then(|n| n.to_str());
+    let stem = name.map_or("trace", |n| n.strip_suffix(".jsonl").unwrap_or(n));
+    // Dropped records in the sibling run report of a
+    // `<bench>.trace.jsonl` leave the timeline incomplete.
+    let report = stem.strip_suffix(".trace").map(|b| format!("{b}.json"));
+    if let Some(Ok(report)) = report.map(|r| read_json(&input.with_file_name(r))) {
+        if let Err(why) = gates::dropped_records_gate(&report) {
+            eprintln!("uoi-trace: WARNING: {why}");
         }
     }
-
-    let timeline = build_timeline(&events);
-    let breakdown = analyze(&timeline);
-
-    let chrome_path = args.chrome_out.clone().unwrap_or_else(|| {
-        let stem = args
-            .input
-            .file_name()
-            .and_then(|n| n.to_str())
-            .map(|n| n.strip_suffix(".jsonl").unwrap_or(n).to_string())
-            .unwrap_or_else(|| "trace".to_string());
-        args.input.with_file_name(format!("{stem}.chrome.json"))
-    });
-    let chrome = to_chrome_trace(&events);
-    if let Err(e) = std::fs::write(&chrome_path, chrome.to_string_compact()) {
-        eprintln!("uoi-trace: cannot write {}: {e}", chrome_path.display());
-        return ExitCode::FAILURE;
+    let default = input.with_file_name(format!("{stem}.chrome.json"));
+    let chrome_path = option(&given, "--chrome").unwrap_or(&default);
+    if let Err(e) = std::fs::write(chrome_path, to_chrome_trace(&events).to_string_compact()) {
+        return fail(format!("cannot write {}: {e}", chrome_path.display()));
     }
     println!(
         "[saved {} — open it at https://ui.perfetto.dev or chrome://tracing]",
         chrome_path.display()
     );
-
-    if args.report {
+    if option(&given, "--no-report").is_none() {
         println!();
-        print!("{}", breakdown.render());
+        print!("{}", analyze(&build_timeline(&events)).render());
     }
     ExitCode::SUCCESS
 }
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
+    let rest = argv.get(1..).unwrap_or(&[]);
     match argv.first().map(|s| s.as_str()) {
-        Some("convergence") => cmd_convergence(&argv[1..]),
-        Some("numerical") => cmd_numerical(&argv[1..]),
-        Some("progress") => cmd_progress(&argv[1..]),
-        Some("export-metrics") => cmd_export_metrics(&argv[1..]),
-        Some("breakdown") => cmd_breakdown(&argv[1..]),
+        Some(name @ ("convergence" | "numerical" | "progress" | "breakdown")) => {
+            cmd_report(name, rest)
+        }
+        Some("export-metrics") => cmd_export_metrics(rest),
+        Some("snapshot") => cmd_snapshot(rest),
+        Some("compare") => cmd_compare(rest),
+        Some("check") => cmd_check(rest),
         _ => legacy_main(&argv),
     }
 }

@@ -20,10 +20,11 @@ use std::sync::Arc;
 
 use uoi_telemetry::{
     analyze, build_timeline, ConvergenceReport, JsonlSink, MemorySink, MetricsRegistry,
-    OpenMetricsExporter, ProgressPlan, ProgressTracker, TeeSink, Telemetry, TraceEvent,
+    OpenMetricsExporter, TeeSink, Telemetry, TraceSink,
 };
 pub use uoi_telemetry::{RunReport, RunSummary, RUN_REPORT_SCHEMA};
 
+pub mod gates;
 pub mod setups;
 pub mod straggler;
 pub mod workload;
@@ -205,19 +206,16 @@ pub struct BenchTrace {
     telemetry: Telemetry,
     metrics: Option<Arc<MetricsRegistry>>,
     memory: Option<Arc<MemorySink>>,
-    jsonl: Option<Arc<JsonlSink>>,
-    trace_path: Option<PathBuf>,
-    prom_path: Option<PathBuf>,
-    exporter: Option<OpenMetricsExporter>,
+    /// The trace file's sink and path.
+    jsonl: Option<(Arc<JsonlSink>, PathBuf)>,
+    /// The periodic exporter and the `.metrics.prom` it rewrites.
+    exporter: Option<(OpenMetricsExporter, PathBuf)>,
 }
 
 impl BenchTrace {
     /// Build from the environment: tracing on iff `UOI_TRACE=1`.
     pub fn from_env(bench: &str) -> Self {
-        if std::env::var("UOI_TRACE")
-            .map(|v| v == "1")
-            .unwrap_or(false)
-        {
+        if std::env::var("UOI_TRACE").is_ok_and(|v| v == "1") {
             Self::enabled(bench)
         } else {
             Self {
@@ -225,8 +223,6 @@ impl BenchTrace {
                 metrics: None,
                 memory: None,
                 jsonl: None,
-                trace_path: None,
-                prom_path: None,
                 exporter: None,
             }
         }
@@ -255,35 +251,24 @@ impl BenchTrace {
             std::time::Duration::from_millis(interval.max(10)),
         );
         let memory = Arc::new(MemorySink::new());
-        match JsonlSink::create(&path) {
-            Ok(file) => {
-                let file = Arc::new(file.with_metrics(metrics.clone()));
-                let tee = Arc::new(TeeSink::new(vec![memory.clone() as _, file.clone() as _]));
-                Self {
-                    telemetry: Telemetry::new(tee, metrics.clone()),
-                    metrics: Some(metrics),
-                    memory: Some(memory),
-                    jsonl: Some(file),
-                    trace_path: Some(path),
-                    prom_path: Some(prom_path),
-                    exporter: Some(exporter),
-                }
-            }
+        let jsonl = match JsonlSink::create(&path) {
+            Ok(file) => Some((Arc::new(file.with_metrics(metrics.clone())), path)),
             Err(e) => {
-                eprintln!(
-                    "[trace file {} not writable: {e}; tracing to memory only]",
-                    path.display()
-                );
-                Self {
-                    telemetry: Telemetry::new(memory.clone() as _, metrics.clone()),
-                    metrics: Some(metrics),
-                    memory: Some(memory),
-                    jsonl: None,
-                    trace_path: None,
-                    prom_path: Some(prom_path),
-                    exporter: Some(exporter),
-                }
+                let shown = path.display();
+                eprintln!("[trace file {shown} not writable: {e}; tracing to memory only]");
+                None
             }
+        };
+        let sink: Arc<dyn TraceSink> = match &jsonl {
+            Some((file, _)) => Arc::new(TeeSink::new(vec![memory.clone() as _, file.clone() as _])),
+            None => memory.clone(),
+        };
+        Self {
+            telemetry: Telemetry::new(sink, metrics.clone()),
+            metrics: Some(metrics),
+            memory: Some(memory),
+            jsonl,
+            exporter: Some((exporter, prom_path)),
         }
     }
 
@@ -322,53 +307,21 @@ impl BenchTrace {
         if let Some(m) = &self.metrics {
             report = report.with_metrics(m.snapshot());
         }
-        if let Some(file) = &self.jsonl {
+        if let Some((file, _)) = &self.jsonl {
             report = report.with_dropped_records(file.dropped_records());
         }
-        if let Some(exporter) = &self.exporter {
+        if let (Some((exporter, path)), Some(m)) = (&self.exporter, &self.metrics) {
             exporter.stop();
             // One more write with the final progress gauges folded in —
             // the periodic exporter only sees the metrics registry.
-            if let (Some(path), Some(m)) = (&self.prom_path, &self.metrics) {
-                let progress = self.final_progress();
-                let _ = uoi_telemetry::write_openmetrics(path, &m.snapshot(), progress.as_ref());
-                println!("[saved {}]", path.display());
-            }
+            let progress = uoi_telemetry::replay_progress(&events);
+            let _ = uoi_telemetry::write_openmetrics(path, &m.snapshot(), progress.as_ref());
+            println!("[saved {}]", path.display());
         }
-        if let Some(path) = &self.trace_path {
+        if let Some((_, path)) = &self.jsonl {
             println!("[saved {}]", path.display());
         }
         report
-    }
-
-    /// Replay the in-memory trace through a [`ProgressTracker`] and
-    /// return the final snapshot (`None` when tracing is off or no
-    /// convergence records were emitted). The plan is derived from the
-    /// observed task census, so completion is exactly 1.0 at fit end.
-    pub fn final_progress(&self) -> Option<uoi_telemetry::ProgressSnapshot> {
-        let memory = self.memory.as_ref()?;
-        let events = memory.snapshot();
-        let (mut sel, mut est) = (0usize, 0usize);
-        for e in &events {
-            if let TraceEvent::Convergence { stage, .. } = e {
-                if *stage == "selection" {
-                    sel += 1;
-                } else {
-                    est += 1;
-                }
-            }
-        }
-        if sel + est == 0 {
-            return None;
-        }
-        let mut tracker = ProgressTracker::new(ProgressPlan {
-            selection_tasks: sel,
-            estimation_tasks: est,
-        });
-        for e in &events {
-            tracker.observe(e);
-        }
-        Some(tracker.snapshot())
     }
 }
 

@@ -1,17 +1,17 @@
 //! End-to-end traced-pipeline acceptance: a fig2-style distributed
-//! `UoI_LASSO` run under `BenchTrace` must (a) leave a Perfetto-loadable
-//! Chrome trace and a JSONL trace on disk, (b) attach a breakdown to
-//! the `RunReport` whose per-rank phase sums agree with wall time
-//! within 5% (they agree to fp round-off by construction), and (c)
-//! expose an injected straggler as collective-wait *idle* on the
+//! `UoI_LASSO` run under `BenchTrace` must (a) leave artifacts that pass
+//! the gates of `uoi_trace check`: no dropped records, per-rank phase
+//! sums within 5% of wall time (they agree to fp round-off by
+//! construction), lint-clean expositions and a valid Chrome export; and
+//! (b) expose an injected straggler as collective-wait *idle* on the
 //! healthy ranks.
 
-use uoi_bench::BenchTrace;
+use uoi_bench::{gates, BenchTrace};
 use uoi_core::{DistOptions, ExecMode, ParallelLayout, UoiFitter, UoiLassoConfig};
 use uoi_data::LinearConfig;
 use uoi_mpisim::{Cluster, FaultPlan, MachineModel};
 use uoi_solvers::AdmmConfig;
-use uoi_telemetry::{analyze, build_timeline, Json, JsonlSink, PipelinePhase};
+use uoi_telemetry::{analyze, build_timeline, Json, JsonlSink};
 
 fn small_cfg() -> UoiLassoConfig {
     UoiLassoConfig {
@@ -72,40 +72,31 @@ fn traced_fig2_style_run_produces_consistent_artifacts() {
             .with_summary(report.run_summary()),
     );
     let doc = run_report.to_json();
-
-    // (a) JSONL trace on disk, parseable, with zero dropped records.
-    let trace_path = dir.join("trace_pipeline_test.trace.jsonl");
-    let events = JsonlSink::read_events(&trace_path).unwrap();
-    assert!(!events.is_empty());
-    assert_eq!(
-        doc.get("telemetry")
-            .and_then(|t| t.get("dropped_records"))
-            .and_then(Json::as_num),
-        Some(0.0)
-    );
-
-    // (b) Breakdown attached, sums within 5% of per-rank wall time.
-    let breakdown = doc
-        .get("breakdown")
-        .expect("annotate must attach a breakdown");
+    let breakdown = doc.get("breakdown").expect("annotate attaches a breakdown");
     let per_rank = breakdown.get("per_rank").and_then(Json::as_arr).unwrap();
     assert_eq!(per_rank.len(), 4);
-    for rk in per_rank {
-        let wall = rk.get("wall").and_then(Json::as_num).unwrap();
-        let phases = rk.get("phases").unwrap();
-        let sum: f64 = PipelinePhase::ALL
-            .iter()
-            .filter_map(|ph| phases.get(ph.label()))
-            .filter_map(|s| s.get("wall").and_then(Json::as_num))
-            .sum();
-        assert!(wall > 0.0);
-        assert!(
-            ((sum - wall) / wall).abs() < 0.05,
-            "phase sum {sum} vs wall {wall} off by more than 5%"
-        );
+    assert!(per_rank
+        .iter()
+        .all(|rk| rk.get("wall").and_then(Json::as_num) > Some(0.0)));
+    run_report.write_to_dir(&dir).unwrap();
+    let trace_path = dir.join("trace_pipeline_test.trace.jsonl");
+    let events = JsonlSink::read_events(&trace_path).unwrap();
+    let chrome = uoi_telemetry::to_chrome_trace(&events);
+    let chrome_events = chrome.get("traceEvents").and_then(Json::as_arr);
+    assert!(chrome_events.map_or(0, <[Json]>::len) > 4);
+    let chrome = chrome.to_string_compact();
+    std::fs::write(dir.join("trace_pipeline_test.trace.chrome.json"), chrome).unwrap();
+
+    // (a) The gates of `uoi_trace check` pass. The 60-iteration cap
+    // leaves a solve unconverged, so the convergence gate is left to
+    // the real fig2 artifacts.
+    for (gate, outcome) in gates::check(&dir.join("trace_pipeline_test")) {
+        if let (false, Err(why)) = (gate == "convergence", outcome) {
+            panic!("{gate}: {why}");
+        }
     }
 
-    // (c) The straggler's peers idle at collectives; the straggler
+    // (b) The straggler's peers idle at collectives; the straggler
     // itself (rank 1) barely waits. Recompute from the raw events so the
     // assertion covers the whole path, not just the serialised numbers.
     let analysis = analyze(&build_timeline(&events));
@@ -127,22 +118,6 @@ fn traced_fig2_style_run_produces_consistent_artifacts() {
         );
     }
     assert!(healthy_idle.iter().all(|&i| i > 0.0));
-
-    // (d) Chrome trace export is valid JSON of the expected shape.
-    let chrome = uoi_telemetry::to_chrome_trace(&events);
-    let parsed = Json::parse(&chrome.to_string_compact()).unwrap();
-    let evs = parsed.get("traceEvents").and_then(Json::as_arr).unwrap();
-    assert!(evs.len() > 4, "expected events, got {}", evs.len());
-    for ev in evs {
-        let ph = ev.get("ph").and_then(Json::as_str).unwrap();
-        assert!(
-            matches!(ph, "X" | "i" | "C" | "M"),
-            "unexpected phase type {ph}"
-        );
-        if ph == "X" {
-            assert!(ev.get("dur").and_then(Json::as_num).unwrap() >= 0.0);
-        }
-    }
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -109,23 +109,48 @@ pub(crate) fn fit_dist<'a, P: DistProblem<'a>>(
         .into_iter()
         .filter(|&k| !sel_dead(k))
         .collect();
-    let mut votes = Votes::new(cfg.q, len);
+    let mut dropped = vec![0.0; cfg.b1];
+    boots.iter().for_each(|&k| dropped[k] = 1.0);
+    let mut paths: Vec<(usize, Vec<Vec<usize>>)> = Vec::new();
     let mut emit = |ctx: &mut RankCtx, k: usize, path: Vec<AdmmSolution>| {
+        dropped[k] = 0.0;
         if !leader {
             return;
         }
+        let mut supports = Vec::with_capacity(path.len());
         for (&j, sol) in lambda_ids.iter().zip(path) {
             let support = support_of(&sol.beta, cfg.support_tol);
             let (at, max_iter) = ((ctx.world_rank(), ctx.clock()), cfg.admm.max_iter);
             ctx.telemetry().record_with(|| {
                 selection_record((k, j, lambdas[j]), sol, max_iter, support.clone(), at)
             });
-            votes.add(j, &support);
+            supports.push(support);
         }
+        paths.push((k, supports));
     };
     prob.select(ctx, &comms.admm_comm, &boots, &lambda_ids, &mut emit);
+    // A guarded solve may drop a bootstrap on one λ group only; one
+    // allreduce drops it on every group, and quorum and the vote
+    // threshold count the survivors, as the serial fit does.
+    let effective_b1 = if cfg.numerical.enabled {
+        world.allreduce_sum(ctx, &mut dropped);
+        effective.0 - dropped.iter().filter(|&&d| d > 0.0).count()
+    } else {
+        effective.0
+    };
+    let quorum = (cfg.degradation).check_quorum("selection", effective_b1, cfg.b1);
+    if quorum.is_err() {
+        ctx.span_exit(span);
+    }
+    quorum?;
+    let mut votes = Votes::new(cfg.q, len);
+    for (_, supports) in paths.iter().filter(|(k, _)| dropped[*k] == 0.0) {
+        for (&j, support) in lambda_ids.iter().zip(supports) {
+            votes.add(j, support);
+        }
+    }
     world.allreduce_sum(ctx, &mut votes.counts);
-    let needed = required_votes(cfg.intersection_frac, effective.0);
+    let needed = required_votes(cfg.intersection_frac, effective_b1);
     let supports_per_lambda = votes.supports(needed);
     let support_family = dedup_family(supports_per_lambda.clone());
     ctx.span_exit(span);
@@ -157,7 +182,7 @@ pub(crate) fn fit_dist<'a, P: DistProblem<'a>>(
     let parts = FitParts {
         supports_per_lambda,
         support_family,
-        degradation: degradation_report(cfg, plan, effective, needed),
+        degradation: degradation_report(cfg, plan, (effective_b1, effective.1), needed),
         recovery: None,
         speculation: None,
         numerical: cfg.numerical.active().then(|| prob.ledger().drain_report()),

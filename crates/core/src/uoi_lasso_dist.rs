@@ -301,7 +301,9 @@ impl<'a> DistProblem<'a> for LassoDist<'a> {
 
 impl LassoDist<'_> {
     /// Bootstrap `k`'s consensus path over the λ indices `lambda_ids`;
-    /// `None` when every rank agreed the factorisation broke down.
+    /// `None` when every rank agreed the factorisation broke down or a λ
+    /// stayed diverged through every rho restart (the serial fit drops
+    /// such a bootstrap too).
     fn solve(
         &self,
         ctx: &mut RankCtx,
@@ -351,7 +353,11 @@ impl LassoDist<'_> {
             .expect("no rank reported a factor breakdown")
             .divergence_cap(self.cfg.numerical.resilience.divergence_cap);
         let mut sols = solver.solve_path_with_rhs(ctx, comm, &sys.xty, &lambdas);
-        self.recover_diverged(ctx, comm, sys, lambda_ids, &mut sols, k);
+        if !self.recover_diverged(ctx, comm, sys, lambda_ids, &mut sols, k) {
+            self.ledger
+                .note_task_dropped(&self.num_tel, "selection", k, "divergence_unrecovered");
+            return None;
+        }
         Some(sols)
     }
 
@@ -367,9 +373,8 @@ impl LassoDist<'_> {
     /// one-λ screened path. Its factorisation may break on some rank, so
     /// every rung first agrees on that with an allreduce, as construction does;
     /// a rung that broke anywhere is skipped everywhere. A lambda that
-    /// exhausts the budget degrades to the zero iterate — it then
-    /// contributes no selection votes — and is recorded as a dropped
-    /// divergence.
+    /// exhausts the budget is recorded as a dropped divergence, and the
+    /// return is `false`: the caller drops the bootstrap.
     fn recover_diverged(
         &self,
         ctx: &mut RankCtx,
@@ -378,7 +383,7 @@ impl LassoDist<'_> {
         lambda_ids: &[usize],
         sols: &mut [AdmmSolution],
         k: usize,
-    ) {
+    ) -> bool {
         let res = &self.cfg.numerical.resilience;
         let mut health = restart_tripped(res, self.admm.rho, sols, |i, rho| {
             let cfg = AdmmConfig {
@@ -400,13 +405,14 @@ impl LassoDist<'_> {
                 .pop()
         });
         if health.recovered.is_empty() && health.diverged.is_empty() {
-            return;
+            return true;
         }
         for idx in health.recovered.iter_mut().chain(&mut health.diverged) {
             *idx = lambda_ids[*idx];
         }
         self.ledger
             .note_path(&self.num_tel, "selection", k, &health);
+        health.diverged.is_empty()
     }
 }
 

@@ -564,8 +564,9 @@ fn dist_and_serial_report_the_same_estimation_jitter() {
 /// allreduced residuals, as the serial guarded path does, so a cap that
 /// only a λ's early iterations cross trips even when the λ would go on
 /// to converge within `max_iter`. At cap 0.1 every trip stays diverged
-/// through the restarts; at cap 10 both executors trip and recover every
-/// trip.
+/// through the restarts, both executors drop every bootstrap, and both
+/// fail with the same quorum error; at cap 10 both executors trip and
+/// recover every trip.
 #[test]
 fn dist_tripwire_checks_every_iteration_like_serial() {
     let ds = clean_dataset();
@@ -575,19 +576,22 @@ fn dist_tripwire_checks_every_iteration_like_serial() {
         cfg.numerical.resilience = ResilienceConfig::default().divergence_cap(cap);
         UoiFitter::new(cfg).mode(mode).fit(&ds.x, &ds.y)
     };
-    let dist = || {
+    let dist = |p_lambda: usize| {
         ExecMode::Dist(DistOptions {
-            layout: ParallelLayout::admm_only(),
+            layout: ParallelLayout { p_b: 1, p_lambda },
             ..Default::default()
         })
     };
 
-    let tight = fit(0.1, dist()).expect("dist fit completes");
-    let report = tight.numerical.expect("report attached");
-    assert!(report.rho_restarts > 0, "cap 0.1 must trip: {report:?}");
-    assert!(report.divergences > 0, "{report:?}");
+    let serial_err = fit(0.1, ExecMode::Serial).expect_err("serial drops every bootstrap");
+    let lost = serial_err.to_string();
+    assert!(lost.starts_with("quorum lost in selection"), "{lost}");
+    for p_lambda in [1, 2] {
+        let dist_err = fit(0.1, dist(p_lambda)).expect_err("dist drops every bootstrap");
+        assert_eq!(dist_err, serial_err, "P_lambda = {p_lambda}");
+    }
 
-    for (who, mode) in [("serial", ExecMode::Serial), ("dist", dist())] {
+    for (who, mode) in [("serial", ExecMode::Serial), ("dist", dist(1))] {
         let fitted = fit(10.0, mode).unwrap_or_else(|e| panic!("{who}: {e}"));
         let r = fitted.numerical.expect("report attached");
         assert!(r.rho_restarts > 0, "{who}: cap 10 must trip: {r:?}");

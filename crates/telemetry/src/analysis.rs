@@ -40,7 +40,7 @@ pub struct PhaseSlice {
 }
 
 /// One rank's full decomposition.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RankBreakdown {
     pub rank: usize,
     /// Rank clock at end of run (== sum of phase walls).
@@ -66,7 +66,7 @@ pub struct PhaseAggregate {
 }
 
 /// The full analysis result.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Breakdown {
     pub ranks: Vec<RankBreakdown>,
     pub phases: BTreeMap<PipelinePhase, PhaseAggregate>,

@@ -263,39 +263,91 @@ pub fn to_chrome_trace(events: &[TraceEvent]) -> Json {
     ])
 }
 
+/// Check `doc` against the Chrome trace-format subset
+/// [`to_chrome_trace`] emits, which Perfetto and `chrome://tracing`
+/// load: an object whose required `traceEvents` array holds `"X"`,
+/// `"i"`, `"C"` and `"M"` events. Every event carries `name`, `ph` and
+/// `pid`; `"X"` also needs `ts`, `dur`, `tid`, `cat` and `args`, `"i"`
+/// needs `ts`, `tid` and a scope `s` of `t`, `p` or `g`, `"C"` needs
+/// `ts`, `tid`, `cat` and `args`, and `"M"` needs `args`. `name` and
+/// `cat` are strings, `ts`, `dur`, `pid` and `tid` non-negative
+/// numbers, and `args` an object. An optional `displayTimeUnit` is `ms`
+/// or `ns`; an optional `otherData` object has a string `source` and
+/// non-negative `ranks` and `world_size`. Returns the event count, or
+/// the first violation.
+pub fn validate_chrome_trace(doc: &Json) -> Result<usize, String> {
+    let is_obj = |v: &Json| matches!(v, Json::Obj(_));
+    let fields = |at: &str, obj: &Json| {
+        let text = |k| obj.get(k).is_some_and(|v: &Json| v.as_str().is_none());
+        let count = |k| {
+            obj.get(k)
+                .is_some_and(|v: &Json| !v.as_num().is_some_and(|x| x >= 0.0))
+        };
+        if !is_obj(obj) {
+            return Err(format!("{at}: must be an object"));
+        }
+        if let Some(key) = ["name", "cat", "source"].into_iter().find(|&k| text(k)) {
+            return Err(format!("{at}.{key}: must be a string"));
+        }
+        let numbers = ["ts", "dur", "pid", "tid", "ranks", "world_size"];
+        match numbers.into_iter().find(|&k| count(k)) {
+            Some(key) => Err(format!("{at}.{key}: must be a number >= 0")),
+            None => Ok(()),
+        }
+    };
+    let events = doc.get("traceEvents").and_then(Json::as_arr);
+    let events = events.ok_or("$: needs a traceEvents array")?;
+    let unit = doc.get("displayTimeUnit").map(Json::as_str);
+    if unit.is_some_and(|u| !matches!(u, Some("ms" | "ns"))) {
+        return Err("$.displayTimeUnit: must be \"ms\" or \"ns\"".to_string());
+    }
+    (doc.get("otherData")).map_or(Ok(()), |other| fields("$.otherData", other))?;
+    for (i, ev) in events.iter().enumerate() {
+        let at = format!("$.traceEvents[{i}]");
+        fields(&at, ev)?;
+        let extra: &[&str] = match ev.get("ph").map(Json::as_str) {
+            None => &[],
+            Some(Some("X")) => &["ts", "dur", "tid", "cat", "args"],
+            Some(Some("i")) => &["ts", "tid", "s"],
+            Some(Some("C")) => &["ts", "tid", "cat", "args"],
+            Some(Some("M")) => &["args"],
+            Some(_) => return Err(format!("{at}.ph: must be \"X\", \"i\", \"C\" or \"M\"")),
+        };
+        let required = ["name", "ph", "pid"].iter().chain(extra);
+        if let Some(key) = required.into_iter().find(|k| ev.get(k).is_none()) {
+            return Err(format!("{at}: missing required key {key}"));
+        }
+        let scope = ev.get("s").map(Json::as_str);
+        if scope.is_some_and(|s| !matches!(s, Some("t" | "p" | "g"))) {
+            return Err(format!("{at}.s: must be \"t\", \"p\" or \"g\""));
+        }
+        if ev.get("args").is_some_and(|a| !is_obj(a)) {
+            return Err(format!("{at}.args: must be an object"));
+        }
+    }
+    Ok(events.len())
+}
+
 /// Counter tracks (Chrome `"C"` events, pid 2) replaying the
 /// convergence record stream through a [`ProgressTracker`]: tasks in
 /// flight vs done, the cumulative non-converged count, and the α–β
 /// ETA — Perfetto draws each as a stacked area chart next to the
 /// rank timelines.
 fn emit_counter_tracks(events: &[TraceEvent], out: &mut Vec<Json>) {
-    let mut convs: Vec<&TraceEvent> = events
-        .iter()
-        .filter(|ev| matches!(ev, TraceEvent::Convergence { .. }))
-        .collect();
-    if convs.is_empty() {
-        return;
-    }
-    convs.sort_by(|a, b| {
-        let (ta, tb) = match (a, b) {
-            (TraceEvent::Convergence { t: ta, .. }, TraceEvent::Convergence { t: tb, .. }) => {
-                (*ta, *tb)
-            }
-            _ => unreachable!(),
-        };
-        ta.partial_cmp(&tb).unwrap_or(std::cmp::Ordering::Equal)
-    });
-    out.push(metadata("process_name", 2, None, "solver health"));
     // The trace is complete, so the plan is just the observed totals.
-    let selection = convs
-        .iter()
-        .filter(|ev| matches!(ev, TraceEvent::Convergence { stage, .. } if *stage == "selection"))
-        .count();
-    let mut tracker = ProgressTracker::new(ProgressPlan {
-        selection_tasks: selection,
-        estimation_tasks: convs.len() - selection,
-    });
-    for ev in convs {
+    let Some(plan) = ProgressPlan::observed(events) else {
+        return;
+    };
+    let mut convs: Vec<(f64, &TraceEvent)> = (events.iter())
+        .filter_map(|ev| match ev {
+            TraceEvent::Convergence { t, .. } => Some((*t, ev)),
+            _ => None,
+        })
+        .collect();
+    convs.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
+    out.push(metadata("process_name", 2, None, "solver health"));
+    let mut tracker = ProgressTracker::new(plan);
+    for (_, ev) in convs {
         tracker.observe(ev);
         let snap = tracker.snapshot();
         out.push(counter_event(
@@ -447,16 +499,7 @@ mod tests {
         let parsed = Json::parse(&text).unwrap();
         let evs = parsed.get("traceEvents").unwrap().as_arr().unwrap();
         assert!(!evs.is_empty());
-        // Every event has ph/pid/tid; X events also carry ts and dur.
-        for e in evs {
-            let ph = e.get("ph").unwrap().as_str().unwrap();
-            assert!(e.get("pid").unwrap().as_num().is_some());
-            assert!(e.get("tid").is_some() || ph == "M");
-            if ph == "X" {
-                assert!(e.get("ts").unwrap().as_num().is_some());
-                assert!(e.get("dur").unwrap().as_num().unwrap() >= 0.0);
-            }
-        }
+        assert_eq!(validate_chrome_trace(&parsed), Ok(evs.len()));
         // The span, its taxonomy phase, the idle block, the collective
         // summary, and the window transfer all surface by name.
         let names: Vec<&str> = evs
@@ -504,6 +547,7 @@ mod tests {
             });
         }
         let doc = to_chrome_trace(&evs);
+        assert!(validate_chrome_trace(&doc).is_ok());
         let out = doc.get("traceEvents").unwrap().as_arr().unwrap();
         let counters: Vec<&Json> = out
             .iter()
@@ -558,6 +602,48 @@ mod tests {
             .unwrap()
             .iter()
             .all(|e| e.get("ph").and_then(Json::as_str) != Some("C")));
+    }
+
+    /// One failing input per constraint the validator holds.
+    #[test]
+    fn validator_enforces_every_constraint() {
+        let x = r#""name": "a", "cat": "c", "ph": "X", "ts": 0, "dur": 1, "pid": 0, "tid": 0"#;
+        let i = r#""name": "io", "ph": "i", "pid": 0, "ts": 0, "tid": 0"#;
+        let c = r#""name": "c", "ph": "C", "pid": 2, "ts": 0, "tid": 0, "cat": "counter""#;
+        let m = r#""name": "process_name", "ph": "M", "pid": 0"#;
+        let doc = |ev: &str| format!(r#"{{"traceEvents": [{{{ev}}}], "otherData": {{}}}}"#);
+        let check = |doc: &str| validate_chrome_trace(&Json::parse(doc).unwrap());
+        for ok in [format!("{x}, \"args\": {{}}"), format!("{i}, \"s\": \"t\"")] {
+            assert_eq!(check(&doc(&ok)), Ok(1));
+        }
+        for ok in [c, m] {
+            assert_eq!(check(&doc(&format!("{ok}, \"args\": {{}}"))), Ok(1));
+        }
+        let mut bad: Vec<String> = [x, i, c, m, r#""name": "a", "pid": 0"#].map(doc).into();
+        for ev in [
+            format!("{x}, \"args\": []"),
+            format!("{i}, \"s\": \"x\""),
+            format!("{m}, \"args\": {{}}").replace("\"M\"", "\"B\""),
+        ] {
+            bad.push(doc(&ev));
+        }
+        for key in ["ts", "dur", "tid", "cat", "name", "pid"] {
+            let args = format!("{x}, \"args\": {{}}");
+            bad.push(doc(&args.replace(&format!("\"{key}\": "), "\"gone\": ")));
+            let typed = format!("\"{key}\": null, \"was\": ");
+            bad.push(doc(&args.replace(&format!("\"{key}\": "), &typed)));
+        }
+        bad.push(doc(x).replace(r#""otherData": {}"#, r#""otherData": []"#));
+        for other in [r#""ranks": -1"#, r#""world_size": "4""#, r#""source": 1"#] {
+            bad.push(doc(x).replace(r#""otherData": {}"#, &format!("\"otherData\": {{{other}}}")));
+        }
+        bad.extend(
+            [r#"[]"#, r#"{"traceEvents": {}}"#, r#"{"traceEvents": [1]}"#].map(String::from),
+        );
+        bad.push(r#"{"traceEvents": [], "displayTimeUnit": "s"}"#.to_string());
+        for doc in bad {
+            assert!(check(&doc).is_err(), "{doc} passed");
+        }
     }
 
     #[test]

@@ -514,6 +514,41 @@ mod tests {
         );
     }
 
+    /// The serialised report's shape, which the run report's
+    /// `convergence` block and `uoi_trace convergence --json` share:
+    /// every required key, and the bounds each count obeys.
+    #[test]
+    fn json_has_every_required_key_within_bounds() {
+        let j = ConvergenceReport::from_events(&sample_trace()).to_json();
+        let schema = j.get("schema").and_then(Json::as_str);
+        assert_eq!(schema, Some(CONVERGENCE_SCHEMA));
+        let num = |v: &Json, key: &str| v.get(key).and_then(Json::as_num).expect(key);
+        let nonneg = |v: &Json, keys: &[&str]| keys.iter().all(|k| num(v, k) >= 0.0);
+        let unit = |x: f64| (0.0..=1.0).contains(&x);
+        let counted = |v: &Json| {
+            let hist = v.get("iterations").expect("iterations");
+            let quantiles = ["min", "max", "mean", "p50", "p90", "p95", "p99"];
+            assert!(quantiles.iter().all(|q| num(hist, q).is_finite()));
+            assert!(nonneg(v, &["tasks", "nonconverged", "cap_hits"]) && nonneg(hist, &["count"]));
+        };
+        counted(&j);
+        assert!(unit(num(&j, "nonconverged_fraction")));
+        let stages = j.get("stages").expect("stages");
+        counted(stages.get("selection").expect("selection"));
+        counted(stages.get("estimation").expect("estimation"));
+        let per_lambda = j.get("per_lambda").and_then(Json::as_arr).unwrap();
+        assert_eq!(per_lambda.len(), 2);
+        for l in per_lambda {
+            assert!(nonneg(l, &["lambda_idx", "lambda"]));
+            counted(l);
+        }
+        let st = j.get("stability").expect("stability");
+        assert!(nonneg(st, &["bootstraps", "n_features"]));
+        let list = |key| st.get(key).and_then(Json::as_arr).expect(key).iter();
+        assert!(list("selection_probability").all(|p| unit(p.as_num().unwrap())));
+        assert!(list("support_churn").all(|c| c.as_num().unwrap() >= 0.0));
+    }
+
     #[test]
     fn ignores_unrelated_events() {
         let mut evs = sample_trace();

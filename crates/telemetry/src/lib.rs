@@ -32,7 +32,7 @@
 //!   folded into a deterministic [`NumericalHealthReport`];
 //! * [`live`] — bounded [`RingSink`] subscriber plus
 //!   [`ProgressTracker`]/[`ProgressSnapshot`] with an α–β
-//!   cost-model ETA;
+//!   cost-model ETA, and [`replay_progress`] of a completed trace;
 //! * [`openmetrics`] — OpenMetrics/Prometheus text exporter over
 //!   [`MetricsSnapshot`] and progress gauges;
 //! * [`Telemetry`] — the cheap, cloneable handle threaded through the
@@ -55,17 +55,17 @@ pub mod timeline;
 pub mod trace;
 
 pub use analysis::{analyze, Breakdown, PhaseAggregate, PhaseSlice, BREAKDOWN_SCHEMA};
-pub use chrome::to_chrome_trace;
+pub use chrome::{to_chrome_trace, validate_chrome_trace};
 pub use convergence::{
     ConvergenceReport, LambdaStats, StabilityStats, StageStats, CONVERGENCE_SCHEMA,
 };
 pub use json::{Json, JsonError};
-pub use live::{ProgressPlan, ProgressSnapshot, ProgressTracker, RingSink};
+pub use live::{replay_progress, ProgressPlan, ProgressSnapshot, ProgressTracker, RingSink};
 pub use metrics::{HistogramSummary, MetricsRegistry, MetricsSnapshot};
 pub use numerical::{NumericalHealthReport, CONDEST_EDGES, NUMERICAL_SCHEMA};
 pub use openmetrics::{
-    parse_openmetrics, render_openmetrics, write_openmetrics, OpenMetricsDigest,
-    OpenMetricsExporter,
+    parse_openmetrics, render_openmetrics, replay_openmetrics, write_openmetrics,
+    OpenMetricsDigest, OpenMetricsExporter,
 };
 pub use report::{PhaseTotals, RunReport, RunSummary, RUN_REPORT_SCHEMA};
 pub use timeline::{build_timeline, PipelinePhase, Timeline};

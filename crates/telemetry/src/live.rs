@@ -95,6 +95,35 @@ impl ProgressPlan {
     pub fn total(&self) -> usize {
         self.selection_tasks + self.estimation_tasks
     }
+
+    /// The plan a completed trace implies: its census of selection and
+    /// estimation records (`None` when it holds none).
+    pub fn observed(events: &[TraceEvent]) -> Option<Self> {
+        let (mut selection_tasks, mut estimation_tasks) = (0, 0);
+        for e in events {
+            if let TraceEvent::Convergence { stage, .. } = e {
+                if *stage == "selection" {
+                    selection_tasks += 1;
+                } else {
+                    estimation_tasks += 1;
+                }
+            }
+        }
+        (selection_tasks + estimation_tasks > 0).then_some(ProgressPlan {
+            selection_tasks,
+            estimation_tasks,
+        })
+    }
+}
+
+/// The final progress of a completed trace, replayed through a
+/// [`ProgressTracker`] planned on the trace's own census, so completion
+/// reads exactly 1.0. `None` when the trace holds no convergence
+/// records.
+pub fn replay_progress(events: &[TraceEvent]) -> Option<ProgressSnapshot> {
+    let mut tracker = ProgressTracker::new(ProgressPlan::observed(events)?);
+    events.iter().for_each(|e| tracker.observe(e));
+    Some(tracker.snapshot())
 }
 
 /// One point-in-time view of fit progress.
@@ -381,6 +410,19 @@ mod tests {
             }
         }
         assert_eq!(tr.snapshot().eta_seconds, Some(0.0));
+    }
+
+    #[test]
+    fn replay_plans_on_the_census_and_completes() {
+        assert_eq!(replay_progress(&[]), None);
+        let evs = [conv("selection", 0, 0, 1.0), conv("estimation", 0, 0, 3.0)];
+        let plan = ProgressPlan::observed(&evs);
+        assert_eq!(plan, Some(ProgressPlan::for_fit(1, 1, 1)));
+        let snap = replay_progress(&evs).unwrap();
+        assert_eq!(
+            (snap.completed, snap.total, snap.eta_seconds),
+            (2, 2, Some(0.0))
+        );
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //! OpenMetrics spec requires, and [`parse_openmetrics`] is a minimal
 //! lint of the same dialect used by tests and CI.
 
-use crate::live::ProgressSnapshot;
+use crate::live::{replay_progress, ProgressSnapshot};
 use crate::metrics::{MetricsRegistry, MetricsSnapshot};
+use crate::trace::TraceEvent;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -105,6 +106,27 @@ pub fn render_openmetrics(
     out
 }
 
+/// The exposition a completed trace implies: the solver-health metrics
+/// a live run's registry would hold, rebuilt from the convergence
+/// records alone, plus the replayed final progress.
+pub fn replay_openmetrics(events: &[TraceEvent]) -> String {
+    let registry = MetricsRegistry::new();
+    for e in events {
+        if let TraceEvent::Convergence {
+            stage,
+            iterations,
+            converged,
+            ..
+        } = e
+        {
+            registry.observe("solver.iterations", *iterations as f64);
+            registry.incr("solver.nonconverged", u64::from(!converged));
+            registry.incr(&format!("uoi.tasks.{stage}"), 1);
+        }
+    }
+    render_openmetrics(&registry.snapshot(), replay_progress(events).as_ref())
+}
+
 /// Atomically-ish write `contents` style exposition to `path` (write
 /// to a sibling tmp file, then rename) so a scraper never reads a
 /// half-written exposition.
@@ -130,11 +152,31 @@ pub struct OpenMetricsDigest {
     pub samples: usize,
 }
 
+/// What a sample name may append to its family's name.
+const SUFFIXES: [&str; 7] = [
+    "", "_total", "_count", "_sum", "_bucket", "_created", "_info",
+];
+
+/// Whether `name` is a metric name in the OpenMetrics charset
+/// `[A-Za-z_:][A-Za-z0-9_:]*` (no leading digit).
+fn valid_name(name: &str) -> bool {
+    let mut chars = name.chars();
+    chars
+        .next()
+        .is_some_and(|c| c.is_ascii_alphabetic() || c == '_' || c == ':')
+        && chars.all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
+}
+
 /// Minimal OpenMetrics lint: every line must be a `# TYPE`/`# HELP`/
 /// `# UNIT` comment or a `name[{labels}] value` sample whose family
-/// was declared first; the exposition must end with `# EOF`.
+/// was declared first; names follow the OpenMetrics charset, a sampled
+/// summary carries `_sum` and `_count`, and the exposition ends with
+/// `# EOF`.
 pub fn parse_openmetrics(text: &str) -> Result<OpenMetricsDigest, String> {
     let mut families: Vec<String> = Vec::new();
+    // Per summary family: whether any sample, its `_sum` and its
+    // `_count` were seen.
+    let mut summaries: Vec<(String, [bool; 3])> = Vec::new();
     let mut samples = 0usize;
     let mut saw_eof = false;
     for (lineno, line) in text.lines().enumerate() {
@@ -153,24 +195,24 @@ pub fn parse_openmetrics(text: &str) -> Result<OpenMetricsDigest, String> {
             let mut parts = rest.splitn(3, ' ');
             let keyword = parts.next().unwrap_or("");
             let name = parts.next().unwrap_or("");
+            if matches!(keyword, "TYPE" | "HELP" | "UNIT") && !valid_name(name) {
+                return Err(format!("line {n}: bad {keyword} line: {line}"));
+            }
             match keyword {
                 "TYPE" => {
                     let kind = parts.next().unwrap_or("");
-                    if name.is_empty()
-                        || !matches!(
-                            kind,
-                            "counter" | "gauge" | "summary" | "histogram" | "unknown"
-                        )
-                    {
+                    if !matches!(
+                        kind,
+                        "counter" | "gauge" | "summary" | "histogram" | "info" | "unknown"
+                    ) {
                         return Err(format!("line {n}: bad TYPE line: {line}"));
+                    }
+                    if kind == "summary" {
+                        summaries.push((name.to_string(), [false; 3]));
                     }
                     families.push(name.to_string());
                 }
-                "HELP" | "UNIT" => {
-                    if name.is_empty() {
-                        return Err(format!("line {n}: bad {keyword} line: {line}"));
-                    }
-                }
+                "HELP" | "UNIT" => {}
                 _ => return Err(format!("line {n}: unknown comment keyword: {line}")),
             }
             continue;
@@ -187,32 +229,33 @@ pub fn parse_openmetrics(text: &str) -> Result<OpenMetricsDigest, String> {
             Some(i) => (&line[..i], line[i + 1..].trim_start()),
             None => return Err(format!("line {n}: sample without value: {line}")),
         };
-        if name_part.is_empty()
-            || !name_part
-                .chars()
-                .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
-        {
+        if !valid_name(name_part) {
             return Err(format!("line {n}: bad metric name: {name_part}"));
         }
         let value = value_part.split(' ').next().unwrap_or("");
         if value != "+Inf" && value != "-Inf" && value != "NaN" && value.parse::<f64>().is_err() {
             return Err(format!("line {n}: bad sample value: {value}"));
         }
-        let known = families.iter().any(|f| {
-            name_part == f
-                || ["_total", "_count", "_sum", "_bucket", "_created"]
-                    .iter()
-                    .any(|suf| name_part == format!("{f}{suf}"))
-        });
-        if !known {
+        let suffix_of = |f: &str| name_part.strip_prefix(f).filter(|s| SUFFIXES.contains(s));
+        if !families.iter().any(|f| suffix_of(f).is_some()) {
             return Err(format!(
                 "line {n}: sample {name_part} has no preceding TYPE declaration"
             ));
+        }
+        for (fam, seen) in &mut summaries {
+            if let Some(suf) = suffix_of(fam) {
+                seen[0] = true;
+                seen[1] |= suf == "_sum";
+                seen[2] |= suf == "_count";
+            }
         }
         samples += 1;
     }
     if !saw_eof {
         return Err("exposition does not end with # EOF".to_string());
+    }
+    if let Some((fam, _)) = summaries.iter().find(|(_, s)| s[0] && !(s[1] && s[2])) {
+        return Err(format!("summary {fam} lacks its _sum or _count sample"));
     }
     Ok(OpenMetricsDigest {
         families: families.len(),
@@ -282,7 +325,6 @@ impl Drop for OpenMetricsExporter {
 mod tests {
     use super::*;
     use crate::live::{ProgressPlan, ProgressTracker};
-    use crate::trace::TraceEvent;
 
     fn sample_registry() -> MetricsRegistry {
         let m = MetricsRegistry::new();
@@ -308,24 +350,28 @@ mod tests {
         assert!(text.ends_with("# EOF\n"));
     }
 
-    #[test]
-    fn progress_gauges_included() {
-        let mut tr = ProgressTracker::new(ProgressPlan::for_fit(1, 0, 2));
-        tr.observe(&TraceEvent::Convergence {
+    fn conv(stage: &'static str, converged: bool) -> TraceEvent {
+        TraceEvent::Convergence {
             rank: 0,
-            stage: "selection",
+            stage,
             bootstrap: 0,
             lambda_idx: 0,
             lambda: 1.0,
             iterations: 5,
             max_iter: 100,
-            converged: true,
+            converged,
             primal_residual: 0.0,
             dual_residual: 0.0,
             support: Vec::new(),
             curve: Vec::new(),
             t: 1.0,
-        });
+        }
+    }
+
+    #[test]
+    fn progress_gauges_included() {
+        let mut tr = ProgressTracker::new(ProgressPlan::for_fit(1, 0, 2));
+        tr.observe(&conv("selection", true));
         let snap = tr.snapshot();
         let text = render_openmetrics(&sample_registry().snapshot(), Some(&snap));
         parse_openmetrics(&text).expect("lint failed");
@@ -335,11 +381,41 @@ mod tests {
     }
 
     #[test]
+    fn replayed_exposition_lints_and_counts_tasks() {
+        let text = replay_openmetrics(&[conv("selection", false), conv("estimation", true)]);
+        parse_openmetrics(&text).expect("lint failed");
+        assert!(text.contains("solver_nonconverged_total 1\n"));
+        assert!(text.contains("uoi_tasks_selection_total 1\n"));
+        assert!(text.contains("uoi_progress_completion 1\n"));
+    }
+
+    #[test]
     fn lint_rejects_missing_eof_and_undeclared_samples() {
         assert!(parse_openmetrics("# TYPE x counter\nx_total 1\n").is_err());
         assert!(parse_openmetrics("y 1\n# EOF\n").is_err());
         assert!(parse_openmetrics("# TYPE x counter\nx_total nope\n# EOF\n").is_err());
         assert!(parse_openmetrics("# TYPE x counter\nx_total 1\n# EOF\nmore\n").is_err());
+    }
+
+    /// One failing input per rule, next to the passing one.
+    #[test]
+    fn lint_holds_summaries_types_and_names() {
+        let lint = |text: &str| parse_openmetrics(&format!("{text}\n# EOF\n")).is_ok();
+        let summary = "# TYPE s summary\ns{quantile=\"0.5\"} 1";
+        assert!(lint(&format!("{summary}\ns_sum 0\ns_count 0")));
+        assert!(!lint(&format!("{summary}\ns_sum 0")) && !lint(&format!("{summary}\ns_count 0")));
+        // A declared summary with no samples has nothing to lack.
+        assert!(lint("# TYPE s summary"));
+        assert!(lint("# TYPE build info\nbuild_info 1") && !lint("# TYPE build table\nbuild 1"));
+        for keyword in ["TYPE", "HELP", "UNIT"] {
+            let tail = if keyword == "TYPE" { "gauge" } else { "text" };
+            assert!(lint(&format!("# TYPE x gauge\n# {keyword} x {tail}\nx 1")));
+            for bad in ["9x", "x.y", "x-y"] {
+                let text = format!("# TYPE x gauge\n# {keyword} {bad} {tail}\nx 1");
+                assert!(!lint(&text), "{keyword} {bad}");
+            }
+        }
+        assert!(!lint("# TYPE x gauge\n9x 1"));
     }
 
     #[test]
